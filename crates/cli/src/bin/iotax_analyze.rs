@@ -38,6 +38,7 @@ use iotax_core::{
     TaxonomyRun, ThroughputInterval,
 };
 use iotax_obs::{digest_bytes, Error};
+use std::io::Write;
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: iotax-analyze TRACE_DIR [--metrics-out PATH] [--ledger DIR] \
@@ -130,9 +131,13 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
         eprintln!("  quarantined job {}: {}", q.job_id, q.reason);
     }
     if let Some(path) = &args.ingest_report {
-        let mut file = std::fs::File::create(path)
+        let file = std::fs::File::create(path)
             .map_err(|e| Error::io(format!("creating ingest report {}", path.display()), e))?;
-        report.write_jsonl(&mut file)?;
+        let mut out = std::io::BufWriter::new(file);
+        report.write_jsonl(&mut out)?;
+        // Flush explicitly: dropping a BufWriter would discard the error.
+        out.flush()
+            .map_err(|e| Error::io(format!("writing ingest report {}", path.display()), e))?;
         eprintln!("ingest report written to {}", path.display());
     }
     if jobs.is_empty() {

@@ -16,19 +16,26 @@
 //! * An [`IngestReport`] accounting for every file — parsed clean,
 //!   salvaged, quarantined, retried — threaded through `iotax-obs`
 //!   counters and exportable as JSON lines for CI artifacts.
+//! * **A parallel read path whose result does not depend on the thread
+//!   count**: files are read, parsed and salvaged on every available
+//!   core in fixed contiguous ranges, then merged in manifest order (see
+//!   [`ingest_trace_with_reader`]).
 //!
 //! Strict mode ([`IngestOptions::strict`]) restores the old fail-fast
 //! contract exactly: first unreadable or unparseable file aborts with the
 //! same typed error the legacy path produced.
 
 use crate::TraceJob;
-use iotax_darshan::format::parse_log;
+use iotax_darshan::format::{parse_log, ParseError};
+use iotax_darshan::record::JobLog;
 use iotax_darshan::salvage::parse_log_lenient;
 use iotax_obs::{Error, ErrorKind, Result};
 use iotax_sim::{FaultManifest, FaultPlan};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::io::{self, BufRead};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Knobs for [`ingest_trace`].
 #[derive(Debug, Clone)]
@@ -157,7 +164,8 @@ fn tagged<T: Serialize>(tag: &str, value: &T) -> io::Result<String> {
 
 /// A pluggable file reader: `(path, attempt)` → bytes. The attempt number
 /// (0-based) lets tests simulate transient failures deterministically.
-pub(crate) type ReadAttemptFn<'a> = dyn Fn(&Path, u32) -> io::Result<Vec<u8>> + 'a;
+/// It is called from every ingest worker thread at once, hence `Sync`.
+pub(crate) type ReadAttemptFn<'a> = dyn Fn(&Path, u32) -> io::Result<Vec<u8>> + Sync + 'a;
 
 /// Is this I/O error worth retrying?
 fn is_transient(e: &io::Error) -> bool {
@@ -181,7 +189,6 @@ fn read_with_retry(
             Ok(bytes) => return (Ok(bytes), failures),
             Err(e) if is_transient(&e) && attempt < opts.max_retries => {
                 failures += 1;
-                iotax_obs::counter!("cli.ingest.retries").incr(1);
                 if opts.backoff_base_ms > 0 {
                     // Cap the exponent so a large --retries cannot overflow
                     // the shift (UB at attempt >= 64) or sleep for days.
@@ -209,28 +216,85 @@ struct ManifestRow {
 
 fn parse_manifest_row(line: &str, line_no: usize) -> Result<ManifestRow> {
     let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 8 {
+    let &[job_id, arrival, start, end, nodes, cores, nprocs, throughput] = fields.as_slice() else {
         return Err(Error::new(
             ErrorKind::Parse,
             format!("manifest line {}: expected 8 fields, got {}", line_no + 1, fields.len()),
         ));
-    }
-    let parse = |i: usize| -> Result<f64> {
-        fields.get(i).copied().unwrap_or("").parse().map_err(|e| {
+    };
+    // Integers parse as integers: a detour through f64 would round job
+    // ids above 2^53 and saturate out-of-range counts without an error.
+    fn field<T: std::str::FromStr>(text: &str, i: usize, line_no: usize) -> Result<T>
+    where
+        T::Err: std::fmt::Display,
+    {
+        text.parse().map_err(|e| {
             Error::new(ErrorKind::Parse, format!("manifest line {}: field {i}: {e}", line_no + 1))
         })
-    };
-    use iotax_stats::cast::{f64_to_i64, f64_to_u32, f64_to_u64};
+    }
     Ok(ManifestRow {
-        job_id: f64_to_u64(parse(0)?),
-        arrival_time: f64_to_i64(parse(1)?),
-        start_time: f64_to_i64(parse(2)?),
-        end_time: f64_to_i64(parse(3)?),
-        nodes: f64_to_u32(parse(4)?),
-        cores: f64_to_u32(parse(5)?),
-        nprocs: f64_to_u32(parse(6)?),
-        throughput: parse(7)?,
+        job_id: field(job_id, 0, line_no)?,
+        arrival_time: field(arrival, 1, line_no)?,
+        start_time: field(start, 2, line_no)?,
+        end_time: field(end, 3, line_no)?,
+        nodes: field(nodes, 4, line_no)?,
+        cores: field(cores, 5, line_no)?,
+        nprocs: field(nprocs, 6, line_no)?,
+        throughput: field(throughput, 7, line_no)?,
     })
+}
+
+/// What the strict and lenient parsers made of one log file.
+enum Parsed {
+    /// The strict parser accepted it.
+    Clean(JobLog),
+    /// Only the lenient parser could use it (the note is boxed to keep
+    /// the per-file outcome small).
+    Salvaged(JobLog, Box<SalvageNote>),
+    /// Strict mode: the strict parser's error (salvage is not tried).
+    Rejected(ParseError),
+    /// Lenient mode: neither parser could use it; the reason.
+    Unsalvageable(String),
+}
+
+/// One log file after read-with-retry and parsing: the failed read
+/// attempts, then the parse outcome or the read error.
+struct FileOutcome {
+    failures: u64,
+    parsed: io::Result<Parsed>,
+}
+
+fn log_path(dir: &Path, job_id: u64) -> PathBuf {
+    dir.join("logs").join(format!("{job_id}.drn"))
+}
+
+/// Read, parse and (leniently) salvage one log. Pure apart from the
+/// reader and the darshan parse counters, so any thread may run it; it
+/// holds the file's bytes only until it returns.
+fn read_and_parse(
+    reader: &ReadAttemptFn<'_>,
+    dir: &Path,
+    job_id: u64,
+    opts: &IngestOptions,
+) -> FileOutcome {
+    let (read, failures) = read_with_retry(reader, &log_path(dir, job_id), opts);
+    let parsed = read.map(|bytes| match parse_log(&bytes) {
+        Ok(log) => Parsed::Clean(log),
+        Err(source) if opts.strict => Parsed::Rejected(source),
+        Err(_) => match parse_log_lenient(&bytes) {
+            Ok((salvaged, anomalies)) => {
+                let note = SalvageNote {
+                    job_id,
+                    records_recovered: salvaged.records_recovered as u64,
+                    complete: salvaged.complete,
+                    anomalies: anomalies.iter().map(|a| a.to_string()).collect(),
+                };
+                Parsed::Salvaged(salvaged.log, Box::new(note))
+            }
+            Err(e) => Parsed::Unsalvageable(e.to_string()),
+        },
+    });
+    FileOutcome { failures, parsed }
 }
 
 /// Ingest a trace directory with the default filesystem reader.
@@ -239,7 +303,8 @@ pub fn ingest_trace(dir: &Path, opts: &IngestOptions) -> Result<(Vec<TraceJob>, 
 }
 
 /// Ingest a trace directory through a custom reader (tests inject
-/// transient failures here; production uses [`ingest_trace`]).
+/// transient failures here; production uses [`ingest_trace`]), on every
+/// available core.
 // audit:allow(dead-public-api) -- injection seam driven by the chaos integration test (test refs are excluded by policy)
 pub fn ingest_trace_with_reader(
     dir: &Path,
@@ -247,6 +312,26 @@ pub fn ingest_trace_with_reader(
     reader: &ReadAttemptFn<'_>,
 ) -> Result<(Vec<TraceJob>, IngestReport)> {
     let _span = iotax_obs::span!("cli.ingest");
+    ingest_on(dir, opts, reader, rayon::current_num_threads())
+}
+
+/// Ingest on `threads` threads, in three phases, so the result is the
+/// same at any thread count:
+///
+/// 1. one sequential pass reads the lines of `manifest.csv`;
+/// 2. the rows are split into one fixed contiguous range per thread, and
+///    each thread parses its rows and reads, parses and salvages their
+///    files, one at a time;
+/// 3. one sequential merge walks the outcomes in manifest order, filling
+///    the [`IngestReport`], bumping the `cli.ingest.*` counters, moving
+///    quarantined files and picking the strict-mode error (the one at
+///    the lowest manifest position), exactly as a single loop would.
+fn ingest_on(
+    dir: &Path,
+    opts: &IngestOptions,
+    reader: &ReadAttemptFn<'_>,
+    threads: usize,
+) -> Result<(Vec<TraceJob>, IngestReport)> {
     let manifest_path = dir.join("manifest.csv");
     let manifest = std::fs::File::open(&manifest_path)
         .map_err(|e| Error::io(format!("opening {}", manifest_path.display()), e))?;
@@ -255,12 +340,20 @@ pub fn ingest_trace_with_reader(
             .map_err(|e| Error::io(format!("creating {}", qdir.display()), e))?;
     }
 
-    let mut jobs = Vec::new();
+    // Phase 1: the manifest's lines. A line the reader cannot deliver
+    // ends the pass: in lenient mode as one reject, in strict mode as an
+    // error returned only if no earlier row fails.
     let mut report = IngestReport::default();
+    let mut lines = Vec::new();
+    let mut read_error = None;
     for (line_no, line) in io::BufReader::new(manifest).lines().enumerate() {
-        let line = match line {
-            Ok(line) => line,
-            Err(e) if opts.strict => return Err(Error::from(e)),
+        match line {
+            Ok(_) if line_no == 0 => {} // header
+            Ok(line) => lines.push(line),
+            Err(e) if opts.strict => {
+                read_error = Some(Error::from(e));
+                break;
+            }
             Err(_) => {
                 // The manifest reader itself failed mid-stream; further
                 // reads would likely fail too, so stop here and report a
@@ -269,12 +362,42 @@ pub fn ingest_trace_with_reader(
                 iotax_obs::counter!("cli.ingest.manifest_rejects").incr(1);
                 break;
             }
-        };
-        if line_no == 0 {
-            continue; // header
         }
-        let row = match parse_manifest_row(&line, line_no) {
-            Ok(row) => row,
+    }
+
+    // Phase 2: the fan-out. Row `i` is manifest line `i + 1`. In strict
+    // mode a worker skips the rows after the lowest failing row any
+    // worker has seen (in strict mode every outcome but a clean parse is
+    // a failure). The watermark publishes no other data, and it only
+    // ever holds real failures, so every row up to the first failure is
+    // always ingested.
+    let ingest_row = |i: usize, line: &str| -> Result<(ManifestRow, FileOutcome)> {
+        let row = parse_manifest_row(line, i + 1)?;
+        let file = read_and_parse(reader, dir, row.job_id, opts);
+        Ok((row, file))
+    };
+    let first_failure = AtomicUsize::new(usize::MAX);
+    let outcomes = crate::fanout::map_in_order(&lines, threads, &|i, line: &String| {
+        if opts.strict && i > first_failure.load(Ordering::Relaxed) {
+            return None;
+        }
+        let outcome = ingest_row(i, line);
+        if opts.strict
+            && !matches!(&outcome, Ok((_, FileOutcome { parsed: Ok(Parsed::Clean(_)), .. })))
+        {
+            first_failure.fetch_min(i, Ordering::Relaxed);
+        }
+        Some(outcome)
+    });
+
+    // Phase 3: the merge, in manifest order.
+    let mut jobs = Vec::with_capacity(lines.len());
+    let mut moved = HashSet::new();
+    for (i, (line, outcome)) in lines.iter().zip(outcomes).enumerate() {
+        // Skipped rows lie past the first strict failure, where this loop
+        // returns; ingesting one here only keeps the merge total.
+        let (row, outcome) = match outcome.unwrap_or_else(|| ingest_row(i, line)) {
+            Ok(pair) => pair,
             Err(e) if opts.strict => return Err(e),
             Err(_) => {
                 report.manifest_rejects += 1;
@@ -283,52 +406,56 @@ pub fn ingest_trace_with_reader(
         };
         report.total_files += 1;
         iotax_obs::counter!("cli.ingest.files").incr(1);
-        let log_path = dir.join("logs").join(format!("{}.drn", row.job_id));
-
-        let (read, failures) = read_with_retry(reader, &log_path, opts);
-        report.retries += failures;
-        let bytes = match read {
-            Ok(bytes) => {
-                if failures > 0 {
+        // If an earlier row with the same job id moved this file to
+        // quarantine, read it again now, as a single loop would.
+        let outcome = if moved.contains(&row.job_id) {
+            read_and_parse(reader, dir, row.job_id, opts)
+        } else {
+            outcome
+        };
+        report.retries += outcome.failures;
+        if outcome.failures > 0 {
+            iotax_obs::counter!("cli.ingest.retries").incr(outcome.failures);
+        }
+        let parsed = match outcome.parsed {
+            Ok(parsed) => {
+                if outcome.failures > 0 {
                     report.transient_recovered += 1;
                     iotax_obs::counter!("cli.ingest.transient_recovered").incr(1);
                 }
-                bytes
+                parsed
             }
             Err(e) if opts.strict => return Err(Error::from(e)),
             Err(e) => {
-                quarantine(&mut report, opts, &log_path, row.job_id, &format!("read failed: {e}"));
+                let reason = format!("read failed: {e}");
+                if quarantine(&mut report, opts, dir, row.job_id, &reason) {
+                    moved.insert(row.job_id);
+                }
                 continue;
             }
         };
-
-        let log = match parse_log(&bytes) {
-            Ok(log) => {
+        let log = match parsed {
+            Parsed::Clean(log) => {
                 report.parsed_clean += 1;
                 iotax_obs::counter!("cli.ingest.parsed_clean").incr(1);
                 log
             }
-            Err(source) if opts.strict => {
+            Parsed::Rejected(source) => {
                 return Err(Error::parse(format!("darshan log for job {}", row.job_id), source));
             }
-            Err(_) => match parse_log_lenient(&bytes) {
-                Ok((salvaged, anomalies)) => {
-                    report.salvaged += 1;
-                    report.records_salvaged += salvaged.records_recovered as u64;
-                    iotax_obs::counter!("cli.ingest.salvaged").incr(1);
-                    report.salvage_notes.push(SalvageNote {
-                        job_id: row.job_id,
-                        records_recovered: salvaged.records_recovered as u64,
-                        complete: salvaged.complete,
-                        anomalies: anomalies.iter().map(|a| a.to_string()).collect(),
-                    });
-                    salvaged.log
+            Parsed::Salvaged(log, note) => {
+                report.salvaged += 1;
+                report.records_salvaged += note.records_recovered;
+                iotax_obs::counter!("cli.ingest.salvaged").incr(1);
+                report.salvage_notes.push(*note);
+                log
+            }
+            Parsed::Unsalvageable(reason) => {
+                if quarantine(&mut report, opts, dir, row.job_id, &reason) {
+                    moved.insert(row.job_id);
                 }
-                Err(e) => {
-                    quarantine(&mut report, opts, &log_path, row.job_id, &e.to_string());
-                    continue;
-                }
-            },
+                continue;
+            }
         };
 
         jobs.push(TraceJob {
@@ -343,30 +470,35 @@ pub fn ingest_trace_with_reader(
             log,
         });
     }
+    if let Some(e) = read_error {
+        return Err(e);
+    }
     jobs.sort_by_key(|j| (j.start_time, j.job_id));
     Ok((jobs, report))
 }
 
-/// Record (and optionally move) an unsalvageable file.
+/// Record (and optionally move) an unsalvageable file. Returns whether
+/// the file was moved.
 fn quarantine(
     report: &mut IngestReport,
     opts: &IngestOptions,
-    path: &Path,
+    dir: &Path,
     job_id: u64,
     reason: &str,
-) {
+) -> bool {
     iotax_obs::counter!("cli.ingest.quarantined").incr(1);
-    if let Some(qdir) = &opts.quarantine_dir {
-        if let Some(name) = path.file_name() {
-            // audit:allow(swallowed-result) -- best effort: the file may be unreadable or already gone
-            let _ = std::fs::rename(path, qdir.join(name));
-        }
-    }
+    let path = log_path(dir, job_id);
+    let moved = match (&opts.quarantine_dir, path.file_name()) {
+        // Best effort: the file may be unreadable or already gone.
+        (Some(qdir), Some(name)) => std::fs::rename(&path, qdir.join(name)).is_ok(),
+        _ => false,
+    };
     report.quarantined.push(QuarantinedFile {
         job_id,
         path: path.display().to_string(),
         reason: reason.to_owned(),
     });
+    moved
 }
 
 /// Apply a [`FaultPlan`] to every log in an exported trace directory,
@@ -425,7 +557,7 @@ pub fn load_fault_manifest(dir: &Path) -> Result<FaultManifest> {
 // audit:allow(dead-public-api) -- fault-simulating reader used by the chaos integration test (test refs are excluded by policy)
 pub fn simulated_transient_reader(
     manifest: FaultManifest,
-) -> impl Fn(&Path, u32) -> io::Result<Vec<u8>> {
+) -> impl Fn(&Path, u32) -> io::Result<Vec<u8>> + Sync {
     move |path: &Path, attempt: u32| {
         let job_id = path.file_stem().and_then(|s| s.to_str()).and_then(|s| s.parse::<u64>().ok());
         if let Some(rec) = job_id.and_then(|id| manifest.fault_for(id)) {
@@ -647,5 +779,139 @@ mod tests {
         assert!(lines[1].contains("\"job_id\""));
         assert!(lines[2].contains("bad magic"));
         assert!(report.summary().contains("3 files"));
+    }
+
+    /// Rewrites line `line_no` (0 = header) of the trace's manifest.
+    fn edit_manifest_line(dir: &Path, line_no: usize, edit: impl FnOnce(&str) -> String) {
+        let path = dir.join("manifest.csv");
+        let text = std::fs::read_to_string(&path).expect("read manifest");
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        lines[line_no] = edit(&lines[line_no]);
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write manifest");
+    }
+
+    /// Line `line_no` (0 = header) of the trace's manifest.
+    fn manifest_line(dir: &Path, line_no: usize) -> String {
+        let text = std::fs::read_to_string(dir.join("manifest.csv")).expect("read manifest");
+        text.lines().nth(line_no).expect("line exists").to_owned()
+    }
+
+    /// The job id on manifest line `line_no`.
+    fn manifest_job_id(dir: &Path, line_no: usize) -> u64 {
+        let line = manifest_line(dir, line_no);
+        line.split(',').next().and_then(|id| id.parse().ok()).expect("integer job id")
+    }
+
+    #[test]
+    fn job_ids_above_2_pow_53_ingest_exactly() {
+        // 2^53 + 1 is the first integer an f64 cannot hold; a detour
+        // through f64 would look for 9007199254740992.drn instead.
+        let dir = exported_trace("bigid", 6, 98);
+        let big: u64 = (1 << 53) + 1;
+        let old = manifest_job_id(&dir, 2);
+        std::fs::rename(log_path(&dir, old), log_path(&dir, big)).expect("rename log");
+        edit_manifest_line(&dir, 2, |line| line.replacen(&old.to_string(), &big.to_string(), 1));
+        let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
+        assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
+        assert_eq!(report.parsed_clean, 6);
+        assert!(jobs.iter().any(|j| j.job_id == big), "job {big} ingested under its own id");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_of_range_manifest_integers_are_rejected_not_saturated() {
+        let dir = exported_trace("range", 8, 99);
+        // A negative job id, and a node count one past u32::MAX.
+        edit_manifest_line(&dir, 3, |line| format!("-{line}"));
+        edit_manifest_line(&dir, 5, |line| {
+            let mut fields: Vec<String> = line.split(',').map(str::to_owned).collect();
+            fields[4] = (u64::from(u32::MAX) + 1).to_string();
+            fields.join(",")
+        });
+        let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
+        assert_eq!(report.manifest_rejects, 2);
+        assert_eq!(jobs.len(), 6);
+        let err = ingest_trace(&dir, &IngestOptions::strict()).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Parse);
+        assert!(err.to_string().contains("manifest line 4: field 0"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pinned_chaos_ingest_is_identical_at_1_2_and_3_threads() {
+        // The pinned chaos trace (theta, 2 000 jobs, seed 301, 20 % of
+        // the logs damaged with fault seed 20220914). Three threads split
+        // it unevenly, so every range boundary moves.
+        let dir = exported_trace("threads", 2_000, 301);
+        let manifest = inject_faults(&dir, &FaultPlan::new(20_220_914, 0.20)).expect("inject");
+        let reader = simulated_transient_reader(manifest);
+        let lenient = |threads: usize| {
+            let opts = IngestOptions { backoff_base_ms: 0, ..Default::default() };
+            let (jobs, report) = ingest_on(&dir, &opts, &reader, threads).expect("ingest");
+            let mut jsonl = Vec::new();
+            report.write_jsonl(&mut jsonl).expect("jsonl");
+            (jobs, report, jsonl)
+        };
+        let strict = |threads: usize| {
+            let err = ingest_on(&dir, &IngestOptions::strict(), &reader, threads)
+                .expect_err("strict ingest of a dirty trace fails");
+            (err.kind(), err.to_string())
+        };
+        let (one, strict_one) = (lenient(1), strict(1));
+        assert_eq!(one.1.total_files, 2_000);
+        assert!(one.1.salvaged > 0 && !one.1.quarantined.is_empty() && one.1.retries > 0);
+        for threads in [2, 3] {
+            let other = lenient(threads);
+            assert!(other.0 == one.0, "{threads} threads: jobs differ");
+            assert_eq!(other.1, one.1, "{threads} threads: ingest report differs");
+            assert!(other.2 == one.2, "{threads} threads: JSONL bytes differ");
+            assert_eq!(strict(threads), strict_one, "{threads} threads: strict error differs");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn strict_error_is_the_lowest_manifest_position_at_any_thread_count() {
+        let dir = exported_trace("strict-order", 120, 101);
+        let early = manifest_job_id(&dir, 11);
+        let late = manifest_job_id(&dir, 110);
+        for id in [early, late] {
+            std::fs::write(log_path(&dir, id), b"not a darshan log").expect("write");
+        }
+        let strict = |threads: usize| {
+            let read = |path: &Path, _attempt: u32| std::fs::read(path);
+            ingest_on(&dir, &IngestOptions::strict(), &read, threads).unwrap_err()
+        };
+        for threads in [1, 2, 3] {
+            let err = strict(threads);
+            assert!(err.context().contains(&format!("job {early}")), "{threads}: {err}");
+        }
+        // A bad manifest line after the bad file loses to the file; one
+        // before it wins.
+        edit_manifest_line(&dir, 60, |_| "garbage".to_owned());
+        assert!(strict(3).context().contains(&format!("job {early}")));
+        edit_manifest_line(&dir, 5, |_| "garbage".to_owned());
+        assert!(strict(3).to_string().contains("manifest line 6"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_repeated_job_id_sees_its_file_already_quarantined() {
+        // Two manifest rows name the same destroyed log: the first moves
+        // it to quarantine, so the second finds it gone.
+        let dir = exported_trace("repeat", 20, 102);
+        let victim = manifest_job_id(&dir, 4);
+        std::fs::write(log_path(&dir, victim), b"not a darshan log").expect("write");
+        let row = manifest_line(&dir, 4);
+        edit_manifest_line(&dir, 15, |_| row);
+        let qdir = dir.join("quarantine");
+        let opts = IngestOptions { quarantine_dir: Some(qdir.clone()), ..Default::default() };
+        let read = |path: &Path, _attempt: u32| std::fs::read(path);
+        let (_, report) = ingest_on(&dir, &opts, &read, 2).expect("ingest");
+        assert_eq!(report.quarantined.len(), 2);
+        assert!(!report.quarantined[0].reason.contains("read failed"));
+        assert!(report.quarantined[1].reason.contains("read failed"));
+        assert!(qdir.join(format!("{victim}.drn")).exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,6 +19,7 @@
 //!   logs/<job_id>.drn binary Darshan log per job
 //! ```
 
+mod fanout;
 pub mod ingest;
 pub mod obsargs;
 
@@ -200,12 +201,16 @@ pub fn trace_to_dataset(jobs: &[TraceJob]) -> SimDataset {
 }
 
 /// Duplicate-set detection over trace jobs (the on-disk counterpart of
-/// `iotax_core::find_duplicate_sets`).
+/// `iotax_core::find_duplicate_sets`). The signatures are computed on
+/// every available core, in fixed ranges, so the sets do not depend on
+/// the thread count.
 pub fn trace_duplicate_sets(jobs: &[TraceJob]) -> iotax_core::DuplicateSets {
     use std::collections::HashMap;
+    let threads = rayon::current_num_threads();
+    let signatures = fanout::map_in_order(jobs, threads, &|_, job: &TraceJob| job.signature());
     let mut groups: HashMap<u64, Vec<usize>> = HashMap::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        groups.entry(job.signature()).or_default().push(i);
+    for (i, signature) in signatures.into_iter().enumerate() {
+        groups.entry(signature).or_default().push(i);
     }
     let mut sets: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() >= 2).collect();
     sets.sort_by_key(|s| s.first().copied().unwrap_or(usize::MAX));

@@ -27,6 +27,7 @@
 //! the same failure modes `darshan-parser` guards against.
 
 use crate::record::{FileRecord, JobLog, ModuleData, ModuleId};
+use iotax_obs::store::crc32;
 
 /// Errors the parser can report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,37 +93,6 @@ impl std::error::Error for ParseError {}
 
 pub(crate) const MAGIC: &[u8; 8] = b"IOTAXDRN";
 pub(crate) const VERSION: u16 = 1;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, implemented from scratch.
-// ---------------------------------------------------------------------------
-
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in (0u32..).zip(table.iter_mut()) {
-            let mut c = i;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        table
-    })
-}
-
-/// CRC-32 (IEEE) of a byte slice.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        // audit:allow(panic-in-parser) -- index masked to 0xFF; the table has 256 entries
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Varint encoding (LEB128 for u64, zigzag for i64).

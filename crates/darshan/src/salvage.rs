@@ -23,8 +23,9 @@
 //!    magic, unsupported version, or a header too damaged to locate the
 //!    record region. Such files are quarantine candidates.
 
-use crate::format::{crc32, ParseError, Reader, MAGIC, VERSION};
+use crate::format::{ParseError, Reader, MAGIC, VERSION};
 use crate::record::{FileRecord, JobLog, ModuleData, ModuleId};
+use iotax_obs::store::crc32;
 use std::collections::HashSet;
 
 /// How far past a corrupted module tag the resync scan will look for the

@@ -98,33 +98,66 @@ pub const LOCK_FILE: &str = ".lock";
 const MAX_OFFSET_JUMP: u64 = 1 << 20;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven — the same polynomial `iotax-darshan`
-// uses for its log trailer, implemented here because iotax-obs sits below
-// every other workspace crate.
+// CRC-32 (IEEE 802.3, reflected, init and xorout 0xFFFFFFFF), slicing-by-8.
+// The workspace's one CRC: `iotax-darshan` checks its log trailer with it
+// too, since iotax-obs sits below every other workspace crate.
 // ---------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in (0u32..).zip(table.iter_mut()) {
-            let mut c = i;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][b]` is the CRC
+/// of byte `b` followed by `k` zero bytes, so eight table lookups advance
+/// the CRC by eight bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        table
-    })
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE) of a byte slice; the checksum field of every record.
+/// CRC-32 (IEEE) of a byte slice; the checksum field of every record and
+/// the trailer of every Darshan log.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = &CRC_TABLES;
+    let byte = |word: u32, shift: u32| ((word >> shift) & 0xFF) as usize;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let mut eight = [0u8; 8];
+        eight.copy_from_slice(word);
+        let word = u64::from_le_bytes(eight);
+        let lo = c ^ word as u32;
+        let hi = (word >> 32) as u32;
+        c = t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 8)]
+            ^ t[5][byte(lo, 16)]
+            ^ t[4][byte(lo, 24)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 8)]
+            ^ t[1][byte(hi, 16)]
+            ^ t[0][byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        c = t[0][byte(c ^ u32::from(b), 0)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }

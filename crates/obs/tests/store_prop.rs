@@ -40,6 +40,19 @@ fn forged_huge_length_header_is_rejected_not_allocated() {
     assert!(recovered <= bytes.len());
 }
 
+/// The bytewise, bit-at-a-time CRC-32 (IEEE) that the slicing-by-8
+/// kernel must reproduce exactly.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+        }
+    }
+    c ^ 0xFFFF_FFFF
+}
+
 /// Builds a clean segment image of `payloads` starting at offset 0.
 fn clean_segment(payloads: &[Vec<u8>]) -> Vec<u8> {
     let mut bytes = Vec::new();
@@ -51,6 +64,17 @@ fn clean_segment(payloads: &[Vec<u8>]) -> Vec<u8> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The slicing-by-8 CRC equals the bytewise reference on any bytes,
+    /// whatever the length mod 8 and wherever the slice starts.
+    #[test]
+    fn crc32_matches_the_bytewise_reference(
+        bytes in prop::collection::vec(any::<u8>(), 0..600),
+        skip in 0usize..8,
+    ) {
+        let data = bytes.get(skip..).unwrap_or(&[]);
+        prop_assert_eq!(crc32(data), crc32_bytewise(data));
+    }
 
     /// Totality: arbitrary byte soup never panics the scanner, and the
     /// sum of recovered payload bytes can never exceed the input (the

@@ -13,23 +13,11 @@ pub fn f64_to_usize(v: f64) -> usize {
     v as usize
 }
 
-/// Saturating `f64` → `u64`: NaN and negatives → 0, overflow → `MAX`.
-#[inline]
-pub fn f64_to_u64(v: f64) -> u64 {
-    v as u64
-}
-
 /// Saturating `f64` → `u32`: NaN and negatives → 0, overflow → `MAX`.
 #[inline]
 pub fn f64_to_u32(v: f64) -> u32 {
     // audit:allow(unchecked-cast) -- float `as` int saturates by definition; sanctioned site
     v as u32
-}
-
-/// Saturating `f64` → `i64`: NaN → 0, out-of-range → `MIN`/`MAX`.
-#[inline]
-pub fn f64_to_i64(v: f64) -> i64 {
-    v as i64
 }
 
 /// `i64` → `usize` clamping negatives to zero (overflow on 32-bit hosts
@@ -50,8 +38,6 @@ mod tests {
         assert_eq!(f64_to_usize(1e300), usize::MAX);
         assert_eq!(f64_to_usize(42.9), 42);
         assert_eq!(f64_to_u32(4.0e9 * 2.0), u32::MAX);
-        assert_eq!(f64_to_u64(-0.0), 0);
-        assert_eq!(f64_to_i64(-1e300), i64::MIN);
     }
 
     #[test]
