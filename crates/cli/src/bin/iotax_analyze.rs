@@ -31,7 +31,8 @@
 //! per-file ingest accounting as JSON lines (the CI chaos job uploads it).
 
 use iotax_cli::{
-    ingest_trace, trace_duplicate_sets, trace_to_dataset, IngestOptions, ObsArgs, ObsSession,
+    ingest_trace, trace_duplicate_sets, trace_to_dataset, IngestOptions, IngestReport, ObsArgs,
+    ObsSession,
 };
 use iotax_core::{
     app_modeling_bound, concurrent_noise_floor, empirical_coverage, interval_from_floor,
@@ -39,7 +40,7 @@ use iotax_core::{
 };
 use iotax_obs::{digest_bytes, Error};
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: iotax-analyze TRACE_DIR [--metrics-out PATH] [--ledger DIR] \
                      [--store DIR] [--profile-hz N] [--stats-only] [--strict] [--retries N] \
@@ -130,37 +131,50 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
     for q in &report.quarantined {
         eprintln!("  quarantined job {}: {}", q.job_id, q.reason);
     }
-    if let Some(path) = &args.ingest_report {
-        let file = std::fs::File::create(path)
-            .map_err(|e| Error::io(format!("creating ingest report {}", path.display()), e))?;
-        let mut out = std::io::BufWriter::new(file);
-        report.write_jsonl(&mut out)?;
-        // Flush explicitly: dropping a BufWriter would discard the error.
-        out.flush()
-            .map_err(|e| Error::io(format!("writing ingest report {}", path.display()), e))?;
+
+    // The log-only litmus tests run on this thread while a second one
+    // writes the ingest report. Their output waits for the write, so a
+    // failed write still ends the run before any of it is printed.
+    let (litmus, written) = rayon::join(
+        || {
+            if jobs.is_empty() {
+                return None;
+            }
+            iotax_obs::event!("analyze.stage", "duplicates: {} jobs", jobs.len());
+            crash_hook("duplicates");
+            let dup = {
+                let _span = iotax_obs::span!("analyze.duplicates");
+                trace_duplicate_sets(&jobs)
+            };
+            // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+            let y: Vec<f64> = jobs.iter().map(|j| j.log10_throughput()).collect();
+            iotax_obs::event!("analyze.stage", "app_bound: {} duplicate sets", dup.sets.len());
+            crash_hook("app_bound");
+            let bound = {
+                let _span = iotax_obs::span!("analyze.app_bound");
+                app_modeling_bound(&y, &dup)
+            };
+            // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+            let starts: Vec<i64> = jobs.iter().map(|j| j.start_time).collect();
+            iotax_obs::event!("analyze.stage", "noise_floor");
+            crash_hook("noise_floor");
+            let floor = {
+                let _span = iotax_obs::span!("analyze.noise_floor");
+                concurrent_noise_floor(&y, &starts, &dup, &[], 1, 30)
+            };
+            Some((dup, y, bound, floor))
+        },
+        || args.ingest_report.as_deref().map(|path| write_ingest_report(&report, path)).transpose(),
+    );
+    if let Some(path) = written? {
         eprintln!("ingest report written to {}", path.display());
     }
-    if jobs.is_empty() {
+    let Some((dup, y, bound, floor)) = litmus else {
         return Err(Error::usage(format!(
             "no usable jobs in {} ({} quarantined)",
             args.dir.display(),
             report.quarantined.len()
         )));
-    }
-
-    iotax_obs::event!("analyze.stage", "duplicates: {} jobs", jobs.len());
-    crash_hook("duplicates");
-    let dup = {
-        let _span = iotax_obs::span!("analyze.duplicates");
-        trace_duplicate_sets(&jobs)
-    };
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
-    let y: Vec<f64> = jobs.iter().map(|j| j.log10_throughput()).collect();
-    iotax_obs::event!("analyze.stage", "app_bound: {} duplicate sets", dup.sets.len());
-    crash_hook("app_bound");
-    let bound = {
-        let _span = iotax_obs::span!("analyze.app_bound");
-        app_modeling_bound(&y, &dup)
     };
     println!(
         "\nduplicates: {} jobs ({:.1} % of trace) in {} sets",
@@ -173,14 +187,6 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
         bound.median_abs_pct
     );
 
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
-    let starts: Vec<i64> = jobs.iter().map(|j| j.start_time).collect();
-    iotax_obs::event!("analyze.stage", "noise_floor");
-    crash_hook("noise_floor");
-    let floor = {
-        let _span = iotax_obs::span!("analyze.noise_floor");
-        concurrent_noise_floor(&y, &starts, &dup, &[], 1, 30)
-    };
     match floor {
         Some(floor) => {
             println!(
@@ -265,6 +271,18 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
         }
     }
     Ok(())
+}
+
+/// Writes the ingest report to `path` as JSON lines; returns `path`.
+fn write_ingest_report<'a>(report: &IngestReport, path: &'a Path) -> Result<&'a Path, Error> {
+    let failed = |e| Error::io(format!("writing ingest report {}", path.display()), e);
+    let file = std::fs::File::create(path)
+        .map_err(|e| Error::io(format!("creating ingest report {}", path.display()), e))?;
+    let mut out = std::io::BufWriter::new(file);
+    report.write_jsonl(&mut out).map_err(failed)?;
+    // Flush explicitly: dropping a BufWriter would discard the error.
+    out.flush().map_err(failed)?;
+    Ok(path)
 }
 
 fn main() {

@@ -17,15 +17,17 @@
 //!   salvaged, quarantined, retried — threaded through `iotax-obs`
 //!   counters and exportable as JSON lines for CI artifacts.
 //! * **A parallel read path whose result does not depend on the thread
-//!   count**: files are read, parsed and salvaged on every available
-//!   core in fixed contiguous ranges, then merged in manifest order (see
+//!   count**: files are read, parsed, salvaged and reduced to job rows
+//!   (features and duplicate signature) on every available core in fixed
+//!   contiguous ranges, then merged in manifest order (see
 //!   [`ingest_trace_with_reader`]).
 //!
 //! Strict mode ([`IngestOptions::strict`]) restores the old fail-fast
 //! contract exactly: first unreadable or unparseable file aborts with the
 //! same typed error the legacy path produced.
 
-use crate::TraceJob;
+use crate::{TraceJob, FEATURES, POSIX_FEATURES};
+use iotax_darshan::features::{extract_mpiio_features, extract_posix_features};
 use iotax_darshan::format::{parse_log, ParseError};
 use iotax_darshan::record::JobLog;
 use iotax_darshan::salvage::parse_log_lenient;
@@ -33,7 +35,8 @@ use iotax_obs::{Error, ErrorKind, Result};
 use iotax_sim::{FaultManifest, FaultPlan};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::io::{self, BufRead};
+use std::ffi::OsString;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -138,34 +141,71 @@ impl IngestReport {
     /// `salvaged` record per lenient parse and one `quarantined` record
     /// per abandoned file. The flat-line format is what CI uploads.
     pub fn write_jsonl<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
-        writeln!(w, "{}", tagged("summary", self)?)?;
+        // The summary line carries the counts, in field order, and not the
+        // per-file vectors: they get lines of their own.
+        let counts = [
+            ("total_files", self.total_files),
+            ("parsed_clean", self.parsed_clean),
+            ("salvaged", self.salvaged),
+            ("records_salvaged", self.records_salvaged),
+            ("manifest_rejects", self.manifest_rejects),
+            ("retries", self.retries),
+            ("transient_recovered", self.transient_recovered),
+        ];
+        let summary = counts.iter().map(|&(k, v)| (k.to_owned(), v.to_value())).collect();
+        writeln!(w, "{}", tagged("summary", serde::Value::Object(summary))?)?;
         for note in &self.salvage_notes {
-            writeln!(w, "{}", tagged("salvaged", note)?)?;
+            writeln!(w, "{}", tagged("salvaged", note.to_value())?)?;
         }
         for q in &self.quarantined {
-            writeln!(w, "{}", tagged("quarantined", q)?)?;
+            writeln!(w, "{}", tagged("quarantined", q.to_value())?)?;
         }
         Ok(())
     }
 }
 
-/// Render `value` as a single JSON object line with a `"record": tag`
-/// discriminator field prepended.
-fn tagged<T: Serialize>(tag: &str, value: &T) -> io::Result<String> {
+/// Render an object `value` as a single JSON object line with a
+/// `"record": tag` discriminator field prepended.
+fn tagged(tag: &str, value: serde::Value) -> io::Result<String> {
     let mut fields = vec![("record".to_owned(), serde::Value::Str(tag.to_owned()))];
-    if let serde::Value::Object(rest) = value.to_value() {
-        // The summary line should not carry the (possibly long) per-file
-        // vectors — they get their own lines.
-        fields.extend(rest.into_iter().filter(|(k, _)| k != "quarantined" && k != "salvage_notes"));
+    if let serde::Value::Object(rest) = value {
+        fields.extend(rest);
     }
     serde_json::to_string(&serde::Value::Object(fields))
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// A pluggable file reader: `(path, attempt)` → bytes. The attempt number
-/// (0-based) lets tests simulate transient failures deterministically.
-/// It is called from every ingest worker thread at once, hence `Sync`.
-pub(crate) type ReadAttemptFn<'a> = dyn Fn(&Path, u32) -> io::Result<Vec<u8>> + Sync + 'a;
+/// A pluggable file reader: `(path, attempt, buf)` reads the whole file
+/// into the front of `buf`, growing `buf` when the file does not fit, and
+/// returns the file's length (what lies past it is left over from earlier
+/// files). The attempt number (0-based) lets tests simulate transient
+/// failures deterministically. It is called from every ingest worker
+/// thread at once, hence `Sync`.
+pub(crate) type ReadAttemptFn<'a> =
+    dyn Fn(&Path, u32, &mut Vec<u8>) -> io::Result<usize> + Sync + 'a;
+
+/// The length a read buffer starts at; it doubles whenever a file fills it.
+const FIRST_SCRATCH: usize = 4096;
+
+/// The default reader: one `open` and a plain read loop into the front of
+/// `buf`, with no `metadata` call. `buf` stays initialized to its full
+/// length, so a buffer reused across files allocates only when a file
+/// outgrows it. Returns the file's length.
+pub(crate) fn read_log(path: &Path, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let mut file = std::fs::File::open(path)?;
+    let mut len = 0;
+    loop {
+        if len == buf.len() {
+            buf.resize((2 * len).max(FIRST_SCRATCH), 0);
+        }
+        match file.read(buf.get_mut(len..).unwrap_or_default()) {
+            Ok(0) => return Ok(len),
+            Ok(n) => len += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
 
 /// Is this I/O error worth retrying?
 fn is_transient(e: &io::Error) -> bool {
@@ -175,18 +215,19 @@ fn is_transient(e: &io::Error) -> bool {
     )
 }
 
-/// Read with retry/backoff. Returns the bytes plus the number of failed
-/// attempts that preceded success.
+/// Read into `buf` with retry/backoff. Returns the file's length plus the
+/// number of failed attempts that preceded success.
 fn read_with_retry(
     reader: &ReadAttemptFn<'_>,
     path: &Path,
     opts: &IngestOptions,
-) -> (io::Result<Vec<u8>>, u64) {
+    buf: &mut Vec<u8>,
+) -> (io::Result<usize>, u64) {
     let mut failures = 0u64;
     let mut attempt = 0;
     loop {
-        match reader(path, attempt) {
-            Ok(bytes) => return (Ok(bytes), failures),
+        match reader(path, attempt, buf) {
+            Ok(len) => return (Ok(len), failures),
             Err(e) if is_transient(&e) && attempt < opts.max_retries => {
                 failures += 1;
                 if opts.backoff_base_ms > 0 {
@@ -202,7 +243,45 @@ fn read_with_retry(
     }
 }
 
+/// The lines of the manifest's bytes as `BufRead::lines` yields them:
+/// split at LF, with one CR stripped before an LF and a last line without
+/// LF kept; a line that is not UTF-8 is an `InvalidData` error. After a
+/// failed read (`failure`), the error stands in for the partial line the
+/// read broke off.
+fn manifest_lines(
+    text: &[u8],
+    failure: Option<io::Error>,
+) -> impl Iterator<Item = io::Result<&str>> + '_ {
+    let whole = match failure {
+        Some(_) => text.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1),
+        None => text.len(),
+    };
+    let (whole, _partial) = text.split_at(whole);
+    // One validation for the whole text: the lines before the first byte
+    // that is not UTF-8 are valid, and the line holding it is the first
+    // invalid line.
+    let (valid, invalid) = match std::str::from_utf8(whole) {
+        Ok(valid) => (valid, None),
+        Err(e) => {
+            let prefix = std::str::from_utf8(whole.split_at(e.valid_up_to()).0).unwrap_or_default();
+            let bad_line = prefix.rfind('\n').map_or(0, |end| end + 1);
+            let error =
+                io::Error::new(io::ErrorKind::InvalidData, "stream did not contain valid UTF-8");
+            (prefix.split_at(bad_line).0, Some(error))
+        }
+    };
+    valid
+        .split_inclusive('\n')
+        .map(|line| match line.strip_suffix('\n') {
+            Some(line) => Ok(line.strip_suffix('\r').unwrap_or(line)),
+            None => Ok(line),
+        })
+        .chain(invalid.map(Err))
+        .chain(failure.map(Err))
+}
+
 /// Parsed manifest row (scheduler-visible fields).
+#[derive(Clone, Copy)]
 struct ManifestRow {
     job_id: u64,
     arrival_time: i64,
@@ -215,13 +294,21 @@ struct ManifestRow {
 }
 
 fn parse_manifest_row(line: &str, line_no: usize) -> Result<ManifestRow> {
-    let fields: Vec<&str> = line.split(',').collect();
-    let &[job_id, arrival, start, end, nodes, cores, nprocs, throughput] = fields.as_slice() else {
+    let mut fields = [""; 8];
+    let mut n = 0;
+    for field in line.split(',') {
+        if let Some(slot) = fields.get_mut(n) {
+            *slot = field;
+        }
+        n += 1;
+    }
+    if n != fields.len() {
         return Err(Error::new(
             ErrorKind::Parse,
-            format!("manifest line {}: expected 8 fields, got {}", line_no + 1, fields.len()),
+            format!("manifest line {}: expected 8 fields, got {n}", line_no + 1),
         ));
-    };
+    }
+    let [job_id, arrival, start, end, nodes, cores, nprocs, throughput] = fields;
     // Integers parse as integers: a detour through f64 would round job
     // ids above 2^53 and saturate out-of-range counts without an error.
     fn field<T: std::str::FromStr>(text: &str, i: usize, line_no: usize) -> Result<T>
@@ -244,13 +331,35 @@ fn parse_manifest_row(line: &str, line_no: usize) -> Result<ManifestRow> {
     })
 }
 
+/// The part of a [`TraceJob`] its Darshan log gives.
+struct LogRow {
+    exe: String,
+    uses_mpiio: bool,
+    features: Box<[f64; FEATURES]>,
+    signature: u64,
+}
+
+impl LogRow {
+    /// Reduces a parsed log to the row the pipeline uses; the per-file
+    /// records go with the log.
+    fn new(log: JobLog) -> Self {
+        let mut features = Box::new([0.0; FEATURES]);
+        let (posix, mpiio) = features.split_at_mut(POSIX_FEATURES);
+        posix.copy_from_slice(&extract_posix_features(&log));
+        mpiio.copy_from_slice(&extract_mpiio_features(&log));
+        let uses_mpiio = log.mpiio.is_some();
+        let signature = iotax_core::feature_signature(log.nprocs, uses_mpiio, features.iter());
+        Self { exe: log.exe, uses_mpiio, features, signature }
+    }
+}
+
 /// What the strict and lenient parsers made of one log file.
 enum Parsed {
     /// The strict parser accepted it.
-    Clean(JobLog),
+    Clean(LogRow),
     /// Only the lenient parser could use it (the note is boxed to keep
     /// the per-file outcome small).
-    Salvaged(JobLog, Box<SalvageNote>),
+    Salvaged(LogRow, Box<SalvageNote>),
     /// Strict mode: the strict parser's error (salvage is not tried).
     Rejected(ParseError),
     /// Lenient mode: neither parser could use it; the reason.
@@ -264,42 +373,53 @@ struct FileOutcome {
     parsed: io::Result<Parsed>,
 }
 
-fn log_path(dir: &Path, job_id: u64) -> PathBuf {
-    dir.join("logs").join(format!("{job_id}.drn"))
+/// `<logs>/<job_id>.drn`, built in one allocation.
+fn log_path(logs: &Path, job_id: u64) -> PathBuf {
+    use std::fmt::Write as _;
+    let mut path = OsString::with_capacity(logs.as_os_str().len() + 32);
+    path.push(logs);
+    // audit:allow(swallowed-result) -- formatting into an OsString cannot fail
+    let _ = write!(path, "{}{job_id}.drn", std::path::MAIN_SEPARATOR);
+    PathBuf::from(path)
 }
 
-/// Read, parse and (leniently) salvage one log. Pure apart from the
-/// reader and the darshan parse counters, so any thread may run it; it
-/// holds the file's bytes only until it returns.
+/// Read one log into `buf`, parse and (leniently) salvage it, and reduce
+/// it to its row. Pure apart from the reader and the darshan parse
+/// counters, so any thread may run it; the parsed log is dropped before
+/// it returns.
 fn read_and_parse(
     reader: &ReadAttemptFn<'_>,
-    dir: &Path,
+    logs: &Path,
     job_id: u64,
     opts: &IngestOptions,
+    buf: &mut Vec<u8>,
 ) -> FileOutcome {
-    let (read, failures) = read_with_retry(reader, &log_path(dir, job_id), opts);
-    let parsed = read.map(|bytes| match parse_log(&bytes) {
-        Ok(log) => Parsed::Clean(log),
-        Err(source) if opts.strict => Parsed::Rejected(source),
-        Err(_) => match parse_log_lenient(&bytes) {
-            Ok((salvaged, anomalies)) => {
-                let note = SalvageNote {
-                    job_id,
-                    records_recovered: salvaged.records_recovered as u64,
-                    complete: salvaged.complete,
-                    anomalies: anomalies.iter().map(|a| a.to_string()).collect(),
-                };
-                Parsed::Salvaged(salvaged.log, Box::new(note))
-            }
-            Err(e) => Parsed::Unsalvageable(e.to_string()),
-        },
+    let (read, failures) = read_with_retry(reader, &log_path(logs, job_id), opts, buf);
+    let parsed = read.map(|len| {
+        let bytes = buf.get(..len).unwrap_or_default();
+        match parse_log(bytes) {
+            Ok(log) => Parsed::Clean(LogRow::new(log)),
+            Err(source) if opts.strict => Parsed::Rejected(source),
+            Err(_) => match parse_log_lenient(bytes) {
+                Ok((salvaged, anomalies)) => {
+                    let note = SalvageNote {
+                        job_id,
+                        records_recovered: salvaged.records_recovered as u64,
+                        complete: salvaged.complete,
+                        anomalies: anomalies.iter().map(|a| a.to_string()).collect(),
+                    };
+                    Parsed::Salvaged(LogRow::new(salvaged.log), Box::new(note))
+                }
+                Err(e) => Parsed::Unsalvageable(e.to_string()),
+            },
+        }
     });
     FileOutcome { failures, parsed }
 }
 
 /// Ingest a trace directory with the default filesystem reader.
 pub fn ingest_trace(dir: &Path, opts: &IngestOptions) -> Result<(Vec<TraceJob>, IngestReport)> {
-    ingest_trace_with_reader(dir, opts, &|path, _attempt| std::fs::read(path))
+    ingest_trace_with_reader(dir, opts, &|path, _attempt, buf| read_log(path, buf))
 }
 
 /// Ingest a trace directory through a custom reader (tests inject
@@ -318,10 +438,11 @@ pub fn ingest_trace_with_reader(
 /// Ingest on `threads` threads, in three phases, so the result is the
 /// same at any thread count:
 ///
-/// 1. one sequential pass reads the lines of `manifest.csv`;
+/// 1. one sequential pass reads `manifest.csv` once and splits it into
+///    borrowed lines;
 /// 2. the rows are split into one fixed contiguous range per thread, and
-///    each thread parses its rows and reads, parses and salvages their
-///    files, one at a time;
+///    each thread parses its rows and reads, parses, salvages and reduces
+///    their files, one at a time, into one read buffer of its own;
 /// 3. one sequential merge walks the outcomes in manifest order, filling
 ///    the [`IngestReport`], bumping the `cli.ingest.*` counters, moving
 ///    quarantined files and picking the strict-mode error (the one at
@@ -333,31 +454,35 @@ fn ingest_on(
     threads: usize,
 ) -> Result<(Vec<TraceJob>, IngestReport)> {
     let manifest_path = dir.join("manifest.csv");
-    let manifest = std::fs::File::open(&manifest_path)
+    let mut manifest = std::fs::File::open(&manifest_path)
         .map_err(|e| Error::io(format!("opening {}", manifest_path.display()), e))?;
     if let Some(qdir) = &opts.quarantine_dir {
         std::fs::create_dir_all(qdir)
             .map_err(|e| Error::io(format!("creating {}", qdir.display()), e))?;
     }
+    let logs = dir.join("logs");
 
-    // Phase 1: the manifest's lines. A line the reader cannot deliver
-    // ends the pass: in lenient mode as one reject, in strict mode as an
-    // error returned only if no earlier row fails.
+    // Phase 1: the manifest's lines. A line that cannot be delivered (the
+    // read broke off in it, or it is not UTF-8) ends the pass: in lenient
+    // mode as one reject, in strict mode as an error returned only if no
+    // earlier row fails.
+    let mut text = Vec::new();
+    let read_failure = manifest.read_to_end(&mut text).err();
     let mut report = IngestReport::default();
     let mut lines = Vec::new();
-    let mut read_error = None;
-    for (line_no, line) in io::BufReader::new(manifest).lines().enumerate() {
+    let mut line_error = None;
+    for (line_no, line) in manifest_lines(&text, read_failure).enumerate() {
         match line {
             Ok(_) if line_no == 0 => {} // header
             Ok(line) => lines.push(line),
             Err(e) if opts.strict => {
-                read_error = Some(Error::from(e));
+                let context = format!("reading {} line {}", manifest_path.display(), line_no + 1);
+                line_error = Some(Error::io(context, e));
                 break;
             }
             Err(_) => {
-                // The manifest reader itself failed mid-stream; further
-                // reads would likely fail too, so stop here and report a
-                // partial ingest instead of aborting the whole pass.
+                // Further lines would likely fail too, so stop here and
+                // report a partial ingest instead of aborting the pass.
                 report.manifest_rejects += 1;
                 iotax_obs::counter!("cli.ingest.manifest_rejects").incr(1);
                 break;
@@ -371,17 +496,17 @@ fn ingest_on(
     // a failure). The watermark publishes no other data, and it only
     // ever holds real failures, so every row up to the first failure is
     // always ingested.
-    let ingest_row = |i: usize, line: &str| -> Result<(ManifestRow, FileOutcome)> {
-        let row = parse_manifest_row(line, i + 1)?;
-        let file = read_and_parse(reader, dir, row.job_id, opts);
-        Ok((row, file))
-    };
+    let ingest_row =
+        |buf: &mut Vec<u8>, i: usize, line: &str| -> Result<(ManifestRow, FileOutcome)> {
+            let row = parse_manifest_row(line, i + 1)?;
+            Ok((row, read_and_parse(reader, &logs, row.job_id, opts, buf)))
+        };
     let first_failure = AtomicUsize::new(usize::MAX);
-    let outcomes = crate::fanout::map_in_order(&lines, threads, &|i, line: &String| {
+    let outcomes = crate::fanout::map_in_order(&lines, threads, &|buf, i, line: &&str| {
         if opts.strict && i > first_failure.load(Ordering::Relaxed) {
             return None;
         }
-        let outcome = ingest_row(i, line);
+        let outcome = ingest_row(buf, i, line);
         if opts.strict
             && !matches!(&outcome, Ok((_, FileOutcome { parsed: Ok(Parsed::Clean(_)), .. })))
         {
@@ -393,10 +518,11 @@ fn ingest_on(
     // Phase 3: the merge, in manifest order.
     let mut jobs = Vec::with_capacity(lines.len());
     let mut moved = HashSet::new();
+    let mut buf = Vec::new();
     for (i, (line, outcome)) in lines.iter().zip(outcomes).enumerate() {
         // Skipped rows lie past the first strict failure, where this loop
         // returns; ingesting one here only keeps the merge total.
-        let (row, outcome) = match outcome.unwrap_or_else(|| ingest_row(i, line)) {
+        let (row, outcome) = match outcome.unwrap_or_else(|| ingest_row(&mut buf, i, line)) {
             Ok(pair) => pair,
             Err(e) if opts.strict => return Err(e),
             Err(_) => {
@@ -409,7 +535,7 @@ fn ingest_on(
         // If an earlier row with the same job id moved this file to
         // quarantine, read it again now, as a single loop would.
         let outcome = if moved.contains(&row.job_id) {
-            read_and_parse(reader, dir, row.job_id, opts)
+            read_and_parse(reader, &logs, row.job_id, opts, &mut buf)
         } else {
             outcome
         };
@@ -425,10 +551,15 @@ fn ingest_on(
                 }
                 parsed
             }
-            Err(e) if opts.strict => return Err(Error::from(e)),
+            Err(e) if opts.strict => {
+                let path = log_path(&logs, row.job_id);
+                let context =
+                    format!("reading darshan log {} for job {}", path.display(), row.job_id);
+                return Err(Error::io(context, e));
+            }
             Err(e) => {
                 let reason = format!("read failed: {e}");
-                if quarantine(&mut report, opts, dir, row.job_id, &reason) {
+                if quarantine(&mut report, opts, &logs, row.job_id, &reason) {
                     moved.insert(row.job_id);
                 }
                 continue;
@@ -451,7 +582,7 @@ fn ingest_on(
                 log
             }
             Parsed::Unsalvageable(reason) => {
-                if quarantine(&mut report, opts, dir, row.job_id, &reason) {
+                if quarantine(&mut report, opts, &logs, row.job_id, &reason) {
                     moved.insert(row.job_id);
                 }
                 continue;
@@ -467,10 +598,13 @@ fn ingest_on(
             cores: row.cores,
             nprocs: row.nprocs,
             throughput: row.throughput,
-            log,
+            exe: log.exe,
+            uses_mpiio: log.uses_mpiio,
+            features: log.features,
+            signature: log.signature,
         });
     }
-    if let Some(e) = read_error {
+    if let Some(e) = line_error {
         return Err(e);
     }
     jobs.sort_by_key(|j| (j.start_time, j.job_id));
@@ -482,12 +616,12 @@ fn ingest_on(
 fn quarantine(
     report: &mut IngestReport,
     opts: &IngestOptions,
-    dir: &Path,
+    logs: &Path,
     job_id: u64,
     reason: &str,
 ) -> bool {
     iotax_obs::counter!("cli.ingest.quarantined").incr(1);
-    let path = log_path(dir, job_id);
+    let path = log_path(logs, job_id);
     let moved = match (&opts.quarantine_dir, path.file_name()) {
         // Best effort: the file may be unreadable or already gone.
         (Some(qdir), Some(name)) => std::fs::rename(&path, qdir.join(name)).is_ok(),
@@ -557,8 +691,8 @@ pub fn load_fault_manifest(dir: &Path) -> Result<FaultManifest> {
 // audit:allow(dead-public-api) -- fault-simulating reader used by the chaos integration test (test refs are excluded by policy)
 pub fn simulated_transient_reader(
     manifest: FaultManifest,
-) -> impl Fn(&Path, u32) -> io::Result<Vec<u8>> + Sync {
-    move |path: &Path, attempt: u32| {
+) -> impl Fn(&Path, u32, &mut Vec<u8>) -> io::Result<usize> + Sync {
+    move |path: &Path, attempt: u32, buf: &mut Vec<u8>| {
         let job_id = path.file_stem().and_then(|s| s.to_str()).and_then(|s| s.parse::<u64>().ok());
         if let Some(rec) = job_id.and_then(|id| manifest.fault_for(id)) {
             if let Some(failures) = rec.retry_failures {
@@ -570,7 +704,7 @@ pub fn simulated_transient_reader(
                 }
             }
         }
-        std::fs::read(path)
+        read_log(path, buf)
     }
 }
 
@@ -579,6 +713,8 @@ mod tests {
     use super::*;
     use crate::export_trace;
     use iotax_sim::{FaultKind, Platform, SimConfig};
+    use iotax_stats::Fnv1aHasher;
+    use std::hash::Hasher;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -593,6 +729,16 @@ mod tests {
         let dir = temp_dir(tag);
         export_trace(&ds, &dir).expect("export");
         dir
+    }
+
+    /// The log of job `job_id` in trace `dir`.
+    fn log_of(dir: &Path, job_id: u64) -> PathBuf {
+        log_path(&dir.join("logs"), job_id)
+    }
+
+    /// The default reader as a [`ReadAttemptFn`].
+    fn plain_reader(path: &Path, _attempt: u32, buf: &mut Vec<u8>) -> io::Result<usize> {
+        read_log(path, buf)
     }
 
     #[test]
@@ -659,12 +805,12 @@ mod tests {
         let (clean_jobs, _) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
         let flaky = clean_jobs[5].job_id;
         let opts = IngestOptions { backoff_base_ms: 0, ..Default::default() };
-        let reader = move |path: &Path, attempt: u32| -> io::Result<Vec<u8>> {
+        let reader = move |path: &Path, attempt: u32, buf: &mut Vec<u8>| {
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
             if stem == flaky.to_string() && attempt < 2 {
                 return Err(io::Error::new(io::ErrorKind::Interrupted, "flaky"));
             }
-            std::fs::read(path)
+            read_log(path, buf)
         };
         let (jobs, report) = ingest_trace_with_reader(&dir, &opts, &reader).expect("ingest");
         assert_eq!(jobs.len(), 40, "flaky file recovered");
@@ -679,12 +825,12 @@ mod tests {
         let (clean_jobs, _) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
         let dead = clean_jobs[0].job_id;
         let opts = IngestOptions { backoff_base_ms: 0, max_retries: 2, ..Default::default() };
-        let reader = move |path: &Path, _attempt: u32| -> io::Result<Vec<u8>> {
+        let reader = move |path: &Path, _attempt: u32, buf: &mut Vec<u8>| {
             let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
             if stem == dead.to_string() {
                 return Err(io::Error::new(io::ErrorKind::TimedOut, "always down"));
             }
-            std::fs::read(path)
+            read_log(path, buf)
         };
         let (jobs, report) = ingest_trace_with_reader(&dir, &opts, &reader).expect("ingest");
         assert_eq!(jobs.len(), 29);
@@ -809,7 +955,7 @@ mod tests {
         let dir = exported_trace("bigid", 6, 98);
         let big: u64 = (1 << 53) + 1;
         let old = manifest_job_id(&dir, 2);
-        std::fs::rename(log_path(&dir, old), log_path(&dir, big)).expect("rename log");
+        std::fs::rename(log_of(&dir, old), log_of(&dir, big)).expect("rename log");
         edit_manifest_line(&dir, 2, |line| line.replacen(&old.to_string(), &big.to_string(), 1));
         let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
         assert!(report.quarantined.is_empty(), "{:?}", report.quarantined);
@@ -876,11 +1022,10 @@ mod tests {
         let early = manifest_job_id(&dir, 11);
         let late = manifest_job_id(&dir, 110);
         for id in [early, late] {
-            std::fs::write(log_path(&dir, id), b"not a darshan log").expect("write");
+            std::fs::write(log_of(&dir, id), b"not a darshan log").expect("write");
         }
         let strict = |threads: usize| {
-            let read = |path: &Path, _attempt: u32| std::fs::read(path);
-            ingest_on(&dir, &IngestOptions::strict(), &read, threads).unwrap_err()
+            ingest_on(&dir, &IngestOptions::strict(), &plain_reader, threads).unwrap_err()
         };
         for threads in [1, 2, 3] {
             let err = strict(threads);
@@ -901,17 +1046,191 @@ mod tests {
         // it to quarantine, so the second finds it gone.
         let dir = exported_trace("repeat", 20, 102);
         let victim = manifest_job_id(&dir, 4);
-        std::fs::write(log_path(&dir, victim), b"not a darshan log").expect("write");
+        std::fs::write(log_of(&dir, victim), b"not a darshan log").expect("write");
         let row = manifest_line(&dir, 4);
         edit_manifest_line(&dir, 15, |_| row);
         let qdir = dir.join("quarantine");
         let opts = IngestOptions { quarantine_dir: Some(qdir.clone()), ..Default::default() };
-        let read = |path: &Path, _attempt: u32| std::fs::read(path);
-        let (_, report) = ingest_on(&dir, &opts, &read, 2).expect("ingest");
+        let (_, report) = ingest_on(&dir, &opts, &plain_reader, 2).expect("ingest");
         assert_eq!(report.quarantined.len(), 2);
         assert!(!report.quarantined[0].reason.contains("read failed"));
         assert!(report.quarantined[1].reason.contains("read failed"));
         assert!(qdir.join(format!("{victim}.drn")).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    #[test]
+    fn strict_read_error_names_the_log_and_its_job() {
+        let dir = exported_trace("missing-log", 30, 103);
+        let victim = manifest_job_id(&dir, 7);
+        let path = log_of(&dir, victim);
+        std::fs::remove_file(&path).expect("delete log");
+        let err = ingest_trace(&dir, &IngestOptions::strict()).unwrap_err();
+        assert_eq!((err.kind(), err.exit_code()), (ErrorKind::Io, 74));
+        let text = err.to_string();
+        assert!(text.contains(&path.display().to_string()), "{text}");
+        assert!(text.contains(&format!("job {victim}")), "{text}");
+        // Lenient mode quarantines the missing log and goes on.
+        let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
+        assert_eq!((jobs.len(), report.quarantined.len()), (29, 1));
+        assert_eq!(report.quarantined[0].path, path.display().to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unreadable_manifest_line_is_named_in_strict_mode_and_one_reject_otherwise() {
+        let dir = exported_trace("bad-utf8", 12, 104);
+        let path = dir.join("manifest.csv");
+        let mut text = std::fs::read(&path).expect("read manifest");
+        // Line 6 (1-based) gets a byte that is not UTF-8.
+        let at = text.iter().enumerate().filter(|&(_, &b)| b == b'\n').nth(4).expect("line 6").0;
+        text.insert(at + 1, 0xFF);
+        std::fs::write(&path, text).expect("write manifest");
+        let err = ingest_trace(&dir, &IngestOptions::strict()).unwrap_err();
+        assert_eq!((err.kind(), err.exit_code()), (ErrorKind::Io, 74));
+        let expected =
+            format!("reading {} line 6: stream did not contain valid UTF-8", path.display());
+        assert_eq!(err.to_string(), expected);
+        // Lenient mode keeps the four rows before it and stops there.
+        let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
+        assert_eq!((jobs.len(), report.manifest_rejects), (4, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_lines_are_the_lines_bufread_yields() {
+        let texts: [&[u8]; 10] = [
+            b"",
+            b"\n",
+            b"a,b\nc,d\n",
+            b"a,b\r\nc,d\r\n",
+            b"a\nlast without newline",
+            b"cr\rin\r\n\r\nthe middle\r",
+            b"\n\nempty lines\n\n",
+            b"ok\nbad \xff byte\nnever read\n",
+            b"\xc3\n",
+            b"caf\xc3\xa9\n",
+        ];
+        let render = |line: io::Result<String>| line.map_err(|e| (e.kind(), e.to_string()));
+        for text in texts {
+            let want: Vec<_> = io::BufRead::lines(text).map(render).collect();
+            let got: Vec<_> =
+                manifest_lines(text, None).map(|l| render(l.map(str::to_owned))).collect();
+            // BufRead::lines goes on after a bad line; ingest stops at the first error.
+            let stop = want.iter().position(|l| l.is_err()).map_or(want.len(), |i| i + 1);
+            assert_eq!(
+                got[..stop.min(got.len())],
+                want[..stop],
+                "{:?}",
+                String::from_utf8_lossy(text)
+            );
+        }
+        // A read that broke off: the whole lines before the break, then the error.
+        let failure = || Some(io::Error::other("device gone"));
+        let got: Vec<_> = manifest_lines(b"a\nb\npart", failure()).map(|l| l.is_ok()).collect();
+        assert_eq!(got, [true, true, false]);
+        let got: Vec<_> = manifest_lines(b"a\n", failure()).map(|l| l.is_ok()).collect();
+        assert_eq!(got, [true, false]);
+        assert_eq!(manifest_lines(b"", failure()).count(), 1);
+    }
+
+    #[test]
+    fn reader_reads_empty_and_oversized_logs_through_one_buffer() {
+        let dir = temp_dir("reader");
+        let big: Vec<u8> = (0..3 * FIRST_SCRATCH + 7).map(|i| (i * 31 % 251) as u8).collect();
+        let (empty, large, small) = (dir.join("empty"), dir.join("large"), dir.join("small"));
+        std::fs::write(&empty, b"").expect("write");
+        std::fs::write(&large, &big).expect("write");
+        std::fs::write(&small, b"tiny").expect("write");
+        let mut buf = Vec::new();
+        assert_eq!(read_log(&empty, &mut buf).expect("read"), 0);
+        assert_eq!(buf.len(), FIRST_SCRATCH);
+        let len = read_log(&large, &mut buf).expect("read");
+        assert_eq!(buf[..len], big[..]);
+        assert_eq!(buf.len(), 4 * FIRST_SCRATCH, "doubled until the file fit");
+        // A later, smaller file reuses the grown buffer.
+        assert_eq!(read_log(&small, &mut buf).expect("read"), 4);
+        assert_eq!((&buf[..4], buf.len()), (&b"tiny"[..], 4 * FIRST_SCRATCH));
+        assert!(read_log(&dir.join("absent"), &mut buf).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_log_is_quarantined() {
+        let dir = exported_trace("empty-log", 10, 105);
+        let victim = manifest_job_id(&dir, 3);
+        std::fs::write(log_of(&dir, victim), b"").expect("truncate");
+        let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
+        assert_eq!(jobs.len(), 9);
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].job_id, victim);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn log_path_is_the_joined_path() {
+        let logs = Path::new("some/trace").join("logs");
+        for id in [0, 7, u64::MAX] {
+            assert_eq!(log_path(&logs, id), logs.join(format!("{id}.drn")));
+        }
+    }
+
+    /// The duplicate signature as it was computed before ingest reduced
+    /// logs to rows: byte-serial FNV-1a over the log's process count, its
+    /// MPI-IO flag and the bits of its features.
+    fn signature_of(log: &JobLog) -> u64 {
+        let mut hasher = Fnv1aHasher::new();
+        hasher.write(&log.nprocs.to_ne_bytes());
+        hasher.write(&[u8::from(log.mpiio.is_some())]);
+        let (posix, mpiio) = (extract_posix_features(log), extract_mpiio_features(log));
+        for v in posix.iter().chain(&mpiio) {
+            hasher.write(&v.to_bits().to_ne_bytes());
+        }
+        hasher.finish()
+    }
+
+    #[test]
+    fn every_row_of_the_pinned_chaos_trace_is_its_log_reduced() {
+        let dir = exported_trace("rows", 2_000, 301);
+        inject_faults(&dir, &FaultPlan::new(20_220_914, 0.20)).expect("inject");
+        let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
+        let salvaged: HashSet<u64> = report.salvage_notes.iter().map(|n| n.job_id).collect();
+        assert!(!salvaged.is_empty() && jobs.len() > salvaged.len());
+        for job in &jobs {
+            let bytes = std::fs::read(log_of(&dir, job.job_id)).expect("read log");
+            let log = if salvaged.contains(&job.job_id) {
+                parse_log_lenient(&bytes).expect("salvageable").0.log
+            } else {
+                parse_log(&bytes).expect("clean")
+            };
+            let posix = extract_posix_features(&log);
+            let mpiio = extract_mpiio_features(&log);
+            let (row_posix, row_mpiio) = job.features.split_at(POSIX_FEATURES);
+            assert!(row_posix.iter().zip(&posix).all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert!(row_mpiio.iter().zip(&mpiio).all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(job.signature, signature_of(&log), "job {}", job.job_id);
+            assert_eq!((&job.exe, job.uses_mpiio), (&log.exe, log.mpiio.is_some()));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn summary_line_is_the_report_without_its_per_file_vectors() {
+        let dir = exported_trace("summary", 400, 106);
+        inject_faults(&dir, &FaultPlan::new(20_220_914, 0.30)).expect("inject");
+        let (_, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
+        assert!(!report.salvage_notes.is_empty() && !report.quarantined.is_empty());
+        let mut jsonl = Vec::new();
+        report.write_jsonl(&mut jsonl).expect("jsonl");
+        let text = String::from_utf8(jsonl).expect("utf8");
+        // The whole report's value, filtered, is what the line used to be.
+        let mut fields = vec![("record".to_owned(), serde::Value::Str("summary".to_owned()))];
+        if let serde::Value::Object(all) = report.to_value() {
+            fields.extend(
+                all.into_iter().filter(|(k, _)| k != "quarantined" && k != "salvage_notes"),
+            );
+        }
+        let want = serde_json::to_string(&serde::Value::Object(fields)).expect("json");
+        assert_eq!(text.lines().next(), Some(want.as_str()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -31,14 +31,20 @@ pub use obsargs::{ObsArgs, ObsSession, OBS_USAGE};
 
 use iotax_darshan::format::write_log;
 use iotax_darshan::record::{FileRecord, JobLog, ModuleData, ModuleId};
+use iotax_darshan::{MPIIO_COUNTERS, POSIX_COUNTERS};
 use iotax_obs::{Error, Result};
 use iotax_sim::{GroundTruth, SimConfig, SimDataset, SimJob, Weather};
-use iotax_stats::Fnv1aHasher;
-use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::path::Path;
 
-/// One job as read back from a trace directory.
+/// POSIX job-level features per job; the MPI-IO ones follow them.
+const POSIX_FEATURES: usize = POSIX_COUNTERS.len();
+
+/// Job-level features per job: 48 POSIX, then 48 MPI-IO.
+const FEATURES: usize = POSIX_FEATURES + MPIIO_COUNTERS.len();
+
+/// One job as read back from a trace directory: its manifest fields and
+/// the row its Darshan log reduces to. The per-file records are not kept.
 #[derive(Debug, Clone, PartialEq)]
 // audit:allow(dead-public-api) -- element type of ingest_trace's public return
 pub struct TraceJob {
@@ -58,29 +64,23 @@ pub struct TraceJob {
     pub nprocs: u32,
     /// Measured I/O throughput, bytes/s.
     pub throughput: f64,
-    /// The parsed Darshan log.
-    pub log: JobLog,
+    /// Executable name from the log header.
+    pub exe: String,
+    /// Whether the log has an MPI-IO section.
+    pub uses_mpiio: bool,
+    /// The 48 POSIX then the 48 MPI-IO job-level features, exactly as
+    /// `extract_posix_features` and `extract_mpiio_features` return them.
+    pub features: Box<[f64; FEATURES]>,
+    /// Observable-feature duplicate signature (same convention — and the
+    /// same stable FNV-1a hash — as `iotax_core::job_signature`, over the
+    /// log's process count).
+    pub signature: u64,
 }
 
 impl TraceJob {
     /// log10 of the measured throughput.
     pub fn log10_throughput(&self) -> f64 {
         self.throughput.log10()
-    }
-
-    /// Observable-feature duplicate signature (same convention — and the
-    /// same stable FNV-1a hash — as `iotax_core::job_signature`, computed
-    /// from the parsed log).
-    pub fn signature(&self) -> u64 {
-        let posix = iotax_darshan::features::extract_posix_features(&self.log);
-        let mpiio = iotax_darshan::features::extract_mpiio_features(&self.log);
-        let mut hasher = Fnv1aHasher::new();
-        self.log.nprocs.hash(&mut hasher);
-        self.log.mpiio.is_some().hash(&mut hasher);
-        for v in posix.iter().chain(mpiio.iter()) {
-            v.to_bits().hash(&mut hasher);
-        }
-        hasher.finish()
     }
 }
 
@@ -161,14 +161,13 @@ pub fn trace_to_dataset(jobs: &[TraceJob]) -> SimDataset {
     let sim_jobs = jobs
         .iter()
         .map(|j| {
-            let posix = iotax_darshan::features::extract_posix_features(&j.log);
-            let mpiio = iotax_darshan::features::extract_mpiio_features(&j.log);
+            let (posix, mpiio) = j.features.split_at(POSIX_FEATURES);
             SimJob {
                 job_id: j.job_id,
                 // By construction exe is "<archetype>_<app id>".
-                app_id: j.log.exe.rsplit_once('_').and_then(|(_, id)| id.parse().ok()).unwrap_or(0),
-                config_id: j.signature(),
-                exe: j.log.exe.clone(),
+                app_id: j.exe.rsplit_once('_').and_then(|(_, id)| id.parse().ok()).unwrap_or(0),
+                config_id: j.signature,
+                exe: j.exe.clone(),
                 arrival_time: j.arrival_time,
                 start_time: j.start_time,
                 end_time: j.end_time,
@@ -178,7 +177,7 @@ pub fn trace_to_dataset(jobs: &[TraceJob]) -> SimDataset {
                 nprocs: j.nprocs,
                 posix: posix.to_vec(),
                 mpiio: mpiio.to_vec(),
-                uses_mpiio: j.log.mpiio.is_some(),
+                uses_mpiio: j.uses_mpiio,
                 lmt: None,
                 throughput: j.throughput,
                 truth: GroundTruth {
@@ -201,28 +200,10 @@ pub fn trace_to_dataset(jobs: &[TraceJob]) -> SimDataset {
 }
 
 /// Duplicate-set detection over trace jobs (the on-disk counterpart of
-/// `iotax_core::find_duplicate_sets`). The signatures are computed on
-/// every available core, in fixed ranges, so the sets do not depend on
-/// the thread count.
+/// `iotax_core::find_duplicate_sets`): groups the signatures ingest
+/// computed, through the same grouping.
 pub fn trace_duplicate_sets(jobs: &[TraceJob]) -> iotax_core::DuplicateSets {
-    use std::collections::HashMap;
-    let threads = rayon::current_num_threads();
-    let signatures = fanout::map_in_order(jobs, threads, &|_, job: &TraceJob| job.signature());
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::with_capacity(jobs.len());
-    for (i, signature) in signatures.into_iter().enumerate() {
-        groups.entry(signature).or_default().push(i);
-    }
-    let mut sets: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() >= 2).collect();
-    sets.sort_by_key(|s| s.first().copied().unwrap_or(usize::MAX));
-    let mut set_of = vec![None; jobs.len()];
-    for (si, set) in sets.iter().enumerate() {
-        for &j in set {
-            if let Some(slot) = set_of.get_mut(j) {
-                *slot = Some(si);
-            }
-        }
-    }
-    iotax_core::DuplicateSets { sets, set_of }
+    iotax_core::group_signatures(jobs.iter().map(|j| j.signature))
 }
 
 #[cfg(test)]
@@ -252,8 +233,10 @@ mod tests {
             assert_eq!(mem.start_time, disk.start_time);
             assert!((mem.throughput - disk.throughput).abs() < 1e-3 * mem.throughput);
             // Features survive the log round trip exactly.
-            let posix = iotax_darshan::features::extract_posix_features(&disk.log);
-            assert_eq!(posix.to_vec(), mem.posix);
+            assert_eq!(disk.features[..POSIX_FEATURES], mem.posix[..]);
+            assert_eq!(disk.features[POSIX_FEATURES..], mem.mpiio[..]);
+            assert_eq!(disk.uses_mpiio, mem.uses_mpiio);
+            assert_eq!(disk.exe, mem.exe);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -275,8 +258,9 @@ mod tests {
         let y_disk: Vec<f64> = jobs.iter().map(|j| j.log10_throughput()).collect();
         let bound_disk = app_modeling_bound(&y_disk, &dup_disk);
 
-        assert_eq!(dup_mem.n_sets(), dup_disk.n_sets());
-        assert_eq!(dup_mem.n_duplicates(), dup_disk.n_duplicates());
+        // Ingest orders jobs by (start, id), as the simulator does, so the
+        // positions, and with them the whole set structure, agree.
+        assert_eq!(dup_mem, dup_disk);
         // Throughput goes through a %.6e text round trip; tolerance ~1e-6.
         assert!(
             (bound_mem.median_abs_log10 - bound_disk.median_abs_log10).abs() < 1e-5,

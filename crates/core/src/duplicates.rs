@@ -10,7 +10,6 @@
 use iotax_obs::counter;
 use iotax_sim::SimJob;
 use iotax_stats::Fnv1aHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Duplicate-set structure over a job collection.
@@ -48,13 +47,21 @@ impl DuplicateSets {
 /// compared across processes (the on-disk trace tools recompute them),
 /// so the algorithm must not drift between Rust releases.
 pub fn job_signature(job: &SimJob) -> u64 {
+    feature_signature(job.nprocs, job.uses_mpiio, job.posix.iter().chain(&job.mpiio))
+}
+
+/// The signature [`job_signature`] computes, from its parts: the process
+/// count, whether the job used MPI-IO, then the POSIX and the MPI-IO
+/// features in order. The on-disk trace tools call it on parsed logs.
+pub fn feature_signature<'a>(
+    nprocs: u32,
+    uses_mpiio: bool,
+    features: impl IntoIterator<Item = &'a f64>,
+) -> u64 {
     let mut hasher = Fnv1aHasher::new();
-    job.nprocs.hash(&mut hasher);
-    job.uses_mpiio.hash(&mut hasher);
-    for v in &job.posix {
-        v.to_bits().hash(&mut hasher);
-    }
-    for v in &job.mpiio {
+    nprocs.hash(&mut hasher);
+    uses_mpiio.hash(&mut hasher);
+    for v in features {
         v.to_bits().hash(&mut hasher);
     }
     hasher.finish()
@@ -62,21 +69,33 @@ pub fn job_signature(job: &SimJob) -> u64 {
 
 /// Group jobs into duplicate sets by observable signature.
 pub fn find_duplicate_sets(jobs: &[SimJob]) -> DuplicateSets {
-    let mut groups: HashMap<u64, Vec<usize>> = HashMap::with_capacity(jobs.len());
-    for (i, job) in jobs.iter().enumerate() {
-        groups.entry(job_signature(job)).or_default().push(i);
-    }
-    // audit:allow(unordered-iteration) -- iteration order is erased by the sort_by_key below
-    let mut sets: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() >= 2).collect();
-    // Deterministic order: by first member.
-    sets.sort_by_key(|s| s[0]);
-    let mut set_of = vec![None; jobs.len()];
+    let dup = group_signatures(jobs.iter().map(job_signature));
+    counter!("core.duplicate_sets_found").incr(dup.sets.len() as u64);
+    dup
+}
+
+/// Group positions by equal signature: every signature two or more
+/// positions share is one set, its positions ascending, and the sets are
+/// ordered by first member. Sorting the (signature, position) pairs finds
+/// the groups without a hash map, so no step depends on a hasher's seed.
+pub fn group_signatures(signatures: impl IntoIterator<Item = u64>) -> DuplicateSets {
+    let mut keyed: Vec<(u64, usize)> =
+        signatures.into_iter().enumerate().map(|(i, signature)| (signature, i)).collect();
+    let mut set_of = vec![None; keyed.len()];
+    keyed.sort_unstable();
+    let mut sets: Vec<Vec<usize>> = keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .filter(|run| run.len() >= 2)
+        .map(|run| run.iter().map(|&(_, i)| i).collect())
+        .collect();
+    sets.sort_unstable_by_key(|set: &Vec<usize>| set.first().copied());
     for (si, set) in sets.iter().enumerate() {
         for &j in set {
-            set_of[j] = Some(si);
+            if let Some(slot) = set_of.get_mut(j) {
+                *slot = Some(si);
+            }
         }
     }
-    counter!("core.duplicate_sets_found").incr(sets.len() as u64);
     DuplicateSets { sets, set_of }
 }
 
@@ -84,6 +103,7 @@ pub fn find_duplicate_sets(jobs: &[SimJob]) -> DuplicateSets {
 mod tests {
     use super::*;
     use iotax_sim::{Platform, SimConfig};
+    use std::collections::HashMap;
 
     #[test]
     fn recovered_sets_match_hidden_config_ids() {
@@ -102,6 +122,39 @@ mod tests {
         }
         let hidden_dups: usize = by_config.values().filter(|&&c| c >= 2).sum();
         assert_eq!(dup.n_duplicates(), hidden_dups);
+    }
+
+    /// The hash-map grouping the sort replaced: sets in first-member
+    /// order, members ascending.
+    fn hash_map_grouping(signatures: &[u64]) -> Vec<Vec<usize>> {
+        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (i, &s) in signatures.iter().enumerate() {
+            groups.entry(s).or_default().push(i);
+        }
+        let mut sets: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() >= 2).collect();
+        sets.sort_by_key(|s| s[0]);
+        sets
+    }
+
+    #[test]
+    fn sort_grouping_matches_hash_map_grouping() {
+        // Heavy collisions (97 classes, in scrambled order), singletons
+        // and an empty input.
+        let mut signatures: Vec<u64> = (0..1_000u64).map(|i| ((i * 7_919) % 97) << 40).collect();
+        signatures.extend((0..50u64).map(|i| u64::MAX - i));
+        signatures.push(0);
+        let dup = group_signatures(signatures.iter().copied());
+        assert_eq!(dup.sets, hash_map_grouping(&signatures));
+        assert_eq!(dup.set_of.len(), signatures.len());
+        for (i, set_idx) in dup.set_of.iter().enumerate() {
+            let member = dup.sets.iter().position(|set| set.contains(&i));
+            assert_eq!(*set_idx, member, "position {i}");
+        }
+        assert_eq!(group_signatures([]), DuplicateSets { sets: vec![], set_of: vec![] });
+
+        let ds = Platform::new(SimConfig::theta().with_jobs(1_000).with_seed(25)).generate();
+        let signatures: Vec<u64> = ds.jobs.iter().map(job_signature).collect();
+        assert_eq!(find_duplicate_sets(&ds.jobs).sets, hash_map_grouping(&signatures));
     }
 
     #[test]

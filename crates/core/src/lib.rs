@@ -37,7 +37,9 @@ pub mod ood;
 pub mod taxonomy;
 
 pub use advisor::{recommend, render_recommendations, Recommendation};
-pub use duplicates::{find_duplicate_sets, job_signature, DuplicateSets};
+pub use duplicates::{
+    feature_signature, find_duplicate_sets, group_signatures, job_signature, DuplicateSets,
+};
 pub use intervals::{empirical_coverage, interval_from_floor, ThroughputInterval};
 pub use litmus::{app_modeling_bound, concurrent_noise_floor, dt_bucket_spreads, NoiseFloor};
 pub use taxonomy::{
