@@ -3,7 +3,7 @@
 //! ```sh
 //! iotax-audit --workspace                          # audit crates/*
 //! iotax-audit --workspace --baseline audit-baseline.json
-//! iotax-audit --crate crates/darshan --format jsonl
+//! iotax-audit --workspace --format jsonl
 //! iotax-audit --workspace --write-baseline audit-baseline.json
 //! iotax-audit --workspace --ledger runs/audit-1    # write a run ledger
 //! iotax-audit --workspace --cache .audit-cache     # incremental re-audit
@@ -14,25 +14,24 @@
 //! Exit codes: 0 clean, 1 new findings, 64 usage, 65 config parse,
 //! 74 I/O.
 //!
-//! The observability flags (`--metrics-out`, `--ledger`) are shared with
-//! the other workspace bins; see `iotax_cli::obsargs`. A ledger run
-//! records the effective `audit.toml` digest and a `"audit"` section
-//! with the finding counts, so `iotax-report diff` can show lint drift
-//! between two audits.
+//! The observability flags (`--metrics-out`, `--ledger`, `--store`,
+//! `--profile-hz`) are shared with the other workspace bins; see
+//! `iotax_cli::obsargs`. A ledger run records the effective `audit.toml`
+//! digest and a `"audit"` section with the finding counts, so
+//! `iotax-report diff` can show lint drift between two audits.
 
 use iotax_audit::flow::FLOW_LINTS;
 use iotax_audit::{
-    audit_crate, audit_workspace_with, driver, explain, render_text, write_jsonl, AuditConfig,
-    AuditReport, Baseline, DriverOptions, DATAFLOW_LINTS, LINTS,
+    audit_workspace, explain, render_text, write_jsonl, AuditConfig, AuditReport, Baseline,
+    DriverOptions, DATAFLOW_LINTS, LINTS,
 };
-use iotax_cli::{ObsArgs, ObsSession};
+use iotax_cli::{ObsArgs, ObsSession, OBS_USAGE};
 use iotax_obs::{digest_bytes, Error, ErrorKind};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 struct Args {
     workspace: bool,
-    crate_dir: Option<PathBuf>,
     root: PathBuf,
     config: Option<PathBuf>,
     baseline: Option<PathBuf>,
@@ -64,16 +63,18 @@ struct AuditSection {
     suppressed: u64,
 }
 
-const USAGE: &str = "usage: iotax-audit (--workspace | --crate DIR | --list-lints | \
-     --explain LINT) \
-     [--root DIR] [--config PATH] [--baseline PATH] [--write-baseline PATH] \
-     [--format text|jsonl|github] [--jsonl-out PATH] [--metrics-out PATH] [--ledger DIR] \
-     [--store DIR] [--include-tests] [--cache DIR] [--changed-since REF]";
+fn usage() -> String {
+    format!(
+        "usage: iotax-audit (--workspace | --list-lints | --explain LINT) \
+         [--root DIR] [--config PATH] [--baseline PATH] [--write-baseline PATH] \
+         [--format text|jsonl|github] [--jsonl-out PATH] {OBS_USAGE} \
+         [--include-tests] [--cache DIR] [--changed-since REF]"
+    )
+}
 
 fn parse_args() -> Result<Args, Error> {
     let mut args = Args {
         workspace: false,
-        crate_dir: None,
         root: PathBuf::from("."),
         config: None,
         baseline: None,
@@ -93,7 +94,6 @@ fn parse_args() -> Result<Args, Error> {
             |name: &str| it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")));
         match flag.as_str() {
             "--workspace" => args.workspace = true,
-            "--crate" => args.crate_dir = Some(PathBuf::from(value("--crate")?)),
             "--root" => args.root = PathBuf::from(value("--root")?),
             "--config" => args.config = Some(PathBuf::from(value("--config")?)),
             "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
@@ -118,7 +118,7 @@ fn parse_args() -> Result<Args, Error> {
             "--explain" => args.explain = Some(value("--explain")?),
             "--cache" => args.cache = Some(PathBuf::from(value("--cache")?)),
             "--changed-since" => args.changed_since = Some(value("--changed-since")?),
-            "--help" | "-h" => return Err(Error::usage(USAGE)),
+            "--help" | "-h" => return Err(Error::usage(usage())),
             other => {
                 if !args.obs.accept(other, &mut value)? {
                     return Err(Error::usage(format!("unknown flag {other} (try --help)")));
@@ -126,8 +126,8 @@ fn parse_args() -> Result<Args, Error> {
             }
         }
     }
-    if !args.list_lints && args.explain.is_none() && args.workspace == args.crate_dir.is_some() {
-        return Err(Error::usage(format!("pick exactly one target\n{USAGE}")));
+    if !args.list_lints && args.explain.is_none() && !args.workspace {
+        return Err(Error::usage(format!("no target given\n{}", usage())));
     }
     if (args.cache.is_some() || args.changed_since.is_some()) && !args.workspace {
         return Err(Error::usage("--cache and --changed-since require --workspace"));
@@ -162,13 +162,10 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<i32, Error> {
             println!("{:<28} {}", l.name, l.summary);
         }
         println!(
-            "{:<28} {}",
-            "bad-suppression", "suppression without reason or naming an unknown lint (always on)"
+            "{:<28} suppression without reason or naming an unknown lint (always on)",
+            "bad-suppression"
         );
-        println!(
-            "{:<28} {}",
-            "unused-suppression", "suppression that matched no finding (always on)"
-        );
+        println!("{:<28} suppression that matched no finding (always on)", "unused-suppression");
         return Ok(0);
     }
     if let Some(name) = &args.explain {
@@ -189,44 +186,33 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<i32, Error> {
             None => ledger.set_config_digest(digest_bytes(b"default")),
         }
     }
-    let mut cache_warning = None;
-    let mut scope = None;
-    let report: AuditReport = {
+    let outcome = {
         let _span = iotax_obs::span!("audit");
-        if args.workspace {
-            let changed = match &args.changed_since {
-                Some(rev) => Some(changed_files(&args.root, rev)?),
-                None => None,
-            };
-            let opts = DriverOptions { cache_dir: args.cache.clone(), changed };
-            let outcome: iotax_audit::AuditOutcome = audit_workspace_with(&args.root, &cfg, opts)?;
-            cache_warning = outcome.cache_warning;
-            scope = outcome.scope.map(|files| (files, outcome.files));
-            outcome.report
-        } else {
-            // parse_args guarantees crate_dir is set on this branch.
-            let dir = args.crate_dir.clone().ok_or_else(|| Error::usage(USAGE))?;
-            let name = driver::crate_name(&dir)?;
-            audit_crate(&args.root, &dir, &name, &cfg.for_crate(&name), &cfg)?
-        }
+        let changed = match &args.changed_since {
+            Some(rev) => Some(changed_files(&args.root, rev)?),
+            None => None,
+        };
+        let opts = DriverOptions { cache_dir: args.cache.clone(), changed };
+        audit_workspace(&args.root, &cfg, opts)?
     };
-    if let Some(w) = &cache_warning {
+    if let Some(w) = &outcome.cache_warning {
         eprintln!("iotax-audit: {w}");
     }
     // No silent narrowing: a scoped run says exactly which files it
     // covered, so a CI log reader can tell a clean subset from a clean
     // tree.
-    if let Some((files, total)) = &scope {
+    if let Some(files) = &outcome.scope {
         eprintln!(
             "iotax-audit: --changed-since {}: {} of {} file(s) in scope (changed + dependents)",
             args.changed_since.as_deref().unwrap_or(""),
             files.len(),
-            total
+            outcome.files
         );
         for f in files {
             eprintln!("iotax-audit:   {f}");
         }
     }
+    let report: AuditReport = outcome.report;
 
     if let Some(path) = &args.write_baseline {
         Baseline::from_findings(&report.findings).save(path)?;

@@ -114,7 +114,7 @@ fn parse_value(v: &str) -> Option<TomlValue> {
 
 /// Effective lint settings for one crate.
 #[derive(Debug, Clone, Default)]
-// audit:allow(dead-public-api) -- return type of AuditConfig::for_crate
+// audit:allow(dead-public-api) -- parameter type of audit_source, the seam tests/lint_fixtures.rs drives
 pub struct CrateConfig {
     /// lint name → enabled.
     pub lints: BTreeMap<String, bool>,
@@ -157,7 +157,7 @@ impl CrateConfig {
 /// readers = ["tests/chaos.rs"]
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-// audit:allow(dead-public-api) -- element type of AuditConfig's public `schemas` field
+// audit:allow(dead-public-api) -- element type of AuditConfig's public `schemas` field; the iotax-audit bin loads AuditConfig
 pub struct SchemaPair {
     /// Pair name (the `NAME` in `[schema.NAME]`), used in messages.
     pub name: String,
@@ -252,7 +252,7 @@ impl AuditConfig {
 
     /// Effective settings for `crate_name`: `[default]` with the crate's
     /// overrides applied on top.
-    pub fn for_crate(&self, crate_name: &str) -> CrateConfig {
+    pub(crate) fn for_crate(&self, crate_name: &str) -> CrateConfig {
         let mut eff = self.default.clone();
         if let Some(over) = self.per_crate.get(crate_name) {
             for (k, v) in &over.lints {

@@ -7,7 +7,7 @@ use crate::lexer::{lex, Tok, TokKind};
 
 /// A parsed `// audit:allow(lint, …) -- reason` comment.
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- element type of FileCx's public suppression list
+// audit:allow(dead-public-api) -- element type of FileCx's public `suppressions` field; FileCx is the lexer seam tests/prop.rs drives
 pub struct Suppression {
     /// Lint names listed in the comment.
     pub lints: Vec<String>,
@@ -23,7 +23,7 @@ pub struct Suppression {
 }
 
 /// Analysis context for one source file.
-// audit:allow(dead-public-api) -- the per-file analysis seam the fixture tests drive (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- the per-file lexer seam tests/prop.rs drives
 pub struct FileCx<'a> {
     /// The raw source.
     pub src: &'a str,

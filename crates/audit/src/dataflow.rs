@@ -1097,39 +1097,11 @@ fn receiver_name(f: &FileAnalysis<'_>, dot: usize) -> Option<String> {
 // proptest seam
 // ---------------------------------------------------------------------------
 
-/// Run the full audit pipeline over one in-memory source file with every
-/// dataflow lint (wire, concurrency, and capacity) enabled; returns the
-/// finding count. This is the seam the totality proptests drive: the
-/// engine — including facts extraction and the global graph rebuild —
-/// must terminate without panicking on arbitrary byte soup.
-// audit:allow(dead-public-api) -- proptest seam the totality tests drive (test refs are excluded by policy)
-pub fn dataflow_findings(src: &str) -> usize {
-    use crate::symbols::{FileRole, SourceSpec};
-    let spec = SourceSpec {
-        krate: "iotax-prop".to_owned(),
-        file: "crates/prop/src/lib.rs".to_owned(),
-        role: FileRole::Lib,
-        src: src.to_owned(),
-    };
-    let toml = "[default]\nuntrusted-length-allocation = true\n\
-                unordered-float-reduction = true\nlock-order-cycle = true\n\
-                unbounded-corpus-materialization = true\nunbounded-channel = true\n\
-                quadratic-corpus-join = true\n";
-    let cfg = crate::config::AuditConfig::from_toml(
-        toml,
-        "dataflow-seam",
-        &crate::lints::known_lint_names(),
-    )
-    // audit:allow(panic-in-parser) -- the TOML here is a static literal naming known lints; it cannot fail
-    .expect("static lint config");
-    crate::driver::audit_sources(vec![spec], &cfg).findings.len()
-}
-
 #[cfg(test)]
 mod tests {
     use crate::config::AuditConfig;
     use crate::diag::Finding;
-    use crate::driver::audit_sources;
+    use crate::driver::{audit_sources, DriverOptions};
     use crate::symbols::{FileRole, SourceSpec};
 
     fn spec(krate: &str, file: &str, src: &str) -> SourceSpec {
@@ -1155,7 +1127,7 @@ mod tests {
 
     fn run_one(src: &str) -> Vec<Finding> {
         let specs = vec![spec("iotax-x", "crates/x/src/lib.rs", src)];
-        audit_sources(specs, &cfg_all()).findings
+        audit_sources(specs, &cfg_all(), DriverOptions::default()).report.findings
     }
 
     #[test]
@@ -1259,14 +1231,16 @@ mod tests {
                        Vec::with_capacity(n)\n\
                    }";
         let specs = vec![spec("iotax-x", "crates/x/src/lib.rs", src)];
-        assert_eq!(audit_sources(specs, &cfg).findings.len(), 1, "custom source fires");
+        let r = audit_sources(specs, &cfg, DriverOptions::default()).report;
+        assert_eq!(r.findings.len(), 1, "custom source fires");
 
         let src2 = "pub fn parse(r: &mut Reader) -> Vec<u8> {\n\
                         let n = bounded(wire_len(r));\n\
                         Vec::with_capacity(n)\n\
                     }";
         let specs2 = vec![spec("iotax-x", "crates/x/src/lib.rs", src2)];
-        assert!(audit_sources(specs2, &cfg).findings.is_empty(), "custom sanitizer wins");
+        let r = audit_sources(specs2, &cfg, DriverOptions::default()).report;
+        assert!(r.findings.is_empty(), "custom sanitizer wins");
     }
 
     #[test]
@@ -1509,13 +1483,7 @@ mod tests {
         let hot = "pub fn f(r: &mut Reader) { let n = r.varint().unwrap() as usize; \
                    Vec::with_capacity(n); }";
         let specs = vec![spec("iotax-x", "crates/x/src/lib.rs", hot)];
-        assert!(audit_sources(specs, &cfg).findings.is_empty(), "disabled lint stays quiet");
-    }
-
-    #[test]
-    fn seam_is_total_on_degenerate_inputs() {
-        for src in ["", "vec![", "let = = =", "{{{{", "fn f( { .lock(", "\u{0}\u{ff}"] {
-            let _ = super::dataflow_findings(src);
-        }
+        let r = audit_sources(specs, &cfg, DriverOptions::default()).report;
+        assert!(r.findings.is_empty(), "disabled lint stays quiet");
     }
 }

@@ -7,7 +7,7 @@ use std::io;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- element type of AuditReport's public finding lists
+// audit:allow(dead-public-api) -- element type of AuditReport's public `findings` field; the iotax-audit bin renders them
 pub struct Finding {
     /// Lint name (`panic-in-parser`, …).
     pub lint: String,

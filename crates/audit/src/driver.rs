@@ -46,17 +46,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Result of auditing one file.
-// audit:allow(dead-public-api) -- element type of AuditReport's public `files` field
+// audit:allow(dead-public-api) -- return type of audit_source, the seam tests/lint_fixtures.rs drives
 pub struct FileReport {
     /// Findings that survived suppression, in source order.
     pub findings: Vec<Finding>,
     /// Count of findings removed by (reasoned or not) suppressions.
     pub suppressed: usize,
-    /// Names from `stage-functions` that are *defined* in this file.
-    pub stage_fns_defined: Vec<String>,
 }
 
-/// Result of auditing a crate or the whole workspace.
+/// Result of auditing the workspace or an in-memory corpus.
 #[derive(Default)]
 pub struct AuditReport {
     /// All surviving findings, ordered by (file, line, col).
@@ -78,6 +76,7 @@ pub struct DriverOptions {
 }
 
 /// What a corpus run produced, beyond the report itself.
+// audit:allow(dead-public-api) -- return type of the public audit_workspace, which the iotax-audit bin calls
 pub struct AuditOutcome {
     /// The findings.
     pub report: AuditReport,
@@ -93,9 +92,9 @@ pub struct AuditOutcome {
     pub scope: Option<Vec<String>>,
 }
 
-/// Audit one in-memory source file. This is the seam the fixture tests
-/// drive: no filesystem involved.
-// audit:allow(dead-public-api) -- single-file entry point the lint fixture tests drive (test refs are excluded by policy)
+/// Audit one in-memory source file with the token lints only: no
+/// filesystem and no cross-file passes.
+// audit:allow(dead-public-api) -- the single-file seam tests/lint_fixtures.rs and tests/prop.rs drive
 pub fn audit_source(
     krate: &str,
     file: &str,
@@ -108,8 +107,7 @@ pub fn audit_source(
     let mut raw = token_lints(&cx, cfg, &opts);
     raw.sort_by_key(|f| (f.line, f.col));
     let (findings, suppressed) = finalize_file(krate, file, &cx, &raw);
-    let stage_fns_defined = lints::stage_functions_defined(&cx, &opts);
-    FileReport { findings, suppressed, stage_fns_defined }
+    FileReport { findings, suppressed }
 }
 
 pub(crate) fn lint_options(cfg: &CrateConfig, include_tests: bool) -> LintOptions {
@@ -132,8 +130,7 @@ fn token_lints(cx: &FileCx<'_>, cfg: &CrateConfig, opts: &LintOptions) -> Vec<Ra
 }
 
 /// Apply suppressions and meta-lints to a file's raw findings, then
-/// assemble [`Finding`]s with occurrence-indexed fingerprints. Shared by
-/// the per-file seam ([`audit_source`]) and [`audit_crate`].
+/// assemble [`Finding`]s with occurrence-indexed fingerprints.
 fn finalize_file(
     krate: &str,
     file: &str,
@@ -175,7 +172,7 @@ fn finalize_sites(
                 None => true, // file-level
                 Some(line) => line == f.line,
             };
-            if line_match && s.lints.iter().any(|l| *l == f.lint) {
+            if line_match && s.lints.contains(&f.lint) {
                 used[si] += 1;
                 hit = true;
             }
@@ -304,21 +301,15 @@ fn file_sites(
 }
 
 /// Audit an in-memory corpus: token lints per file plus the cross-file
-/// analyses rebuilt from per-file facts. This is the engine behind
-/// [`audit_workspace`] and the seam the flow fixture tests drive.
+/// analyses rebuilt from per-file facts, with the caching and scoping of
+/// [`DriverOptions`]. This is the engine behind [`audit_workspace`]; see
+/// the module docs for the wave structure.
 ///
 /// Test-target files (`tests/…`) always join the corpus — schema-drift
 /// reader probes live there — but token lints skip them unless
 /// `cfg.include_tests` is set, matching the old walk's semantics.
-// audit:allow(dead-public-api) -- corpus entry point the flow fixture tests drive (test refs are excluded by policy)
-pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
-    audit_sources_with(specs, cfg, DriverOptions::default()).report
-}
-
-/// [`audit_sources`] with caching and scoping. See the module docs for
-/// the wave structure.
-// audit:allow(dead-public-api) -- cache/scope entry point the incremental-engine tests drive (test refs are excluded by policy)
-pub fn audit_sources_with(
+// audit:allow(dead-public-api) -- the in-memory corpus seam tests/flow_fixtures.rs and tests/incremental.rs drive
+pub fn audit_sources(
     specs: Vec<SourceSpec>,
     cfg: &AuditConfig,
     opts: DriverOptions,
@@ -504,7 +495,7 @@ pub fn audit_sources_with(
         // audit:allow(panic-in-parser) -- invariant: wave 2 fills every in-scope slot; a None is a driver bug, not input-shaped
         let mut merged = sites[i].take().expect("wave 2 fills every slot");
         merged.append(&mut global_by_file[i]);
-        merged.sort_by(|a, b| (a.line, a.col).cmp(&(b.line, b.col))); // stable
+        merged.sort_by_key(|a| (a.line, a.col)); // stable
         let (findings, suppressed) =
             finalize_sites(&metas[i].krate, &metas[i].file, &file_facts[i].suppressions, &merged);
         report.findings.extend(findings);
@@ -606,69 +597,6 @@ fn sort_report(findings: &mut [Finding]) {
     });
 }
 
-/// Audit every `.rs` file of one crate rooted at `dir`.
-pub fn audit_crate(
-    root: &Path,
-    dir: &Path,
-    krate: &str,
-    cfg: &CrateConfig,
-    workspace: &AuditConfig,
-) -> Result<AuditReport> {
-    let mut report = AuditReport::default();
-    let mut stage_fns_seen: Vec<String> = Vec::new();
-
-    let mut subdirs = vec!["src", "benches", "examples"];
-    if workspace.include_tests {
-        subdirs.push("tests");
-    }
-    for sub in subdirs {
-        let base = dir.join(sub);
-        if !base.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        collect_rs_files(&base, &workspace.exclude_dirs, &mut files)?;
-        files.sort();
-        for path in files {
-            let src = std::fs::read_to_string(&path).map_err(|e| {
-                Error::new(ErrorKind::Io, format!("reading {}: {e}", path.display()))
-            })?;
-            let rel = rel_display(root, &path);
-            let fr = audit_source(krate, &rel, &src, cfg, workspace.include_tests);
-            report.findings.extend(fr.findings);
-            report.suppressed += fr.suppressed;
-            stage_fns_seen.extend(fr.stage_fns_defined);
-        }
-    }
-
-    // Crate-level check: a configured stage function that exists in no
-    // file is a config bug — report it rather than silently passing.
-    if cfg.enabled("unspanned-stage") {
-        for wanted in &cfg.stage_functions {
-            if !stage_fns_seen.iter().any(|s| s == wanted) {
-                let file = rel_display(root, &dir.join("Cargo.toml"));
-                let message = format!(
-                    "configured stage function `{wanted}` is not defined anywhere in \
-                     crate `{krate}`; fix audit.toml or restore the function"
-                );
-                let fp = fingerprint(krate, &file, "unspanned-stage", "", &message, 0);
-                report.findings.push(Finding {
-                    lint: "unspanned-stage".to_owned(),
-                    krate: krate.to_owned(),
-                    file,
-                    line: 1,
-                    col: 1,
-                    item: String::new(),
-                    message,
-                    fingerprint: fp,
-                });
-            }
-        }
-    }
-    sort_report(&mut report.findings);
-    Ok(report)
-}
-
 /// Load every source file of the package rooted at `dir` into `specs`.
 /// Test targets always load (schema-drift readers live there); the token
 /// lints decide per-file whether to skip them.
@@ -700,15 +628,9 @@ fn collect_package_specs(
 }
 
 /// Audit the whole workspace: every crate under `<root>/crates/` plus the
-/// root facade package. Vendored crates are outside the audit's
-/// jurisdiction by construction.
-// audit:allow(dead-public-api) -- convenience entry point the self-audit test drives (test refs are excluded by policy)
-pub fn audit_workspace(root: &Path, cfg: &AuditConfig) -> Result<AuditReport> {
-    Ok(audit_workspace_with(root, cfg, DriverOptions::default())?.report)
-}
-
-/// [`audit_workspace`] with caching and scoping ([`DriverOptions`]).
-pub fn audit_workspace_with(
+/// root facade package, with caching and scoping ([`DriverOptions`]).
+/// Vendored crates are outside the audit's jurisdiction by construction.
+pub fn audit_workspace(
     root: &Path,
     cfg: &AuditConfig,
     opts: DriverOptions,
@@ -739,13 +661,13 @@ pub fn audit_workspace_with(
         collect_package_specs(root, root, &name, cfg, &mut specs)?;
     }
     specs.sort_by(|a, b| a.file.cmp(&b.file));
-    Ok(audit_sources_with(specs, cfg, opts))
+    Ok(audit_sources(specs, cfg, opts))
 }
 
 /// Read the `name = "…"` from a crate's `[package]` section. Full TOML is
 /// out of scope; Cargo.toml package names in this workspace are plain
 /// one-line strings.
-pub fn crate_name(dir: &Path) -> Result<String> {
+fn crate_name(dir: &Path) -> Result<String> {
     let manifest = dir.join("Cargo.toml");
     let text = std::fs::read_to_string(&manifest)
         .map_err(|e| Error::new(ErrorKind::Io, format!("reading {}: {e}", manifest.display())))?;

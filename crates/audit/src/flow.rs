@@ -184,7 +184,7 @@ fn classify_seed(
         if AMBIENT_MARKERS.contains(&name.as_str()) {
             return SeedVerdict::Ambient(name);
         }
-        if name == "self" || params.iter().any(|p| *p == name) {
+        if name == "self" || params.contains(&name) {
             saw_param = true;
             continue;
         }
@@ -582,7 +582,7 @@ mod tests {
     use super::json_keys_in_literal;
     use crate::config::{AuditConfig, SchemaPair};
     use crate::diag::Finding;
-    use crate::driver::audit_sources;
+    use crate::driver::{audit_sources, DriverOptions};
     use crate::symbols::{FileRole, SourceSpec};
 
     fn spec(krate: &str, file: &str, src: &str) -> SourceSpec {
@@ -601,7 +601,7 @@ mod tests {
     }
 
     fn run(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> Vec<Finding> {
-        audit_sources(specs, cfg).findings
+        audit_sources(specs, cfg, DriverOptions::default()).report.findings
     }
 
     #[test]

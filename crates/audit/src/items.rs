@@ -25,12 +25,12 @@ use crate::lexer::TokKind;
 
 /// Maximum brace-tree depth the parser recurses into. Beyond this the
 /// subtree is skipped with an iterative brace matcher — no stack growth.
-// audit:allow(dead-public-api) -- part of the item-parser seam the fixture and property tests drive (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- depth cap of parse_items, which tests/prop.rs asserts against
 pub const MAX_DEPTH: u32 = 128;
 
 /// What kind of item a node is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit:allow(dead-public-api) -- field type of the public Item
+// audit:allow(dead-public-api) -- type of Item's public `kind` field; parse_items, the seam tests/prop.rs drives, returns Items
 pub enum ItemKind {
     /// `mod name { … }` or `mod name;`.
     Mod,
@@ -56,7 +56,7 @@ pub enum ItemKind {
 
 /// Item visibility, at the granularity the analyses need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit:allow(dead-public-api) -- field type of the public Item
+// audit:allow(dead-public-api) -- type of Item's public `vis` field; parse_items, the seam tests/prop.rs drives, returns Items
 pub enum Vis {
     /// `pub`.
     Pub,
@@ -68,7 +68,7 @@ pub enum Vis {
 
 /// One named field of a struct (or one variant of an enum).
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- element type of Item's public `fields` list
+// audit:allow(dead-public-api) -- element type of Item's public `fields` field; parse_items, the seam tests/prop.rs drives, returns Items
 pub struct Field {
     /// Declared name.
     pub name: String,
@@ -118,7 +118,7 @@ pub struct Item {
 /// One leaf of a `use` declaration: `use a::b::{c, d as e};` yields two
 /// edges, for `c` and `d`.
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- element type of FileItems' public `uses` list
+// audit:allow(dead-public-api) -- element type of FileItems' public `uses` field; parse_items, the seam tests/prop.rs drives, returns FileItems
 pub struct UseEdge {
     /// First path segment (`iotax_darshan`, `crate`, `std`, …).
     pub root: String,
@@ -132,15 +132,14 @@ pub struct UseEdge {
 
 impl UseEdge {
     /// The name this import binds locally.
-    // audit:allow(dead-public-api) -- accessor of the public UseEdge
-    pub fn local_name(&self) -> &str {
+    pub(crate) fn local_name(&self) -> &str {
         self.alias.as_deref().unwrap_or(&self.leaf)
     }
 }
 
 /// Parse result for one file.
 #[derive(Debug, Clone, Default)]
-// audit:allow(dead-public-api) -- type of FileAnalysis's public `items` field
+// audit:allow(dead-public-api) -- return type of parse_items, the seam tests/prop.rs drives
 pub struct FileItems {
     /// Flat preorder item list.
     pub items: Vec<Item>,
@@ -154,8 +153,7 @@ pub struct FileItems {
 impl FileItems {
     /// Index of the innermost `Fn` item whose body contains code token
     /// `tok`, if any.
-    // audit:allow(dead-public-api) -- tree query of the public FileItems
-    pub fn enclosing_fn(&self, tok: usize) -> Option<usize> {
+    pub(crate) fn enclosing_fn(&self, tok: usize) -> Option<usize> {
         let mut best: Option<usize> = None;
         for (i, item) in self.items.iter().enumerate() {
             if item.kind != ItemKind::Fn {
@@ -199,7 +197,7 @@ struct Parser<'a, 'b> {
 }
 
 /// Parse the items of one file. Total on any token stream.
-// audit:allow(dead-public-api) -- the item-parser entry point the property tests drive (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- the item-parser seam tests/prop.rs drives
 pub fn parse_items(cx: &FileCx<'_>) -> FileItems {
     let mut p = Parser { cx, items: Vec::new(), uses: Vec::new(), max_depth: 0 };
     let mut i = 0usize;
@@ -278,7 +276,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         parent: Option<usize>,
         in_trait_impl: bool,
     ) {
-        if depth + 1 <= MAX_DEPTH {
+        if depth < MAX_DEPTH {
             self.block(i, end, depth + 1, parent, in_trait_impl);
         } else {
             self.max_depth = MAX_DEPTH;
@@ -379,13 +377,18 @@ impl<'a, 'b> Parser<'a, 'b> {
         let kw = self.text(*i).to_owned();
         match kw.as_str() {
             "mod" => {
-                self.finish_named(i, end, depth, parent, ItemKind::Mod, vis, attrs, in_trait_impl)
+                let id = self.finish_named(i, end, parent, ItemKind::Mod, vis, attrs);
+                self.item_body(i, end, depth, id, in_trait_impl);
             }
-            "fn" => self.finish_fn(i, end, depth, parent, vis, attrs, in_trait_impl),
+            "fn" => {
+                let id = self.finish_fn(i, end, parent, vis, attrs, in_trait_impl);
+                self.item_body(i, end, depth, id, in_trait_impl);
+            }
             "struct" => self.finish_struct(i, end, parent, ItemKind::Struct, vis, attrs),
             "enum" => self.finish_struct(i, end, parent, ItemKind::Enum, vis, attrs),
             "trait" => {
-                self.finish_named(i, end, depth, parent, ItemKind::Trait, vis, attrs, in_trait_impl)
+                let id = self.finish_named(i, end, parent, ItemKind::Trait, vis, attrs);
+                self.item_body(i, end, depth, id, in_trait_impl);
             }
             "impl" => self.finish_impl(i, end, depth, parent, attrs),
             "use" => self.finish_use(i, end),
@@ -581,19 +584,17 @@ impl<'a, 'b> Parser<'a, 'b> {
         self.items.len() - 1
     }
 
-    /// `mod`/`trait`: `kw name { body }` or `kw name ;`.
-    #[allow(clippy::too_many_arguments)]
+    /// `mod`/`trait`: `kw name` up to its `{ body }` or `;`, which
+    /// [`Parser::item_body`] consumes. Returns the pushed item.
     fn finish_named(
         &mut self,
         i: &mut usize,
         end: usize,
-        depth: u32,
         parent: Option<usize>,
         kind: ItemKind,
         vis: Vis,
         attrs: PendingAttrs,
-        in_trait_impl: bool,
-    ) {
+    ) -> usize {
         *i += 1; // keyword
         let (name, line, col, tok) = self.name_at(*i);
         if !name.is_empty() {
@@ -608,7 +609,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         {
             *i += 1;
         }
-        let id = self.push(Item {
+        self.push(Item {
             kind,
             name,
             path: String::new(),
@@ -622,7 +623,12 @@ impl<'a, 'b> Parser<'a, 'b> {
             params: Vec::new(),
             trait_impl: false,
             parent,
-        });
+        })
+    }
+
+    /// The `{ body }` (parsed as item `id`'s children) or the `;` that
+    /// ends a `mod`, `trait` or `fn` item.
+    fn item_body(&mut self, i: &mut usize, end: usize, depth: u32, id: usize, in_trait_impl: bool) {
         if self.is_punct(*i, "{") {
             *i += 1;
             let body_lo = *i;
@@ -633,17 +639,17 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
     }
 
-    /// `fn name<…>(params) -> ret { body }`.
+    /// `fn name<…>(params) -> ret` up to its `{ body }` or `;`, which
+    /// [`Parser::item_body`] consumes. Returns the pushed item.
     fn finish_fn(
         &mut self,
         i: &mut usize,
         end: usize,
-        depth: u32,
         parent: Option<usize>,
         vis: Vis,
         attrs: PendingAttrs,
         in_trait_impl: bool,
-    ) {
+    ) -> usize {
         *i += 1; // `fn`
         let (name, line, col, tok) = self.name_at(*i);
         if !name.is_empty() {
@@ -697,7 +703,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         {
             *i += 1;
         }
-        let id = self.push(Item {
+        self.push(Item {
             kind: ItemKind::Fn,
             name,
             path: String::new(),
@@ -711,15 +717,7 @@ impl<'a, 'b> Parser<'a, 'b> {
             params,
             trait_impl: in_trait_impl,
             parent,
-        });
-        if self.is_punct(*i, "{") {
-            *i += 1;
-            let body_lo = *i;
-            self.enter(i, end, depth, Some(id), in_trait_impl);
-            self.items[id].body = Some((body_lo, i.saturating_sub(1)));
-        } else if self.is_punct(*i, ";") {
-            *i += 1;
-        }
+        })
     }
 
     /// `struct Name { fields }` / `enum Name { variants }` and the tuple /

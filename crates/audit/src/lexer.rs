@@ -17,7 +17,7 @@
 
 /// What a token is, at the granularity the lints need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit:allow(dead-public-api) -- returned by FileCx::kind, part of the lexer's public seam
+// audit:allow(dead-public-api) -- return type of FileCx::kind; FileCx is the lexer seam tests/prop.rs drives
 pub enum TokKind {
     /// Identifier or keyword (`unwrap`, `as`, `fn`, `HashMap`).
     Ident,
@@ -41,7 +41,7 @@ pub enum TokKind {
 
 /// One token with its source span.
 #[derive(Debug, Clone, Copy)]
-// audit:allow(dead-public-api) -- element type of FileCx's public token list
+// audit:allow(dead-public-api) -- element type of FileCx's public `code` field, which tests/prop.rs inspects
 pub struct Tok {
     /// Token class.
     pub kind: TokKind,

@@ -67,7 +67,6 @@ pub use context::FileCx;
 pub use dataflow::DATAFLOW_LINTS;
 pub use diag::{render_text, write_jsonl, Finding};
 pub use driver::{
-    audit_crate, audit_source, audit_workspace, audit_workspace_with, AuditOutcome, AuditReport,
-    DriverOptions, FileReport,
+    audit_source, audit_workspace, AuditOutcome, AuditReport, DriverOptions, FileReport,
 };
 pub use lints::{known_lint_names, LintSpec, LINTS};

@@ -41,7 +41,7 @@ pub(crate) struct RawFinding {
 }
 
 /// Static description of one lint.
-// audit:allow(dead-public-api) -- element type of the public LINTS / FLOW_LINTS tables
+// audit:allow(dead-public-api) -- element type of the public LINTS table, which the iotax-audit bin lists
 pub struct LintSpec {
     /// Lint name as written in config and suppressions.
     pub name: &'static str,

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 /// identifier mentions keep a public API alive and whether per-site
 /// analyses run on it at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit:allow(dead-public-api) -- part of SourceSpec, the corpus seam fixture tests drive (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- type of SourceSpec's public `role` field; tests/flow_fixtures.rs builds SourceSpecs
 pub enum FileRole {
     /// Library code under `src/` — the definitions being audited.
     Lib,
@@ -66,7 +66,7 @@ impl FileRole {
 /// One source file fed to the corpus: identity plus content. This is the
 /// seam fixture tests drive — no filesystem involved.
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- the corpus input seam fixture tests drive (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- input of audit_sources, the corpus seam tests/flow_fixtures.rs drives
 pub struct SourceSpec {
     /// Package name (`iotax-sim`).
     pub krate: String,
@@ -80,7 +80,7 @@ pub struct SourceSpec {
 
 /// Per-file analysis: token context, item tree, and the identifier sets
 /// the cross-file passes consume.
-// audit:allow(dead-public-api) -- per-file analysis bundle the fixture tests drive (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- return type of analyze_file, the seam tests/prop.rs drives
 pub struct FileAnalysis<'a> {
     /// The file's identity and source.
     pub spec: &'a SourceSpec,
@@ -101,7 +101,7 @@ pub struct FileAnalysis<'a> {
 }
 
 /// Analyze one file. Pure; safe to fan out over files in parallel.
-// audit:allow(dead-public-api) -- per-file analysis entry the fixture tests drive (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- the per-file analysis seam tests/prop.rs drives
 pub fn analyze_file(spec: &SourceSpec) -> FileAnalysis<'_> {
     let cx = FileCx::new(&spec.src);
     let items = parse_items(&cx);

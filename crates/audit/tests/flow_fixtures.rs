@@ -3,18 +3,23 @@
 //! counted), and a clean corpus (silent, nothing suppressed) — the same
 //! contract the token-lint fixtures pin, lifted to multi-file inputs.
 //!
-//! The corpora are built in memory through [`audit_sources`], the same
-//! seam the workspace walk feeds, so these tests exercise the real
+//! The corpora are built in memory and run through `audit_sources`, the
+//! same seam the workspace walk feeds, so these tests exercise the real
 //! engine: item parsing, the symbol table, import edges, and suppression
 //! handling across files.
 
-use iotax_audit::driver::{audit_sources, AuditReport};
+use iotax_audit::driver::{audit_sources, AuditReport, DriverOptions};
 use iotax_audit::symbols::{FileRole, SourceSpec};
 use iotax_audit::{write_jsonl, AuditConfig};
 
 fn cfg(toml: &str) -> AuditConfig {
     AuditConfig::from_toml(toml, "fixture.toml", &iotax_audit::known_lint_names())
         .expect("fixture config parses")
+}
+
+/// One uncached, unscoped run over an in-memory corpus.
+fn audit(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
+    audit_sources(specs, cfg, DriverOptions::default()).report
 }
 
 fn spec(krate: &str, file: &str, role: FileRole, src: &str) -> SourceSpec {
@@ -33,10 +38,8 @@ fn seed_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn seed_provenance_catches_literal_and_ambient_seeds() {
-    let r = audit_sources(
-        seed_corpus(include_str!("fixtures/seed_provenance_violating.rs")),
-        &cfg(SEED_TOML),
-    );
+    let r =
+        audit(seed_corpus(include_str!("fixtures/seed_provenance_violating.rs")), &cfg(SEED_TOML));
     assert!(
         r.findings.iter().all(|f| f.lint == "seed-provenance"),
         "unexpected extra lint fired: {:?}",
@@ -58,20 +61,15 @@ fn seed_provenance_catches_literal_and_ambient_seeds() {
 
 #[test]
 fn seed_provenance_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
-        seed_corpus(include_str!("fixtures/seed_provenance_suppressed.rs")),
-        &cfg(SEED_TOML),
-    );
+    let r =
+        audit(seed_corpus(include_str!("fixtures/seed_provenance_suppressed.rs")), &cfg(SEED_TOML));
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 2);
 }
 
 #[test]
 fn seed_provenance_parameter_seeded_rngs_pass() {
-    let r = audit_sources(
-        seed_corpus(include_str!("fixtures/seed_provenance_clean.rs")),
-        &cfg(SEED_TOML),
-    );
+    let r = audit(seed_corpus(include_str!("fixtures/seed_provenance_clean.rs")), &cfg(SEED_TOML));
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
 }
@@ -97,7 +95,7 @@ fn schema_corpus(reader_src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn schema_drift_catches_renamed_writer_field_with_stale_reader() {
-    let r = audit_sources(
+    let r = audit(
         schema_corpus(include_str!("fixtures/schema_drift_reader_violating.rs")),
         &cfg(SCHEMA_TOML),
     );
@@ -112,7 +110,7 @@ fn schema_drift_catches_renamed_writer_field_with_stale_reader() {
 
 #[test]
 fn schema_drift_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
+    let r = audit(
         schema_corpus(include_str!("fixtures/schema_drift_reader_suppressed.rs")),
         &cfg(SCHEMA_TOML),
     );
@@ -122,7 +120,7 @@ fn schema_drift_suppressed_corpus_is_quiet_and_counted() {
 
 #[test]
 fn schema_drift_matching_reader_passes() {
-    let r = audit_sources(
+    let r = audit(
         schema_corpus(include_str!("fixtures/schema_drift_reader_clean.rs")),
         &cfg(SCHEMA_TOML),
     );
@@ -134,10 +132,7 @@ fn schema_drift_matching_reader_passes() {
 fn schema_drift_flags_config_naming_a_missing_struct() {
     let toml = "[default]\nschema-drift = true\n\n[schema.gone]\nstruct = \
                 \"NoSuchStruct\"\nreaders = [\"reader\"]\n";
-    let r = audit_sources(
-        schema_corpus(include_str!("fixtures/schema_drift_reader_clean.rs")),
-        &cfg(toml),
-    );
+    let r = audit(schema_corpus(include_str!("fixtures/schema_drift_reader_clean.rs")), &cfg(toml));
     assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     assert_eq!(r.findings[0].file, "audit.toml", "config findings attach to the config");
     assert!(r.findings[0].message.contains("NoSuchStruct"), "{:?}", r.findings);
@@ -158,7 +153,7 @@ fn dead_corpus(lib_src: &str, consumer_src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn dead_public_api_catches_unreferenced_pub_item() {
-    let r = audit_sources(
+    let r = audit(
         dead_corpus(
             include_str!("fixtures/dead_public_api_violating.rs"),
             include_str!("fixtures/dead_public_api_consumer_quiet.rs"),
@@ -172,7 +167,7 @@ fn dead_public_api_catches_unreferenced_pub_item() {
 
 #[test]
 fn dead_public_api_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
+    let r = audit(
         dead_corpus(
             include_str!("fixtures/dead_public_api_suppressed.rs"),
             include_str!("fixtures/dead_public_api_consumer_quiet.rs"),
@@ -185,7 +180,7 @@ fn dead_public_api_suppressed_corpus_is_quiet_and_counted() {
 
 #[test]
 fn dead_public_api_cross_crate_consumer_keeps_item_alive() {
-    let r = audit_sources(
+    let r = audit(
         dead_corpus(
             include_str!("fixtures/dead_public_api_violating.rs"),
             include_str!("fixtures/dead_public_api_consumer_using.rs"),
@@ -214,7 +209,7 @@ fn dead_public_api_test_references_do_not_keep_items_alive() {
             include_str!("fixtures/dead_public_api_consumer_using.rs"),
         ),
     ];
-    let r = audit_sources(specs.clone(), &cfg(DEAD_TOML));
+    let r = audit(specs.clone(), &cfg(DEAD_TOML));
     assert_eq!(r.findings.len(), 1, "test-only consumers must not count: {:?}", r.findings);
 }
 
@@ -230,10 +225,8 @@ fn ecl_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn error_context_loss_catches_bare_cross_crate_question_marks() {
-    let r = audit_sources(
-        ecl_corpus(include_str!("fixtures/error_context_loss_violating.rs")),
-        &cfg(ECL_TOML),
-    );
+    let r =
+        audit(ecl_corpus(include_str!("fixtures/error_context_loss_violating.rs")), &cfg(ECL_TOML));
     // One `?` through an imported name, one through a qualified path.
     assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
     assert!(r.findings.iter().all(|f| f.lint == "error-context-loss"));
@@ -247,7 +240,7 @@ fn error_context_loss_catches_bare_cross_crate_question_marks() {
 
 #[test]
 fn error_context_loss_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
+    let r = audit(
         ecl_corpus(include_str!("fixtures/error_context_loss_suppressed.rs")),
         &cfg(ECL_TOML),
     );
@@ -257,10 +250,7 @@ fn error_context_loss_suppressed_corpus_is_quiet_and_counted() {
 
 #[test]
 fn error_context_loss_wrapped_and_local_calls_pass() {
-    let r = audit_sources(
-        ecl_corpus(include_str!("fixtures/error_context_loss_clean.rs")),
-        &cfg(ECL_TOML),
-    );
+    let r = audit(ecl_corpus(include_str!("fixtures/error_context_loss_clean.rs")), &cfg(ECL_TOML));
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
 }
@@ -277,7 +267,7 @@ fn ula_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn untrusted_length_allocation_catches_uncapped_wire_lengths() {
-    let r = audit_sources(
+    let r = audit(
         ula_corpus(include_str!("fixtures/untrusted_length_allocation_violating.rs")),
         &cfg(ULA_TOML),
     );
@@ -291,7 +281,7 @@ fn untrusted_length_allocation_catches_uncapped_wire_lengths() {
 
 #[test]
 fn untrusted_length_allocation_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
+    let r = audit(
         ula_corpus(include_str!("fixtures/untrusted_length_allocation_suppressed.rs")),
         &cfg(ULA_TOML),
     );
@@ -301,7 +291,7 @@ fn untrusted_length_allocation_suppressed_corpus_is_quiet_and_counted() {
 
 #[test]
 fn untrusted_length_allocation_capped_lengths_pass() {
-    let r = audit_sources(
+    let r = audit(
         ula_corpus(include_str!("fixtures/untrusted_length_allocation_clean.rs")),
         &cfg(ULA_TOML),
     );
@@ -321,7 +311,7 @@ fn ufr_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn unordered_float_reduction_catches_parallel_and_hash_ordered_sums() {
-    let r = audit_sources(
+    let r = audit(
         ufr_corpus(include_str!("fixtures/unordered_float_reduction_violating.rs")),
         &cfg(UFR_TOML),
     );
@@ -333,7 +323,7 @@ fn unordered_float_reduction_catches_parallel_and_hash_ordered_sums() {
 
 #[test]
 fn unordered_float_reduction_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
+    let r = audit(
         ufr_corpus(include_str!("fixtures/unordered_float_reduction_suppressed.rs")),
         &cfg(UFR_TOML),
     );
@@ -343,7 +333,7 @@ fn unordered_float_reduction_suppressed_corpus_is_quiet_and_counted() {
 
 #[test]
 fn unordered_float_reduction_sequential_and_btreemap_reductions_pass() {
-    let r = audit_sources(
+    let r = audit(
         ufr_corpus(include_str!("fixtures/unordered_float_reduction_clean.rs")),
         &cfg(UFR_TOML),
     );
@@ -363,10 +353,8 @@ fn loc_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn lock_order_cycle_catches_opposite_acquisition_orders() {
-    let r = audit_sources(
-        loc_corpus(include_str!("fixtures/lock_order_cycle_violating.rs")),
-        &cfg(LOC_TOML),
-    );
+    let r =
+        audit(loc_corpus(include_str!("fixtures/lock_order_cycle_violating.rs")), &cfg(LOC_TOML));
     // One cycle set → exactly one finding, naming both locks.
     assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     assert_eq!(r.findings[0].lint, "lock-order-cycle");
@@ -376,20 +364,15 @@ fn lock_order_cycle_catches_opposite_acquisition_orders() {
 
 #[test]
 fn lock_order_cycle_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
-        loc_corpus(include_str!("fixtures/lock_order_cycle_suppressed.rs")),
-        &cfg(LOC_TOML),
-    );
+    let r =
+        audit(loc_corpus(include_str!("fixtures/lock_order_cycle_suppressed.rs")), &cfg(LOC_TOML));
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 1);
 }
 
 #[test]
 fn lock_order_cycle_consistent_order_passes() {
-    let r = audit_sources(
-        loc_corpus(include_str!("fixtures/lock_order_cycle_clean.rs")),
-        &cfg(LOC_TOML),
-    );
+    let r = audit(loc_corpus(include_str!("fixtures/lock_order_cycle_clean.rs")), &cfg(LOC_TOML));
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
 }
@@ -413,7 +396,7 @@ fn capacity_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn unbounded_corpus_materialization_catches_collect_and_growing_container() {
-    let r = audit_sources(
+    let r = audit(
         capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_violating.rs")),
         &cfg(UCM_TOML),
     );
@@ -432,7 +415,7 @@ fn unbounded_corpus_materialization_catches_collect_and_growing_container() {
 
 #[test]
 fn unbounded_corpus_materialization_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
+    let r = audit(
         capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_suppressed.rs")),
         &cfg(UCM_TOML),
     );
@@ -442,7 +425,7 @@ fn unbounded_corpus_materialization_suppressed_corpus_is_quiet_and_counted() {
 
 #[test]
 fn unbounded_corpus_materialization_bounded_streams_pass() {
-    let r = audit_sources(
+    let r = audit(
         capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_clean.rs")),
         &cfg(UCM_TOML),
     );
@@ -452,7 +435,7 @@ fn unbounded_corpus_materialization_bounded_streams_pass() {
 
 #[test]
 fn unbounded_channel_catches_capacityless_channels_fed_per_job() {
-    let r = audit_sources(
+    let r = audit(
         capacity_corpus(include_str!("fixtures/unbounded_channel_violating.rs")),
         &cfg(UCH_TOML),
     );
@@ -462,7 +445,7 @@ fn unbounded_channel_catches_capacityless_channels_fed_per_job() {
 
 #[test]
 fn unbounded_channel_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
+    let r = audit(
         capacity_corpus(include_str!("fixtures/unbounded_channel_suppressed.rs")),
         &cfg(UCH_TOML),
     );
@@ -472,17 +455,15 @@ fn unbounded_channel_suppressed_corpus_is_quiet_and_counted() {
 
 #[test]
 fn unbounded_channel_bounded_or_sampled_feeds_pass() {
-    let r = audit_sources(
-        capacity_corpus(include_str!("fixtures/unbounded_channel_clean.rs")),
-        &cfg(UCH_TOML),
-    );
+    let r =
+        audit(capacity_corpus(include_str!("fixtures/unbounded_channel_clean.rs")), &cfg(UCH_TOML));
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
 }
 
 #[test]
 fn quadratic_corpus_join_catches_nested_corpus_loops() {
-    let r = audit_sources(
+    let r = audit(
         capacity_corpus(include_str!("fixtures/quadratic_corpus_join_violating.rs")),
         &cfg(QCJ_TOML),
     );
@@ -492,7 +473,7 @@ fn quadratic_corpus_join_catches_nested_corpus_loops() {
 
 #[test]
 fn quadratic_corpus_join_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit_sources(
+    let r = audit(
         capacity_corpus(include_str!("fixtures/quadratic_corpus_join_suppressed.rs")),
         &cfg(QCJ_TOML),
     );
@@ -502,7 +483,7 @@ fn quadratic_corpus_join_suppressed_corpus_is_quiet_and_counted() {
 
 #[test]
 fn quadratic_corpus_join_keyed_inner_loop_passes() {
-    let r = audit_sources(
+    let r = audit(
         capacity_corpus(include_str!("fixtures/quadratic_corpus_join_clean.rs")),
         &cfg(QCJ_TOML),
     );
@@ -592,21 +573,21 @@ fn render(r: &AuditReport) -> String {
 #[test]
 fn report_is_byte_identical_regardless_of_corpus_order() {
     let mut specs = mixed_corpus();
-    let forward = render(&audit_sources(specs.clone(), &cfg(ALL_TOML)));
+    let forward = render(&audit(specs.clone(), &cfg(ALL_TOML)));
     specs.reverse();
-    let backward = render(&audit_sources(specs.clone(), &cfg(ALL_TOML)));
+    let backward = render(&audit(specs.clone(), &cfg(ALL_TOML)));
     assert_eq!(forward, backward, "diagnostic order must not depend on input order");
     // And across repeated runs: the parallel fan-out must never leak
     // scheduling order into the report.
     specs.reverse();
     for _ in 0..3 {
-        assert_eq!(forward, render(&audit_sources(specs.clone(), &cfg(ALL_TOML))));
+        assert_eq!(forward, render(&audit(specs.clone(), &cfg(ALL_TOML))));
     }
 }
 
 #[test]
 fn mixed_corpus_jsonl_matches_golden() {
-    let got = render(&audit_sources(mixed_corpus(), &cfg(ALL_TOML)));
+    let got = render(&audit(mixed_corpus(), &cfg(ALL_TOML)));
     let want = include_str!("golden/flow_overview.jsonl");
     if got != want {
         // Drop the new output next to the golden so an intentional format

@@ -3,10 +3,10 @@
 //! tree, for any mutated file subset, and for every cache-damage mode —
 //! and an unchanged warm run must parse nothing.
 //!
-//! These tests drive [`audit_sources_with`], the same seam the workspace
+//! These tests drive `audit_sources`, the same seam the workspace
 //! walk feeds, with real segment-log cache directories on disk.
 
-use iotax_audit::driver::{audit_sources_with, AuditOutcome, DriverOptions};
+use iotax_audit::driver::{audit_sources, AuditOutcome, DriverOptions};
 use iotax_audit::symbols::{FileRole, SourceSpec};
 use iotax_audit::{write_jsonl, AuditConfig};
 use proptest::prelude::*;
@@ -64,7 +64,7 @@ fn render(outcome: &AuditOutcome) -> String {
 
 fn run(specs: Vec<SourceSpec>, cache: Option<&Path>) -> AuditOutcome {
     let opts = DriverOptions { cache_dir: cache.map(Path::to_path_buf), changed: None };
-    audit_sources_with(specs, &cfg(), opts)
+    audit_sources(specs, &cfg(), opts)
 }
 
 /// A fresh, empty cache directory unique to this test.
@@ -183,7 +183,7 @@ fn changed_since_scope_covers_dependents_and_is_reported() {
         cache_dir: Some(dir),
         changed: Some(vec!["crates/a/src/lib.rs".to_owned()]),
     };
-    let out = audit_sources_with(corpus(), &cfg(), opts);
+    let out = audit_sources(corpus(), &cfg(), opts);
     let scope = out.scope.expect("scoped run reports its coverage");
     assert!(scope.contains(&"crates/a/src/lib.rs".to_owned()), "{scope:?}");
     assert!(scope.contains(&"crates/b/src/lib.rs".to_owned()), "dependent pulled in: {scope:?}");

@@ -1,18 +1,18 @@
 //! Criterion benchmarks for the observability layer: the cost of leaving
 //! instrumentation on. The counters and spans sit inside the simulator and
 //! taxonomy hot loops, so the no-op-sink numbers here are the per-event tax
-//! every run pays; the memory-sink numbers bound what a collecting sink
+//! every run pays; the ledger-sink numbers bound what a collecting sink
 //! adds on top.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use iotax_obs::{counter, histogram, span, MemorySink, NoopSink};
+use iotax_obs::{counter, histogram, span, LedgerSink, NoopSink};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn bench_noop_sink(c: &mut Criterion) {
     // Benches run in one process; make the default (no-op) sink explicit so
-    // ordering against bench_memory_sink cannot matter.
+    // ordering against bench_ledger_sink cannot matter.
     iotax_obs::restore_sink(Arc::new(NoopSink));
     let mut group = c.benchmark_group("obs_noop_sink");
 
@@ -42,9 +42,9 @@ fn bench_noop_sink(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_memory_sink(c: &mut Criterion) {
-    let previous = iotax_obs::set_sink(Arc::new(MemorySink::new()));
-    let mut group = c.benchmark_group("obs_memory_sink");
+fn bench_ledger_sink(c: &mut Criterion) {
+    let previous = iotax_obs::set_sink(Arc::new(LedgerSink::new()));
+    let mut group = c.benchmark_group("obs_ledger_sink");
     group.bench_function("counter_incr", |b| {
         b.iter(|| counter!("bench.obs.counter").incr(black_box(1)))
     });
@@ -57,5 +57,5 @@ fn bench_memory_sink(c: &mut Criterion) {
     iotax_obs::restore_sink(previous);
 }
 
-criterion_group!(benches, bench_noop_sink, bench_memory_sink);
+criterion_group!(benches, bench_noop_sink, bench_ledger_sink);
 criterion_main!(benches);

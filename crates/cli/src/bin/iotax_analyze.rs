@@ -32,7 +32,7 @@
 
 use iotax_cli::{
     ingest_trace, trace_duplicate_sets, trace_to_dataset, IngestOptions, IngestReport, ObsArgs,
-    ObsSession,
+    ObsSession, OBS_USAGE,
 };
 use iotax_core::{
     app_modeling_bound, concurrent_noise_floor, empirical_coverage, interval_from_floor,
@@ -42,9 +42,12 @@ use iotax_obs::{digest_bytes, Error};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-const USAGE: &str = "usage: iotax-analyze TRACE_DIR [--metrics-out PATH] [--ledger DIR] \
-                     [--store DIR] [--profile-hz N] [--stats-only] [--strict] [--retries N] \
-                     [--quarantine DIR] [--ingest-report PATH]";
+fn usage() -> String {
+    format!(
+        "usage: iotax-analyze TRACE_DIR {OBS_USAGE} [--stats-only] [--strict] [--retries N] \
+         [--quarantine DIR] [--ingest-report PATH]"
+    )
+}
 
 /// Deliberate crash injection for the flight-recorder path: panics when
 /// the `IOTAX_PANIC_AT_STAGE` environment variable names `stage`. The
@@ -72,7 +75,7 @@ fn parse_args() -> Result<Args, Error> {
     let mut obs = ObsArgs::default();
     let mut stats_only = false;
     let mut strict = false;
-    let mut retries = 3;
+    let mut retries = IngestOptions::default().max_retries;
     let mut quarantine = None;
     let mut ingest_report = None;
     let mut it = std::env::args().skip(1);
@@ -80,7 +83,7 @@ fn parse_args() -> Result<Args, Error> {
         let mut value =
             |name: &str| it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")));
         match arg.as_str() {
-            "--help" | "-h" => return Err(Error::usage(USAGE)),
+            "--help" | "-h" => return Err(Error::usage(usage())),
             "--stats-only" => stats_only = true,
             "--strict" => strict = true,
             "--retries" => {
@@ -95,12 +98,12 @@ fn parse_args() -> Result<Args, Error> {
                 } else if dir.is_none() && !other.starts_with('-') {
                     dir = Some(PathBuf::from(other));
                 } else {
-                    return Err(Error::usage(format!("unexpected argument {other} ({USAGE})")));
+                    return Err(Error::usage(format!("unexpected argument {other} ({})", usage())));
                 }
             }
         }
     }
-    let dir = dir.ok_or_else(|| Error::usage(USAGE))?;
+    let dir = dir.ok_or_else(|| Error::usage(usage()))?;
     Ok(Args { dir, obs, stats_only, strict, retries, quarantine, ingest_report })
 }
 

@@ -1,9 +1,10 @@
 //! Resilient trace ingestion: retry, salvage, quarantine, report.
 //!
-//! `import_trace` used to abort a whole directory on the first bad file —
-//! one flipped bit killed a 100K-job analysis, and every previously parsed
-//! job was discarded. This module replaces that with the behavior a
-//! production ingest pipeline needs:
+//! A strict import aborts a whole directory on the first bad file — one
+//! flipped bit kills a 100K-job analysis, and every previously parsed job
+//! is discarded. [`IngestOptions::strict`] keeps that fail-fast contract;
+//! the default options give the behavior a production ingest pipeline
+//! needs:
 //!
 //! * **Retry with exponential backoff** for transient read errors
 //!   (interrupted/timed-out reads from flaky network filesystems).
@@ -72,7 +73,7 @@ impl IngestOptions {
 
 /// One file the pipeline gave up on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- type of IngestReport's public `quarantined` field
+// audit:allow(dead-public-api) -- element type of IngestReport's public `quarantined` field; iotax-analyze prints the report
 pub struct QuarantinedFile {
     /// Job id from the manifest.
     pub job_id: u64,
@@ -84,7 +85,7 @@ pub struct QuarantinedFile {
 
 /// One file that parsed only leniently.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- type of IngestReport's public `salvage_notes` field
+// audit:allow(dead-public-api) -- element type of IngestReport's public `salvage_notes` field; iotax-analyze prints the report
 pub struct SalvageNote {
     /// Job id from the manifest.
     pub job_id: u64,
@@ -425,7 +426,7 @@ pub fn ingest_trace(dir: &Path, opts: &IngestOptions) -> Result<(Vec<TraceJob>, 
 /// Ingest a trace directory through a custom reader (tests inject
 /// transient failures here; production uses [`ingest_trace`]), on every
 /// available core.
-// audit:allow(dead-public-api) -- injection seam driven by the chaos integration test (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- fake-injection seam: tests/chaos.rs substitutes a faulty reader through it
 pub fn ingest_trace_with_reader(
     dir: &Path,
     opts: &IngestOptions,
@@ -674,7 +675,7 @@ pub fn inject_faults(dir: &Path, plan: &FaultPlan) -> Result<FaultManifest> {
 }
 
 /// Load the ground-truth fault manifest written by [`inject_faults`].
-// audit:allow(dead-public-api) -- read side of the fault-manifest round trip, asserted by unit tests (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- perfbench-trace, outside the workspace, reads the fault manifest through this
 pub fn load_fault_manifest(dir: &Path) -> Result<FaultManifest> {
     let path = dir.join("faults.json");
     let text = std::fs::read_to_string(&path)
@@ -688,7 +689,7 @@ pub fn load_fault_manifest(dir: &Path) -> Result<FaultManifest> {
 /// `retry_failures = n`, the first `n` attempts fail with
 /// [`io::ErrorKind::Interrupted`], then reads succeed. All other files
 /// read normally.
-// audit:allow(dead-public-api) -- fault-simulating reader used by the chaos integration test (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- fake-injection seam: the faulty reader tests/chaos.rs substitutes through ingest_trace_with_reader
 pub fn simulated_transient_reader(
     manifest: FaultManifest,
 ) -> impl Fn(&Path, u32, &mut Vec<u8>) -> io::Result<usize> + Sync {
@@ -750,8 +751,8 @@ mod tests {
         assert_eq!(report.salvaged, 0);
         assert!(report.quarantined.is_empty());
         assert_eq!(report.retries, 0);
-        // Lenient ingest of a clean trace equals the strict import.
-        let strict = crate::import_trace(&dir).expect("strict import");
+        // Lenient ingest of a clean trace equals the strict one.
+        let (strict, _) = ingest_trace(&dir, &IngestOptions::strict()).expect("strict ingest");
         assert_eq!(jobs, strict);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -46,7 +46,7 @@ const FEATURES: usize = POSIX_FEATURES + MPIIO_COUNTERS.len();
 /// One job as read back from a trace directory: its manifest fields and
 /// the row its Darshan log reduces to. The per-file records are not kept.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- element type of ingest_trace's public return
+// audit:allow(dead-public-api) -- element type of the public ingest_trace's return, which iotax-analyze calls
 pub struct TraceJob {
     /// Job id from the manifest.
     pub job_id: u64,
@@ -133,18 +133,7 @@ pub fn export_trace(ds: &SimDataset, dir: &Path) -> Result<usize> {
     Ok(ds.jobs.len())
 }
 
-/// Read a trace directory back, parsing every log **strictly**: the first
-/// unreadable or unparseable file aborts the import. This is the legacy
-/// fail-fast contract; [`ingest_trace`] is the resilient path (salvage,
-/// retry, quarantine) and [`IngestOptions::strict`] reproduces this
-/// behavior with a report attached.
-// audit:allow(dead-public-api) -- legacy strict import path kept as the lenient ingester's behavioral baseline in unit tests (test refs are excluded by policy)
-pub fn import_trace(dir: &Path) -> Result<Vec<TraceJob>> {
-    let _span = iotax_obs::span!("cli.import_trace");
-    ingest_trace(dir, &IngestOptions::strict()).map(|(jobs, _report)| jobs)
-}
-
-/// Rebuild an in-memory [`SimDataset`] from an imported trace so the full
+/// Rebuild an in-memory [`SimDataset`] from an ingested trace so the full
 /// five-stage taxonomy (`iotax_core::TaxonomyRun`) can run against on-disk
 /// logs.
 ///
@@ -226,7 +215,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let n = export_trace(&ds, &dir).expect("export");
         assert_eq!(n, 300);
-        let jobs = import_trace(&dir).expect("import");
+        let (jobs, _) = ingest_trace(&dir, &IngestOptions::strict()).expect("import");
         assert_eq!(jobs.len(), 300);
         for (mem, disk) in ds.jobs.iter().zip(&jobs) {
             assert_eq!(mem.job_id, disk.job_id);
@@ -246,7 +235,7 @@ mod tests {
         let ds = Platform::new(SimConfig::theta().with_jobs(1_500).with_seed(82)).generate();
         let dir = temp_dir("litmus");
         export_trace(&ds, &dir).expect("export");
-        let jobs = import_trace(&dir).expect("import");
+        let (jobs, _) = ingest_trace(&dir, &IngestOptions::strict()).expect("import");
 
         // In-memory path.
         let dup_mem = find_duplicate_sets(&ds.jobs);
@@ -281,7 +270,7 @@ mod tests {
         let ds = Platform::new(SimConfig::theta().with_jobs(1_200).with_seed(84)).generate();
         let dir = temp_dir("taxonomy");
         export_trace(&ds, &dir).expect("export");
-        let jobs = import_trace(&dir).expect("import");
+        let (jobs, _) = ingest_trace(&dir, &IngestOptions::strict()).expect("import");
         let rds = trace_to_dataset(&jobs);
         // The observable duplicate structure survives reconstruction.
         assert_eq!(find_duplicate_sets(&rds.jobs).n_sets(), find_duplicate_sets(&ds.jobs).n_sets());
@@ -301,7 +290,7 @@ mod tests {
     #[test]
     fn missing_manifest_is_reported() {
         let dir = temp_dir("missing");
-        let err = import_trace(&dir).unwrap_err();
+        let err = ingest_trace(&dir, &IngestOptions::strict()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Io);
         assert!(err.context().contains("manifest.csv"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -319,7 +308,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, bytes).expect("write log");
-        let err = import_trace(&dir).unwrap_err();
+        let err = ingest_trace(&dir, &IngestOptions::strict()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Parse);
         assert!(err.context().contains(&victim.to_string()), "{err}");
         // The typed parser error survives as the source of the chain.

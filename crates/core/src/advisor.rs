@@ -14,7 +14,7 @@ use serde::Serialize;
 
 /// One prioritized recommendation.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-// audit:allow(dead-public-api) -- appears in recommend's public return type
+// audit:allow(dead-public-api) -- element type of the public recommend's return, which the quickstart example calls
 pub struct Recommendation {
     /// Which taxonomy class this addresses.
     pub class: &'static str,

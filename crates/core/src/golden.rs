@@ -78,7 +78,7 @@ pub(crate) fn split_features(sim: &SimDataset, set: FeatureSet) -> SplitData {
 
 /// Result of fitting one feature set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- return type of evaluate_feature_set, consumed by the fig3 bench
+// audit:allow(dead-public-api) -- return type of the public evaluate_feature_set, which the fig3 bench calls
 pub struct FeatureSetResult {
     /// Human-readable feature-set label.
     pub label: String,
@@ -116,7 +116,7 @@ pub fn evaluate_feature_set(
 
 /// The §VII golden-model litmus result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- type of TaxonomyReport's public `system_litmus` field
+// audit:allow(dead-public-api) -- type of TaxonomyReport's public `system_litmus` field; iotax-analyze renders the report
 pub struct SystemLitmus {
     /// Application-only baseline (POSIX features).
     pub baseline: FeatureSetResult,
@@ -144,8 +144,7 @@ pub fn system_litmus(sim: &SimDataset, effort: Effort) -> SystemLitmus {
 /// effort level; any other combination silently skews the reduction
 /// percentages (DESIGN.md, "cache invalidation"). [`system_litmus`]
 /// stays the refit-always safe default.
-// audit:allow(dead-public-api) -- deliberate API surface: the baseline-reuse cache hook for callers that already scored the POSIX model; pinned bit-identical to the refit path by core tests
-pub fn system_litmus_with_baseline(
+pub(crate) fn system_litmus_with_baseline(
     sim: &SimDataset,
     effort: Effort,
     baseline: FeatureSetResult,

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// Result of the application-modeling litmus test.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- return type of app_modeling_bound
+// audit:allow(dead-public-api) -- return type of the public app_modeling_bound, which iotax-analyze calls
 pub struct AppBound {
     /// Median absolute duplicate error, log10 space.
     pub median_abs_log10: f64,
@@ -68,7 +68,7 @@ pub fn app_modeling_bound(y: &[f64], dup: &DuplicateSets) -> AppBound {
 
 /// Result of the concurrent-duplicate noise litmus test (§IX).
 #[derive(Debug, Clone, PartialEq, Serialize)]
-// audit:allow(dead-public-api) -- appears in concurrent_noise_floor's public return type
+// audit:allow(dead-public-api) -- return type of the public concurrent_noise_floor, which iotax-analyze calls
 pub struct NoiseFloor {
     /// Median absolute error across concurrent duplicates, log10.
     pub median_abs_log10: f64,

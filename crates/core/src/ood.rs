@@ -15,7 +15,7 @@ use serde::Serialize;
 
 /// Result of the OoD litmus test.
 #[derive(Debug, Serialize)]
-// audit:allow(dead-public-api) -- return type of ood_litmus, consumed by the fig5 bench
+// audit:allow(dead-public-api) -- return type of the public ood_litmus, which the fig5 bench calls
 pub struct OodLitmus {
     /// Per-test-job uncertainty decomposition.
     #[serde(skip)]

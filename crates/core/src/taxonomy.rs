@@ -41,7 +41,7 @@ use serde::Serialize;
 /// `unexplained_share` is what the litmus estimates fail to cover (the
 /// paper: 32.9 % on Theta, 13.5 % on Cori).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-// audit:allow(dead-public-api) -- type of TaxonomyReport's public `breakdown` field
+// audit:allow(dead-public-api) -- type of TaxonomyReport's public `breakdown` field; iotax-analyze renders the report
 pub struct ErrorBreakdown {
     /// Baseline median absolute error, percent.
     pub baseline_pct: f64,
@@ -165,7 +165,7 @@ impl TaxonomyReport {
 /// Serializable slice of the OoD litmus (the raw predictions stay out of
 /// reports).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-// audit:allow(dead-public-api) -- type of TaxonomyReport's public `ood` field
+// audit:allow(dead-public-api) -- type of TaxonomyReport's public `ood` field; iotax-analyze renders the report
 pub struct OodSummary {
     /// EU-std threshold used.
     pub eu_threshold: f64,
@@ -376,7 +376,7 @@ impl<'a> TaxonomyRun<'a> {
 }
 
 /// After step 1: the baseline model is fit and scored.
-// audit:allow(dead-public-api) -- stage of the staged Taxonomy API; named by cli's pipeline tests (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- return type of the public TaxonomyRun::baseline, which iotax-analyze drives
 pub struct BaselineStage<'a> {
     core: StageCore<'a>,
     baseline_error_log10: f64,
@@ -444,7 +444,7 @@ impl<'a> BaselineStage<'a> {
 }
 
 /// After step 2: the application bound is measured and the model tuned.
-// audit:allow(dead-public-api) -- stage of the staged Taxonomy API; named by cli's pipeline tests (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- return type of the public BaselineStage::app_litmus, which iotax-analyze drives
 pub struct AppLitmusStage<'a> {
     core: StageCore<'a>,
     baseline_error_log10: f64,
@@ -479,7 +479,7 @@ impl<'a> AppLitmusStage<'a> {
 }
 
 /// After step 3: the golden-model litmus has run.
-// audit:allow(dead-public-api) -- stage of the staged Taxonomy API; named by cli's pipeline tests (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- return type of the public AppLitmusStage::system_litmus, which iotax-analyze drives
 pub struct SystemLitmusStage<'a> {
     prev: AppLitmusStage<'a>,
     /// §VII golden-model litmus result.
@@ -508,7 +508,7 @@ impl<'a> SystemLitmusStage<'a> {
 }
 
 /// After step 4: OoD jobs are identified.
-// audit:allow(dead-public-api) -- stage of the staged Taxonomy API; named by cli's pipeline tests (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- return type of the public SystemLitmusStage::ood, which iotax-analyze drives
 pub struct OodStage<'a> {
     prev: SystemLitmusStage<'a>,
     /// §VIII OoD litmus result (with the trained ensemble).
@@ -545,7 +545,7 @@ impl<'a> OodStage<'a> {
 }
 
 /// After step 5: everything is measured; only attribution remains.
-// audit:allow(dead-public-api) -- stage of the staged Taxonomy API; named by cli's pipeline tests (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- return type of the public OodStage::noise_floor, which iotax-analyze drives
 pub struct NoiseFloorStage<'a> {
     prev: OodStage<'a>,
     /// §IX noise floor (None when too few concurrent duplicates exist).

@@ -71,33 +71,6 @@ pub static MPIIO_FEATURE_NAMES: [&str; MPIIO_COUNTER_COUNT] = {
     names
 };
 
-/// A named job-level feature vector.
-#[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- return type of extract_job_features
-pub struct FeatureVector {
-    /// Feature names, parallel to `values`.
-    pub names: Vec<&'static str>,
-    /// Feature values.
-    pub values: Vec<f64>,
-}
-
-impl FeatureVector {
-    /// Value of a feature by name, if present.
-    pub fn get(&self, name: &str) -> Option<f64> {
-        self.names.iter().zip(&self.values).find(|(&n, _)| n == name).map(|(_, &v)| v)
-    }
-
-    /// Number of features.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when the vector has no features.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
 /// Extract the 48 POSIX job-level features from a log.
 pub fn extract_posix_features(log: &JobLog) -> [f64; POSIX_COUNTER_COUNT] {
     let aggs: [Agg; POSIX_COUNTER_COUNT] = POSIX_COUNTERS.map(posix_agg);
@@ -116,24 +89,6 @@ pub fn extract_mpiio_features(log: &JobLog) -> [f64; MPIIO_COUNTER_COUNT] {
         aggregate_into(m, &mut out, &aggs);
     }
     out
-}
-
-/// Extract a named job-level feature vector.
-///
-/// With `include_mpiio`, the result is 96 features (POSIX then MPI-IO);
-/// otherwise 48 POSIX features. Extraction is deterministic: two logs with
-/// identical records produce identical vectors, which is what makes
-/// duplicate-job detection (§VI) possible.
-// audit:allow(dead-public-api) -- consumed by iotax-sim's darshan_gen round-trip tests (test refs are excluded by policy)
-pub fn extract_job_features(log: &JobLog, include_mpiio: bool) -> FeatureVector {
-    let posix = extract_posix_features(log);
-    let mut names: Vec<&'static str> = POSIX_FEATURE_NAMES.to_vec();
-    let mut values: Vec<f64> = posix.to_vec();
-    if include_mpiio {
-        names.extend_from_slice(&MPIIO_FEATURE_NAMES);
-        values.extend_from_slice(&extract_mpiio_features(log));
-    }
-    FeatureVector { names, values }
 }
 
 #[cfg(test)]
@@ -167,18 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn feature_vector_widths() {
-        let log = log_with_two_files();
-        assert_eq!(extract_job_features(&log, false).len(), 48);
-        assert_eq!(extract_job_features(&log, true).len(), 96);
-    }
-
-    #[test]
     fn names_align_with_values() {
-        let log = log_with_two_files();
-        let fv = extract_job_features(&log, false);
-        assert_eq!(fv.get("PosixBytesRead"), Some(150.0));
-        assert_eq!(fv.get("NoSuchFeature"), None);
+        let f = extract_posix_features(&log_with_two_files());
+        let i = POSIX_FEATURE_NAMES.iter().position(|&n| n == "PosixBytesRead").expect("name");
+        assert_eq!(f[i], 150.0);
     }
 
     #[test]
@@ -189,13 +136,15 @@ mod tests {
         r.counters[MpiioCounter::MpiioBytesWritten.index()] = 777.0;
         m.records.push(r);
         log.mpiio = Some(m);
-        let fv = extract_job_features(&log, true);
-        assert_eq!(fv.get("MpiioBytesWritten"), Some(777.0));
+        let f = extract_mpiio_features(&log);
+        let i = MPIIO_FEATURE_NAMES.iter().position(|&n| n == "MpiioBytesWritten").expect("name");
+        assert_eq!(f[i], 777.0);
     }
 
     #[test]
     fn extraction_is_deterministic() {
         let log = log_with_two_files();
-        assert_eq!(extract_job_features(&log, true), extract_job_features(&log, true));
+        assert_eq!(extract_posix_features(&log), extract_posix_features(&log));
+        assert_eq!(extract_mpiio_features(&log), extract_mpiio_features(&log));
     }
 }

@@ -372,7 +372,7 @@ pub fn parse_log(data: &[u8]) -> Result<JobLog, ParseError> {
 
 /// Byte span of one record inside a serialized log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit:allow(dead-public-api) -- appears in layout()'s public return type
+// audit:allow(dead-public-api) -- element type of LogLayout's public `records` field; layout() is called by iotax-sim's fault injector
 pub struct RecordSpan {
     /// Module the record belongs to.
     pub module: ModuleId,
@@ -391,7 +391,7 @@ pub struct RecordSpan {
 /// records precede a truncation point) and by tests asserting that
 /// [`ParseError::Truncated`] offsets are byte-accurate at every boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// audit:allow(dead-public-api) -- return type of layout(), consumed by iotax-sim's fault injector
+// audit:allow(dead-public-api) -- return type of the public layout(), which iotax-sim's fault injector calls
 pub struct LogLayout {
     /// End of the fixed+varint job header (one past the module-count
     /// varint; the first module tag byte sits here).
@@ -452,48 +452,6 @@ pub fn layout(data: &[u8]) -> Result<LogLayout, ParseError> {
         }
     }
     Ok(LogLayout { header_end, modules, records, crc_start: r.pos })
-}
-
-/// Render a log in a `darshan-parser`-style human-readable dump: a header
-/// block and one `<counter> <value>` line per non-zero counter per record.
-// audit:allow(dead-public-api) -- human-readable log dump asserted by format unit tests (test refs are excluded by policy)
-pub fn dump_text(log: &JobLog) -> String {
-    let mut s = String::new();
-    // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
-    let _ = render_text_into(&mut s, log);
-    s
-}
-
-/// The fallible body of [`dump_text`]: all writes propagate with `?`.
-fn render_text_into(s: &mut String, log: &JobLog) -> std::fmt::Result {
-    use crate::counters::{MPIIO_COUNTERS, POSIX_COUNTERS};
-    use std::fmt::Write;
-    writeln!(s, "# darshan log version: iotax-1")?;
-    writeln!(s, "# exe: {}", log.exe)?;
-    writeln!(s, "# uid: {}", log.uid)?;
-    writeln!(s, "# jobid: {}", log.job_id)?;
-    writeln!(s, "# nprocs: {}", log.nprocs)?;
-    writeln!(s, "# start_time: {}", log.start_time)?;
-    writeln!(s, "# end_time: {}", log.end_time)?;
-    writeln!(s, "# run time: {}", log.runtime_seconds())?;
-    fn dump_module(s: &mut String, name: &str, m: &ModuleData, names: &[&str]) -> std::fmt::Result {
-        writeln!(s, "\n# {name} module: {} records", m.records.len())?;
-        for rec in &m.records {
-            for (&v, counter) in rec.counters.iter().zip(names) {
-                if v != 0.0 {
-                    writeln!(s, "{name}\t{:#018x}\t{counter}\t{v}", rec.file_hash)?;
-                }
-            }
-        }
-        Ok(())
-    }
-    let posix_names: Vec<&str> = POSIX_COUNTERS.iter().map(|c| c.name()).collect();
-    dump_module(s, "POSIX", &log.posix, &posix_names)?;
-    if let Some(m) = &log.mpiio {
-        let mpiio_names: Vec<&str> = MPIIO_COUNTERS.iter().map(|c| c.name()).collect();
-        dump_module(s, "MPI-IO", m, &mpiio_names)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -630,21 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn dump_text_contains_nonzero_counters_only() {
-        let log = sample_log();
-        let text = dump_text(&log);
-        assert!(text.contains("# exe: hacc_io"));
-        assert!(text.contains("# nprocs: 128"));
-        assert!(text.contains("PosixOpens"));
-        assert!(text.contains("PosixBytesWritten"));
-        // Zero counters are omitted.
-        assert!(!text.contains("PosixMmaps"));
-        // MPI-IO section present (record exists, all zero counters → just
-        // the header line).
-        assert!(text.contains("MPI-IO module: 1 records"));
-    }
-
-    #[test]
     fn crc32_known_value() {
         // The canonical CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
@@ -760,5 +703,176 @@ mod tests {
         let log = JobLog::new(0, 0, 1, 0, 1, "");
         let parsed = parse_log(&write_log(&log)).expect("round trip");
         assert_eq!(parsed, log);
+    }
+}
+
+/// Property-based tests for the Darshan log format: arbitrary logs must
+/// round-trip bit-exactly, and any single-byte corruption must be rejected.
+/// The salvage parser adds its own guarantees: neither parser ever panics
+/// on arbitrary bytes, and on clean logs lenient == strict exactly.
+#[cfg(test)]
+mod prop {
+    use super::{layout, parse_log, write_log, ParseError};
+    use crate::record::{FileRecord, JobLog, ModuleData, ModuleId};
+    use crate::salvage::parse_log_lenient;
+    use proptest::prelude::*;
+
+    fn arb_counters(module: ModuleId) -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec(-1e15f64..1e15, module.counter_count()..=module.counter_count())
+    }
+
+    fn arb_record(module: ModuleId) -> impl Strategy<Value = FileRecord> {
+        (any::<u64>(), 1u32..100_000, arb_counters(module)).prop_map(
+            move |(hash, ranks, counters)| FileRecord {
+                file_hash: hash,
+                rank_count: ranks,
+                counters,
+            },
+        )
+    }
+
+    fn arb_module(module: ModuleId) -> impl Strategy<Value = ModuleData> {
+        prop::collection::vec(arb_record(module), 0..12)
+            .prop_map(move |records| ModuleData { module, records })
+    }
+
+    prop_compose! {
+        fn arb_log()(
+            job_id in any::<u64>(),
+            uid in any::<u32>(),
+            nprocs in 1u32..1_000_000,
+            start in -1_000_000_000i64..4_000_000_000,
+            duration in 0i64..10_000_000,
+            exe in "[a-zA-Z0-9_./-]{0,64}",
+            posix in arb_module(ModuleId::Posix),
+            mpiio in prop::option::of(arb_module(ModuleId::Mpiio)),
+        ) -> JobLog {
+            JobLog {
+                job_id,
+                uid,
+                nprocs,
+                start_time: start,
+                end_time: start + duration,
+                exe,
+                posix,
+                mpiio,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn round_trip_is_identity(log in arb_log()) {
+            let bytes = write_log(&log);
+            let parsed = parse_log(&bytes).expect("round trip");
+            prop_assert_eq!(parsed, log);
+        }
+
+        #[test]
+        fn truncation_is_always_rejected(log in arb_log(), frac in 0.0f64..1.0) {
+            let bytes = write_log(&log);
+            let cut = ((bytes.len() as f64) * frac) as usize;
+            prop_assert!(cut < bytes.len());
+            prop_assert!(parse_log(&bytes[..cut]).is_err());
+        }
+
+        #[test]
+        fn single_byte_corruption_is_detected_or_changes_content(log in arb_log(), pos_frac in 0.0f64..1.0, flip in 1u8..=255) {
+            let bytes = write_log(&log);
+            let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+            let mut corrupted = bytes.clone();
+            corrupted[pos] ^= flip;
+            match parse_log(&corrupted) {
+                // Detected: structural failure or checksum mismatch.
+                Err(_) => {}
+                // A parse that *succeeds* would mean a CRC32 collision from a
+                // single-byte flip — impossible for CRC32.
+                Ok(parsed) => prop_assert!(false, "corruption at {pos} accepted: {parsed:?}"),
+            }
+        }
+
+        #[test]
+        fn trailing_garbage_is_rejected(log in arb_log(), extra in 1usize..16) {
+            let mut bytes = write_log(&log);
+            bytes.extend(std::iter::repeat_n(0xAB, extra));
+            prop_assert_eq!(parse_log(&bytes), Err(ParseError::TrailingBytes { extra }));
+        }
+
+        #[test]
+        fn parsers_never_panic_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..2048)) {
+            // Neither parser may panic, loop, or over-allocate on garbage.
+            let _ = parse_log(&bytes);
+            let _ = parse_log_lenient(&bytes);
+        }
+
+        #[test]
+        fn parsers_never_panic_on_magic_prefixed_garbage(tail in prop::collection::vec(any::<u8>(), 0..1024)) {
+            // Adversarial case: a valid magic + version so the parsers commit
+            // to reading deep into attacker-controlled bytes.
+            let mut bytes = b"IOTAXDRN".to_vec();
+            bytes.extend_from_slice(&1u16.to_le_bytes());
+            bytes.extend_from_slice(&tail);
+            let _ = parse_log(&bytes);
+            if let Ok((salvaged, _)) = parse_log_lenient(&bytes) {
+                prop_assert!(salvaged.records_recovered < 1 << 20);
+            }
+        }
+
+        #[test]
+        fn lenient_equals_strict_on_clean_logs(log in arb_log()) {
+            let bytes = write_log(&log);
+            let strict = parse_log(&bytes).expect("strict parse");
+            let (salvaged, anomalies) = parse_log_lenient(&bytes).expect("lenient parse");
+            prop_assert!(anomalies.is_empty(), "clean log produced {anomalies:?}");
+            prop_assert!(salvaged.complete);
+            prop_assert_eq!(salvaged.log, strict);
+        }
+
+        #[test]
+        fn lenient_recovers_every_record_before_a_cut(log in arb_log(), frac in 0.0f64..1.0) {
+            let bytes = write_log(&log);
+            let lay = layout(&bytes).expect("layout");
+            let cut = ((bytes.len() as f64) * frac) as usize;
+            let expect = lay.records_before(cut);
+            match parse_log_lenient(&bytes[..cut]) {
+                Ok((salvaged, _)) => prop_assert!(
+                    salvaged.records_recovered >= expect,
+                    "cut {cut}: recovered {} < {expect}", salvaged.records_recovered
+                ),
+                // Unsalvageable is only legal while the cut is inside the header.
+                Err(_) => prop_assert!(cut < lay.header_end, "cut {cut} past header unsalvageable"),
+            }
+        }
+
+        #[test]
+        fn lenient_survives_single_byte_corruption(log in arb_log(), pos_frac in 0.0f64..1.0, flip in 1u8..=255) {
+            let bytes = write_log(&log);
+            let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+            let mut corrupted = bytes.clone();
+            corrupted[pos] ^= flip;
+            // Must not panic; when it salvages, the anomaly list explains any
+            // structural loss.
+            if let Ok((salvaged, anomalies)) = parse_log_lenient(&corrupted) {
+                if corrupted != bytes && salvaged.complete {
+                    prop_assert!(
+                        !anomalies.is_empty(),
+                        "undetected corruption at {pos}: {salvaged:?}"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn serialized_size_is_linear_in_records(log in arb_log()) {
+            let n_counters = log.posix.records.len() * 48
+                + log.mpiio.as_ref().map_or(0, |m| m.records.len() * 48);
+            let bytes = write_log(&log);
+            // Counters dominate: 8 bytes each plus bounded header overhead.
+            prop_assert!(bytes.len() >= n_counters * 8);
+            prop_assert!(bytes.len() <= n_counters * 8 + 200 + log.exe.len()
+                + 20 * (log.posix.records.len() + log.mpiio.as_ref().map_or(0, |m| m.records.len())));
+        }
     }
 }

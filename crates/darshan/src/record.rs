@@ -29,8 +29,7 @@ impl ModuleId {
     }
 
     /// Number of counters a record of this module carries.
-    // audit:allow(dead-public-api) -- module-width table consumed by the darshan property-test suite (test refs are excluded by policy)
-    pub fn counter_count(self) -> usize {
+    pub(crate) fn counter_count(self) -> usize {
         match self {
             ModuleId::Posix => POSIX_COUNTER_COUNT,
             ModuleId::Mpiio => MPIIO_COUNTER_COUNT,
@@ -51,7 +50,8 @@ pub struct FileRecord {
     pub file_hash: u64,
     /// Number of ranks that touched this file (1 = unique, nprocs = shared).
     pub rank_count: u32,
-    /// Counter values, length [`ModuleId::counter_count`].
+    /// Counter values, one per entry of [`crate::POSIX_COUNTERS`] or
+    /// [`crate::MPIIO_COUNTERS`], by module.
     pub counters: Vec<f64>,
 }
 
@@ -127,32 +127,6 @@ impl JobLog {
             mpiio: None,
         }
     }
-
-    /// Wall-clock duration in seconds (end - start), at least 1.
-    // audit:allow(dead-public-api) -- accessor of the public JobLog record, asserted by unit tests (test refs are excluded by policy)
-    pub fn runtime_seconds(&self) -> i64 {
-        (self.end_time - self.start_time).max(1)
-    }
-
-    /// Total bytes moved (read + written) at the POSIX level.
-    // audit:allow(dead-public-api) -- accessor of the public JobLog record, asserted by unit tests (test refs are excluded by policy)
-    pub fn total_bytes(&self) -> f64 {
-        use crate::counters::PosixCounter::{PosixBytesRead, PosixBytesWritten};
-        self.posix.total(PosixBytesRead.index()) + self.posix.total(PosixBytesWritten.index())
-    }
-
-    /// I/O throughput in bytes/second the way Darshan derives it: total
-    /// bytes over total I/O time (read + write + meta), falling back to
-    /// runtime when the time counters are zero.
-    // audit:allow(dead-public-api) -- accessor of the public JobLog record, asserted by unit tests (test refs are excluded by policy)
-    pub fn io_throughput(&self) -> f64 {
-        use crate::counters::PosixCounter::{PosixFMetaTime, PosixFReadTime, PosixFWriteTime};
-        let io_time = self.posix.total(PosixFReadTime.index())
-            + self.posix.total(PosixFWriteTime.index())
-            + self.posix.total(PosixFMetaTime.index());
-        let denom = if io_time > 0.0 { io_time } else { self.runtime_seconds() as f64 };
-        self.total_bytes() / denom
-    }
 }
 
 #[cfg(test)]
@@ -194,30 +168,5 @@ mod tests {
         rec2.counters[PosixCounter::PosixBytesRead.index()] = 5e8;
         log.posix.records.push(rec2);
         assert_eq!(log.posix.total(PosixCounter::PosixBytesRead.index()), 1.5e9);
-        assert_eq!(log.total_bytes(), 4.5e9);
-    }
-
-    #[test]
-    fn throughput_uses_io_time_when_present() {
-        let log = sample_log();
-        // 4e9 bytes over 40 s of I/O time.
-        assert!((log.io_throughput() - 1e8).abs() < 1.0);
-    }
-
-    #[test]
-    fn throughput_falls_back_to_runtime() {
-        let mut log = sample_log();
-        for r in &mut log.posix.records {
-            r.counters[PosixCounter::PosixFReadTime.index()] = 0.0;
-            r.counters[PosixCounter::PosixFWriteTime.index()] = 0.0;
-        }
-        // 4e9 bytes over 600 s runtime.
-        assert!((log.io_throughput() - 4e9 / 600.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn runtime_is_clamped_positive() {
-        let log = JobLog::new(1, 1, 1, 100, 100, "x");
-        assert_eq!(log.runtime_seconds(), 1);
     }
 }

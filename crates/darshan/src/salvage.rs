@@ -41,7 +41,7 @@ const TRAILER_SLACK: usize = 64;
 
 /// One classified defect found while salvaging a log.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- appears in parse_log_lenient's public return type
+// audit:allow(dead-public-api) -- element type of the public parse_log_lenient's return, which iotax-cli's ingest calls
 pub enum Anomaly {
     /// Input ended inside record `index` of `module`; the partial record
     /// was dropped, everything before it was kept.
@@ -191,7 +191,7 @@ impl std::fmt::Display for Anomaly {
 
 /// The result of a lenient parse: whatever could be recovered.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- return type of parse_log_lenient, the salvage entry point callers consume
+// audit:allow(dead-public-api) -- return type of the public parse_log_lenient, which iotax-cli's ingest calls
 pub struct SalvagedLog {
     /// The recovered log (possibly with fewer records than were written).
     pub log: JobLog,

@@ -62,18 +62,6 @@ impl LmtRecorder {
         Self { t0, tick_seconds, ticks: Vec::new() }
     }
 
-    /// Timeline origin.
-    // audit:allow(dead-public-api) -- accessor of the public LmtRecorder, asserted by iotax-sim's telemetry tests (test refs are excluded by policy)
-    pub fn t0(&self) -> i64 {
-        self.t0
-    }
-
-    /// Tick length in seconds.
-    // audit:allow(dead-public-api) -- accessor of the public LmtRecorder, asserted by iotax-sim's telemetry tests (test refs are excluded by policy)
-    pub fn tick_seconds(&self) -> i64 {
-        self.tick_seconds
-    }
-
     /// Number of recorded ticks.
     pub fn len(&self) -> usize {
         self.ticks.len()

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// What [`Dataset::sanitized`] had to do to make its input usable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- appears in Dataset::sanitized's public return type
+// audit:allow(dead-public-api) -- return type of the public Dataset::sanitized, which iotax-core's taxonomy calls
 pub struct SanitizeReport {
     /// Non-finite feature values replaced by their column median.
     pub imputed_features: usize,
@@ -175,8 +175,7 @@ impl Dataset {
 /// standardization centers them for gradient-based models. Tree models are
 /// invariant to both, so applying the preprocessor never hurts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- exercised by the ml property-test suite (test refs are excluded by policy)
-pub struct Preprocessor {
+pub(crate) struct Preprocessor {
     /// Per-column mean of the log-compressed training features.
     pub means: Vec<f64>,
     /// Per-column std of the log-compressed training features (≥ tiny).
@@ -185,14 +184,13 @@ pub struct Preprocessor {
 
 /// Signed log compression.
 #[inline]
-// audit:allow(dead-public-api) -- exercised by the ml property-test suite (test refs are excluded by policy)
-pub fn signed_log(x: f64) -> f64 {
+pub(crate) fn signed_log(x: f64) -> f64 {
     x.signum() * x.abs().ln_1p()
 }
 
 impl Preprocessor {
     /// Fit on a training dataset.
-    pub fn fit(train: &Dataset) -> Self {
+    pub(crate) fn fit(train: &Dataset) -> Self {
         let n = train.n_rows.max(1) as f64;
         let mut means = vec![0.0; train.n_cols];
         for i in 0..train.n_rows {
@@ -222,8 +220,7 @@ impl Preprocessor {
     }
 
     /// Transform a whole dataset (targets pass through).
-    // audit:allow(dead-public-api) -- exercised by the ml property-test suite (test refs are excluded by policy)
-    pub fn transform(&self, data: &Dataset) -> Dataset {
+    pub(crate) fn transform(&self, data: &Dataset) -> Dataset {
         let mut x = vec![0.0; data.x.len()];
         for i in 0..data.n_rows {
             let (a, b) = (i * data.n_cols, (i + 1) * data.n_cols);

@@ -9,8 +9,6 @@
 //! Training goes through a [`Trainer`] bound to a [`PreparedDataset`]: the
 //! quantile binning is paid once per fold split, then any number of models
 //! (grid-search candidates, litmus refits) train on the shared `u16` codes.
-//! The legacy one-shot [`Gbm::fit`] survives as a deprecated shim that
-//! prepares-then-trains, so a model fit either way is bit-for-bit the same.
 
 use crate::data::Dataset;
 use crate::prepared::{BoundDataset, PreparedDataset};
@@ -91,7 +89,7 @@ impl GbmParams {
 /// `max_bins` outside `[2, u16::MAX]`, `subsample`/`colsample` outside
 /// (0, 1], zero trees or depth.
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- constructed via GbmParams::builder(); exercised by examples and the validation test suite (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- return type of the public GbmParams::builder(), which the hyperparameter_search example calls
 pub struct GbmParamsBuilder {
     p: GbmParams,
 }
@@ -212,7 +210,7 @@ impl GbmParamsBuilder {
 
 /// A fitted gradient-boosted ensemble.
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- return type of Trainer::fit; downstream crates hold models through type inference rather than naming the struct
+// audit:allow(dead-public-api) -- return type of the public Trainer::fit, which iotax-core calls
 pub struct Gbm {
     params: GbmParams,
     base: f64,
@@ -361,25 +359,6 @@ impl<'a> Trainer<'a> {
 }
 
 impl Gbm {
-    /// Fit on `train`; if `val` is given and early stopping is configured,
-    /// keep the prefix of trees minimizing validation MAE.
-    ///
-    /// This re-bins `train` from raw floats on every call. Callers fitting
-    /// more than once per dataset should bin once with
-    /// [`PreparedDataset::fit`] and train through a [`Trainer`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "bin once with PreparedDataset::fit and train through Trainer"
-    )]
-    pub fn fit(train: &Dataset, val: Option<&Dataset>, params: GbmParams) -> Self {
-        let prepared = PreparedDataset::fit(train, params.max_bins);
-        let trainer = Trainer::new(&prepared);
-        match val {
-            Some(v) => trainer.with_validation(v).fit(params),
-            None => trainer.fit(params),
-        }
-    }
-
     /// Number of trees kept after (possible) early stopping.
     pub fn n_trees(&self) -> usize {
         self.trees.len()
@@ -534,8 +513,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_one_shot_fit_matches_the_trainer_bit_for_bit() {
+    fn coded_predictions_match_the_raw_path_bit_for_bit() {
         let train = friedman(600, 12, 0.3);
         let val = friedman(200, 13, 0.3);
         let params = GbmParams {
@@ -544,17 +522,11 @@ mod tests {
             early_stopping_rounds: Some(5),
             ..Default::default()
         };
-        let shim = Gbm::fit(&train, Some(&val), params);
         let prepared = PreparedDataset::fit(&train, params.max_bins);
         let staged = Trainer::new(&prepared).with_validation(&val).fit(params);
-        assert_eq!(shim.n_trees(), staged.n_trees());
-        assert_eq!(shim.val_trace, staged.val_trace);
-        let a = shim.predict(&train);
-        let b = staged.predict(&train);
-        assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
-        // The coded predict path agrees with the raw path bit for bit.
+        let raw = staged.predict(&train);
         let coded = staged.predict_prepared(&prepared);
-        assert!(b.iter().zip(&coded).all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert!(raw.iter().zip(&coded).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   standardization preprocessing.
 //! * [`metrics`] — the paper's error metric (Eq. 6): absolute log10-ratio
 //!   errors, medians, and percent conversions.
-//! * [`tree`] — histogram-binned regression trees with second-order
+//! * `tree` (private) — histogram-binned regression trees with second-order
 //!   (gradient/hessian) split gains, the building block of
 //! * [`gbm`] — gradient-boosted trees with shrinkage, λ-regularization,
 //!   row/column subsampling and early stopping: the XGBoost stand-in whose
@@ -35,14 +35,17 @@ pub mod nas;
 pub mod nn;
 pub mod prepared;
 pub mod search;
-pub mod tree;
+mod tree;
+
+#[cfg(test)]
+mod prop;
 
 pub use data::Dataset;
 pub use gbm::{Gbm, GbmParams, Trainer};
 pub use metrics::{abs_log10_errors, median_abs_error, median_abs_error_pct};
 pub use nas::{evolve, Genome, NasConfig};
 pub use nn::{Mlp, MlpParams};
-pub use prepared::{BoundDataset, PreparedDataset};
+pub use prepared::PreparedDataset;
 pub use search::grid_search;
 
 /// A fitted regression model mapping a raw feature row to a log10

@@ -13,24 +13,9 @@ pub fn abs_log10_errors(y: &[f64], pred: &[f64]) -> Vec<f64> {
     y.iter().zip(pred).map(|(a, b)| (a - b).abs()).collect()
 }
 
-/// Per-row signed log10-ratio errors, `y_i − ŷ_i` (positive ⇒ the model
-/// underestimated).
-// audit:allow(dead-public-api) -- member of the Eq. 6 metric family, exercised by the ml property tests (test refs are excluded by policy)
-pub fn signed_log10_errors(y: &[f64], pred: &[f64]) -> Vec<f64> {
-    assert_eq!(y.len(), pred.len());
-    y.iter().zip(pred).map(|(a, b)| a - b).collect()
-}
-
 /// Median absolute log10 error.
 pub fn median_abs_error(y: &[f64], pred: &[f64]) -> f64 {
     median(&abs_log10_errors(y, pred))
-}
-
-/// Mean absolute log10 error (what models optimize; Eq. 6).
-// audit:allow(dead-public-api) -- member of the Eq. 6 metric family, exercised by the ml property tests (test refs are excluded by policy)
-pub fn mean_abs_error(y: &[f64], pred: &[f64]) -> f64 {
-    let e = abs_log10_errors(y, pred);
-    e.iter().sum::<f64>() / e.len().max(1) as f64
 }
 
 /// Convert a log10 error to a percentage: `(10^e − 1) × 100`.
@@ -38,9 +23,10 @@ pub fn log10_error_to_pct(e: f64) -> f64 {
     (10f64.powf(e) - 1.0) * 100.0
 }
 
-/// Convert a percentage (e.g. 5.71) to a log10 error.
-// audit:allow(dead-public-api) -- member of the Eq. 6 metric family, exercised by the ml property tests (test refs are excluded by policy)
-pub fn pct_to_log10_error(pct: f64) -> f64 {
+/// Convert a percentage (e.g. 5.71) to a log10 error; the inverse the
+/// tests check [`log10_error_to_pct`] against.
+#[cfg(test)]
+pub(crate) fn pct_to_log10_error(pct: f64) -> f64 {
     (1.0 + pct / 100.0).log10()
 }
 
@@ -91,19 +77,13 @@ mod tests {
     }
 
     #[test]
-    fn signed_errors_carry_direction() {
-        // Model predicts too low → positive signed error.
-        let e = signed_log10_errors(&[2.0], &[1.5]);
-        assert!(e[0] > 0.0);
-    }
-
-    #[test]
     fn median_is_robust_to_one_blowup() {
         let y = vec![1.0; 101];
         let mut pred = vec![1.01; 101];
         pred[0] = 50.0; // catastrophic outlier
         let med = median_abs_error(&y, &pred);
         assert!((med - 0.01).abs() < 1e-9);
-        assert!(mean_abs_error(&y, &pred) > med);
+        let mean = abs_log10_errors(&y, &pred).iter().sum::<f64>() / 101.0;
+        assert!(mean > med);
     }
 }

@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 
 /// An evolvable network description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- type of NasRecord's public `genome` field; downstream code obtains one via evolve
+// audit:allow(dead-public-api) -- type of NasRecord's public `genome` field; the fig2 bench reads evolve's records
 pub struct Genome {
     /// Hidden layer widths (1-4 layers of 8-256 units).
     pub hidden: Vec<usize>,
@@ -114,7 +114,7 @@ impl Default for NasConfig {
 
 /// One evaluated network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- element type of evolve's public return, consumed by the fig2 bench
+// audit:allow(dead-public-api) -- element type of the public evolve's return, which the fig2 bench calls
 pub struct NasRecord {
     /// Generation index (0 = random init population).
     pub generation: usize,

@@ -15,11 +15,10 @@
 //! false sharing. Codes are `u16` because `max_bins` is capped at
 //! `u16::MAX`: half the memory traffic of `u32` per histogram pass.
 //!
-//! Binning is identical to what `Gbm::fit` always did internally, so a
-//! model trained through a `PreparedDataset` is bit-for-bit the model the
-//! one-shot path produced: for strictly increasing cuts,
-//! `code(x) <= b  ⟺  x <= cuts[b]`, hence walking a tree by bin code and
-//! walking it by raw threshold take the same branch at every node.
+//! For strictly increasing cuts, `code(x) <= b  ⟺  x <= cuts[b]`, hence
+//! walking a tree by bin code and walking it by raw threshold take the
+//! same branch at every node: a model predicts bit-for-bit the same from
+//! either representation.
 
 use crate::data::Dataset;
 use rayon::prelude::*;
@@ -70,8 +69,7 @@ impl PreparedDataset {
 
     /// Bin another dataset (validation fold, test fold) under *this*
     /// dataset's cuts, so trained trees can be evaluated on it by code.
-    // audit:allow(dead-public-api) -- deliberate API surface: Trainer::with_validation routes through it internally; external callers encode held-out folds with it
-    pub fn bind(&self, data: &Dataset) -> BoundDataset {
+    pub(crate) fn bind(&self, data: &Dataset) -> BoundDataset {
         assert_eq!(data.n_cols, self.n_cols, "bound dataset must have the training column layout");
         BoundDataset { codes: encode(&self.cuts, data), n_rows: data.n_rows, y: data.y.clone() }
     }
@@ -93,14 +91,13 @@ impl PreparedDataset {
 
     /// Ascending cut points for feature `c`; bin `b` holds values in
     /// `(cuts[b-1], cuts[b]]` and bin `cuts.len()` holds the overflow.
-    // audit:allow(dead-public-api) -- round-trip contract asserted by the ml property-test suite (test refs are excluded by policy)
-    pub fn cuts(&self, c: usize) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn cuts(&self, c: usize) -> &[f64] {
         &self.cuts[c]
     }
 
     /// The contiguous bin codes of feature `c`, one per row.
-    // audit:allow(dead-public-api) -- layout contract asserted by the ml property-test suite (test refs are excluded by policy)
-    pub fn feature_codes(&self, c: usize) -> &[u16] {
+    pub(crate) fn feature_codes(&self, c: usize) -> &[u16] {
         &self.codes[c * self.n_rows..(c + 1) * self.n_rows]
     }
 
@@ -117,20 +114,12 @@ impl PreparedDataset {
 
 /// Another fold binned under a [`PreparedDataset`]'s cuts.
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- return type of PreparedDataset::bind; held by callers that evaluate on pre-encoded folds
-pub struct BoundDataset {
+pub(crate) struct BoundDataset {
     /// Feature-major bin codes, `n_cols × n_rows`.
     pub(crate) codes: Vec<u16>,
     pub(crate) n_rows: usize,
     /// Targets of the bound fold, in row order.
     pub(crate) y: Vec<f64>,
-}
-
-impl BoundDataset {
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
 }
 
 /// Feature-major bin codes of `data` under `cuts`.

@@ -1,17 +1,15 @@
 //! Property-based tests for the ML substrate.
 
-use iotax_ml::data::{signed_log, Dataset, Preprocessor};
-use iotax_ml::gbm::{GbmParams, Trainer};
-use iotax_ml::metrics::{
-    abs_log10_errors, log10_error_to_pct, median_abs_error, pct_to_log10_error,
-};
-use iotax_ml::prepared::PreparedDataset;
-use iotax_ml::Regressor;
+use crate::data::{signed_log, Dataset, Preprocessor};
+use crate::gbm::{Gbm, GbmParams, Trainer};
+use crate::metrics::{abs_log10_errors, log10_error_to_pct, median_abs_error, pct_to_log10_error};
+use crate::prepared::PreparedDataset;
+use crate::Regressor;
 use proptest::prelude::*;
 
 /// Bin-then-train through the prepared-context API, the shape every
 /// production call site uses.
-fn fit(data: &Dataset, params: GbmParams) -> iotax_ml::gbm::Gbm {
+fn fit(data: &Dataset, params: GbmParams) -> Gbm {
     Trainer::new(&PreparedDataset::fit(data, params.max_bins)).fit(params)
 }
 
@@ -97,7 +95,7 @@ proptest! {
         // no code escapes the per-feature bin count.
         let binned = PreparedDataset::fit(&data, 16);
         let bound = binned.bind(&data);
-        prop_assert_eq!(bound.n_rows(), data.n_rows);
+        prop_assert_eq!(bound.n_rows, data.n_rows);
         for c in 0..data.n_cols {
             let cuts = binned.cuts(c);
             prop_assert!(cuts.windows(2).all(|w| w[0] < w[1]), "cuts not strictly increasing");
@@ -110,25 +108,12 @@ proptest! {
             // The stored codes are the reference encoding of the raw
             // column, and never escape the cut range.
             let codes = binned.feature_codes(c);
-            for r in 0..data.n_rows {
+            for (r, &code) in codes.iter().enumerate() {
                 let x = data.row(r)[c];
                 let expect = cuts.partition_point(|&v| v < x) as u16;
-                prop_assert!(codes[r] == expect, "row {r}: code {} vs {expect}", codes[r]);
-                prop_assert!((codes[r] as usize) <= cuts.len());
+                prop_assert!(code == expect, "row {r}: code {code} vs {expect}");
+                prop_assert!((code as usize) <= cuts.len());
             }
-        }
-    }
-
-    #[test]
-    fn prepared_training_matches_the_one_shot_shim(data in arb_dataset(40)) {
-        let params = GbmParams { n_trees: 6, max_depth: 3, ..Default::default() };
-        let modern = fit(&data, params);
-        #[allow(deprecated)]
-        let shim = iotax_ml::gbm::Gbm::fit(&data, None, params);
-        for i in 0..data.n_rows {
-            let a = modern.predict_row(data.row(i));
-            let b = shim.predict_row(data.row(i));
-            prop_assert!(a.to_bits() == b.to_bits(), "row {i}: {a} vs {b}");
         }
     }
 

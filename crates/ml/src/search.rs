@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// One evaluated grid point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- return type of grid_search, consumed by iotax-core's taxonomy stages
+// audit:allow(dead-public-api) -- element type of the public grid_search's return, which iotax-core's taxonomy stages call
 pub struct GridPoint {
     /// The parameters evaluated.
     pub params: GbmParams,

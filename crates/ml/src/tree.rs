@@ -20,14 +20,13 @@ pub(crate) const DEFAULT_MAX_BINS: usize = 256;
 
 /// Parameters controlling a single tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// audit:allow(dead-public-api) -- parameter type of RegressionTree::fit's public signature
-pub struct TreeParams {
+pub(crate) struct TreeParams {
     /// Maximum depth (root = depth 0).
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
     /// Minimum hessian weight in each child (≥ samples for squared loss).
-    pub min_child_weight: f64,
+    pub(crate) min_child_weight: f64,
     /// L2 regularization λ on leaf values.
-    pub lambda: f64,
+    pub(crate) lambda: f64,
 }
 
 impl Default for TreeParams {
@@ -38,7 +37,7 @@ impl Default for TreeParams {
 
 impl TreeParams {
     /// Validated builder, starting from the defaults.
-    pub fn builder() -> TreeParamsBuilder {
+    pub(crate) fn builder() -> TreeParamsBuilder {
         TreeParamsBuilder { p: Self::default() }
     }
 }
@@ -46,32 +45,31 @@ impl TreeParams {
 /// Builder for [`TreeParams`] that rejects degenerate values with a usage
 /// error (sysexits 64) instead of silently clamping them at fit time.
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- constructed via TreeParams::builder(); exercised by the validation test suite (test refs are excluded by policy)
-pub struct TreeParamsBuilder {
+pub(crate) struct TreeParamsBuilder {
     p: TreeParams,
 }
 
 impl TreeParamsBuilder {
     /// Maximum depth (must be at least 1; a depth-0 stump is a constant).
-    pub fn max_depth(mut self, v: usize) -> Self {
+    pub(crate) fn max_depth(mut self, v: usize) -> Self {
         self.p.max_depth = v;
         self
     }
 
     /// Minimum hessian weight per child.
-    pub fn min_child_weight(mut self, v: f64) -> Self {
+    pub(crate) fn min_child_weight(mut self, v: f64) -> Self {
         self.p.min_child_weight = v;
         self
     }
 
     /// L2 regularization λ on leaf values.
-    pub fn lambda(mut self, v: f64) -> Self {
+    pub(crate) fn lambda(mut self, v: f64) -> Self {
         self.p.lambda = v;
         self
     }
 
     /// Validate and produce the parameters.
-    pub fn build(self) -> Result<TreeParams> {
+    pub(crate) fn build(self) -> Result<TreeParams> {
         let p = self.p;
         if p.max_depth == 0 {
             return Err(Error::usage("max_depth must be at least 1 (got 0)"));
@@ -113,8 +111,7 @@ const LEAF: Node = Node { feature: 0, left: 0, bin: 0, threshold: 0.0, value: 0.
 
 /// One fitted regression tree.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- the tree learner behind the public Gbm; constructed directly by unit tests (test refs are excluded by policy)
-pub struct RegressionTree {
+pub(crate) struct RegressionTree {
     nodes: Vec<Node>,
 }
 
@@ -163,7 +160,7 @@ impl RegressionTree {
     /// Fit a tree to gradients `g` and hessians `h` over the row subset
     /// `rows`, considering only `features`. `rows` is reordered in place
     /// (callers pass a scratch buffer).
-    pub fn fit(
+    pub(crate) fn fit(
         binned: &PreparedDataset,
         g: &[f64],
         h: &[f64],
@@ -278,12 +275,6 @@ impl RegressionTree {
         n.value
     }
 
-    /// Number of nodes (internal + leaves).
-    // audit:allow(dead-public-api) -- structural accessor asserted by tree-growth unit tests (test refs are excluded by policy)
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Index of the leaf that row `row` of a feature-major code matrix
     /// falls into.
     pub(crate) fn leaf_index_coded(&self, codes: &[u16], n_rows: usize, row: usize) -> usize {
@@ -319,7 +310,8 @@ impl RegressionTree {
     }
 
     /// Maximum depth actually reached.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
         fn walk(nodes: &[Node], idx: usize) -> usize {
             let n = &nodes[idx];
             if n.left == 0 {
@@ -571,7 +563,7 @@ mod tests {
         let data = step_dataset(100);
         let tree =
             fit_once(&data, &TreeParams { max_depth: 0, lambda: 0.0, min_child_weight: 1.0 });
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.nodes.len(), 1);
         // Leaf = mean of y (λ = 0).
         assert!((tree.predict_row(&[0.3]) - 0.495).abs() < 0.02);
     }
@@ -591,7 +583,7 @@ mod tests {
         let tree =
             fit_once(&data, &TreeParams { max_depth: 8, min_child_weight: 60.0, lambda: 1.0 });
         // No child can have ≥ 60 samples on both sides more than once.
-        assert!(tree.node_count() <= 3);
+        assert!(tree.nodes.len() <= 3);
     }
 
     #[test]
@@ -600,7 +592,7 @@ mod tests {
         let d =
             Dataset::new(vec![3.0; n], n, 1, (0..n).map(|i| i as f64).collect(), vec!["k".into()]);
         let tree = fit_once(&d, &TreeParams::default());
-        assert_eq!(tree.node_count(), 1);
+        assert_eq!(tree.nodes.len(), 1);
     }
 
     #[test]

@@ -126,11 +126,10 @@ impl RunFile {
 /// Largest `run.json` [`load_run`] reads without an explicit override.
 /// Real ledgers are tens of KiB; the cap exists so a corrupt or hostile
 /// file cannot drive a multi-GiB allocation through the reader.
-// audit:allow(dead-public-api) -- documented half of the load_run allocation cap; exercised by the oversized-ledger regression test
-pub const MAX_RUN_FILE_BYTES: u64 = 64 << 20;
+pub(crate) const MAX_RUN_FILE_BYTES: u64 = 64 << 20;
 
 /// Reads a run directory (or a direct path to a `run.json`) back into a
-/// [`RunFile`], refusing files above [`MAX_RUN_FILE_BYTES`].
+/// [`RunFile`], refusing files above 64 MiB.
 pub fn load_run(path: impl AsRef<Path>) -> Result<RunFile> {
     load_run_with_limit(path, MAX_RUN_FILE_BYTES)
 }
@@ -138,8 +137,7 @@ pub fn load_run(path: impl AsRef<Path>) -> Result<RunFile> {
 /// [`load_run`] with an explicit size cap. Oversized files are a *data*
 /// error (sysexits 65), not an I/O error: the file exists and is
 /// readable, its claimed contents are what we refuse to trust.
-// audit:allow(dead-public-api) -- cap-parameterized variant of load_run the regression tests drive (test refs are excluded by policy)
-pub fn load_run_with_limit(path: impl AsRef<Path>, max_bytes: u64) -> Result<RunFile> {
+pub(crate) fn load_run_with_limit(path: impl AsRef<Path>, max_bytes: u64) -> Result<RunFile> {
     let path = path.as_ref();
     let file = if path.is_dir() { path.join("run.json") } else { path.to_path_buf() };
     let meta = std::fs::metadata(&file)
@@ -176,7 +174,8 @@ impl LedgerSink {
         Self::default()
     }
 
-    fn span_records(&self) -> Vec<SpanRecord> {
+    /// All span records seen so far, in arrival order.
+    pub(crate) fn span_records(&self) -> Vec<SpanRecord> {
         self.spans.lock().expect("ledger sink poisoned").clone()
     }
 }

@@ -16,25 +16,22 @@
 //!   bucketed value distributions, same lock-free discipline.
 //! * **Sinks** ([`Sink`]) — pluggable backends: [`NoopSink`] (default;
 //!   near-zero overhead, benchmarked in `crates/bench`), [`MemorySink`]
-//!   (collects records for tests and embedding), [`JsonLinesSink`] (one
-//!   JSON object per line, the `--metrics-out` format).
+//!   (collects counter snapshots for an embedder to read), [`JsonLinesSink`]
+//!   (one JSON object per line, the `--metrics-out` format).
 //! * **Durable store** ([`store`]) — an append-only, CRC-checked
 //!   segment log that [`Ledger::finish`] can append finished runs to
 //!   (`--store`), with torn-write recovery and quarantine reporting.
 //!
 //! ```
-//! use iotax_obs::{counter, span, MemorySink};
+//! use iotax_obs::{counter, MemorySink};
 //! use std::sync::Arc;
 //!
 //! let sink = Arc::new(MemorySink::new());
 //! let previous = iotax_obs::set_sink(sink.clone());
-//! {
-//!     let _outer = span!("demo.outer");
-//!     let _inner = span!("demo.inner");
-//!     counter!("demo.events").incr(3);
-//! }
+//! counter!("demo.events").incr(3);
 //! iotax_obs::flush_metrics();
-//! assert_eq!(sink.span_records().len(), 2);
+//! let events = sink.counter_snapshots().into_iter().find(|c| c.name == "demo.events");
+//! assert_eq!(events.map(|c| c.value), Some(3));
 //! iotax_obs::restore_sink(previous);
 //! ```
 //!
@@ -54,13 +51,10 @@ pub mod store;
 
 pub use alloc::{heap_slot_peaks, install_heap_accounting};
 pub use error::{Error, ErrorKind, Result};
-pub use ledger::{
-    digest_bytes, load_run, load_run_with_limit, InputDigest, Ledger, LedgerSink, RunFile,
-    RunManifest, MAX_RUN_FILE_BYTES,
-};
+pub use ledger::{digest_bytes, load_run, InputDigest, Ledger, LedgerSink, RunFile, RunManifest};
 pub use metrics::{
-    register_counter, register_gauge, register_histogram, set_dynamic_gauge, Counter,
-    CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, HistogramSummary,
+    register_counter, register_gauge, register_histogram, Counter, CounterSnapshot, Gauge,
+    GaugeSnapshot, Histogram, HistogramSnapshot, HistogramSummary,
 };
 pub use profiler::{start_profiler, ProfileSection, Profiler};
 pub use recorder::{

@@ -14,21 +14,13 @@ use std::sync::Mutex;
 /// is `i`, i.e. `[2^(i-1), 2^i)`, with bucket 0 holding zero.
 pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
-    counters: Vec::new(),
-    histograms: Vec::new(),
-    gauges: Vec::new(),
-    dynamic_gauges: Vec::new(),
-});
+static REGISTRY: Mutex<Registry> =
+    Mutex::new(Registry { counters: Vec::new(), histograms: Vec::new(), gauges: Vec::new() });
 
 struct Registry {
     counters: Vec<&'static Counter>,
     histograms: Vec<&'static Histogram>,
     gauges: Vec<&'static Gauge>,
-    /// Owned-name gauges published at runtime (e.g. per-stage heap peaks
-    /// whose names are not known at compile time). `(name, value)`; a
-    /// republish overwrites the previous value.
-    dynamic_gauges: Vec<(String, u64)>,
 }
 
 /// A named monotonic counter. Construct through the [`counter!`] macro,
@@ -75,7 +67,7 @@ pub fn register_counter(counter: &'static Counter) {
 
 /// Point-in-time value of one counter.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- appears in Sink::counter_flush's public signature
+// audit:allow(dead-public-api) -- element type of RunFile's public `counters` field; iotax-report reads RunFiles
 pub struct CounterSnapshot {
     /// Counter name.
     pub name: String,
@@ -155,22 +147,9 @@ pub fn register_gauge(gauge: &'static Gauge) {
     }
 }
 
-/// Publishes (or overwrites) a gauge whose name is only known at runtime,
-/// e.g. `heap.peak_bytes.core.baseline`. Dynamic gauges appear in
-/// snapshots alongside static ones.
-// audit:allow(dead-public-api) -- the runtime-named counterpart of the gauge! macro: deliberate API surface for tools whose gauge names derive from data (per-stage, per-file), mirroring the alloc layer's internal peak-slot publication
-pub fn set_dynamic_gauge(name: String, value: u64) {
-    let mut registry = REGISTRY.lock().expect("obs registry poisoned");
-    if let Some(slot) = registry.dynamic_gauges.iter_mut().find(|(n, _)| *n == name) {
-        slot.1 = value;
-    } else {
-        registry.dynamic_gauges.push((name, value));
-    }
-}
-
 /// Point-in-time value of one gauge.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- appears in Sink::gauge_flush's public signature
+// audit:allow(dead-public-api) -- element type of RunFile's public `gauges` field; iotax-report reads RunFiles
 pub struct GaugeSnapshot {
     /// Gauge name.
     pub name: String,
@@ -178,20 +157,14 @@ pub struct GaugeSnapshot {
     pub value: u64,
 }
 
-/// Snapshots every registered and dynamic gauge, plus the allocator's
-/// heap gauges when heap tracking is on, sorted by name.
+/// Snapshots every registered gauge, plus the allocator's heap gauges
+/// when heap tracking is on, sorted by name.
 pub(crate) fn snapshot_gauges() -> Vec<GaugeSnapshot> {
     let registry = REGISTRY.lock().expect("obs registry poisoned");
     let mut snaps: Vec<GaugeSnapshot> = registry
         .gauges
         .iter()
         .map(|g| GaugeSnapshot { name: g.name.to_owned(), value: g.get() })
-        .chain(
-            registry
-                .dynamic_gauges
-                .iter()
-                .map(|(name, value)| GaugeSnapshot { name: name.clone(), value: *value }),
-        )
         .collect();
     drop(registry);
     snaps.extend(crate::alloc::gauge_snapshots());
@@ -267,7 +240,7 @@ pub fn register_histogram(histogram: &'static Histogram) {
 /// Point-in-time state of one histogram. `buckets` holds
 /// `(bit_length, count)` pairs for non-empty buckets only.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- appears in Sink::histogram_flush's public signature
+// audit:allow(dead-public-api) -- parameter type of the public Sink trait's histogram_flush; iotax-cli installs Sinks
 pub struct HistogramSnapshot {
     /// Histogram name.
     pub name: String,
@@ -282,8 +255,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Upper-bound estimate of the `q`-quantile: the top edge of the
     /// bucket containing that rank (exact to within a factor of two).
-    // audit:allow(dead-public-api) -- quantile reader of the public HistogramSnapshot
-    pub fn approx_quantile(&self, q: f64) -> u64 {
+    pub(crate) fn approx_quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -300,7 +272,8 @@ impl HistogramSnapshot {
 }
 
 /// Fixed-quantile digest of one histogram, as persisted in run ledgers.
-/// Quantiles are upper-edge estimates from [`HistogramSnapshot::approx_quantile`].
+/// Quantiles are upper-edge estimates: the top edge of the power-of-two
+/// bucket holding that rank.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Histogram name.
@@ -465,20 +438,16 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_gauges_overwrite_and_sort_with_static_ones() {
-        crate::gauge!("test.metrics.dynamic.static_peer").set(1);
-        set_dynamic_gauge("test.metrics.dynamic.runtime".to_owned(), 7);
-        set_dynamic_gauge("test.metrics.dynamic.runtime".to_owned(), 9);
+    fn gauge_snapshots_sort_by_name() {
+        crate::gauge!("test.metrics.sorted.b").set(2);
+        crate::gauge!("test.metrics.sorted.a").set(1);
         let snaps = snapshot_gauges();
         let names: Vec<&str> = snaps
             .iter()
-            .filter(|s| s.name.starts_with("test.metrics.dynamic."))
+            .filter(|s| s.name.starts_with("test.metrics.sorted."))
             .map(|s| s.name.as_str())
             .collect();
-        assert_eq!(names, ["test.metrics.dynamic.runtime", "test.metrics.dynamic.static_peer"]);
-        let runtime =
-            snaps.iter().find(|s| s.name == "test.metrics.dynamic.runtime").expect("published");
-        assert_eq!(runtime.value, 9, "republish overwrites");
+        assert_eq!(names, ["test.metrics.sorted.a", "test.metrics.sorted.b"]);
     }
 
     #[test]

@@ -82,13 +82,11 @@ pub struct NoopSink;
 
 impl Sink for NoopSink {}
 
-/// Collects everything in memory; the test/embedding sink.
+/// Collects counter snapshots in memory for an embedder to read.
 #[derive(Default)]
+// audit:allow(dead-public-api) -- perfbench-trace, outside the workspace, collects its counters with this sink
 pub struct MemorySink {
-    spans: Mutex<Vec<SpanRecord>>,
     counters: Mutex<Vec<CounterSnapshot>>,
-    histograms: Mutex<Vec<HistogramSnapshot>>,
-    gauges: Mutex<Vec<GaugeSnapshot>>,
 }
 
 impl MemorySink {
@@ -97,46 +95,16 @@ impl MemorySink {
         Self::default()
     }
 
-    /// All span records seen so far, in arrival order.
-    // audit:allow(dead-public-api) -- read side of the MemorySink collector; the crate quickstart and workspace tests call it
-    pub fn span_records(&self) -> Vec<SpanRecord> {
-        self.spans.lock().expect("memory sink poisoned").clone()
-    }
-
     /// Counter snapshots from the most recent flush.
-    // audit:allow(dead-public-api) -- read side of the MemorySink collector
+    // audit:allow(dead-public-api) -- perfbench-trace, outside the workspace, reads its counters through this
     pub fn counter_snapshots(&self) -> Vec<CounterSnapshot> {
         self.counters.lock().expect("memory sink poisoned").clone()
-    }
-
-    /// Histogram snapshots from the most recent flush.
-    // audit:allow(dead-public-api) -- read side of the MemorySink collector
-    pub fn histogram_snapshots(&self) -> Vec<HistogramSnapshot> {
-        self.histograms.lock().expect("memory sink poisoned").clone()
-    }
-
-    /// Gauge snapshots from the most recent flush.
-    // audit:allow(dead-public-api) -- read side of the MemorySink collector
-    pub fn gauge_snapshots(&self) -> Vec<GaugeSnapshot> {
-        self.gauges.lock().expect("memory sink poisoned").clone()
     }
 }
 
 impl Sink for MemorySink {
-    fn span_close(&self, record: &SpanRecord) {
-        self.spans.lock().expect("memory sink poisoned").push(record.clone());
-    }
-
     fn counter_flush(&self, snapshot: &CounterSnapshot) {
         self.counters.lock().expect("memory sink poisoned").push(snapshot.clone());
-    }
-
-    fn histogram_flush(&self, snapshot: &HistogramSnapshot) {
-        self.histograms.lock().expect("memory sink poisoned").push(snapshot.clone());
-    }
-
-    fn gauge_flush(&self, snapshot: &GaugeSnapshot) {
-        self.gauges.lock().expect("memory sink poisoned").push(snapshot.clone());
     }
 }
 
@@ -259,6 +227,7 @@ pub(crate) fn test_sink_lock() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LedgerSink;
 
     #[test]
     fn memory_sink_sees_flushed_counters() {
@@ -276,8 +245,8 @@ mod tests {
     #[test]
     fn tee_sink_fans_out_to_all_children() {
         let _guard = test_sink_lock();
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
+        let a = Arc::new(LedgerSink::new());
+        let b = Arc::new(LedgerSink::new());
         let previous = set_sink(Arc::new(TeeSink::new(vec![
             a.clone() as Arc<dyn Sink>,
             b.clone() as Arc<dyn Sink>,

@@ -91,7 +91,7 @@ pub struct SpanNode {
 
 impl SpanNode {
     /// Total duration of `name` across this subtree.
-    // audit:allow(dead-public-api) -- asserted on by iotax-core's span-coverage unit tests (test refs are excluded by policy)
+    // audit:allow(dead-public-api) -- perfbench-trace, outside the workspace, reads stage times through this
     pub fn total_us(&self, name: &str) -> u64 {
         let own = if self.name == name { self.duration_us } else { 0 };
         own + self.children.iter().map(|c| c.total_us(name)).sum::<u64>()
@@ -406,11 +406,11 @@ mod tests {
 
     #[test]
     fn assemble_matches_capture() {
-        use crate::MemorySink;
+        use crate::LedgerSink;
         use std::sync::Arc;
 
         let _guard = crate::sink::test_sink_lock();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(LedgerSink::new());
         let previous = crate::set_sink(sink.clone());
         let cap = capture();
         {
@@ -437,11 +437,11 @@ mod tests {
 
     #[test]
     fn explicit_parent_grafts_worker_spans() {
-        use crate::MemorySink;
+        use crate::LedgerSink;
         use std::sync::Arc;
 
         let _guard = crate::sink::test_sink_lock();
-        let sink = Arc::new(MemorySink::new());
+        let sink = Arc::new(LedgerSink::new());
         let previous = crate::set_sink(sink.clone());
         {
             let _root = crate::span!("graft.root");
@@ -480,7 +480,7 @@ mod tests {
 
     #[test]
     fn assembled_tree_deterministic_across_schedules() {
-        use crate::MemorySink;
+        use crate::LedgerSink;
         use std::sync::Arc;
 
         fn shape(nodes: &[SpanNode]) -> String {
@@ -494,7 +494,7 @@ mod tests {
         let _guard = crate::sink::test_sink_lock();
         let mut shapes: Vec<String> = Vec::new();
         for _round in 0..8 {
-            let sink = Arc::new(MemorySink::new());
+            let sink = Arc::new(LedgerSink::new());
             let previous = crate::set_sink(sink.clone());
             {
                 let _root = crate::span!("sched.root");

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 
 /// Aggregate timing of one span path in both runs.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- element type of RunDiff's public `span_deltas` field
+// audit:allow(dead-public-api) -- element type of RunDiff's public `span_deltas` field; the iotax-report bin calls diff_runs
 pub struct SpanDelta {
     /// Slash-joined span path (`analyze/core.baseline/ml.gbm.fit`).
     pub path: String,
@@ -31,7 +31,7 @@ pub struct SpanDelta {
 
 /// One counter whose final value differs (a missing counter counts as 0).
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- element type of RunDiff's public `counter_deltas` field
+// audit:allow(dead-public-api) -- element type of RunDiff's public `counter_deltas` field; the iotax-report bin calls diff_runs
 pub struct CounterDelta {
     /// Counter name.
     pub name: String,
@@ -44,7 +44,7 @@ pub struct CounterDelta {
 /// One per-stage metric that differs between the runs. A side is `None`
 /// when the metric exists only in the other run.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- element type of RunDiff's public `metric_deltas` field
+// audit:allow(dead-public-api) -- element type of RunDiff's public `metric_deltas` field; the iotax-report bin calls diff_runs
 pub struct MetricDelta {
     /// Stage span name.
     pub stage: String,
@@ -60,7 +60,7 @@ pub struct MetricDelta {
 /// informational (heap peaks, trace sizes): scheduling-dependent by
 /// nature, so their movement is reported but never counts as drift.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- element type of RunDiff's public `gauge_deltas` field
+// audit:allow(dead-public-api) -- element type of RunDiff's public `gauge_deltas` field; the iotax-report bin calls diff_runs
 pub struct GaugeDelta {
     /// Gauge name.
     pub name: String,

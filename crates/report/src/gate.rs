@@ -21,7 +21,7 @@ const MIN_GATED_SPAN_US: u64 = 10_000;
 
 /// One evaluated gate condition.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- element type of GateOutcome's public `checks` field
+// audit:allow(dead-public-api) -- element type of GateOutcome's public `checks` field; the iotax-report bin calls evaluate_gate
 pub struct GateCheck {
     /// What was checked (`metric core.baseline/...`, `span analyze/...`).
     pub name: String,

@@ -49,8 +49,7 @@ pub use diff::{diff_runs, render_diff, GaugeDelta, MetricDelta, RunDiff, SpanDel
 pub use export::{to_chrome_trace, to_folded};
 pub use gate::{evaluate_gate, render_gate, GateCheck, GateOutcome};
 pub use scan::{
-    is_store_dir, render_scan, resolve_run, scan_ledger_store, store_runs, RecordStatus, RunEntry,
-    StoreReport,
+    render_scan, resolve_run, scan_ledger_store, store_runs, RecordStatus, RunEntry, StoreReport,
 };
 pub use show::render_show;
 pub use trajectory::{render_trajectory, trajectory, Trajectory, TrajectoryPoint};

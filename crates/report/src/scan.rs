@@ -15,7 +15,7 @@ use std::path::Path;
 
 /// Integrity status of one store record, as a ledger entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit:allow(dead-public-api) -- per-record integrity tag carried by RunEntry, part of the scan API
+// audit:allow(dead-public-api) -- type of RunEntry's public `status` field; iotax-report's scan command renders it
 pub enum RecordStatus {
     /// CRC-valid and decodes as a run ledger.
     Ok,
@@ -24,7 +24,7 @@ pub enum RecordStatus {
 }
 
 /// One record of a ledger store, decoded as far as possible.
-// audit:allow(dead-public-api) -- element type of StoreReport's public `entries` list
+// audit:allow(dead-public-api) -- element type of StoreReport's public `entries` field; iotax-report's scan command renders it
 pub struct RunEntry {
     /// Logical offset of the record in the store.
     pub offset: u64,
@@ -37,7 +37,7 @@ pub struct RunEntry {
 }
 
 /// Everything `scan` learned about one ledger store.
-// audit:allow(dead-public-api) -- return type of scan_ledger_store; exercised by the store CLI tests
+// audit:allow(dead-public-api) -- return type of the public scan_ledger_store, which the iotax-report bin calls
 pub struct StoreReport {
     /// One entry per recovered record, in store order.
     pub entries: Vec<RunEntry>,
@@ -60,8 +60,7 @@ impl StoreReport {
 /// Segments are decisive: a stray `run.json` inside a store directory
 /// does not silently flip resolution into directory mode (which would
 /// turn `STORE@last` into a confusing missing-file error).
-// audit:allow(dead-public-api) -- documented half of the STORE@ resolution API (test refs are excluded by policy)
-pub fn is_store_dir(path: &Path) -> bool {
+pub(crate) fn is_store_dir(path: &Path) -> bool {
     path.is_dir() && iotax_obs::store::list_segments(path).map(|s| !s.is_empty()).unwrap_or(false)
 }
 

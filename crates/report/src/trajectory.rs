@@ -12,7 +12,7 @@ use iotax_obs::RunFile;
 
 /// One run's value of the queried metric.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- element type of Trajectory's public `points` list
+// audit:allow(dead-public-api) -- element type of Trajectory's public `points` field; the iotax-report bin renders it
 pub struct TrajectoryPoint {
     /// The run the value came from.
     pub run_id: String,
@@ -22,7 +22,7 @@ pub struct TrajectoryPoint {
 
 /// A metric's values over a window of runs, oldest first.
 #[derive(Debug, Clone, PartialEq)]
-// audit:allow(dead-public-api) -- return type of trajectory(); exercised by the report tests (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- return type of the public trajectory(), which the iotax-report bin calls
 pub struct Trajectory {
     /// The queried metric key.
     pub metric: String,

@@ -6,8 +6,8 @@
 //! scheduler features the paper's models consume (§V): node count, core
 //! count, start time, end time, and placement. This crate provides:
 //!
-//! * [`pool`] — a node pool with first-fit contiguous allocation and strict
-//!   double-allocation checking.
+//! * `pool` (private) — a node pool with first-fit contiguous allocation
+//!   and strict double-allocation checking.
 //! * [`scheduler`] — an event-driven FCFS scheduler with optional EASY-style
 //!   backfill that turns job *requests* (arrival, node count, walltime) into
 //!   placed, timed *records*.
@@ -18,7 +18,7 @@
 //! five observable features, like the paper's models.
 
 pub mod log;
-pub mod pool;
+mod pool;
 pub mod scheduler;
 
 pub use log::COBALT_FEATURE_NAMES;

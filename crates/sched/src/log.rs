@@ -6,6 +6,7 @@
 //! *timing features let models memorize duplicates* comes straight out of
 //! the start/end-time columns here.
 
+#[cfg(test)]
 use crate::pool::NodeRange;
 use serde::{Deserialize, Serialize};
 
@@ -15,7 +16,7 @@ pub static COBALT_FEATURE_NAMES: [&str; 5] =
 
 /// One completed job as the scheduler saw it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- return type of Scheduler::schedule, consumed by iotax-sim's platform model
+// audit:allow(dead-public-api) -- element type of the public Scheduler::schedule's return, which iotax-sim's platform model calls
 pub struct SchedRecord {
     /// Scheduler job id.
     pub job_id: u64,
@@ -37,14 +38,9 @@ pub struct SchedRecord {
 
 impl SchedRecord {
     /// The placed node range.
-    pub fn placement(&self) -> NodeRange {
+    #[cfg(test)]
+    pub(crate) fn placement(&self) -> NodeRange {
         NodeRange { first: self.placement_first, count: self.placement_count }
-    }
-
-    /// Queue wait in seconds.
-    // audit:allow(dead-public-api) -- derived accessor of the public SchedRecord, asserted by scheduler unit tests (test refs are excluded by policy)
-    pub fn queue_wait(&self) -> i64 {
-        self.start_time - self.arrival_time
     }
 
     /// Runtime in seconds.
@@ -53,8 +49,8 @@ impl SchedRecord {
     }
 
     /// Whether two records ran at the same time for any interval.
-    // audit:allow(dead-public-api) -- concurrency predicate asserted by the scheduler's no-double-allocation tests (test refs are excluded by policy)
-    pub fn overlaps_in_time(&self, other: &SchedRecord) -> bool {
+    #[cfg(test)]
+    pub(crate) fn overlaps_in_time(&self, other: &SchedRecord) -> bool {
         self.start_time < other.end_time && other.start_time < self.end_time
     }
 
@@ -90,7 +86,7 @@ mod tests {
     #[test]
     fn derived_times() {
         let r = rec(100, 400);
-        assert_eq!(r.queue_wait(), 30);
+        assert_eq!(r.start_time - r.arrival_time, 30);
         assert_eq!(r.runtime(), 300);
     }
 

@@ -10,23 +10,22 @@ use std::collections::BTreeMap;
 
 /// A contiguous range of allocated nodes `[first, first + count)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// audit:allow(dead-public-api) -- return type of SchedRecord::placement
-pub struct NodeRange {
+pub(crate) struct NodeRange {
     /// First node index of the range.
-    pub first: u32,
+    pub(crate) first: u32,
     /// Number of nodes in the range.
-    pub count: u32,
+    pub(crate) count: u32,
 }
 
 impl NodeRange {
     /// One-past-the-last node index.
-    pub fn end(&self) -> u32 {
+    pub(crate) fn end(&self) -> u32 {
         self.first + self.count
     }
 
     /// Whether two ranges share any node.
-    // audit:allow(dead-public-api) -- placement-disjointness predicate asserted by scheduler unit tests (test refs are excluded by policy)
-    pub fn overlaps(&self, other: &NodeRange) -> bool {
+    #[cfg(test)]
+    pub(crate) fn overlaps(&self, other: &NodeRange) -> bool {
         self.first < other.end() && other.first < self.end()
     }
 }
@@ -36,8 +35,7 @@ impl NodeRange {
 /// Free space is tracked as a map from range start to range length, merged
 /// on release, so allocation is O(#fragments).
 #[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- the allocator behind Scheduler; driven directly by allocation unit tests (test refs are excluded by policy)
-pub struct NodePool {
+pub(crate) struct NodePool {
     total: u32,
     /// Free ranges: start → length, non-overlapping, non-adjacent.
     free: BTreeMap<u32, u32>,
@@ -46,33 +44,28 @@ pub struct NodePool {
 
 impl NodePool {
     /// A pool of `total` free nodes. Panics if `total == 0`.
-    pub fn new(total: u32) -> Self {
+    pub(crate) fn new(total: u32) -> Self {
         assert!(total > 0, "pool needs at least one node");
         let mut free = BTreeMap::new();
         free.insert(0, total);
         Self { total, free, allocated: 0 }
     }
 
-    /// Total number of nodes.
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
     /// Number of currently free nodes.
-    // audit:allow(dead-public-api) -- accounting accessor of the public NodePool, asserted by allocation unit tests (test refs are excluded by policy)
-    pub fn free_nodes(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn free_nodes(&self) -> u32 {
         self.total - self.allocated
     }
 
     /// Number of currently allocated nodes.
-    // audit:allow(dead-public-api) -- accounting accessor of the public NodePool, asserted by allocation unit tests (test refs are excluded by policy)
-    pub fn allocated_nodes(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn allocated_nodes(&self) -> u32 {
         self.allocated
     }
 
     /// Largest contiguous free block.
-    // audit:allow(dead-public-api) -- accounting accessor of the public NodePool, asserted by allocation unit tests (test refs are excluded by policy)
-    pub fn largest_free_block(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn largest_free_block(&self) -> u32 {
         self.free.values().copied().max().unwrap_or(0)
     }
 
@@ -96,7 +89,7 @@ impl NodePool {
     ///
     /// Panics if the range was not allocated (double free / overlap with a
     /// free range), which would indicate a scheduler bug.
-    pub fn release(&mut self, range: NodeRange) {
+    pub(crate) fn release(&mut self, range: NodeRange) {
         assert!(range.end() <= self.total, "release outside pool");
         // Check overlap with existing free ranges.
         if let Some((&s, &l)) = self.free.range(..=range.first).next_back() {

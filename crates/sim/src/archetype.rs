@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// How a job lays its data across files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- type of Archetype's public `layout` field
+// audit:allow(dead-public-api) -- type of Archetype's public `layout` field; the fig1b bench and an example read ARCHETYPES
 pub enum AccessLayout {
     /// All ranks write one shared file (N-1).
     SharedFile,
@@ -28,7 +28,7 @@ pub enum AccessLayout {
 
 /// A behavioural class of applications.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// audit:allow(dead-public-api) -- element type of the public ARCHETYPES table
+// audit:allow(dead-public-api) -- element type of the public ARCHETYPES table, which the fig1b bench and an example read
 pub struct Archetype {
     /// Human-readable name (becomes the executable-name prefix).
     pub name: &'static str,

@@ -159,13 +159,6 @@ impl SimConfig {
         self
     }
 
-    /// Override the horizon.
-    // audit:allow(dead-public-api) -- asserted by unit tests (test refs are excluded by policy)
-    pub fn with_horizon_seconds(mut self, horizon: i64) -> Self {
-        self.horizon_seconds = horizon;
-        self
-    }
-
     /// Total number of OSTs.
     pub(crate) fn n_osts(&self) -> usize {
         self.n_oss * self.osts_per_oss
@@ -206,10 +199,9 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let c = SimConfig::theta().with_jobs(123).with_seed(9).with_horizon_seconds(1 << 20);
+        let c = SimConfig::theta().with_jobs(123).with_seed(9);
         assert_eq!(c.n_jobs, 123);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.horizon_seconds, 1 << 20);
     }
 
     #[test]

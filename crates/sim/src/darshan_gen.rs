@@ -199,9 +199,13 @@ pub(crate) fn generate_job_log(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotax_darshan::features::extract_job_features;
+    use iotax_darshan::features::{extract_mpiio_features, extract_posix_features};
     use iotax_darshan::format::{parse_log, write_log};
     use iotax_stats::rng_from_seed;
+
+    fn features(log: &JobLog) -> ([f64; 48], [f64; 48]) {
+        (extract_posix_features(log), extract_mpiio_features(log))
+    }
 
     fn cfg(seed: u64) -> JobConfig {
         let mut rng = rng_from_seed(seed);
@@ -213,18 +217,14 @@ mod tests {
         let c = cfg(1);
         let a = generate_job_log(1, 10, "app", 100, 200, &c, 200e9, 777);
         let b = generate_job_log(2, 10, "app", 5_000, 6_000, &c, 200e9, 777);
-        assert_eq!(
-            extract_job_features(&a, true),
-            extract_job_features(&b, true),
-            "duplicate jobs must be observationally identical"
-        );
+        assert_eq!(features(&a), features(&b), "duplicate jobs must be observationally identical");
     }
 
     #[test]
     fn different_configs_have_different_features() {
         let a = generate_job_log(1, 10, "app", 0, 1, &cfg(1), 200e9, 1);
         let b = generate_job_log(2, 10, "app", 0, 1, &cfg(2), 200e9, 2);
-        assert_ne!(extract_job_features(&a, true), extract_job_features(&b, true));
+        assert_ne!(features(&a), features(&b));
     }
 
     #[test]

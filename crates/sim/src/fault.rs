@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 /// The kinds of damage the injector can apply to one log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- matched on by the chaos gate and cli ingest tests (test refs are excluded by policy)
+// audit:allow(dead-public-api) -- type of FaultRecord's public `kind` field; iotax-cli reads FaultManifest records
 pub enum FaultKind {
     /// Cut the file at a random offset (torn write / killed transfer).
     Truncate,
@@ -58,7 +58,7 @@ impl FaultKind {
 
 /// Ground truth for one injected fault.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- type of FaultManifest's public `faults` field and FaultPlan::corrupt's return
+// audit:allow(dead-public-api) -- element type of FaultManifest's public `faults` field; iotax-cli reads FaultManifest
 pub struct FaultRecord {
     /// The job whose log was damaged.
     pub job_id: u64,

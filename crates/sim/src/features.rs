@@ -130,7 +130,7 @@ impl FeatureSet {
 
 /// A dense row-major design matrix with log10-throughput targets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- return type of Platform::feature_matrix, consumed by iotax-core's golden model
+// audit:allow(dead-public-api) -- return type of the public SimDataset::feature_matrix, which iotax-core's golden model calls
 pub struct FeatureMatrix {
     /// Column names.
     pub names: Vec<String>,

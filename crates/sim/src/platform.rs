@@ -99,28 +99,6 @@ pub struct SimDataset {
     pub lmt: Option<LmtRecorder>,
 }
 
-impl SimDataset {
-    /// Indices of jobs starting before the cut (fractional position in the
-    /// horizon), and at/after it — the deployment split of §VIII.
-    // audit:allow(dead-public-api) -- asserted by unit tests (test refs are excluded by policy)
-    pub fn split_by_time(&self, fraction: f64) -> (Vec<usize>, Vec<usize>) {
-        assert!((0.0..=1.0).contains(&fraction));
-        let cut = (self.config.horizon_seconds as f64 * fraction) as i64;
-        let mut before = Vec::new();
-        let mut after = Vec::new();
-        for (i, j) in self.jobs.iter().enumerate() {
-            if j.start_time < cut {
-                // audit:allow(unbounded-corpus-materialization) -- out-of-core: the time split keeps index lists for both halves; replace with lazy range views when corpora outgrow memory
-                before.push(i);
-            } else {
-                // audit:allow(unbounded-corpus-materialization) -- out-of-core: the time split keeps index lists for both halves; replace with lazy range views when corpora outgrow memory
-                after.push(i);
-            }
-        }
-        (before, after)
-    }
-}
-
 /// The simulated HPC platform.
 #[derive(Debug, Clone)]
 pub struct Platform {
@@ -399,21 +377,10 @@ mod tests {
     }
 
     #[test]
-    fn split_by_time_partitions() {
-        let ds = small();
-        let (before, after) = ds.split_by_time(0.8);
-        assert_eq!(before.len() + after.len(), ds.jobs.len());
-        assert!(!before.is_empty() && !after.is_empty());
-        let cut = (ds.config.horizon_seconds as f64 * 0.8) as i64;
-        assert!(before.iter().all(|&i| ds.jobs[i].start_time < cut));
-        assert!(after.iter().all(|&i| ds.jobs[i].start_time >= cut));
-    }
-
-    #[test]
     fn noise_magnitude_matches_config() {
         let ds = small();
         let noises: Vec<f64> = ds.jobs.iter().map(|j| j.truth.log10_noise).collect();
-        let std = iotax_stats::std_corrected(&noises);
+        let std = iotax_stats::describe::Summary::of(&noises).std;
         // Mixture over noise sensitivities (0.8 .. 2.2, mean ~1.2): the
         // pooled std should be near sigma × mean sensitivity.
         assert!(std > ds.config.noise_sigma_log10 * 0.8);

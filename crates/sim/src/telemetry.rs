@@ -87,7 +87,8 @@ mod tests {
         let (grid, weather, cfg) = setup();
         let rec = build_telemetry(&grid, &weather, &cfg);
         assert_eq!(rec.len(), grid.n_buckets());
-        assert_eq!(rec.tick_seconds(), cfg.bucket_seconds);
+        let tick = serde::Serialize::to_value(&rec).get("tick_seconds").and_then(|t| t.as_i64());
+        assert_eq!(tick, Some(cfg.bucket_seconds));
     }
 
     #[test]

@@ -20,8 +20,7 @@ const YEAR_SECONDS: f64 = 365.0 * 24.0 * 3600.0;
 
 /// A service degradation interval with multiplicative severity < 1.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- element type of Weather::incidents' public return
-pub struct Incident {
+pub(crate) struct Incident {
     /// Start time, seconds.
     pub start: i64,
     /// Duration, seconds.
@@ -32,7 +31,7 @@ pub struct Incident {
 
 impl Incident {
     /// End time (exclusive).
-    pub fn end(&self) -> i64 {
+    pub(crate) fn end(&self) -> i64 {
         self.start + self.duration
     }
 
@@ -44,8 +43,7 @@ impl Incident {
 
 /// A provisioning epoch starting at `start` with capacity `level`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- element type of Weather::epochs' public return
-pub struct Epoch {
+pub(crate) struct Epoch {
     /// Epoch start, seconds.
     pub start: i64,
     /// Capacity multiplier relative to nominal (≈ 0.85 … 1.10).
@@ -115,15 +113,10 @@ impl Weather {
         }
     }
 
-    /// The degradation incidents (for validation and plotting).
-    // audit:allow(dead-public-api) -- validation accessor asserted by weather unit tests (test refs are excluded by policy)
-    pub fn incidents(&self) -> &[Incident] {
+    /// The degradation incidents.
+    #[cfg(test)]
+    pub(crate) fn incidents(&self) -> &[Incident] {
         &self.incidents
-    }
-
-    /// The provisioning epochs.
-    pub fn epochs(&self) -> &[Epoch] {
-        &self.epochs
     }
 
     /// Trace horizon in seconds.

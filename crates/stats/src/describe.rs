@@ -29,8 +29,7 @@ pub fn variance_biased(xs: &[f64]) -> f64 {
 /// The paper's §IX notes that naive variance of small duplicate sets is
 /// biased low because the set mean is estimated from the same samples;
 /// Bessel's correction `n/(n-1) · σ²` repairs it.
-// audit:allow(dead-public-api) -- exercised by the stats property-test suite (test refs are excluded by policy)
-pub fn variance_corrected(xs: &[f64]) -> f64 {
+pub(crate) fn variance_corrected(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return f64::NAN;
     }
@@ -39,8 +38,7 @@ pub fn variance_corrected(xs: &[f64]) -> f64 {
 }
 
 /// Bessel-corrected standard deviation.
-// audit:allow(dead-public-api) -- re-exported convenience used by iotax-sim's noise-magnitude unit test (test refs are excluded by policy)
-pub fn std_corrected(xs: &[f64]) -> f64 {
+pub(crate) fn std_corrected(xs: &[f64]) -> f64 {
     variance_corrected(xs).sqrt()
 }
 

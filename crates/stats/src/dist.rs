@@ -250,52 +250,6 @@ impl ContinuousDist for Uniform {
     }
 }
 
-/// Exponential distribution with rate λ (mean 1/λ).
-///
-/// Used for job inter-arrival times in the workload generator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-// audit:allow(dead-public-api) -- exercised by the stats property-test suite (test refs are excluded by policy)
-pub struct Exponential {
-    /// Rate parameter λ > 0.
-    pub rate: f64,
-}
-
-impl Exponential {
-    /// Construct with rate λ. Panics if `rate <= 0`.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate > 0.0 && rate.is_finite(), "Exponential rate must be > 0");
-        Self { rate }
-    }
-}
-
-impl ContinuousDist for Exponential {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        // Inverse-transform; guard the u = 0 corner.
-        let u: f64 = rng.random();
-        -(1.0 - u).ln() / self.rate
-    }
-
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * (-self.rate * x).exp()
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            1.0 - (-self.rate * x).exp()
-        }
-    }
-
-    fn quantile(&self, p: f64) -> f64 {
-        -(1.0 - p).ln() / self.rate
-    }
-}
-
 /// Gamma distribution with shape `k` and scale `theta`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Gamma {
@@ -523,16 +477,6 @@ mod tests {
         let (_, v) = moments(&xs);
         // Var = ν/(ν-2) = 1.25
         assert!((v - 1.25).abs() < 0.05, "var {v}");
-    }
-
-    #[test]
-    fn exponential_mean_and_cdf() {
-        let mut rng = rng_from_seed(3);
-        let d = Exponential::new(0.25);
-        let xs = d.sample_n(&mut rng, 100_000);
-        let (m, _) = moments(&xs);
-        assert!((m - 4.0).abs() < 0.1, "mean {m}");
-        assert!((d.cdf(d.quantile(0.3)) - 0.3).abs() < 1e-12);
     }
 
     #[test]

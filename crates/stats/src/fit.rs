@@ -13,7 +13,7 @@ use crate::special::ln_gamma;
 /// Maximum-likelihood Normal fit (which is just the sample moments, with
 /// Bessel's correction applied to the variance).
 #[derive(Debug, Clone, Copy, PartialEq)]
-// audit:allow(dead-public-api) -- return type of fit_normal, consumed by iotax-core's litmus tests
+// audit:allow(dead-public-api) -- return type of the public fit_normal, which iotax-core's noise-floor litmus calls
 pub struct NormalFit {
     /// Fitted mean.
     pub mean: f64,

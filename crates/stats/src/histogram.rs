@@ -57,14 +57,6 @@ impl Histogram {
         }
     }
 
-    /// Record every element of a slice.
-    // audit:allow(dead-public-api) -- exercised by the stats property-test suite (test refs are excluded by policy)
-    pub fn record_all(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.record(x);
-        }
-    }
-
     /// Total count including under/overflow.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
@@ -94,7 +86,9 @@ mod tests {
     #[test]
     fn linear_binning() {
         let mut h = Histogram::linear(0.0, 10.0, 10);
-        h.record_all(&[0.0, 0.5, 1.0, 9.99, 5.0]);
+        for x in [0.0, 0.5, 1.0, 9.99, 5.0] {
+            h.record(x);
+        }
         assert_eq!(h.counts[0], 2);
         assert_eq!(h.counts[1], 1);
         assert_eq!(h.counts[9], 1);
@@ -116,7 +110,9 @@ mod tests {
     #[test]
     fn density_integrates_to_one_without_overflow() {
         let mut h = Histogram::linear(0.0, 1.0, 4);
-        h.record_all(&[0.1, 0.3, 0.6, 0.9]);
+        for x in [0.1, 0.3, 0.6, 0.9] {
+            h.record(x);
+        }
         let area: f64 =
             h.density().iter().zip(h.edges.windows(2)).map(|(d, e)| d * (e[1] - e[0])).sum();
         assert!((area - 1.0).abs() < 1e-12);

@@ -6,7 +6,7 @@
 
 /// Result of a KS test: the statistic `D` and an asymptotic p-value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// audit:allow(dead-public-api) -- return type of ks_one_sample, consumed by iotax-core's litmus tests
+// audit:allow(dead-public-api) -- return type of the public ks_one_sample, which iotax-core's noise-floor litmus calls
 pub struct KsResult {
     /// Supremum distance between the two CDFs.
     pub statistic: f64,
@@ -51,34 +51,6 @@ pub fn ks_one_sample<F: Fn(f64) -> f64>(xs: &[f64], cdf: F) -> KsResult {
     KsResult { statistic: d, p_value: kolmogorov_q(lambda) }
 }
 
-/// Two-sample KS test between `xs` and `ys`.
-///
-/// Panics if either sample is empty or contains NaN.
-// audit:allow(dead-public-api) -- documented half of the ks module's API (crate docs promise one- and two-sample tests); exercised by unit tests
-pub fn ks_two_sample(xs: &[f64], ys: &[f64]) -> KsResult {
-    assert!(!xs.is_empty() && !ys.is_empty(), "ks_two_sample requires data");
-    let mut a = xs.to_vec();
-    let mut b = ys.to_vec();
-    a.sort_by(|p, q| p.partial_cmp(q).expect("no NaN"));
-    b.sort_by(|p, q| p.partial_cmp(q).expect("no NaN"));
-    let (n1, n2) = (a.len() as f64, b.len() as f64);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut d: f64 = 0.0;
-    while i < a.len() && j < b.len() {
-        let x = a[i].min(b[j]);
-        while i < a.len() && a[i] <= x {
-            i += 1;
-        }
-        while j < b.len() && b[j] <= x {
-            j += 1;
-        }
-        d = d.max((i as f64 / n1 - j as f64 / n2).abs());
-    }
-    let ne = n1 * n2 / (n1 + n2);
-    let lambda = (ne.sqrt() + 0.12 + 0.11 / ne.sqrt()) * d;
-    KsResult { statistic: d, p_value: kolmogorov_q(lambda) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,25 +76,6 @@ mod tests {
         let n = Normal::standard();
         let r = ks_one_sample(&xs, |x| n.cdf(x));
         assert!(r.p_value < 0.01, "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn two_sample_same_distribution_accepts() {
-        let mut rng = rng_from_seed(23);
-        let d = Normal::new(2.0, 3.0);
-        let xs = d.sample_n(&mut rng, 3000);
-        let ys = d.sample_n(&mut rng, 3000);
-        let r = ks_two_sample(&xs, &ys);
-        assert!(r.p_value > 0.01, "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn two_sample_shifted_rejects() {
-        let mut rng = rng_from_seed(24);
-        let xs = Normal::new(0.0, 1.0).sample_n(&mut rng, 2000);
-        let ys = Normal::new(0.5, 1.0).sample_n(&mut rng, 2000);
-        let r = ks_two_sample(&xs, &ys);
-        assert!(r.p_value < 1e-6, "p = {}", r.p_value);
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! distributions (§V), and distributional comparisons between feature sets
 //! (§VI-VII). This crate implements everything those tests need from scratch:
 //!
-//! * [`special`] — `erf`, `ln_gamma`, regularized incomplete beta/gamma,
-//!   the numerical bedrock for the distribution CDFs.
+//! * `special` (private) — `erfc`, `ln_gamma`, regularized incomplete
+//!   beta/gamma, the numerical bedrock for the distribution CDFs.
 //! * [`hashing`] — stable FNV-1a hashing for duplicate-set signatures
 //!   that must not drift across Rust releases.
 //! * [`dist`] — Normal, LogNormal, Student-t, Uniform, Gamma, Pareto and
 //!   categorical sampling with pdf/cdf/quantile where defined.
 //! * [`describe`] — descriptive statistics: mean, Bessel-corrected variance,
-//!   medians, arbitrary quantiles, MAD, skewness, kurtosis.
+//!   medians, arbitrary quantiles, MAD.
 //! * [`online`] — Welford online moments with parallel-friendly merge.
 //! * [`histogram`] — linear- and log-spaced histograms.
-//! * [`ks`] — one- and two-sample Kolmogorov–Smirnov tests.
+//! * [`ks`] — the one-sample Kolmogorov–Smirnov test.
 //! * [`fit`] — moment/MLE fitting for Normal and Student-t (EM with a
 //!   profiled degrees-of-freedom search).
 //! * [`rng`] — deterministic seed-derivation helpers so parallel simulation
@@ -29,7 +29,6 @@
 //! seed, which the experiment harness relies on for bit-for-bit reproduction.
 
 pub mod cast;
-pub mod corr;
 pub mod describe;
 pub mod dist;
 pub mod fit;
@@ -38,10 +37,12 @@ pub mod histogram;
 pub mod ks;
 pub mod online;
 pub mod rng;
-pub mod special;
+mod special;
 
-pub use corr::pearson;
-pub use describe::{mean, median, quantile, std_corrected, variance_biased};
+#[cfg(test)]
+mod prop;
+
+pub use describe::{mean, median, quantile, variance_biased};
 pub use dist::{Categorical, LogNormal, Normal, Pareto, StudentT, Uniform};
 pub use fit::{fit_normal, fit_student_t, StudentTFit};
 pub use hashing::Fnv1aHasher;

@@ -1,12 +1,12 @@
 //! Property-based tests for the statistics substrate.
 
-use iotax_stats::describe::{
+use crate::describe::{
     mad, mean, median, quantile, quantile_sorted, variance_biased, variance_corrected,
 };
-use iotax_stats::dist::{ContinuousDist, Exponential, LogNormal, Normal, Pareto, StudentT};
-use iotax_stats::histogram::Histogram;
-use iotax_stats::online::Welford;
-use iotax_stats::special::{beta_inc, erf, gamma_p, inv_norm_cdf, ln_gamma};
+use crate::dist::{ContinuousDist, LogNormal, Normal, Pareto, StudentT};
+use crate::histogram::Histogram;
+use crate::online::Welford;
+use crate::special::{beta_inc, erfc, gamma_p, inv_norm_cdf, ln_gamma};
 use proptest::prelude::*;
 
 fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -84,7 +84,9 @@ proptest! {
     #[test]
     fn histogram_conserves_counts(xs in finite_vec(1)) {
         let mut h = Histogram::linear(-1e6, 1e6, 64);
-        h.record_all(&xs);
+        for &x in &xs {
+            h.record(x);
+        }
         prop_assert_eq!(h.total(), xs.len() as u64);
     }
 
@@ -109,22 +111,16 @@ proptest! {
     }
 
     #[test]
-    fn exponential_quantile_round_trip(rate in 0.01f64..100.0, p in 0.001f64..0.999) {
-        let d = Exponential::new(rate);
-        prop_assert!((d.cdf(d.quantile(p)) - p).abs() < 1e-9);
-    }
-
-    #[test]
     fn pareto_respects_xmin(xmin in 0.1f64..100.0, alpha in 0.5f64..5.0, p in 0.001f64..0.999) {
         let d = Pareto::new(xmin, alpha);
         prop_assert!(d.quantile(p) >= xmin);
     }
 
     #[test]
-    fn erf_is_bounded_and_odd(x in -6.0f64..6.0) {
-        let e = erf(x);
+    fn erfc_is_bounded_and_odd_about_one(x in -6.0f64..6.0) {
+        let e = 1.0 - erfc(x);
         prop_assert!((-1.0..=1.0).contains(&e));
-        prop_assert!((erf(-x) + e).abs() < 1e-12);
+        prop_assert!((1.0 - erfc(-x) + e).abs() < 1e-12);
     }
 
     #[test]

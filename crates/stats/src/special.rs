@@ -1,7 +1,7 @@
 //! Special functions used by the distribution CDFs.
 //!
 //! Implemented from standard numerical references (Lanczos approximation for
-//! `ln_gamma`, Cody-style rational approximation for `erf`, modified Lentz
+//! `ln_gamma`, a Chebyshev approximation for `erfc`, modified Lentz
 //! continued fractions for the regularized incomplete beta and gamma
 //! functions). Accuracy is on the order of 1e-10 relative error across the
 //! ranges the taxonomy uses, which is far below the statistical noise of any
@@ -13,8 +13,7 @@
 ///
 /// Uses the Lanczos approximation with g = 7 and 9 coefficients, which is
 /// accurate to roughly 1e-13 over the positive reals.
-// audit:allow(dead-public-api) -- exercised by the stats property-test suite (test refs are excluded by policy)
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     // Lanczos coefficients for g = 7, n = 9.
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
@@ -41,15 +40,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     }
     let t = x + G + 0.5;
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
-}
-
-/// The error function `erf(x)`.
-///
-/// Uses the Abramowitz & Stegun 7.1.26-style rational approximation refined
-/// to double precision via the complementary error function for large |x|.
-// audit:allow(dead-public-api) -- exercised by the stats property-test suite (test refs are excluded by policy)
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
 }
 
 /// The complementary error function `erfc(x) = 1 - erf(x)`.
@@ -110,8 +100,7 @@ pub(crate) fn erfc(x: f64) -> f64 {
 /// Regularized lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`.
 ///
 /// Series expansion for `x < a + 1`, continued fraction otherwise.
-// audit:allow(dead-public-api) -- exercised by the stats property-test suite (test refs are excluded by policy)
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_p(a: f64, x: f64) -> f64 {
     debug_assert!(a > 0.0 && x >= 0.0);
     if x == 0.0 {
         return 0.0;
@@ -170,8 +159,7 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
 ///
 /// Continued-fraction evaluation (modified Lentz) with the symmetry
 /// transformation for numerical stability, per Numerical Recipes `betai`.
-// audit:allow(dead-public-api) -- exercised by the stats property-test suite (test refs are excluded by policy)
-pub fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
+pub(crate) fn beta_inc(a: f64, b: f64, x: f64) -> f64 {
     debug_assert!(a > 0.0 && b > 0.0, "beta_inc requires a,b > 0");
     debug_assert!((0.0..=1.0).contains(&x), "beta_inc requires 0 <= x <= 1");
     if x == 0.0 {
@@ -240,8 +228,7 @@ fn beta_cf(a: f64, b: f64, x: f64) -> f64 {
 ///
 /// Acklam's rational approximation followed by one Halley refinement step,
 /// giving ~1e-15 relative accuracy over `p ∈ (0, 1)`.
-// audit:allow(dead-public-api) -- exercised by the stats property-test suite (test refs are excluded by policy)
-pub fn inv_norm_cdf(p: f64) -> f64 {
+pub(crate) fn inv_norm_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "inv_norm_cdf requires p in (0,1), got {p}");
     const A: [f64; 6] = [
         -3.969683028665376e+01,
@@ -320,18 +307,19 @@ mod tests {
     }
 
     #[test]
-    fn erf_known_values() {
-        close(erf(0.0), 0.0, 1e-12);
-        close(erf(1.0), 0.8427007929497149, 1e-9);
-        close(erf(2.0), 0.9953222650189527, 1e-9);
-        close(erf(-1.0), -0.8427007929497149, 1e-9);
+    fn erfc_known_values() {
+        close(erfc(0.0), 1.0, 1e-12);
+        close(1.0 - erfc(1.0), 0.8427007929497149, 1e-9);
+        close(1.0 - erfc(2.0), 0.9953222650189527, 1e-9);
+        close(1.0 - erfc(-1.0), -0.8427007929497149, 1e-9);
         close(erfc(3.0), 2.209049699858544e-5, 1e-7);
     }
 
     #[test]
-    fn erf_is_odd() {
+    fn erfc_is_odd_about_one() {
+        // erf is odd, so erfc(-x) = 2 - erfc(x).
         for &x in &[0.1, 0.5, 1.5, 2.5] {
-            close(erf(-x), -erf(x), 1e-12);
+            close(1.0 - erfc(-x), -(1.0 - erfc(x)), 1e-12);
         }
     }
 

@@ -49,12 +49,6 @@ impl UqPrediction {
     pub fn epistemic_std(&self) -> f64 {
         self.epistemic.sqrt()
     }
-
-    /// Total predictive variance (law of total variance).
-    // audit:allow(dead-public-api) -- asserted by unit tests (test refs are excluded by policy)
-    pub fn total_variance(&self) -> f64 {
-        self.aleatory + self.epistemic
-    }
 }
 
 /// An ensemble of heteroscedastic MLPs.
@@ -226,9 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn total_variance_is_sum() {
+    fn std_accessors_take_square_roots() {
         let p = UqPrediction { mean: 0.0, aleatory: 0.04, epistemic: 0.01 };
-        assert!((p.total_variance() - 0.05).abs() < 1e-12);
         assert!((p.aleatory_std() - 0.2).abs() < 1e-12);
         assert!((p.epistemic_std() - 0.1).abs() < 1e-12);
     }
