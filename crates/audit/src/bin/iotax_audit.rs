@@ -6,13 +6,11 @@
 //! iotax-audit --workspace --format jsonl
 //! iotax-audit --workspace --write-baseline audit-baseline.json
 //! iotax-audit --workspace --ledger runs/audit-1    # write a run ledger
-//! iotax-audit --workspace --cache .audit-cache     # incremental re-audit
-//! iotax-audit --workspace --changed-since origin/main
 //! iotax-audit --list-lints
 //! ```
 //!
-//! Exit codes: 0 clean, 1 new findings, 64 usage, 65 config parse,
-//! 74 I/O.
+//! Exit codes: 0 clean (and `--help`), 1 new findings, 64 usage,
+//! 65 config parse, 74 I/O.
 //!
 //! The observability flags (`--metrics-out`, `--ledger`, `--store`,
 //! `--profile-hz`) are shared with the other workspace bins; see
@@ -22,13 +20,13 @@
 
 use iotax_audit::flow::FLOW_LINTS;
 use iotax_audit::{
-    audit_workspace, explain, render_text, write_jsonl, AuditConfig, AuditReport, Baseline,
-    DriverOptions, DATAFLOW_LINTS, LINTS,
+    audit_workspace, explain, render_text, write_jsonl, AuditConfig, Baseline, DATAFLOW_LINTS,
+    LINTS,
 };
 use iotax_cli::{ObsArgs, ObsSession, OBS_USAGE};
 use iotax_obs::{digest_bytes, Error, ErrorKind};
 use serde::Serialize;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 struct Args {
     workspace: bool,
@@ -42,8 +40,6 @@ struct Args {
     include_tests: bool,
     list_lints: bool,
     explain: Option<String>,
-    cache: Option<PathBuf>,
-    changed_since: Option<String>,
 }
 
 #[derive(PartialEq)]
@@ -68,7 +64,7 @@ fn usage() -> String {
         "usage: iotax-audit (--workspace | --list-lints | --explain LINT) \
          [--root DIR] [--config PATH] [--baseline PATH] [--write-baseline PATH] \
          [--format text|jsonl|github] [--jsonl-out PATH] {OBS_USAGE} \
-         [--include-tests] [--cache DIR] [--changed-since REF]"
+         [--include-tests]"
     )
 }
 
@@ -85,8 +81,6 @@ fn parse_args() -> Result<Args, Error> {
         include_tests: false,
         list_lints: false,
         explain: None,
-        cache: None,
-        changed_since: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -116,9 +110,10 @@ fn parse_args() -> Result<Args, Error> {
             "--include-tests" => args.include_tests = true,
             "--list-lints" => args.list_lints = true,
             "--explain" => args.explain = Some(value("--explain")?),
-            "--cache" => args.cache = Some(PathBuf::from(value("--cache")?)),
-            "--changed-since" => args.changed_since = Some(value("--changed-since")?),
-            "--help" | "-h" => return Err(Error::usage(usage())),
+            "--help" | "-h" => {
+                println!("{}", usage());
+                std::process::exit(0);
+            }
             other => {
                 if !args.obs.accept(other, &mut value)? {
                     return Err(Error::usage(format!("unknown flag {other} (try --help)")));
@@ -128,9 +123,6 @@ fn parse_args() -> Result<Args, Error> {
     }
     if !args.list_lints && args.explain.is_none() && !args.workspace {
         return Err(Error::usage(format!("no target given\n{}", usage())));
-    }
-    if (args.cache.is_some() || args.changed_since.is_some()) && !args.workspace {
-        return Err(Error::usage("--cache and --changed-since require --workspace"));
     }
     Ok(args)
 }
@@ -186,33 +178,10 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<i32, Error> {
             None => ledger.set_config_digest(digest_bytes(b"default")),
         }
     }
-    let outcome = {
+    let report = {
         let _span = iotax_obs::span!("audit");
-        let changed = match &args.changed_since {
-            Some(rev) => Some(changed_files(&args.root, rev)?),
-            None => None,
-        };
-        let opts = DriverOptions { cache_dir: args.cache.clone(), changed };
-        audit_workspace(&args.root, &cfg, opts)?
+        audit_workspace(&args.root, &cfg)?
     };
-    if let Some(w) = &outcome.cache_warning {
-        eprintln!("iotax-audit: {w}");
-    }
-    // No silent narrowing: a scoped run says exactly which files it
-    // covered, so a CI log reader can tell a clean subset from a clean
-    // tree.
-    if let Some(files) = &outcome.scope {
-        eprintln!(
-            "iotax-audit: --changed-since {}: {} of {} file(s) in scope (changed + dependents)",
-            args.changed_since.as_deref().unwrap_or(""),
-            files.len(),
-            outcome.files
-        );
-        for f in files {
-            eprintln!("iotax-audit:   {f}");
-        }
-    }
-    let report: AuditReport = outcome.report;
 
     if let Some(path) = &args.write_baseline {
         Baseline::from_findings(&report.findings).save(path)?;
@@ -284,40 +253,6 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<i32, Error> {
     }
 
     Ok(if fresh.is_empty() { 0 } else { 1 })
-}
-
-/// Resolve `--changed-since REF` to a workspace-relative `.rs` file set:
-/// everything `git diff` reports against the ref, plus untracked files
-/// (a brand-new module is "changed" in every sense that matters here).
-fn changed_files(root: &Path, since: &str) -> Result<Vec<String>, Error> {
-    let run = |argv: &[&str]| -> Result<String, Error> {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(argv)
-            .output()
-            .map_err(|e| Error::new(ErrorKind::Io, format!("running git: {e}")))?;
-        if !out.status.success() {
-            return Err(Error::usage(format!(
-                "git {} failed: {}",
-                argv.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            )));
-        }
-        Ok(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let diff = run(&["diff", "--name-only", since, "--"])?;
-    let untracked = run(&["ls-files", "--others", "--exclude-standard"])?;
-    let mut files: Vec<String> = diff
-        .lines()
-        .chain(untracked.lines())
-        .map(str::trim)
-        .filter(|f| f.ends_with(".rs"))
-        .map(|f| f.replace('\\', "/"))
-        .collect();
-    files.sort();
-    files.dedup();
-    Ok(files)
 }
 
 /// Escape a GitHub workflow-command *message* (the part after `::`).

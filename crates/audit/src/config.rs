@@ -122,19 +122,6 @@ pub struct CrateConfig {
     pub check_indexing: bool,
     /// `unspanned-stage`: functions that must open an obs span.
     pub stage_functions: Vec<String>,
-    /// Extra taint-source callables for the dataflow engine, on top of
-    /// the built-in wire readers (`taint-sources = ["wire_len"]`).
-    pub taint_sources: Vec<String>,
-    /// Extra sanitizer callables for the dataflow engine, on top of the
-    /// built-in caps (`taint-sanitizers = ["bounded"]`).
-    pub taint_sanitizers: Vec<String>,
-    /// Extra corpus-cardinality taint sources for the capacity analysis:
-    /// accessors whose result size scales with job count
-    /// (`corpus-sources = ["jobs", "salvaged_records"]`).
-    pub corpus_sources: Vec<String>,
-    /// Extra corpus sanitizers: bounded adapters that cap cardinality
-    /// regardless of corpus size (`corpus-sanitizers = ["head"]`).
-    pub corpus_sanitizers: Vec<String>,
 }
 
 impl CrateConfig {
@@ -261,29 +248,6 @@ impl AuditConfig {
             if !over.stage_functions.is_empty() {
                 eff.stage_functions = over.stage_functions.clone();
             }
-            // Taint vocabularies *extend* the defaults rather than
-            // replacing them: a crate adding its own wire reader still
-            // gets the built-ins.
-            for src in &over.taint_sources {
-                if !eff.taint_sources.contains(src) {
-                    eff.taint_sources.push(src.clone());
-                }
-            }
-            for san in &over.taint_sanitizers {
-                if !eff.taint_sanitizers.contains(san) {
-                    eff.taint_sanitizers.push(san.clone());
-                }
-            }
-            for src in &over.corpus_sources {
-                if !eff.corpus_sources.contains(src) {
-                    eff.corpus_sources.push(src.clone());
-                }
-            }
-            for san in &over.corpus_sanitizers {
-                if !eff.corpus_sanitizers.contains(san) {
-                    eff.corpus_sanitizers.push(san.clone());
-                }
-            }
             eff.check_indexing = over.check_indexing;
         }
         eff
@@ -334,10 +298,6 @@ fn apply_crate_keys(
         match (k.as_str(), v) {
             ("check-indexing", TomlValue::Bool(b)) => cfg.check_indexing = *b,
             ("stage-functions", TomlValue::StrArray(a)) => cfg.stage_functions = a.clone(),
-            ("taint-sources", TomlValue::StrArray(a)) => cfg.taint_sources = a.clone(),
-            ("taint-sanitizers", TomlValue::StrArray(a)) => cfg.taint_sanitizers = a.clone(),
-            ("corpus-sources", TomlValue::StrArray(a)) => cfg.corpus_sources = a.clone(),
-            ("corpus-sanitizers", TomlValue::StrArray(a)) => cfg.corpus_sanitizers = a.clone(),
             (lint, TomlValue::Bool(b)) if known_lints.contains(&lint) => {
                 cfg.lints.insert(lint.to_owned(), *b);
             }

@@ -25,21 +25,17 @@
 //! a chain of local defs links it to a declared source with no sanitizer
 //! or comparison guard on the way. Unresolvable names — fields, cross-file
 //! consts, free fns without a summary — are passes, matching the flow
-//! analyses' conservatism. The wire vocabulary extends per crate via
-//! `taint-sources` / `taint-sanitizers` in `audit.toml`; the corpus
-//! vocabulary via `corpus-sources` / `corpus-sanitizers`.
+//! analyses' conservatism. Both vocabularies are built in.
 //!
-//! This module owns only the *per-file* passes and the token-level
-//! extraction helpers; the workspace-global lock-order graph is rebuilt
-//! from per-file facts in [`crate::facts`], which is what lets the
-//! incremental engine cache everything file-by-file.
+//! `lock-order-cycle` is a workspace pass over every file's analysis; the
+//! other five lints are per-file passes.
 
-use crate::config::CrateConfig;
+use crate::config::AuditConfig;
 use crate::flow::{const_init_idents, first_arg_idents, raw};
 use crate::lexer::TokKind;
 use crate::lints::{LintSpec, RawFinding};
-use crate::symbols::FileAnalysis;
-use std::collections::BTreeSet;
+use crate::symbols::{FileAnalysis, FileRole};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The dataflow lints, in reporting order (extends
 /// [`crate::lints::LINTS`] and [`crate::flow::FLOW_LINTS`] for config
@@ -73,27 +69,22 @@ pub const DATAFLOW_LINTS: &[LintSpec] = &[
 
 /// Built-in taint sources: callables whose integer result is attacker- or
 /// file-controlled (the little-endian readers and varint decoders every
-/// parser in this workspace is built from). Extended per crate via
-/// `taint-sources` in `audit.toml`.
+/// parser in this workspace is built from).
 const BUILTIN_SOURCES: &[&str] =
     &["varint", "zigzag", "u16_le", "u32_le", "u64_le", "f64_le", "from_le_bytes", "from_be_bytes"];
 
 /// Built-in sanitizers: calls that bound a value regardless of its input
 /// (`n.min(CAP)`, `n.clamp(0, CAP)`, `r.remaining()` — the latter cannot
-/// exceed the bytes actually held). Extended per crate via
-/// `taint-sanitizers`.
+/// exceed the bytes actually held).
 const BUILTIN_SANITIZERS: &[&str] = &["min", "clamp", "remaining", "saturating_sub"];
 
 /// Built-in corpus-cardinality sources: `jobs` is the canonical
 /// whole-corpus accessor throughout this workspace, and `read_dir` walks
-/// a directory whose entry count the code does not control. Extended per
-/// crate via `corpus-sources` (e.g. `Dataset` accessors, salvage
-/// streams).
+/// a directory whose entry count the code does not control.
 const BUILTIN_CORPUS_SOURCES: &[&str] = &["jobs", "read_dir"];
 
 /// Built-in corpus sanitizers: adapters that cap cardinality regardless
-/// of corpus size. Extended per crate via `corpus-sanitizers` (e.g. a
-/// fixed-size fold into an `iotax-stats` mergeable accumulator).
+/// of corpus size.
 const BUILTIN_CORPUS_SANITIZERS: &[&str] = &["take", "chunks", "min", "clamp"];
 
 /// How deep the def-use resolver follows bindings before giving up (an
@@ -105,31 +96,18 @@ const MAX_CHAIN_DEPTH: usize = 8;
 /// for `untrusted-length-allocation`, corpus-cardinality taint for the
 /// three capacity lints.
 pub(crate) struct TaintVocab {
-    pub sources: BTreeSet<String>,
-    pub sanitizers: BTreeSet<String>,
+    pub sources: &'static [&'static str],
+    pub sanitizers: &'static [&'static str],
 }
 
-/// The wire-length vocabulary for one crate: builtins + `taint-sources` /
-/// `taint-sanitizers` from `audit.toml`.
-pub(crate) fn wire_vocab(cc: &CrateConfig) -> TaintVocab {
-    let mut sources: BTreeSet<String> = BUILTIN_SOURCES.iter().map(|s| (*s).to_owned()).collect();
-    sources.extend(cc.taint_sources.iter().cloned());
-    let mut sanitizers: BTreeSet<String> =
-        BUILTIN_SANITIZERS.iter().map(|s| (*s).to_owned()).collect();
-    sanitizers.extend(cc.taint_sanitizers.iter().cloned());
-    TaintVocab { sources, sanitizers }
+/// The wire-length vocabulary.
+pub(crate) fn wire_vocab() -> TaintVocab {
+    TaintVocab { sources: BUILTIN_SOURCES, sanitizers: BUILTIN_SANITIZERS }
 }
 
-/// The corpus-cardinality vocabulary for one crate: builtins +
-/// `corpus-sources` / `corpus-sanitizers` from `audit.toml`.
-pub(crate) fn corpus_vocab(cc: &CrateConfig) -> TaintVocab {
-    let mut sources: BTreeSet<String> =
-        BUILTIN_CORPUS_SOURCES.iter().map(|s| (*s).to_owned()).collect();
-    sources.extend(cc.corpus_sources.iter().cloned());
-    let mut sanitizers: BTreeSet<String> =
-        BUILTIN_CORPUS_SANITIZERS.iter().map(|s| (*s).to_owned()).collect();
-    sanitizers.extend(cc.corpus_sanitizers.iter().cloned());
-    TaintVocab { sources, sanitizers }
+/// The corpus-cardinality vocabulary.
+pub(crate) fn corpus_vocab() -> TaintVocab {
+    TaintVocab { sources: BUILTIN_CORPUS_SOURCES, sanitizers: BUILTIN_CORPUS_SANITIZERS }
 }
 
 // ---------------------------------------------------------------------------
@@ -240,16 +218,13 @@ enum Step {
     Follow,
 }
 
-fn step(
-    idents: &[String],
-    sources: &BTreeSet<String>,
-    sanitizers: &BTreeSet<String>,
-    summaries: &BTreeSet<String>,
-) -> Step {
-    if idents.iter().any(|i| sanitizers.contains(i)) {
+fn step(idents: &[String], vocab: &TaintVocab, summaries: &BTreeSet<String>) -> Step {
+    if idents.iter().any(|i| vocab.sanitizers.contains(&i.as_str())) {
         return Step::Clean;
     }
-    if let Some(src) = idents.iter().find(|i| sources.contains(*i) || summaries.contains(*i)) {
+    if let Some(src) =
+        idents.iter().find(|i| vocab.sources.contains(&i.as_str()) || summaries.contains(*i))
+    {
         return Step::Tainted(src.clone());
     }
     Step::Follow
@@ -262,11 +237,10 @@ fn trace_taint(
     f: &FileAnalysis<'_>,
     site: usize,
     idents: &[String],
-    sources: &BTreeSet<String>,
-    sanitizers: &BTreeSet<String>,
+    vocab: &TaintVocab,
     summaries: &BTreeSet<String>,
 ) -> Option<String> {
-    match step(idents, sources, sanitizers, summaries) {
+    match step(idents, vocab, summaries) {
         Step::Clean => return None,
         Step::Tainted(src) => return Some(src),
         Step::Follow => {}
@@ -289,7 +263,7 @@ fn trace_taint(
                 None => continue,
             },
         };
-        match step(&rhs, sources, sanitizers, summaries) {
+        match step(&rhs, vocab, summaries) {
             Step::Clean => {}
             Step::Tainted(src) => return Some(src),
             Step::Follow => queue.extend(rhs.into_iter().map(|s| (s, depth + 1))),
@@ -303,9 +277,8 @@ fn trace_taint(
 /// signature). A call to such a fn propagates taint across the function
 /// boundary — one level deep, by name, which is as far as a token-level
 /// engine can honestly see. The workspace-global summary set is the
-/// union of these over non-test files ([`crate::facts`] rebuilds it from
-/// cached per-file facts).
-pub(crate) fn summary_fns(f: &FileAnalysis<'_>, sources: &BTreeSet<String>) -> Vec<String> {
+/// union of these over non-test files.
+pub(crate) fn summary_fns(f: &FileAnalysis<'_>, sources: &[&str]) -> Vec<String> {
     let cx = &f.cx;
     let mut out = Vec::new();
     for item in &f.items.items {
@@ -318,9 +291,9 @@ pub(crate) fn summary_fns(f: &FileAnalysis<'_>, sources: &BTreeSet<String>) -> V
             continue;
         }
         let calls_source = (body_lo..body_hi).any(|j| {
-            cx.kind(j) == TokKind::Ident && sources.contains(cx.text(j)) && cx.punct_at(j + 1, "(")
+            cx.kind(j) == TokKind::Ident && sources.contains(&cx.text(j)) && cx.punct_at(j + 1, "(")
         });
-        if calls_source && !sources.contains(&item.name) && !out.contains(&item.name) {
+        if calls_source && !sources.contains(&item.name.as_str()) && !out.contains(&item.name) {
             out.push(item.name.clone());
         }
     }
@@ -339,7 +312,6 @@ pub(crate) fn untrusted_length_allocation(
     vocab: &TaintVocab,
     summaries: &BTreeSet<String>,
 ) -> Vec<RawFinding> {
-    let (sources, sanitizers) = (&vocab.sources, &vocab.sanitizers);
     let cx = &f.cx;
     let mut out = Vec::new();
     let flag = |site: usize, sink: &str, src: &str, out: &mut Vec<_>| {
@@ -362,7 +334,7 @@ pub(crate) fn untrusted_length_allocation(
         // `Type::with_capacity(n)` / free `with_capacity(n)`.
         if name == "with_capacity" && cx.punct_at(i + 1, "(") {
             let (idents, _) = first_arg_idents(f, i + 1);
-            if let Some(src) = trace_taint(f, i, &idents, sources, sanitizers, summaries) {
+            if let Some(src) = trace_taint(f, i, &idents, vocab, summaries) {
                 flag(i, "with_capacity(…)", &src, &mut out);
             }
             continue;
@@ -374,7 +346,7 @@ pub(crate) fn untrusted_length_allocation(
             && cx.punct_at(i + 1, "(")
         {
             let (idents, _) = first_arg_idents(f, i + 1);
-            if let Some(src) = trace_taint(f, i, &idents, sources, sanitizers, summaries) {
+            if let Some(src) = trace_taint(f, i, &idents, vocab, summaries) {
                 flag(i, &format!(".{name}(…)"), &src, &mut out);
             }
             continue;
@@ -405,7 +377,7 @@ pub(crate) fn untrusted_length_allocation(
                     .filter(|&k| cx.kind(k) == TokKind::Ident)
                     .map(|k| cx.text(k).to_owned())
                     .collect();
-                if let Some(src) = trace_taint(f, i, &idents, sources, sanitizers, summaries) {
+                if let Some(src) = trace_taint(f, i, &idents, vocab, summaries) {
                     flag(i, "vec![…; n]", &src, &mut out);
                 }
             }
@@ -443,7 +415,6 @@ pub(crate) fn capacity_findings(
     vocab: &TaintVocab,
     summaries: &BTreeSet<String>,
 ) -> Vec<RawFinding> {
-    let (sources, sanitizers) = (&vocab.sources, &vocab.sanitizers);
     let cx = &f.cx;
     let mut out = Vec::new();
     // Per-token dedup: an `extend` can match both the chain-sink arm and
@@ -472,7 +443,7 @@ pub(crate) fn capacity_findings(
             && (cx.punct_at(i + 1, "(") || cx.punct_at(i + 1, "::"))
         {
             let idents = receiver_chain_idents(f, i - 1);
-            if let Some(src) = trace_taint(f, i, &idents, sources, sanitizers, summaries) {
+            if let Some(src) = trace_taint(f, i, &idents, vocab, summaries) {
                 if flagged.insert(i) {
                     out.push(raw(
                         cx,
@@ -498,7 +469,7 @@ pub(crate) fn capacity_findings(
             && cx.punct_at(i + 1, "(")
         {
             let (idents, _) = first_arg_idents(f, i + 1);
-            if let Some(src) = trace_taint(f, i, &idents, sources, sanitizers, summaries) {
+            if let Some(src) = trace_taint(f, i, &idents, vocab, summaries) {
                 if flagged.insert(i) {
                     out.push(raw(
                         cx,
@@ -530,8 +501,7 @@ pub(crate) fn capacity_findings(
         // Per-job loops: `for job in <corpus-tainted> { … }`.
         if name == "for" {
             let Some((open, header_idents)) = for_header(f, i) else { continue };
-            let Some(src) = trace_taint(f, i, &header_idents, sources, sanitizers, summaries)
-            else {
+            let Some(src) = trace_taint(f, i, &header_idents, vocab, summaries) else {
                 continue;
             };
             let close = match_brace(f, open);
@@ -569,9 +539,7 @@ pub(crate) fn capacity_findings(
                 // — the O(n²) duplicate-pair idiom.
                 if on.join && cx.ident_at(j, "for") && !flagged.contains(&j) {
                     let Some((_, inner_idents)) = for_header(f, j) else { continue };
-                    if let Some(inner_src) =
-                        trace_taint(f, j, &inner_idents, sources, sanitizers, summaries)
-                    {
+                    if let Some(inner_src) = trace_taint(f, j, &inner_idents, vocab, summaries) {
                         flagged.insert(j);
                         out.push(raw(
                             cx,
@@ -955,7 +923,7 @@ fn for_loop_float_accumulation(
 }
 
 // ---------------------------------------------------------------------------
-// lock-order extraction (the cycle graph itself lives in `facts`)
+// lock-order-cycle
 // ---------------------------------------------------------------------------
 
 /// Receivers never treated as locks even though `.lock()` parses: the
@@ -965,7 +933,7 @@ const STREAM_RECEIVERS: &[&str] = &["stdout", "stderr", "stdin"];
 /// Lock names declared in one file: `name: [&'a] [Arc<] Mutex/RwLock`,
 /// `let name = [Arc::new(] Mutex::new(…)`, and fns whose return type
 /// mentions Mutex/RwLock (accessor fns like a global sink slot).
-pub(crate) fn declared_locks(f: &FileAnalysis<'_>) -> BTreeSet<String> {
+fn declared_locks(f: &FileAnalysis<'_>) -> BTreeSet<String> {
     let cx = &f.cx;
     let mut out = BTreeSet::new();
     for j in 0..cx.code.len() {
@@ -1009,20 +977,18 @@ pub(crate) fn declared_locks(f: &FileAnalysis<'_>) -> BTreeSet<String> {
 /// One candidate lock acquisition inside a fn body: `.lock()` /
 /// `.try_lock()` on any receiver (`broad`), or `.read()` / `.write()` /
 /// `.try_read()` / `.try_write()` (`!broad`) — the latter only count
-/// against the crate's declared-lock vocabulary, which is applied when
-/// the workspace graph is rebuilt from facts, not here, because another
-/// file of the crate may declare the lock.
-pub(crate) struct LockCand {
-    pub recv: String,
-    pub broad: bool,
-    pub tok: usize,
+/// against the crate's declared-lock vocabulary, which the workspace
+/// graph applies, because another file of the crate may declare the lock.
+struct LockCand {
+    recv: String,
+    broad: bool,
+    tok: usize,
 }
 
 /// Candidate acquisition sequences, one per non-test fn body, in token
-/// order and *undeduped* — the graph rebuild replays each sequence,
-/// drops narrow candidates outside the declared-lock set, and dedups by
-/// name exactly as the old single-pass analysis did.
-pub(crate) fn fn_lock_candidates(f: &FileAnalysis<'_>) -> Vec<Vec<LockCand>> {
+/// order and *undeduped* — the graph replays each sequence, drops narrow
+/// candidates outside the declared-lock set, and dedups by name.
+fn fn_lock_candidates(f: &FileAnalysis<'_>) -> Vec<Vec<LockCand>> {
     let cx = &f.cx;
     let mut out = Vec::new();
     for item in &f.items.items {
@@ -1093,15 +1059,152 @@ fn receiver_name(f: &FileAnalysis<'_>, dot: usize) -> Option<String> {
     None
 }
 
-// ---------------------------------------------------------------------------
-// proptest seam
-// ---------------------------------------------------------------------------
+/// A lock node: (crate, receiver name). Receiver names are file-local
+/// text, so same-named locks in *different* crates stay distinct; two
+/// same-named receivers in one crate merge — a documented imprecision
+/// that errs toward reporting.
+type LockNode = (String, String);
+
+/// Build the workspace lock-acquisition graph and report order cycles,
+/// as findings indexed by file.
+pub(crate) fn lock_order_cycle(
+    files: &[FileAnalysis<'_>],
+    cfg: &AuditConfig,
+) -> Vec<(usize, RawFinding)> {
+    // Pass 1: per-crate lock vocabularies — names declared as (or
+    // returning) Mutex / RwLock. `.read()` / `.write()` acquisitions are
+    // only attributed against this set, so `io::Read::read` never counts.
+    let mut lock_names: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for f in files.iter().filter(|f| f.spec.role != FileRole::Test) {
+        lock_names.entry(f.spec.krate.as_str()).or_default().extend(declared_locks(f));
+    }
+
+    // Pass 2: acquisition sequences per fn body → ordered edges. The
+    // first edge site is chosen by (file path, token), not corpus index,
+    // so output is independent of corpus order.
+    let mut edges: BTreeMap<(LockNode, LockNode), (&str, usize, usize)> = BTreeMap::new();
+    for (fi, f) in files.iter().enumerate() {
+        let krate = &f.spec.krate;
+        if f.spec.role == FileRole::Test || !cfg.for_crate(krate).enabled("lock-order-cycle") {
+            continue;
+        }
+        let empty = BTreeSet::new();
+        let known = lock_names.get(krate.as_str()).unwrap_or(&empty);
+        for body in fn_lock_candidates(f) {
+            // Replay the candidate sequence: drop narrow acquisitions on
+            // undeclared receivers, then dedup by name.
+            let mut seq: Vec<&LockCand> = Vec::new();
+            for cand in &body {
+                if !cand.broad && !known.contains(&cand.recv) {
+                    continue;
+                }
+                if !seq.iter().any(|c| c.recv == cand.recv) {
+                    seq.push(cand);
+                }
+            }
+            for (i, a) in seq.iter().enumerate() {
+                for b in &seq[i + 1..] {
+                    if a.recv == b.recv {
+                        continue;
+                    }
+                    let key = ((krate.clone(), a.recv.clone()), (krate.clone(), b.recv.clone()));
+                    let site = (f.spec.file.as_str(), fi, b.tok);
+                    let e = edges.entry(key).or_insert(site);
+                    if (site.0, site.2) < (e.0, e.2) {
+                        *e = site;
+                    }
+                }
+            }
+        }
+    }
+
+    // Pass 3: cycle detection. The graphs here are tiny (a handful of
+    // lock names per crate), so a direct DFS per node finding a path
+    // back to itself is plenty — and trivially deterministic.
+    let adj: BTreeMap<&LockNode, Vec<&LockNode>> = {
+        let mut m: BTreeMap<&LockNode, Vec<&LockNode>> = BTreeMap::new();
+        for (a, b) in edges.keys() {
+            m.entry(a).or_default().push(b);
+        }
+        m
+    };
+    let mut out = Vec::new();
+    let mut reported: BTreeSet<BTreeSet<&LockNode>> = BTreeSet::new();
+    for start in adj.keys() {
+        if let Some(cycle) = find_cycle(&adj, start) {
+            let members: BTreeSet<&LockNode> = cycle.iter().copied().collect();
+            if !reported.insert(members.clone()) {
+                continue; // one finding per distinct cycle set
+            }
+            // Attach at the canonically-first edge site within the cycle.
+            let site = cycle
+                .iter()
+                .zip(cycle.iter().cycle().skip(1))
+                .filter_map(|(a, b)| edges.get(&((*a).clone(), (*b).clone())))
+                .min_by(|x, y| (x.0, x.2).cmp(&(y.0, y.2)));
+            let Some(&(_, fi, tok)) = site else { continue };
+            let path: Vec<String> = cycle.iter().map(|(k, n)| format!("{k}::{n}")).collect();
+            out.push((
+                fi,
+                raw(
+                    &files[fi].cx,
+                    "lock-order-cycle",
+                    tok,
+                    format!(
+                        "lock acquisition order forms a cycle: {} → {}; impose one global \
+                         acquisition order (or merge the critical sections) so no pair of \
+                         threads can each hold one lock while waiting for the other",
+                        path.join(" → "),
+                        path[0]
+                    ),
+                ),
+            ));
+        }
+    }
+    out
+}
+
+/// DFS from `start` over the sorted adjacency map; returns the node
+/// sequence of a cycle passing through `start`, if any.
+fn find_cycle<'a>(
+    adj: &BTreeMap<&'a LockNode, Vec<&'a LockNode>>,
+    start: &'a LockNode,
+) -> Option<Vec<&'a LockNode>> {
+    fn dfs<'a>(
+        adj: &BTreeMap<&'a LockNode, Vec<&'a LockNode>>,
+        start: &'a LockNode,
+        here: &'a LockNode,
+        path: &mut Vec<&'a LockNode>,
+        seen: &mut BTreeSet<&'a LockNode>,
+    ) -> bool {
+        for next in adj.get(here).map_or(&[][..], |v| v.as_slice()) {
+            if *next == start {
+                return true;
+            }
+            if seen.insert(next) {
+                path.push(next);
+                if dfs(adj, start, next, path, seen) {
+                    return true;
+                }
+                path.pop();
+            }
+        }
+        false
+    }
+    let mut path = vec![start];
+    let mut seen = BTreeSet::from([start]);
+    if dfs(adj, start, start, &mut path, &mut seen) {
+        Some(path)
+    } else {
+        None
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use crate::config::AuditConfig;
     use crate::diag::Finding;
-    use crate::driver::{audit_sources, DriverOptions};
+    use crate::driver::audit_sources;
     use crate::symbols::{FileRole, SourceSpec};
 
     fn spec(krate: &str, file: &str, src: &str) -> SourceSpec {
@@ -1127,7 +1230,7 @@ mod tests {
 
     fn run_one(src: &str) -> Vec<Finding> {
         let specs = vec![spec("iotax-x", "crates/x/src/lib.rs", src)];
-        audit_sources(specs, &cfg_all(), DriverOptions::default()).report.findings
+        audit_sources(specs, &cfg_all()).findings
     }
 
     #[test]
@@ -1218,29 +1321,6 @@ mod tests {
              }",
         );
         assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn config_extends_sources_and_sanitizers() {
-        let toml = "[default]\nuntrusted-length-allocation = true\n\
-                    [crate.iotax-x]\ntaint-sources = [\"wire_len\"]\n\
-                    taint-sanitizers = [\"bounded\"]\n";
-        let cfg = AuditConfig::from_toml(toml, "test", &crate::lints::known_lint_names()).unwrap();
-        let src = "pub fn parse(r: &mut Reader) -> Vec<u8> {\n\
-                       let n = wire_len(r);\n\
-                       Vec::with_capacity(n)\n\
-                   }";
-        let specs = vec![spec("iotax-x", "crates/x/src/lib.rs", src)];
-        let r = audit_sources(specs, &cfg, DriverOptions::default()).report;
-        assert_eq!(r.findings.len(), 1, "custom source fires");
-
-        let src2 = "pub fn parse(r: &mut Reader) -> Vec<u8> {\n\
-                        let n = bounded(wire_len(r));\n\
-                        Vec::with_capacity(n)\n\
-                    }";
-        let specs2 = vec![spec("iotax-x", "crates/x/src/lib.rs", src2)];
-        let r = audit_sources(specs2, &cfg, DriverOptions::default()).report;
-        assert!(r.findings.is_empty(), "custom sanitizer wins");
     }
 
     #[test]
@@ -1483,7 +1563,7 @@ mod tests {
         let hot = "pub fn f(r: &mut Reader) { let n = r.varint().unwrap() as usize; \
                    Vec::with_capacity(n); }";
         let specs = vec![spec("iotax-x", "crates/x/src/lib.rs", hot)];
-        let r = audit_sources(specs, &cfg, DriverOptions::default()).report;
+        let r = audit_sources(specs, &cfg);
         assert!(r.findings.is_empty(), "disabled lint stays quiet");
     }
 }

@@ -1,12 +1,12 @@
 //! Findings: the diagnostic record every lint produces, its stable
 //! fingerprint, and the text / JSON-lines renderers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::hash::{Hash, Hasher};
 use std::io;
 
 /// One lint finding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 // audit:allow(dead-public-api) -- element type of AuditReport's public `findings` field; the iotax-audit bin renders them
 pub struct Finding {
     /// Lint name (`panic-in-parser`, …).

@@ -1,4 +1,4 @@
-//! The four cross-file flow analyses — per-file halves.
+//! The four cross-file flow analyses.
 //!
 //! Where the token lints in [`crate::lints`] check one token window in
 //! one file, these passes reason about the bugs that live at the *seams*
@@ -16,20 +16,16 @@
 //! The suppression machinery (`// audit:allow(lint) -- reason`) applies
 //! to these findings exactly as it does to token lints.
 //!
-//! Since the incremental engine landed, this module owns only what can be
-//! computed from *one file*: the `seed-provenance` and
-//! `error-context-loss` passes (both purely local — the import map a `?`
-//! check needs comes from the file's own `use` edges) and the token-level
-//! extraction helpers (`pub` item candidates, writer-fn mining, reader
-//! probes) that [`crate::facts`] serializes per file. The workspace-global
-//! halves — dead-API reference checking, schema resolution, duplicate
-//! struct comparison — are rebuilt from those cached facts in
-//! [`crate::facts::global_findings`].
+//! `seed-provenance` and `error-context-loss` are per-file passes (the
+//! import map a `?` check needs comes from the file's own `use` edges).
+//! `dead-public-api` and `schema-drift` are workspace passes over every
+//! file's analysis: each sits next to the per-file helpers it uses.
 
+use crate::config::{AuditConfig, SchemaPair};
 use crate::items::{Item, ItemKind, Vis};
 use crate::lexer::TokKind;
 use crate::lints::{LintSpec, RawFinding};
-use crate::symbols::FileAnalysis;
+use crate::symbols::{FileAnalysis, FileRole};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The flow analyses, in reporting order (extends [`crate::lints::LINTS`]
@@ -294,9 +290,7 @@ pub(crate) fn const_init_idents(f: &FileAnalysis<'_>, name: &str) -> Option<Vec<
 /// The file-local import map: local name → source crate identifier, for
 /// names imported from workspace (`iotax_*`) crates. `use
 /// iotax_sim::fault::FaultPlan` maps `FaultPlan` → `iotax_sim`; `use
-/// iotax_darshan::parse_log as pl` maps `pl` → `iotax_darshan`. Purely
-/// per-file, which is what lets `error-context-loss` findings be cached
-/// per file by the incremental engine.
+/// iotax_darshan::parse_log as pl` maps `pl` → `iotax_darshan`.
 fn import_map(f: &FileAnalysis<'_>) -> BTreeMap<String, String> {
     let mut map = BTreeMap::new();
     for edge in &f.items.uses {
@@ -378,7 +372,7 @@ pub(crate) fn error_context_loss(f: &FileAnalysis<'_>) -> Vec<RawFinding> {
 }
 
 // ---------------------------------------------------------------------------
-// dead-public-api (extraction half; reference checking lives in `facts`)
+// dead-public-api
 // ---------------------------------------------------------------------------
 
 /// Names that are conventionally referenced implicitly (trait machinery,
@@ -387,10 +381,63 @@ const IMPLICIT_NAMES: &[&str] = &[
     "new", "default", "main", "fmt", "from", "into", "clone", "eq", "hash", "next", "drop", "deref",
 ];
 
+/// Flaggable `pub` items of library files that no file outside their
+/// crate mentions, as findings indexed by file.
+pub(crate) fn dead_public_api(
+    files: &[FileAnalysis<'_>],
+    cfg: &AuditConfig,
+) -> Vec<(usize, RawFinding)> {
+    let mut out = Vec::new();
+    for (fi, f) in files.iter().enumerate() {
+        let krate = &f.spec.krate;
+        if f.spec.role != FileRole::Lib || !cfg.for_crate(krate).enabled("dead-public-api") {
+            continue;
+        }
+        for it in &f.items.items {
+            if !flaggable_pub_item(f, it) || referenced_outside(files, krate, &it.name) {
+                continue;
+            }
+            out.push((
+                fi,
+                RawFinding {
+                    lint: "dead-public-api",
+                    line: it.line,
+                    col: it.col,
+                    tok: it.tok,
+                    message: format!(
+                        "pub {} `{}` has no references outside crate `{krate}` (tests excluded); \
+                         demote it to pub(crate), remove it, or waive it with a reason if it is \
+                         deliberate API surface",
+                        kind_noun(it.kind),
+                        it.name
+                    ),
+                },
+            ));
+        }
+    }
+    out
+}
+
+/// Is `name` mentioned by any file that keeps crate `krate`'s public API
+/// alive — another crate, or this crate's own bin/example/bench targets?
+/// Test files never count.
+fn referenced_outside(files: &[FileAnalysis<'_>], krate: &str, name: &str) -> bool {
+    files.iter().any(|f| {
+        let consumer = f.spec.role.counts_as_consumer();
+        let external = consumer
+            && (f.spec.krate != krate || f.spec.role != FileRole::Lib)
+            && f.mentions.contains(name);
+        // A macro body expands wherever the macro is invoked, so a
+        // `$crate::name` reference inside one is an external use of
+        // `name` even when the macro is defined in `name`'s own crate.
+        let via_macro = consumer && f.macro_mentions.contains(name);
+        external || via_macro
+    })
+}
+
 /// Is `item` a dead-API *candidate*: a flaggable `pub` item whose name,
-/// if referenced nowhere outside its crate, is a finding? The reference
-/// check itself is workspace-global and runs in [`crate::facts`].
-pub(crate) fn flaggable_pub_item(f: &FileAnalysis<'_>, item: &Item) -> bool {
+/// if referenced nowhere outside its crate, is a finding?
+fn flaggable_pub_item(f: &FileAnalysis<'_>, item: &Item) -> bool {
     if item.vis != Vis::Pub || item.name.is_empty() || f.cx.is_test(item.tok) {
         return false;
     }
@@ -431,7 +478,7 @@ pub(crate) fn flaggable_pub_item(f: &FileAnalysis<'_>, item: &Item) -> bool {
     true
 }
 
-pub(crate) fn kind_noun(kind: ItemKind) -> &'static str {
+fn kind_noun(kind: ItemKind) -> &'static str {
     match kind {
         ItemKind::Fn => "fn",
         ItemKind::Struct => "struct",
@@ -447,14 +494,221 @@ pub(crate) fn kind_noun(kind: ItemKind) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// schema-drift (extraction halves; resolution lives in `facts`)
+// schema-drift
 // ---------------------------------------------------------------------------
+
+/// Resolve every `[schema.*]` pair, then match the reader probes and
+/// compare same-named serialized structs across crates. Returns findings
+/// indexed by file, and config-level findings (attributed to
+/// `audit.toml` by the driver, bypassing per-file suppressions).
+pub(crate) fn schema_drift(
+    files: &[FileAnalysis<'_>],
+    cfg: &AuditConfig,
+) -> (Vec<(usize, RawFinding)>, Vec<RawFinding>) {
+    let on: Vec<bool> =
+        files.iter().map(|f| cfg.for_crate(&f.spec.krate).enabled("schema-drift")).collect();
+    let mut out: Vec<(usize, RawFinding)> = Vec::new();
+    let mut config_out: Vec<RawFinding> = Vec::new();
+
+    let mut resolved: Vec<ResolvedSchema> = Vec::new();
+    for pair in &cfg.schemas {
+        match resolve_schema(files, pair, &mut out, &mut config_out) {
+            Some(r) => resolved.push(r),
+            None => config_out.push(config_finding(format!(
+                "[schema.{}] names struct `{}`, which is not defined in any library \
+                 crate; fix audit.toml or restore the struct",
+                pair.name, pair.strukt
+            ))),
+        }
+    }
+    // Reader probes: per file, a probe must match the union of every
+    // schema that lists the file — readers often multiplex record kinds
+    // (e.g. spans and counters in one JSONL stream).
+    for (fi, f) in files.iter().enumerate() {
+        let mine: Vec<&ResolvedSchema> =
+            resolved.iter().filter(|r| r.readers.iter().any(|p| f.spec.file.contains(p))).collect();
+        if mine.is_empty() || !on[fi] {
+            continue;
+        }
+        let union: BTreeSet<&str> =
+            mine.iter().flat_map(|r| r.keys.iter().map(String::as_str)).collect();
+        for (tok, key) in reader_probes(f) {
+            if union.contains(key.as_str()) {
+                continue;
+            }
+            let sources: Vec<String> =
+                mine.iter().map(|r| format!("{} ({})", r.strukt, r.pair_name)).collect();
+            out.push((
+                fi,
+                raw(
+                    &f.cx,
+                    "schema-drift",
+                    tok,
+                    format!(
+                        "reader probes field `{key}`, which no paired writer serializes \
+                         ({}); the writer and reader have drifted apart",
+                        sources.join(", ")
+                    ),
+                ),
+            ));
+        }
+    }
+    duplicate_struct_drift(files, &on, &mut out);
+    (out, config_out)
+}
+
+/// A config-level `schema-drift` finding: no file, no position.
+fn config_finding(message: String) -> RawFinding {
+    RawFinding { lint: "schema-drift", line: 1, col: 1, tok: usize::MAX, message }
+}
+
+/// A struct's serialized field names (skip-marked fields excluded).
+fn wire_fields(it: &Item) -> BTreeSet<String> {
+    it.fields.iter().filter(|fl| !fl.skipped).map(|fl| fl.wire_name.clone()).collect()
+}
+
+struct ResolvedSchema {
+    pair_name: String,
+    strukt: String,
+    /// Effective wire keys: struct fields − writer filters + writer tags.
+    keys: BTreeSet<String>,
+    readers: Vec<String>,
+}
+
+/// Resolve one `[schema.*]` pair: find the struct, apply the writer-fn
+/// mining. Emits writer-side findings (stale filters) into `out` and
+/// config errors into `config_out` directly.
+fn resolve_schema(
+    files: &[FileAnalysis<'_>],
+    pair: &SchemaPair,
+    out: &mut Vec<(usize, RawFinding)>,
+    config_out: &mut Vec<RawFinding>,
+) -> Option<ResolvedSchema> {
+    // The struct's first definition in a library file, in corpus order.
+    let (sfi, strukt) = files.iter().enumerate().find_map(|(fi, f)| {
+        if f.spec.role != FileRole::Lib {
+            return None;
+        }
+        f.items
+            .items
+            .iter()
+            .find(|it| it.kind == ItemKind::Struct && it.name == pair.strukt)
+            .map(|it| (fi, it))
+    })?;
+    let mut keys = wire_fields(strukt);
+
+    if let Some(writer_fn) = &pair.writer_fn {
+        let wfi = match &pair.writer_file {
+            Some(pat) => files.iter().position(|f| f.spec.file.contains(pat)),
+            None => Some(sfi),
+        };
+        let Some(wfi) = wfi else {
+            config_out.push(config_finding(format!(
+                "[schema.{}] writer-file `{}` matches no workspace file",
+                pair.name,
+                pair.writer_file.as_deref().unwrap_or("")
+            )));
+            return None;
+        };
+        let wf = &files[wfi];
+        if let Some((added, removed)) = mine_writer_fn(wf, writer_fn) {
+            for (tok, key) in removed {
+                if keys.remove(&key) {
+                    continue;
+                }
+                out.push((
+                    wfi,
+                    raw(
+                        &wf.cx,
+                        "schema-drift",
+                        tok,
+                        format!(
+                            "writer `{writer_fn}` filters field `{key}`, which `{}` does \
+                             not serialize; the filter is stale",
+                            pair.strukt
+                        ),
+                    ),
+                ));
+            }
+            keys.extend(added);
+        } else {
+            config_out.push(config_finding(format!(
+                "[schema.{}] writer-fn `{writer_fn}` is not defined in `{}`",
+                pair.name, wf.spec.file
+            )));
+        }
+    }
+
+    Some(ResolvedSchema {
+        pair_name: pair.name.clone(),
+        strukt: pair.strukt.clone(),
+        keys,
+        readers: pair.readers.clone(),
+    })
+}
+
+/// Same-named `#[derive(Serialize/Deserialize)]` structs defined in two
+/// different crates must agree on wire fields — they are two halves of
+/// one format.
+fn duplicate_struct_drift(
+    files: &[FileAnalysis<'_>],
+    on: &[bool],
+    out: &mut Vec<(usize, RawFinding)>,
+) {
+    let mut by_name: BTreeMap<&str, Vec<(usize, &Item)>> = BTreeMap::new();
+    for (fi, f) in files.iter().enumerate() {
+        if f.spec.role != FileRole::Lib {
+            continue;
+        }
+        for it in &f.items.items {
+            let serde = it.derives.iter().any(|d| d == "Serialize" || d == "Deserialize");
+            if it.kind == ItemKind::Struct && serde && !f.cx.is_test(it.tok) {
+                by_name.entry(it.name.as_str()).or_default().push((fi, it));
+            }
+        }
+    }
+    for (name, defs) in by_name {
+        if defs.len() < 2 {
+            continue;
+        }
+        let crates: BTreeSet<&str> =
+            defs.iter().map(|(fi, _)| files[*fi].spec.krate.as_str()).collect();
+        if crates.len() < 2 {
+            continue; // cfg-gated duplicates within one crate are fine
+        }
+        let first = wire_fields(defs[0].1);
+        for (fi, it) in &defs[1..] {
+            let theirs = wire_fields(it);
+            if theirs == first || !on[*fi] {
+                continue;
+            }
+            let diff: Vec<String> =
+                first.symmetric_difference(&theirs).map(|s| format!("`{s}`")).collect();
+            out.push((
+                *fi,
+                RawFinding {
+                    lint: "schema-drift",
+                    line: it.line,
+                    col: it.col,
+                    tok: it.tok,
+                    message: format!(
+                        "struct `{name}` is defined in {} crates with different wire \
+                         fields ({} disagree: {}); the copies have drifted apart",
+                        crates.len(),
+                        diff.len(),
+                        diff.join(", ")
+                    ),
+                },
+            ));
+        }
+    }
+}
 
 /// Mine a hand-rolled writer fn body: `("key".to_owned(), …)` tuple keys
 /// it *adds*, and `!= "key"` comparisons that *filter* struct fields.
 /// Returns `None` when the fn is not defined in the file.
 #[allow(clippy::type_complexity)]
-pub(crate) fn mine_writer_fn(
+fn mine_writer_fn(
     f: &FileAnalysis<'_>,
     name: &str,
 ) -> Option<(BTreeSet<String>, Vec<(usize, String)>)> {
@@ -491,7 +745,7 @@ pub(crate) fn mine_writer_fn(
 
 /// Field probes in a reader file: `.get("key")` calls and `"key":`
 /// patterns inside string literals (JSON prefixes asserted by tests).
-pub(crate) fn reader_probes(f: &FileAnalysis<'_>) -> Vec<(usize, String)> {
+fn reader_probes(f: &FileAnalysis<'_>) -> Vec<(usize, String)> {
     let cx = &f.cx;
     let mut out = Vec::new();
     for j in 0..cx.code.len() {
@@ -579,11 +833,11 @@ pub(crate) fn raw(
 
 #[cfg(test)]
 mod tests {
-    use super::json_keys_in_literal;
+    use super::{json_keys_in_literal, referenced_outside};
     use crate::config::{AuditConfig, SchemaPair};
     use crate::diag::Finding;
-    use crate::driver::{audit_sources, DriverOptions};
-    use crate::symbols::{FileRole, SourceSpec};
+    use crate::driver::audit_sources;
+    use crate::symbols::{analyze_file, FileAnalysis, FileRole, SourceSpec};
 
     fn spec(krate: &str, file: &str, src: &str) -> SourceSpec {
         SourceSpec {
@@ -601,7 +855,42 @@ mod tests {
     }
 
     fn run(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> Vec<Finding> {
-        audit_sources(specs, cfg, DriverOptions::default()).report.findings
+        audit_sources(specs, cfg).findings
+    }
+
+    #[test]
+    fn reference_scope_excludes_own_lib_and_tests() {
+        let specs = [
+            spec(
+                "iotax-x",
+                "crates/x/src/lib.rs",
+                "pub fn used_by_bin() {}\nfn own() { used_by_bin(); }",
+            ),
+            spec("iotax-x", "crates/x/src/bin/tool.rs", "fn main() { used_by_bin(); }"),
+            spec("iotax-x", "crates/x/tests/t.rs", "fn t() { test_user(); }"),
+            spec("iotax-y", "crates/y/src/lib.rs", "fn f() { cross_user(); }"),
+        ];
+        let files: Vec<FileAnalysis<'_>> = specs.iter().map(analyze_file).collect();
+        let refd = |name| referenced_outside(&files, "iotax-x", name);
+        assert!(refd("used_by_bin"), "own bin counts");
+        assert!(!refd("test_user"), "tests never count");
+        assert!(refd("cross_user"), "other crate counts");
+        assert!(!refd("own"), "own lib does not count");
+    }
+
+    #[test]
+    fn macro_bodies_count_as_external_references() {
+        // `span!` expands `$crate::Guard::enter_under` at downstream call
+        // sites, so the macro body keeps `enter_under` alive even though
+        // no other file spells the name out.
+        let specs = [spec(
+            "iotax-x",
+            "crates/x/src/lib.rs",
+            "pub struct Guard;\nimpl Guard { pub fn enter_under() -> Guard { Guard } }\n\
+             #[macro_export]\nmacro_rules! open {\n    () => { $crate::Guard::enter_under() };\n}",
+        )];
+        let files: Vec<FileAnalysis<'_>> = specs.iter().map(analyze_file).collect();
+        assert!(referenced_outside(&files, "iotax-x", "enter_under"), "macro body counts");
     }
 
     #[test]

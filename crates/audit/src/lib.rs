@@ -5,7 +5,7 @@
 //! the Darshan parsers — are properties of *code*, but until now they
 //! were only enforced by *tests*, which sample a handful of seeds and
 //! inputs. This crate closes that gap: a small, dependency-free Rust
-//! lexer plus nine token-level lints that check the properties on every
+//! lexer plus ten token-level lints that check the properties on every
 //! line of every crate, on every commit — and, on top of the lexer, an
 //! item parser, a workspace symbol table, and four cross-file flow
 //! analyses ([`flow`]) that check the properties that live at crate
@@ -13,12 +13,9 @@
 //! API, and error-context loss across crate boundaries. A statement-level
 //! def-use engine ([`dataflow`]) runs the same taint machinery under two
 //! vocabularies — wire-derived lengths and corpus-scale cardinality —
-//! for the allocation, float-ordering, lock-order, and capacity lints.
-//! The whole pipeline is incremental: per-file analysis artifacts
-//! ([`facts`]) persist in a CRC-checked segment-log cache ([`cache`]),
-//! and a warm run is byte-identical to a cold one by construction,
-//! because the workspace-global passes rebuild from the same facts
-//! either way (see DESIGN.md "Audit v4").
+//! for its six allocation, float-ordering, lock-order, and capacity
+//! lints. Every run analyzes each file once, in one uncached pass
+//! ([`driver`]).
 //!
 //! Design constraints, in order:
 //!
@@ -47,14 +44,12 @@
 //! | 74 | I/O error |
 
 pub mod baseline;
-pub mod cache;
 pub mod config;
 pub mod context;
 pub mod dataflow;
 pub mod diag;
 pub mod driver;
 pub mod explain;
-pub mod facts;
 pub mod flow;
 pub mod items;
 pub mod lexer;
@@ -66,7 +61,5 @@ pub use config::{AuditConfig, CrateConfig};
 pub use context::FileCx;
 pub use dataflow::DATAFLOW_LINTS;
 pub use diag::{render_text, write_jsonl, Finding};
-pub use driver::{
-    audit_source, audit_workspace, AuditOutcome, AuditReport, DriverOptions, FileReport,
-};
+pub use driver::{audit_source, audit_workspace, AuditReport, FileReport};
 pub use lints::{known_lint_names, LintSpec, LINTS};

@@ -8,18 +8,13 @@
 //! engine: item parsing, the symbol table, import edges, and suppression
 //! handling across files.
 
-use iotax_audit::driver::{audit_sources, AuditReport, DriverOptions};
+use iotax_audit::driver::{audit_sources as audit, AuditReport};
 use iotax_audit::symbols::{FileRole, SourceSpec};
 use iotax_audit::{write_jsonl, AuditConfig};
 
 fn cfg(toml: &str) -> AuditConfig {
     AuditConfig::from_toml(toml, "fixture.toml", &iotax_audit::known_lint_names())
         .expect("fixture config parses")
-}
-
-/// One uncached, unscoped run over an in-memory corpus.
-fn audit(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
-    audit_sources(specs, cfg, DriverOptions::default()).report
 }
 
 fn spec(krate: &str, file: &str, role: FileRole, src: &str) -> SourceSpec {

@@ -7,7 +7,7 @@ use iotax_audit::driver::audit_sources;
 use iotax_audit::items::{parse_items, MAX_DEPTH};
 use iotax_audit::symbols::{analyze_file, FileRole, SourceSpec};
 use iotax_audit::FileCx;
-use iotax_audit::{audit_source, AuditConfig, CrateConfig, DriverOptions};
+use iotax_audit::{audit_source, AuditConfig, CrateConfig};
 use proptest::prelude::*;
 
 /// Item-declaration openers prepended to byte soup: the parser enters its
@@ -36,9 +36,8 @@ fn full_config() -> CrateConfig {
 
 /// Run the full audit pipeline over one in-memory source file with every
 /// dataflow lint (wire, concurrency, and capacity) enabled; returns the
-/// finding count. The engine — including facts extraction and the global
-/// graph rebuild — must terminate without panicking on arbitrary byte
-/// soup.
+/// finding count. The engine — including the workspace lock-order graph —
+/// must terminate without panicking on arbitrary byte soup.
 fn dataflow_findings(src: &str) -> usize {
     let spec = SourceSpec {
         krate: "iotax-prop".to_owned(),
@@ -52,7 +51,7 @@ fn dataflow_findings(src: &str) -> usize {
                 quadratic-corpus-join = true\n";
     let cfg = AuditConfig::from_toml(toml, "dataflow-seam", &iotax_audit::known_lint_names())
         .expect("static lint config");
-    audit_sources(vec![spec], &cfg, DriverOptions::default()).report.findings.len()
+    audit_sources(vec![spec], &cfg).findings.len()
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! invariant CI enforces via `iotax-audit --workspace --baseline
 //! audit-baseline.json` — the baseline is empty and must stay that way.
 
-use iotax_audit::{audit_workspace, AuditConfig, Baseline, DriverOptions};
+use iotax_audit::{audit_workspace, AuditConfig, Baseline};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -21,8 +21,7 @@ fn workspace_config(root: &Path) -> AuditConfig {
 fn workspace_is_clean_under_its_own_config() {
     let root = workspace_root();
     let cfg = workspace_config(&root);
-    let report =
-        audit_workspace(&root, &cfg, DriverOptions::default()).expect("workspace walks").report;
+    let report = audit_workspace(&root, &cfg).expect("workspace walks");
     let rendered: Vec<String> = report.findings.iter().map(iotax_audit::render_text).collect();
     assert!(
         report.findings.is_empty(),

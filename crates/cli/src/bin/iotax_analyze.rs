@@ -83,7 +83,10 @@ fn parse_args() -> Result<Args, Error> {
         let mut value =
             |name: &str| it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")));
         match arg.as_str() {
-            "--help" | "-h" => return Err(Error::usage(usage())),
+            "--help" | "-h" => {
+                println!("{}", usage());
+                std::process::exit(0);
+            }
             "--stats-only" => stats_only = true,
             "--strict" => strict = true,
             "--retries" => {

@@ -73,11 +73,12 @@ fn parse_args() -> Result<Args, Error> {
                 )
             }
             "--help" | "-h" => {
-                return Err(Error::usage(format!(
+                println!(
                     "usage: iotax-gen [--system theta|cori] [--jobs N] \
                      [--seed N] [--out DIR] {OBS_USAGE} \
                      [--fault-rate F] [--fault-seed N]"
-                )))
+                );
+                std::process::exit(0);
             }
             other => {
                 if !args.obs.accept(other, &mut value)? {
