@@ -2,7 +2,7 @@
 //!
 //! The workspace vendors no TOML crate, so this module parses the small
 //! subset the config needs: `[section]` headers, `key = value` pairs with
-//! boolean, integer, string, and string-array values, and `#` comments.
+//! boolean and string-array values, and `#` comments.
 //! Anything outside that subset is a hard [`iotax_obs::ErrorKind::Parse`]
 //! error — a silently misread lint config is worse than a loud one.
 //!
@@ -16,10 +16,6 @@
 //!
 //! [crate.iotax-darshan]
 //! panic-in-parser = true
-//!
-//! [crate.iotax-core]
-//! unspanned-stage = true
-//! stage-functions = ["baseline", "app_litmus"]
 //! ```
 
 use iotax_obs::{Error, ErrorKind, Result};
@@ -30,10 +26,6 @@ use std::collections::BTreeMap;
 pub(crate) enum TomlValue {
     /// `true` / `false`.
     Bool(bool),
-    /// Integer.
-    Int(i64),
-    /// `"…"`.
-    Str(String),
     /// `["a", "b"]`.
     StrArray(Vec<String>),
 }
@@ -106,10 +98,7 @@ fn parse_value(v: &str) -> Option<TomlValue> {
         }
         return Some(TomlValue::StrArray(items));
     }
-    if let Some(s) = v.strip_prefix('"').and_then(|r| r.strip_suffix('"')) {
-        return Some(TomlValue::Str(s.to_owned()));
-    }
-    v.parse::<i64>().ok().map(TomlValue::Int)
+    None
 }
 
 /// Effective lint settings for one crate.
@@ -120,8 +109,6 @@ pub struct CrateConfig {
     pub lints: BTreeMap<String, bool>,
     /// `panic-in-parser`: also flag direct indexing (`x[i]`).
     pub check_indexing: bool,
-    /// `unspanned-stage`: functions that must open an obs span.
-    pub stage_functions: Vec<String>,
 }
 
 impl CrateConfig {
@@ -131,37 +118,6 @@ impl CrateConfig {
     }
 }
 
-/// One writer/reader schema pair for the `schema-drift` analysis: a
-/// serialized struct, an optional hand-rolled writer function whose body
-/// is mined for added/filtered keys, and the reader files whose field
-/// probes must match what the writer emits.
-///
-/// ```toml
-/// [schema.ingest-report]
-/// struct = "IngestReport"
-/// writer-fn = "tagged"
-/// writer-file = "crates/cli/src/ingest.rs"
-/// readers = ["tests/chaos.rs"]
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-// audit:allow(dead-public-api) -- element type of AuditConfig's public `schemas` field; the iotax-audit bin loads AuditConfig
-pub struct SchemaPair {
-    /// Pair name (the `NAME` in `[schema.NAME]`), used in messages.
-    pub name: String,
-    /// The `#[derive(Serialize)]` struct whose fields go on the wire.
-    pub strukt: String,
-    /// Hand-rolled writer function to mine for `("key".to_owned(), …)`
-    /// additions and `!= "key"` filters. `None` means the struct
-    /// serializes as-is.
-    pub writer_fn: Option<String>,
-    /// Path substring locating the writer function's file. Defaults to
-    /// the file defining the struct.
-    pub writer_file: Option<String>,
-    /// Path substrings of reader files whose `get("…")` calls and
-    /// JSON-key string probes are checked against the writer's fields.
-    pub readers: Vec<String>,
-}
-
 /// The whole audit configuration.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
@@ -169,8 +125,6 @@ pub struct AuditConfig {
     pub include_tests: bool,
     /// Directory names skipped anywhere in the tree (e.g. lint fixtures).
     pub exclude_dirs: Vec<String>,
-    /// `[schema.NAME]` writer/reader pairs for `schema-drift`.
-    pub schemas: Vec<SchemaPair>,
     /// `[default]` settings.
     default: CrateConfig,
     /// `[crate.NAME]` overrides.
@@ -182,7 +136,6 @@ impl Default for AuditConfig {
         Self {
             include_tests: false,
             exclude_dirs: vec!["fixtures".to_owned()],
-            schemas: Vec::new(),
             default: CrateConfig::default(),
             per_crate: BTreeMap::new(),
         }
@@ -218,10 +171,6 @@ impl AuditConfig {
                 }
                 "default" => apply_crate_keys(&mut cfg.default, keys, origin, known_lints)?,
                 other => {
-                    if let Some(name) = other.strip_prefix("schema.") {
-                        cfg.schemas.push(parse_schema_pair(name, keys, origin)?);
-                        continue;
-                    }
                     let Some(name) = other.strip_prefix("crate.") else {
                         return Err(Error::new(
                             ErrorKind::Parse,
@@ -245,45 +194,10 @@ impl AuditConfig {
             for (k, v) in &over.lints {
                 eff.lints.insert(k.clone(), *v);
             }
-            if !over.stage_functions.is_empty() {
-                eff.stage_functions = over.stage_functions.clone();
-            }
             eff.check_indexing = over.check_indexing;
         }
         eff
     }
-}
-
-fn parse_schema_pair(
-    name: &str,
-    keys: &BTreeMap<String, TomlValue>,
-    origin: &str,
-) -> Result<SchemaPair> {
-    let mut pair = SchemaPair { name: name.to_owned(), ..SchemaPair::default() };
-    for (k, v) in keys {
-        match (k.as_str(), v) {
-            ("struct", TomlValue::Str(s)) => pair.strukt = s.clone(),
-            ("writer-fn", TomlValue::Str(s)) => pair.writer_fn = Some(s.clone()),
-            ("writer-file", TomlValue::Str(s)) => pair.writer_file = Some(s.clone()),
-            ("readers", TomlValue::StrArray(a)) => pair.readers = a.clone(),
-            _ => {
-                return Err(Error::new(
-                    ErrorKind::Parse,
-                    format!(
-                        "{origin}: unknown [schema.{name}] key `{k}` \
-                         (known: struct, writer-fn, writer-file, readers)"
-                    ),
-                ))
-            }
-        }
-    }
-    if pair.strukt.is_empty() {
-        return Err(Error::new(
-            ErrorKind::Parse,
-            format!("{origin}: [schema.{name}] needs a `struct = \"…\"` key"),
-        ));
-    }
-    Ok(pair)
 }
 
 fn apply_crate_keys(
@@ -297,7 +211,6 @@ fn apply_crate_keys(
     for (k, v) in keys {
         match (k.as_str(), v) {
             ("check-indexing", TomlValue::Bool(b)) => cfg.check_indexing = *b,
-            ("stage-functions", TomlValue::StrArray(a)) => cfg.stage_functions = a.clone(),
             (lint, TomlValue::Bool(b)) if known_lints.contains(&lint) => {
                 cfg.lints.insert(lint.to_owned(), *b);
             }
@@ -320,7 +233,7 @@ fn apply_crate_keys(
 mod tests {
     use super::*;
 
-    const LINTS: &[&str] = &["panic-in-parser", "unspanned-stage", "nondeterministic-time"];
+    const LINTS: &[&str] = &["panic-in-parser", "unchecked-cast", "nondeterministic-time"];
 
     #[test]
     fn parses_sections_values_and_comments() {
@@ -334,18 +247,16 @@ mod tests {
             nondeterministic-time = true
 
             [crate.iotax-core]
-            unspanned-stage = true
-            stage-functions = ["baseline", "ood"]
+            unchecked-cast = true
         "#;
         let cfg = AuditConfig::from_toml(text, "audit.toml", LINTS).unwrap();
         assert!(!cfg.include_tests);
         assert_eq!(cfg.exclude_dirs, vec!["fixtures", "golden"]);
         let core = cfg.for_crate("iotax-core");
-        assert!(core.enabled("unspanned-stage"));
+        assert!(core.enabled("unchecked-cast"));
         assert!(core.enabled("nondeterministic-time"), "default inherited");
-        assert_eq!(core.stage_functions, vec!["baseline", "ood"]);
         let other = cfg.for_crate("iotax-ml");
-        assert!(!other.enabled("unspanned-stage"));
+        assert!(!other.enabled("unchecked-cast"));
     }
 
     #[test]
@@ -353,38 +264,19 @@ mod tests {
         let err = AuditConfig::from_toml("[default]\npanick = true", "a.toml", LINTS).unwrap_err();
         assert_eq!(err.kind(), iotax_obs::ErrorKind::Parse);
         assert!(err.context().contains("panick"));
-    }
-
-    #[test]
-    fn malformed_lines_are_loud() {
-        for bad in ["[unclosed", "just words", "k = {}"] {
-            let err = parse_toml_subset(bad, "a.toml").unwrap_err();
+        // Unknown sections and keys are as loud as unknown lints.
+        for bad in ["[schema.ingest-report]\nreaders = []", "[workspace]\ncache = true"] {
+            let err = AuditConfig::from_toml(bad, "a.toml", LINTS).unwrap_err();
             assert_eq!(err.kind(), iotax_obs::ErrorKind::Parse, "{bad}");
         }
     }
 
     #[test]
-    fn schema_sections_parse_and_validate() {
-        let text = r#"
-            [schema.ingest-report]
-            struct = "IngestReport"
-            writer-fn = "tagged"
-            writer-file = "crates/cli/src/ingest.rs"
-            readers = ["tests/chaos.rs"]
-        "#;
-        let cfg = AuditConfig::from_toml(text, "a.toml", LINTS).unwrap();
-        assert_eq!(cfg.schemas.len(), 1);
-        let p = &cfg.schemas[0];
-        assert_eq!(p.name, "ingest-report");
-        assert_eq!(p.strukt, "IngestReport");
-        assert_eq!(p.writer_fn.as_deref(), Some("tagged"));
-        assert_eq!(p.readers, vec!["tests/chaos.rs"]);
-
-        let missing = AuditConfig::from_toml("[schema.x]\nreaders = []", "a.toml", LINTS);
-        assert!(missing.is_err(), "schema without struct must fail");
-        let unknown =
-            AuditConfig::from_toml("[schema.x]\nstruct = \"S\"\nfrobs = true", "a.toml", LINTS);
-        assert!(unknown.is_err(), "unknown schema key must fail");
+    fn malformed_lines_are_loud() {
+        for bad in ["[unclosed", "just words", "k = {}", "k = 3", "k = \"s\""] {
+            let err = parse_toml_subset(bad, "a.toml").unwrap_err();
+            assert_eq!(err.kind(), iotax_obs::ErrorKind::Parse, "{bad}");
+        }
     }
 
     #[test]

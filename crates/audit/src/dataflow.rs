@@ -1,6 +1,6 @@
-//! Audit v3/v4: the intra-procedural dataflow/taint engine and the six
-//! lints built on it — three concurrency-safety checks (v3) and three
-//! corpus-cardinality capacity checks (v4).
+//! Audit v3/v4: the intra-procedural dataflow/taint engine and the four
+//! lints built on it — three concurrency-safety checks (v3) and one
+//! corpus-cardinality capacity check (v4).
 //!
 //! Where [`crate::flow`] resolves *provenance* (does this seed trace to a
 //! parameter?), this module resolves *trust* and *scale*: statement-level
@@ -9,7 +9,7 @@
 //! grouping depends on scheduler or hash order, whether two locks are
 //! ever taken in opposite orders — and, with a second taint vocabulary,
 //! whether a value whose *cardinality* scales with the job corpus is ever
-//! materialized, queued, or joined without a bound.
+//! materialized without a bound.
 //!
 //! | lint | hazard it guards |
 //! |------|------------------|
@@ -17,8 +17,6 @@
 //! | `unordered-float-reduction`   | rayon `sum`/`fold`/`reduce` over floats, or hash-container iteration feeding a float accumulator — both break the `f64::to_bits`-exact equivalence contract |
 //! | `lock-order-cycle`            | the workspace lock-acquisition graph contains a cycle, the classic deadlock precondition |
 //! | `unbounded-corpus-materialization` | a corpus-scale stream reaches `collect`/`to_vec`/`read_to_end`/`extend`, or a per-job loop pushes into a container that outlives it |
-//! | `unbounded-channel` | a channel created without capacity is fed from a per-job loop — the queue grows to O(corpus) under a slow consumer |
-//! | `quadratic-corpus-join` | nested loops whose heads are both corpus-tainted: O(n²) in the job count |
 //!
 //! The taint lattice is deliberately two-point (`Tainted(source)` /
 //! `Clean`) with a *positive-evidence* rule: a value is tainted only when
@@ -28,7 +26,7 @@
 //! analyses' conservatism. Both vocabularies are built in.
 //!
 //! `lock-order-cycle` is a workspace pass over every file's analysis; the
-//! other five lints are per-file passes.
+//! other three lints are per-file passes.
 
 use crate::config::AuditConfig;
 use crate::flow::{const_init_idents, first_arg_idents, raw};
@@ -56,14 +54,6 @@ pub const DATAFLOW_LINTS: &[LintSpec] = &[
     LintSpec {
         name: "unbounded-corpus-materialization",
         summary: "corpus-scale stream is materialized in memory with no cardinality bound",
-    },
-    LintSpec {
-        name: "unbounded-channel",
-        summary: "capacity-less channel fed from a per-job loop grows O(corpus) under backpressure",
-    },
-    LintSpec {
-        name: "quadratic-corpus-join",
-        summary: "nested loops over corpus-scale collections do O(n²) work in the job count",
     },
 ];
 
@@ -93,8 +83,8 @@ const MAX_CHAIN_DEPTH: usize = 8;
 
 /// One taint vocabulary: source names and sanitizer names. The engine
 /// runs twice per file with different vocabularies — wire-length taint
-/// for `untrusted-length-allocation`, corpus-cardinality taint for the
-/// three capacity lints.
+/// for `untrusted-length-allocation`, corpus-cardinality taint for
+/// `unbounded-corpus-materialization`.
 pub(crate) struct TaintVocab {
     pub sources: &'static [&'static str],
     pub sanitizers: &'static [&'static str],
@@ -387,45 +377,26 @@ pub(crate) fn untrusted_length_allocation(
 }
 
 // ---------------------------------------------------------------------------
-// the capacity lints (corpus-cardinality taint)
+// unbounded-corpus-materialization (corpus-cardinality taint)
 // ---------------------------------------------------------------------------
 
 /// Materializing chain sinks: `stream.collect()` / `::<…>(…)`,
 /// `slice.to_vec()`, `reader.read_to_end(&mut buf)`.
 const MATERIALIZE_SINKS: &[&str] = &["collect", "to_vec", "read_to_end"];
 
-/// Channel constructors that take no capacity argument. `sync_channel`,
-/// `bounded` and friends take a capacity and never match the `()` form.
-const CHANNEL_CTORS: &[&str] = &["channel", "unbounded", "unbounded_channel"];
-
-/// Which of the three capacity lints to run for one file (in
-/// [`DATAFLOW_LINTS`] order: materialization, channel, join).
-pub(crate) struct CapacityOn {
-    pub materialize: bool,
-    pub channel: bool,
-    pub join: bool,
-}
-
-/// The three capacity lints in a single token scan over one file. All
-/// share the corpus-cardinality vocabulary: a loop header or method
-/// chain is *per-job* when [`trace_taint`] links it to a corpus source.
-pub(crate) fn capacity_findings(
+/// The capacity lint in a single token scan over one file, under the
+/// corpus-cardinality vocabulary: a loop header or method chain is
+/// *per-job* when [`trace_taint`] links it to a corpus source.
+pub(crate) fn unbounded_corpus_materialization(
     f: &FileAnalysis<'_>,
-    on: &CapacityOn,
     vocab: &TaintVocab,
     summaries: &BTreeSet<String>,
 ) -> Vec<RawFinding> {
     let cx = &f.cx;
     let mut out = Vec::new();
     // Per-token dedup: an `extend` can match both the chain-sink arm and
-    // the loop-body arm; a doubly-nested loop can be the inner loop of
-    // two enclosing corpus loops. One finding per site.
+    // the loop-body arm. One finding per site.
     let mut flagged: BTreeSet<usize> = BTreeSet::new();
-    // Corpus-tainted loops discovered during the scan, for the channel
-    // pass: (open, close, source).
-    let mut corpus_loops: Vec<(usize, usize, String)> = Vec::new();
-    // Capacity-less channel constructions: (ctor token, tx name).
-    let mut channels: Vec<(usize, String)> = Vec::new();
 
     for i in 0..cx.code.len() {
         if cx.is_test(i) || cx.kind(i) != TokKind::Ident {
@@ -436,8 +407,7 @@ pub(crate) fn capacity_findings(
         // chain. The receiver is every ident in the chain back to the
         // statement start; a bounded adapter anywhere in the chain is a
         // sanitizer and wins.
-        if on.materialize
-            && MATERIALIZE_SINKS.contains(&name)
+        if MATERIALIZE_SINKS.contains(&name)
             && i > 0
             && cx.punct_at(i - 1, ".")
             && (cx.punct_at(i + 1, "(") || cx.punct_at(i + 1, "::"))
@@ -462,12 +432,7 @@ pub(crate) fn capacity_findings(
         }
         // Arm 2: `sink.extend(corpus_stream)` — the argument carries the
         // cardinality.
-        if on.materialize
-            && name == "extend"
-            && i > 0
-            && cx.punct_at(i - 1, ".")
-            && cx.punct_at(i + 1, "(")
-        {
+        if name == "extend" && i > 0 && cx.punct_at(i - 1, ".") && cx.punct_at(i + 1, "(") {
             let (idents, _) = first_arg_idents(f, i + 1);
             if let Some(src) = trace_taint(f, i, &idents, vocab, summaries) {
                 if flagged.insert(i) {
@@ -486,100 +451,41 @@ pub(crate) fn capacity_findings(
             }
             continue;
         }
-        // Arm 3: `let (tx, rx) = channel();` — remember the sender; the
-        // post-pass checks whether a corpus loop feeds it.
-        if on.channel
-            && CHANNEL_CTORS.contains(&name)
-            && cx.punct_at(i + 1, "(")
-            && cx.punct_at(i + 2, ")")
-        {
-            if let Some(tx) = channel_tx(f, i) {
-                channels.push((i, tx));
-            }
+        // Arm 3: `outlived.push(…)` / `.extend(…)` inside a per-job loop
+        // `for job in <corpus-tainted> { … }`, where the receiver is a
+        // local defined *before* the loop — it accumulates one entry per
+        // job.
+        if name != "for" {
             continue;
         }
-        // Per-job loops: `for job in <corpus-tainted> { … }`.
-        if name == "for" {
-            let Some((open, header_idents)) = for_header(f, i) else { continue };
-            let Some(src) = trace_taint(f, i, &header_idents, vocab, summaries) else {
-                continue;
-            };
-            let close = match_brace(f, open);
-            if on.channel {
-                corpus_loops.push((open, close, src.clone()));
-            }
-            let body_lo =
-                f.items.enclosing_fn(i).and_then(|x| f.items.items[x].body).map_or(0, |b| b.0);
-            for j in open..close {
-                // Arm 4: `outlived.push(…)` / `.extend(…)` inside the
-                // per-job loop, where the receiver is a local defined
-                // *before* the loop — it accumulates one entry per job.
-                if on.materialize
-                    && (cx.ident_at(j, "push") || cx.ident_at(j, "extend"))
-                    && j > 0
-                    && cx.punct_at(j - 1, ".")
-                    && cx.punct_at(j + 1, "(")
-                {
-                    let Some(recv) = receiver_name(f, j - 1) else { continue };
-                    if last_def(f, &recv, body_lo, i).is_some() && flagged.insert(j) {
-                        out.push(raw(
-                            cx,
-                            "unbounded-corpus-materialization",
-                            j,
-                            format!(
-                                "container `{recv}` gains one entry per job of corpus \
-                                 source `{src}` and outlives the loop; bound the loop \
-                                 (`.take(k)`) or fold into a fixed-size mergeable \
-                                 accumulator so peak memory stays O(1) in the job count"
-                            ),
-                        ));
-                    }
-                }
-                // Arm 5: a nested loop whose head is *also* corpus-tainted
-                // — the O(n²) duplicate-pair idiom.
-                if on.join && cx.ident_at(j, "for") && !flagged.contains(&j) {
-                    let Some((_, inner_idents)) = for_header(f, j) else { continue };
-                    if let Some(inner_src) = trace_taint(f, j, &inner_idents, vocab, summaries) {
-                        flagged.insert(j);
-                        out.push(raw(
-                            cx,
-                            "quadratic-corpus-join",
-                            j,
-                            format!(
-                                "nested per-job loops over corpus sources `{src}` and \
-                                 `{inner_src}` do O(n²) work in the job count; index one \
-                                 side by key (a map) or sort-merge instead — a quadratic \
-                                 join cannot survive a million-job corpus"
-                            ),
-                        ));
-                    }
+        let Some((open, header_idents)) = for_header(f, i) else { continue };
+        let Some(src) = trace_taint(f, i, &header_idents, vocab, summaries) else {
+            continue;
+        };
+        let close = match_brace(f, open);
+        let body_lo =
+            f.items.enclosing_fn(i).and_then(|x| f.items.items[x].body).map_or(0, |b| b.0);
+        for j in open..close {
+            if (cx.ident_at(j, "push") || cx.ident_at(j, "extend"))
+                && j > 0
+                && cx.punct_at(j - 1, ".")
+                && cx.punct_at(j + 1, "(")
+            {
+                let Some(recv) = receiver_name(f, j - 1) else { continue };
+                if last_def(f, &recv, body_lo, i).is_some() && flagged.insert(j) {
+                    out.push(raw(
+                        cx,
+                        "unbounded-corpus-materialization",
+                        j,
+                        format!(
+                            "container `{recv}` gains one entry per job of corpus source \
+                             `{src}` and outlives the loop; bound the loop (`.take(k)`) or \
+                             fold into a fixed-size mergeable accumulator so peak memory \
+                             stays O(1) in the job count"
+                        ),
+                    ));
                 }
             }
-        }
-    }
-
-    // Channel post-pass: a capacity-less channel whose sender is used
-    // inside any corpus-tainted loop body.
-    for (ctor, tx) in &channels {
-        let fed = corpus_loops.iter().find(|(open, close, _)| {
-            (*open..*close).any(|j| {
-                cx.ident_at(j, tx)
-                    && cx.punct_at(j + 1, ".")
-                    && (cx.ident_at(j + 2, "send") || cx.ident_at(j + 2, "try_send"))
-                    && cx.punct_at(j + 3, "(")
-            })
-        });
-        if let Some((_, _, src)) = fed {
-            out.push(raw(
-                cx,
-                "unbounded-channel",
-                *ctor,
-                format!(
-                    "channel created without capacity is fed from a per-job loop over corpus \
-                     source `{src}`; a slow consumer lets the queue grow to O(corpus) — use a \
-                     bounded channel (`sync_channel(k)`) so backpressure caps memory"
-                ),
-            ));
         }
     }
     out
@@ -660,38 +566,6 @@ fn match_brace(f: &FileAnalysis<'_>, open: usize) -> usize {
         j += 1;
     }
     cx.code.len()
-}
-
-/// The sender name of a `let (tx, rx) = [path::]channel();` binding whose
-/// constructor is at `ctor`. Anything that does not match the two-name
-/// tuple pattern is `None` — and the channel is then conservatively
-/// passed, because the feeding site cannot be identified by name.
-fn channel_tx(f: &FileAnalysis<'_>, ctor: usize) -> Option<String> {
-    let cx = &f.cx;
-    let mut k = ctor;
-    let mut steps = 0;
-    while k > 0 && steps < 12 {
-        k -= 1;
-        steps += 1;
-        if cx.punct_at(k, "=") {
-            if k >= 6
-                && cx.punct_at(k - 1, ")")
-                && cx.kind(k - 2) == TokKind::Ident
-                && cx.punct_at(k - 3, ",")
-                && cx.kind(k - 4) == TokKind::Ident
-                && cx.punct_at(k - 5, "(")
-                && cx.ident_at(k - 6, "let")
-            {
-                return Some(cx.text(k - 4).to_owned());
-            }
-            return None;
-        }
-        // Only path noise may sit between the `=` and the constructor.
-        if cx.kind(k) != TokKind::Ident && !cx.punct_at(k, "::") {
-            return None;
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -1219,8 +1093,7 @@ mod tests {
     fn cfg_all() -> AuditConfig {
         let toml = "[default]\nuntrusted-length-allocation = true\n\
                     unordered-float-reduction = true\nlock-order-cycle = true\n\
-                    unbounded-corpus-materialization = true\nunbounded-channel = true\n\
-                    quadratic-corpus-join = true\n";
+                    unbounded-corpus-materialization = true\n";
         AuditConfig::from_toml(toml, "test", &crate::lints::known_lint_names()).unwrap()
     }
 
@@ -1481,61 +1354,6 @@ mod tests {
              } }",
         );
         assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn capacityless_channel_fed_from_corpus_loop_is_flagged() {
-        let bad = run_one(
-            "pub fn feed(ds: &SimDataset) {\n\
-                 let (tx, rx) = channel();\n\
-                 for j in ds.jobs.iter() { tx.send(j.clone()).unwrap(); }\n\
-             }",
-        );
-        assert_eq!(lints_of(&bad), vec!["unbounded-channel"], "{bad:?}");
-
-        // `sync_channel(k)` has a capacity argument and never matches.
-        let bounded = run_one(
-            "pub fn feed(ds: &SimDataset) {\n\
-                 let (tx, rx) = sync_channel(64);\n\
-                 for j in ds.jobs.iter() { tx.send(j.clone()).unwrap(); }\n\
-             }",
-        );
-        assert!(bounded.is_empty(), "{bounded:?}");
-
-        // A capacity-less channel fed from a bounded loop passes.
-        let idle = run_one(
-            "pub fn feed(ds: &SimDataset) {\n\
-                 let (tx, rx) = channel();\n\
-                 for j in ds.jobs.iter().take(10) { tx.send(j.clone()).unwrap(); }\n\
-             }",
-        );
-        assert!(idle.is_empty(), "{idle:?}");
-    }
-
-    #[test]
-    fn nested_corpus_loops_are_a_quadratic_join() {
-        let bad = run_one(
-            "pub fn pairs(ds: &SimDataset) -> u64 {\n\
-                 let mut n = 0u64;\n\
-                 for a in ds.jobs.iter() {\n\
-                     for b in ds.jobs.iter() { if a.sig == b.sig { n += 1; } }\n\
-                 }\n\
-                 n\n\
-             }",
-        );
-        assert_eq!(lints_of(&bad), vec!["quadratic-corpus-join"], "{bad:?}");
-
-        // Corpus loop around a small inner loop (per-job features) passes.
-        let linear = run_one(
-            "pub fn sum_features(ds: &SimDataset, names: &[String]) -> u64 {\n\
-                 let mut n = 0u64;\n\
-                 for a in ds.jobs.iter() {\n\
-                     for f in names.iter() { n += a.get(f); }\n\
-                 }\n\
-                 n\n\
-             }",
-        );
-        assert!(linear.is_empty(), "{linear:?}");
     }
 
     #[test]

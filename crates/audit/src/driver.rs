@@ -9,8 +9,8 @@
 //! 1. **`audit.parse`**: every file is lexed and parsed once into a
 //!    [`FileAnalysis`], and the workspace taint call summaries are
 //!    collected from the non-test files;
-//! 2. **`audit.flow`**: the workspace passes dead-public-api and
-//!    schema-drift run over all analyses ([`flow`]);
+//! 2. **`audit.flow`**: the workspace pass dead-public-api runs over all
+//!    analyses ([`flow`]);
 //! 3. **`audit.dataflow`**: the workspace lock-order graph is built and
 //!    checked for cycles ([`dataflow`]);
 //! 4. **`audit.lint`**: the per-file passes run, their findings merge
@@ -74,11 +74,7 @@ pub fn audit_source(
 }
 
 fn lint_options(cfg: &CrateConfig, include_tests: bool) -> LintOptions {
-    LintOptions {
-        include_tests,
-        check_indexing: cfg.check_indexing,
-        stage_functions: cfg.stage_functions.clone(),
-    }
+    LintOptions { include_tests, check_indexing: cfg.check_indexing }
 }
 
 /// Run every enabled token lint on one file.
@@ -211,22 +207,18 @@ fn file_sites(
         if cc.enabled("seed-provenance") {
             raw.extend(flow::seed_provenance(f));
         }
-        if cc.enabled("error-context-loss") {
-            raw.extend(flow::error_context_loss(f));
-        }
         if cc.enabled("untrusted-length-allocation") {
             raw.extend(dataflow::untrusted_length_allocation(f, &dataflow::wire_vocab(), wire_sum));
         }
         if cc.enabled("unordered-float-reduction") {
             raw.extend(dataflow::unordered_float_reduction(f));
         }
-        let on = dataflow::CapacityOn {
-            materialize: cc.enabled("unbounded-corpus-materialization"),
-            channel: cc.enabled("unbounded-channel"),
-            join: cc.enabled("quadratic-corpus-join"),
-        };
-        if on.materialize || on.channel || on.join {
-            raw.extend(dataflow::capacity_findings(f, &on, &dataflow::corpus_vocab(), corpus_sum));
+        if cc.enabled("unbounded-corpus-materialization") {
+            raw.extend(dataflow::unbounded_corpus_materialization(
+                f,
+                &dataflow::corpus_vocab(),
+                corpus_sum,
+            ));
         }
     }
     raw.sort_by_key(|r| (r.line, r.col));
@@ -238,9 +230,8 @@ fn file_sites(
 /// This is the engine behind [`audit_workspace`]; see the module docs for
 /// the phases.
 ///
-/// Test-target files (`tests/…`) always join the corpus — schema-drift
-/// reader probes live there — but token lints skip them unless
-/// `cfg.include_tests` is set.
+/// Test-target files (`tests/…`) always join the corpus, but token lints
+/// skip them unless `cfg.include_tests` is set.
 // audit:allow(dead-public-api) -- the in-memory corpus seam tests/flow_fixtures.rs drives
 pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
     let (files, wire_sum, corpus_sum) = {
@@ -258,19 +249,14 @@ pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
         (files, wire_sum, corpus_sum)
     };
 
-    // Workspace passes: findings indexed by file, plus config-level ones.
+    // Workspace passes: findings indexed by file.
     let mut workspace: Vec<Vec<RawFinding>> = files.iter().map(|_| Vec::new()).collect();
-    let config_sites = {
+    {
         let _span = iotax_obs::span!("audit.flow");
         for (fi, s) in flow::dead_public_api(&files, cfg) {
             workspace[fi].push(s);
         }
-        let (sites, config_sites) = flow::schema_drift(&files, cfg);
-        for (fi, s) in sites {
-            workspace[fi].push(s);
-        }
-        config_sites
-    };
+    }
     {
         let _span = iotax_obs::span!("audit.dataflow");
         for (fi, s) in dataflow::lock_order_cycle(&files, cfg) {
@@ -291,79 +277,8 @@ pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
         report.suppressed += suppressed;
     }
 
-    // Crate-level check: a configured stage function defined in no file of
-    // its crate is a config bug. Attributed to the crate manifest.
-    let mut stage_fns_seen: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
-    for f in &files {
-        let opts = lint_options(&cfg.for_crate(&f.spec.krate), cfg.include_tests);
-        stage_fns_seen
-            .entry(f.spec.krate.as_str())
-            .or_default()
-            .extend(lints::stage_functions_defined(&f.cx, &opts));
-    }
-    for (krate, seen) in &stage_fns_seen {
-        let cc = cfg.for_crate(krate);
-        if !cc.enabled("unspanned-stage") {
-            continue;
-        }
-        for wanted in &cc.stage_functions {
-            if !seen.contains(wanted) {
-                let file = manifest_path(&specs, krate);
-                let message = format!(
-                    "configured stage function `{wanted}` is not defined anywhere in \
-                     crate `{krate}`; fix audit.toml or restore the function"
-                );
-                let fp = fingerprint(krate, &file, "unspanned-stage", "", &message, 0);
-                report.findings.push(Finding {
-                    lint: "unspanned-stage".to_owned(),
-                    krate: (*krate).to_owned(),
-                    file,
-                    line: 1,
-                    col: 1,
-                    item: String::new(),
-                    message,
-                    fingerprint: fp,
-                });
-            }
-        }
-    }
-
-    // Config-level findings (e.g. a [schema.*] section naming a struct
-    // that no longer exists) have no source file to suppress in; they
-    // are attributed to audit.toml and always surface.
-    for s in config_sites {
-        let fp = fingerprint("workspace", "audit.toml", s.lint, "", &s.message, 0);
-        report.findings.push(Finding {
-            lint: s.lint.to_owned(),
-            krate: "workspace".to_owned(),
-            file: "audit.toml".to_owned(),
-            line: 1,
-            col: 1,
-            item: String::new(),
-            message: s.message,
-            fingerprint: fp,
-        });
-    }
-
     sort_report(&mut report.findings);
     report
-}
-
-/// The manifest path a crate-level finding attaches to, derived from the
-/// crate's file paths (`crates/sim/src/…` → `crates/sim/Cargo.toml`; the
-/// root package's `src/…` → `Cargo.toml`).
-fn manifest_path(specs: &[SourceSpec], krate: &str) -> String {
-    for s in specs {
-        if s.krate != krate {
-            continue;
-        }
-        for marker in ["src/", "tests/", "benches/", "examples/"] {
-            if let Some(pos) = s.file.find(marker) {
-                return format!("{}Cargo.toml", &s.file[..pos]);
-            }
-        }
-    }
-    "Cargo.toml".to_owned()
 }
 
 /// The one canonical diagnostic order: path, then position, then lint,
@@ -377,8 +292,8 @@ fn sort_report(findings: &mut [Finding]) {
 }
 
 /// Load every source file of the package rooted at `dir` into `specs`.
-/// Test targets always load (schema-drift readers live there); the token
-/// lints decide per-file whether to skip them.
+/// Test targets always load; the token lints decide per file whether to
+/// skip them.
 fn collect_package_specs(
     root: &Path,
     dir: &Path,

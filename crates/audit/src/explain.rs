@@ -88,23 +88,6 @@ pub(crate) const EXPLAINS: &[LintExplain] = &[
         good: "std::fs::write(&path, bytes).map_err(|e| Error::io(\"writing report\", e))?;",
     },
     LintExplain {
-        name: "unspanned-stage",
-        rationale: "Configured stage functions must open an obs span: unspanned stages are \
-                    invisible to the perf gate and the run ledger, so regressions in them \
-                    cannot be attributed or gated.",
-        bad: "pub fn baseline(data: &Dataset) -> StageResult { fit(data) }",
-        good: "pub fn baseline(data: &Dataset) -> StageResult {\n\
-               let _span = iotax_obs::span!(\"stage.baseline\");\n\
-               fit(data)\n}",
-    },
-    LintExplain {
-        name: "unbound-span",
-        rationale: "A span guard bound to `_` drops immediately, recording a zero-length span; \
-                    the timing it was meant to capture never reaches the ledger.",
-        bad: "let _ = iotax_obs::span!(\"stage.fit\");",
-        good: "let _span = iotax_obs::span!(\"stage.fit\");",
-    },
-    LintExplain {
         name: "unsynced-durable-write",
         rationale: "A rename or create-then-write without fsync leaves the durability to the \
                     kernel's writeback timing: after a crash the file may be empty or torn even \
@@ -112,17 +95,6 @@ pub(crate) const EXPLAINS: &[LintExplain] = &[
                     directory.",
         bad: "std::fs::rename(&tmp, &path)?;",
         good: "std::fs::rename(&tmp, &path)?;\nfsync_dir(path.parent().unwrap())?;",
-    },
-    LintExplain {
-        name: "event-outside-span",
-        rationale: "A flight-recorder breadcrumb fired before any span opens in its function \
-                    floats unattributed in the black box: after a crash, `iotax-report blackbox` \
-                    cannot tie it to a stage. Breadcrumbs must fire under a span (or carry a \
-                    reasoned waiver naming the caller's span as the context).",
-        bad:
-            "fn ingest(dir: &Path) {\n    iotax_obs::event!(\"analyze.stage\", \"ingest\");\n    …",
-        good: "fn ingest(dir: &Path) {\n    let _span = iotax_obs::span!(\"cli.ingest\");\n\
-               iotax_obs::event!(\"analyze.stage\", \"ingest\");",
     },
     LintExplain {
         name: "seed-provenance",
@@ -133,29 +105,12 @@ pub(crate) const EXPLAINS: &[LintExplain] = &[
         good: "pub fn fit(seed: u64, …) {\n    let rng = substream(seed, STREAM_FIT);",
     },
     LintExplain {
-        name: "schema-drift",
-        rationale: "JSONL writers and their readers live in different crates; when a field is \
-                    renamed on one side only, the reader silently sees nulls. The [schema.*] \
-                    pairs in audit.toml pin writer fields to reader probes.",
-        bad: "// writer renamed `total` → `record_total`; reader still probes:\nv.get(\"total\")",
-        good: "v.get(\"record_total\") // and update the [schema.*] pair if fields changed",
-    },
-    LintExplain {
         name: "dead-public-api",
         rationale: "`pub` in a library crate is a promise that somebody outside consumes the \
                     item; unreferenced pub surface accretes, hides real API, and silently \
                     bit-rots because nothing exercises it.",
         bad: "pub fn helper_nobody_calls() {}",
         good: "pub(crate) fn helper() {} // or delete it, or waive with a reasoned audit:allow",
-    },
-    LintExplain {
-        name: "error-context-loss",
-        rationale: "A bare `?` on a call into another crate propagates an error that names \
-                    neither the file nor the stage that failed; by the time it surfaces at \
-                    main, the context is unrecoverable.",
-        bad: "let log = iotax_darshan::parse_log(bytes)?;",
-        good: "let log = iotax_darshan::parse_log(bytes)\n\
-               .map_err(|e| e.wrap(format!(\"while parsing {}\", path.display())))?;",
     },
     LintExplain {
         name: "untrusted-length-allocation",
@@ -199,26 +154,6 @@ pub(crate) const EXPLAINS: &[LintExplain] = &[
         bad: "let rows: Vec<Row> = ds.jobs().map(featurize).collect();",
         good: "let mut acc = StreamingMoments::default();\n\
                for job in ds.jobs().take(budget) { acc.push(featurize(job)); }",
-    },
-    LintExplain {
-        name: "unbounded-channel",
-        rationale: "A capacity-less channel fed from a per-job loop buffers O(corpus) messages \
-                    whenever the consumer falls behind — backpressure is the only thing that \
-                    keeps a 1M-job replay inside RAM. Bounded channels make the producer wait \
-                    instead of the allocator.",
-        bad: "let (tx, rx) = channel();\nfor job in ds.jobs() { tx.send(featurize(job)); }",
-        good: "let (tx, rx) = sync_channel(1024); // producer blocks when the consumer lags",
-    },
-    LintExplain {
-        name: "quadratic-corpus-join",
-        rationale: "Nested loops whose heads both scale with job count do O(n²) work — the \
-                    all-pairs duplicate-scan idiom that finishes on a 10k-job sample and never \
-                    finishes on the 1.1M-job corpus. Join through a keyed index (sort or hash \
-                    on the join key) instead.",
-        bad:
-            "for a in ds.jobs() {\n    for b in ds.jobs() { if a.hash == b.hash { dups += 1; } }\n}",
-        good: "let mut by_hash: BTreeMap<u64, u32> = BTreeMap::new();\n\
-               for job in ds.jobs() { *by_hash.entry(job.hash).or_default() += 1; }",
     },
     LintExplain {
         name: "bad-suppression",

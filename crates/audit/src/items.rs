@@ -1,12 +1,11 @@
 //! A lightweight item parser on top of the lexer: the brace tree.
 //!
-//! The flow analyses (seed provenance, schema drift, dead public API,
-//! error-context loss) need more structure than a token stream — which
-//! function a token is in, what fields a `#[derive(Serialize)]` struct
-//! carries, what `use` edges a file imports — but far less than a real
-//! Rust parser. This module walks the code tokens of one [`FileCx`] and
-//! produces a flat, preorder list of [`Item`]s plus the file's
-//! [`UseEdge`]s.
+//! The flow and dataflow analyses (seed provenance, dead public API, the
+//! taint and lock passes) need more structure than a token stream — which
+//! function a token is in, what its parameters are, which items a file
+//! declares `pub` — but far less than a real Rust parser. This module
+//! walks the code tokens of one [`FileCx`] and produces a flat, preorder
+//! list of [`Item`]s.
 //!
 //! Design constraints, inherited from the lexer:
 //!
@@ -66,21 +65,6 @@ pub enum Vis {
     Private,
 }
 
-/// One named field of a struct (or one variant of an enum).
-#[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- element type of Item's public `fields` field; parse_items, the seam tests/prop.rs drives, returns Items
-pub struct Field {
-    /// Declared name.
-    pub name: String,
-    /// Name on the wire after `#[serde(rename = "…")]`; equals `name`
-    /// when there is no rename.
-    pub wire_name: String,
-    /// `#[serde(skip)]` — omitted from serialization.
-    pub skipped: bool,
-    /// 1-based line of the field name.
-    pub line: u32,
-}
-
 /// One parsed item.
 #[derive(Debug, Clone)]
 pub struct Item {
@@ -102,10 +86,6 @@ pub struct Item {
     /// Code-token range of the `{ … }` body, exclusive of both braces.
     /// `None` for `;`-terminated items.
     pub body: Option<(usize, usize)>,
-    /// Traits named in `#[derive(…)]` attributes on this item.
-    pub derives: Vec<String>,
-    /// Named fields (structs) or variants (enums).
-    pub fields: Vec<Field>,
     /// Parameter names of a fn (`self` included verbatim).
     pub params: Vec<String>,
     /// For [`ItemKind::Impl`]: this is a `impl Trait for Type` block.
@@ -115,36 +95,12 @@ pub struct Item {
     pub parent: Option<usize>,
 }
 
-/// One leaf of a `use` declaration: `use a::b::{c, d as e};` yields two
-/// edges, for `c` and `d`.
-#[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- element type of FileItems' public `uses` field; parse_items, the seam tests/prop.rs drives, returns FileItems
-pub struct UseEdge {
-    /// First path segment (`iotax_darshan`, `crate`, `std`, …).
-    pub root: String,
-    /// The imported leaf name (`parse_log`, `*` for glob imports).
-    pub leaf: String,
-    /// Local alias from `as`, when present.
-    pub alias: Option<String>,
-    /// 1-based line of the `use` keyword.
-    pub line: u32,
-}
-
-impl UseEdge {
-    /// The name this import binds locally.
-    pub(crate) fn local_name(&self) -> &str {
-        self.alias.as_deref().unwrap_or(&self.leaf)
-    }
-}
-
 /// Parse result for one file.
 #[derive(Debug, Clone, Default)]
 // audit:allow(dead-public-api) -- return type of parse_items, the seam tests/prop.rs drives
 pub struct FileItems {
     /// Flat preorder item list.
     pub items: Vec<Item>,
-    /// All `use` edges in the file.
-    pub uses: Vec<UseEdge>,
     /// Deepest brace nesting the parser recursed into (capped at
     /// [`MAX_DEPTH`]).
     pub max_depth: u32,
@@ -180,29 +136,19 @@ impl FileItems {
     }
 }
 
-/// Attributes collected ahead of an item header.
-#[derive(Debug, Clone, Default)]
-struct PendingAttrs {
-    derives: Vec<String>,
-    serde_skip: bool,
-    serde_rename: Option<String>,
-    is_test: bool,
-}
-
 struct Parser<'a, 'b> {
     cx: &'b FileCx<'a>,
     items: Vec<Item>,
-    uses: Vec<UseEdge>,
     max_depth: u32,
 }
 
 /// Parse the items of one file. Total on any token stream.
 // audit:allow(dead-public-api) -- the item-parser seam tests/prop.rs drives
 pub fn parse_items(cx: &FileCx<'_>) -> FileItems {
-    let mut p = Parser { cx, items: Vec::new(), uses: Vec::new(), max_depth: 0 };
+    let mut p = Parser { cx, items: Vec::new(), max_depth: 0 };
     let mut i = 0usize;
     p.block(&mut i, cx.code.len(), 0, None, false);
-    FileItems { items: p.items, uses: p.uses, max_depth: p.max_depth }
+    FileItems { items: p.items, max_depth: p.max_depth }
 }
 
 impl<'a, 'b> Parser<'a, 'b> {
@@ -233,18 +179,14 @@ impl<'a, 'b> Parser<'a, 'b> {
         in_trait_impl: bool,
     ) {
         self.max_depth = self.max_depth.max(depth);
-        let mut attrs = PendingAttrs::default();
         while *i < end {
             let t = self.text(*i);
             match (self.kind(*i), t) {
-                (TokKind::Punct, "#") if self.is_punct(*i + 1, "[") => {
-                    self.attribute(i, &mut attrs);
-                }
+                (TokKind::Punct, "#") if self.is_punct(*i + 1, "[") => self.skip_attribute(i),
                 (TokKind::Punct, "{") => {
                     // Anonymous block (fn body statement, match arm, …).
                     *i += 1;
                     self.enter(i, end, depth, parent, in_trait_impl);
-                    attrs = PendingAttrs::default();
                 }
                 (TokKind::Punct, "}") => {
                     *i += 1;
@@ -254,14 +196,8 @@ impl<'a, 'b> Parser<'a, 'b> {
                     TokKind::Ident,
                     "pub" | "mod" | "fn" | "struct" | "enum" | "trait" | "impl" | "use" | "const"
                     | "static" | "type" | "macro_rules" | "unsafe" | "async" | "extern",
-                ) => {
-                    let taken = std::mem::take(&mut attrs);
-                    self.item(i, end, depth, parent, in_trait_impl, taken);
-                }
-                _ => {
-                    *i += 1;
-                    attrs = PendingAttrs::default();
-                }
+                ) => self.item(i, end, depth, parent, in_trait_impl),
+                _ => *i += 1,
             }
         }
     }
@@ -302,41 +238,11 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
     }
 
-    /// Parse one `#[…]` attribute starting at `*i` (on the `#`).
-    fn attribute(&mut self, i: &mut usize, attrs: &mut PendingAttrs) {
-        let start = *i;
-        *i += 2; // consume `#` `[`
-        let head = self.text(*i).to_owned();
-        if head == "derive" && self.is_punct(*i + 1, "(") {
-            let mut j = *i + 2;
-            while j < self.cx.code.len() && !self.is_punct(j, ")") && !self.is_punct(j, "]") {
-                if self.kind(j) == TokKind::Ident {
-                    attrs.derives.push(self.text(j).to_owned());
-                }
-                j += 1;
-            }
-        } else if head == "serde" && self.is_punct(*i + 1, "(") {
-            let mut j = *i + 2;
-            while j < self.cx.code.len() && !self.is_punct(j, ")") && !self.is_punct(j, "]") {
-                if self.is_ident(j, "skip") || self.is_ident(j, "skip_serializing") {
-                    attrs.serde_skip = true;
-                }
-                if self.is_ident(j, "rename")
-                    && self.is_punct(j + 1, "=")
-                    && self.kind(j + 2) == TokKind::Str
-                {
-                    attrs.serde_rename = Some(strip_quotes(self.text(j + 2)));
-                }
-                j += 1;
-            }
-        } else if head == "test"
-            || (head == "cfg" && self.is_punct(*i + 1, "(") && self.is_ident(*i + 2, "test"))
-        {
-            attrs.is_test = true;
-        }
+    /// Skip one `#[…]` attribute starting at `*i` (on the `#`).
+    fn skip_attribute(&mut self, i: &mut usize) {
         // Skip to the closing `]` at bracket depth 0.
         let mut depth = 0i64;
-        *i = start + 1; // back on `[`
+        *i += 1; // on `[`
         while *i < self.cx.code.len() {
             if self.is_punct(*i, "[") {
                 depth += 1;
@@ -360,7 +266,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         depth: u32,
         parent: Option<usize>,
         in_trait_impl: bool,
-        attrs: PendingAttrs,
     ) {
         let start = *i;
         let vis = self.visibility(i);
@@ -377,21 +282,21 @@ impl<'a, 'b> Parser<'a, 'b> {
         let kw = self.text(*i).to_owned();
         match kw.as_str() {
             "mod" => {
-                let id = self.finish_named(i, end, parent, ItemKind::Mod, vis, attrs);
+                let id = self.finish_named(i, end, parent, ItemKind::Mod, vis);
                 self.item_body(i, end, depth, id, in_trait_impl);
             }
             "fn" => {
-                let id = self.finish_fn(i, end, parent, vis, attrs, in_trait_impl);
+                let id = self.finish_fn(i, end, parent, vis, in_trait_impl);
                 self.item_body(i, end, depth, id, in_trait_impl);
             }
-            "struct" => self.finish_struct(i, end, parent, ItemKind::Struct, vis, attrs),
-            "enum" => self.finish_struct(i, end, parent, ItemKind::Enum, vis, attrs),
+            "struct" => self.finish_struct(i, end, parent, ItemKind::Struct, vis),
+            "enum" => self.finish_struct(i, end, parent, ItemKind::Enum, vis),
             "trait" => {
-                let id = self.finish_named(i, end, parent, ItemKind::Trait, vis, attrs);
+                let id = self.finish_named(i, end, parent, ItemKind::Trait, vis);
                 self.item_body(i, end, depth, id, in_trait_impl);
             }
-            "impl" => self.finish_impl(i, end, depth, parent, attrs),
-            "use" => self.finish_use(i, end),
+            "impl" => self.finish_impl(i, end, depth, parent),
+            "use" => self.skip_to_semicolon(i, end),
             "const" | "static" => {
                 let kind = if kw == "const" { ItemKind::Const } else { ItemKind::Static };
                 *i += 1;
@@ -410,8 +315,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                     col,
                     tok,
                     body: None,
-                    derives: attrs.derives,
-                    fields: Vec::new(),
                     params: Vec::new(),
                     trait_impl: false,
                     parent,
@@ -431,8 +334,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                     col,
                     tok,
                     body: None,
-                    derives: attrs.derives,
-                    fields: Vec::new(),
                     params: Vec::new(),
                     trait_impl: false,
                     parent,
@@ -465,8 +366,6 @@ impl<'a, 'b> Parser<'a, 'b> {
                     col,
                     tok,
                     body,
-                    derives: attrs.derives,
-                    fields: Vec::new(),
                     params: Vec::new(),
                     trait_impl: false,
                     parent,
@@ -593,7 +492,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         parent: Option<usize>,
         kind: ItemKind,
         vis: Vis,
-        attrs: PendingAttrs,
     ) -> usize {
         *i += 1; // keyword
         let (name, line, col, tok) = self.name_at(*i);
@@ -618,8 +516,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             col,
             tok,
             body: None,
-            derives: attrs.derives,
-            fields: Vec::new(),
             params: Vec::new(),
             trait_impl: false,
             parent,
@@ -647,7 +543,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         end: usize,
         parent: Option<usize>,
         vis: Vis,
-        attrs: PendingAttrs,
         in_trait_impl: bool,
     ) -> usize {
         *i += 1; // `fn`
@@ -712,8 +607,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             col,
             tok,
             body: None,
-            derives: attrs.derives,
-            fields: Vec::new(),
             params,
             trait_impl: in_trait_impl,
             parent,
@@ -729,7 +622,6 @@ impl<'a, 'b> Parser<'a, 'b> {
         parent: Option<usize>,
         kind: ItemKind,
         vis: Vis,
-        attrs: PendingAttrs,
     ) {
         *i += 1; // keyword
         let (name, line, col, tok) = self.name_at(*i);
@@ -762,14 +654,9 @@ impl<'a, 'b> Parser<'a, 'b> {
             }
             *i += 1;
         }
-        let mut fields = Vec::new();
         if self.is_punct(*i, "{") {
             *i += 1;
-            fields = if kind == ItemKind::Struct {
-                self.named_fields(i, end)
-            } else {
-                self.enum_variants(i, end)
-            };
+            self.skip_balanced(i, end);
         } else if self.is_punct(*i, ";") {
             *i += 1;
         }
@@ -782,125 +669,14 @@ impl<'a, 'b> Parser<'a, 'b> {
             col,
             tok,
             body: None,
-            derives: attrs.derives,
-            fields,
             params: Vec::new(),
             trait_impl: false,
             parent,
         });
     }
 
-    /// Parse `name: Type, …` fields with per-field attributes; consumes
-    /// the closing `}`.
-    fn named_fields(&mut self, i: &mut usize, end: usize) -> Vec<Field> {
-        let mut fields = Vec::new();
-        let mut attrs = PendingAttrs::default();
-        while *i < end {
-            if self.is_punct(*i, "}") {
-                *i += 1;
-                break;
-            }
-            if self.is_punct(*i, "#") && self.is_punct(*i + 1, "[") {
-                self.attribute(i, &mut attrs);
-                continue;
-            }
-            if self.is_ident(*i, "pub") {
-                self.visibility(i);
-                continue;
-            }
-            if self.kind(*i) == TokKind::Ident && self.is_punct(*i + 1, ":") {
-                let (name, line, _, _) = self.name_at(*i);
-                let taken = std::mem::take(&mut attrs);
-                fields.push(Field {
-                    wire_name: taken.serde_rename.unwrap_or_else(|| name.clone()),
-                    name,
-                    skipped: taken.serde_skip,
-                    line,
-                });
-                *i += 2;
-                // Skip the type to the `,` at depth 0 (or the close).
-                let mut depth = 0i64;
-                while *i < end {
-                    match self.text(*i) {
-                        "(" | "[" | "{" | "<" => depth += 1,
-                        ")" | "]" | ">" => depth -= 1,
-                        "}" => {
-                            if depth == 0 {
-                                break;
-                            }
-                            depth -= 1;
-                        }
-                        "," if depth <= 0 => {
-                            *i += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                    *i += 1;
-                }
-                continue;
-            }
-            *i += 1;
-            attrs = PendingAttrs::default();
-        }
-        fields
-    }
-
-    /// Parse enum variants; consumes the closing `}`. Variant payloads are
-    /// skipped, names recorded (the wire name honors serde renames).
-    fn enum_variants(&mut self, i: &mut usize, end: usize) -> Vec<Field> {
-        let mut fields = Vec::new();
-        let mut attrs = PendingAttrs::default();
-        let mut depth = 0i64;
-        while *i < end {
-            match self.text(*i) {
-                "}" => {
-                    if depth == 0 {
-                        *i += 1;
-                        break;
-                    }
-                    depth -= 1;
-                }
-                "{" | "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "#" if depth == 0 && self.is_punct(*i + 1, "[") => {
-                    self.attribute(i, &mut attrs);
-                    continue;
-                }
-                _ => {
-                    if depth == 0
-                        && self.kind(*i) == TokKind::Ident
-                        && (self.is_punct(*i + 1, ",")
-                            || self.is_punct(*i + 1, "(")
-                            || self.is_punct(*i + 1, "{")
-                            || self.is_punct(*i + 1, "=")
-                            || self.is_punct(*i + 1, "}"))
-                    {
-                        let (name, line, _, _) = self.name_at(*i);
-                        let taken = std::mem::take(&mut attrs);
-                        fields.push(Field {
-                            wire_name: taken.serde_rename.unwrap_or_else(|| name.clone()),
-                            name,
-                            skipped: taken.serde_skip,
-                            line,
-                        });
-                    }
-                }
-            }
-            *i += 1;
-        }
-        fields
-    }
-
     /// `impl [Trait for] Type { body }`.
-    fn finish_impl(
-        &mut self,
-        i: &mut usize,
-        end: usize,
-        depth: u32,
-        parent: Option<usize>,
-        attrs: PendingAttrs,
-    ) {
+    fn finish_impl(&mut self, i: &mut usize, end: usize, depth: u32, parent: Option<usize>) {
         let impl_tok = *i;
         *i += 1; // `impl`
         self.skip_generics(i, end);
@@ -941,8 +717,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             col,
             tok,
             body: None,
-            derives: attrs.derives,
-            fields: Vec::new(),
             params: Vec::new(),
             trait_impl: is_trait_impl,
             parent,
@@ -956,98 +730,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             *i += 1;
         }
     }
-
-    /// `use a::b::{c, d as e};` — one edge per leaf.
-    fn finish_use(&mut self, i: &mut usize, end: usize) {
-        let line = self.cx.code.get(*i).map_or(0, |t| t.line);
-        *i += 1; // `use`
-        let mut prefix: Vec<String> = Vec::new();
-        self.use_tree(i, end, &mut prefix, line);
-        if self.is_punct(*i, ";") {
-            *i += 1;
-        }
-    }
-
-    /// Parse one use-tree level. `prefix` holds the segments above.
-    fn use_tree(&mut self, i: &mut usize, end: usize, prefix: &mut Vec<String>, line: u32) {
-        let depth_at_entry = prefix.len();
-        let mut current: Option<String> = None;
-        while *i < end {
-            match self.text(*i) {
-                ";" => break,
-                "::" => {
-                    if let Some(seg) = current.take() {
-                        prefix.push(seg);
-                    }
-                    *i += 1;
-                }
-                "{" => {
-                    *i += 1;
-                    // Group: recurse per comma-separated branch.
-                    loop {
-                        if *i >= end || self.is_punct(*i, "}") {
-                            *i += 1;
-                            break;
-                        }
-                        self.use_tree(i, end, prefix, line);
-                        if self.is_punct(*i, ",") {
-                            *i += 1;
-                            continue;
-                        }
-                        if self.is_punct(*i, "}") {
-                            *i += 1;
-                            break;
-                        }
-                        if *i >= end || self.is_punct(*i, ";") {
-                            break;
-                        }
-                    }
-                    current = None;
-                    break;
-                }
-                "," | "}" => break,
-                "as" => {
-                    *i += 1;
-                    let alias = if self.kind(*i) == TokKind::Ident {
-                        Some(self.text(*i).to_owned())
-                    } else {
-                        None
-                    };
-                    if alias.is_some() {
-                        *i += 1;
-                    }
-                    if let Some(leaf) = current.take() {
-                        self.emit_use(prefix, leaf, alias, line);
-                    }
-                    break;
-                }
-                "*" => {
-                    *i += 1;
-                    current = Some("*".to_owned());
-                }
-                t if self.kind(*i) == TokKind::Ident => {
-                    current = Some(t.to_owned());
-                    *i += 1;
-                }
-                _ => {
-                    *i += 1;
-                }
-            }
-        }
-        if let Some(leaf) = current {
-            self.emit_use(prefix, leaf, None, line);
-        }
-        prefix.truncate(depth_at_entry);
-    }
-
-    fn emit_use(&mut self, prefix: &[String], leaf: String, alias: Option<String>, line: u32) {
-        let root = prefix.first().cloned().unwrap_or_else(|| leaf.clone());
-        self.uses.push(UseEdge { root, leaf, alias, line });
-    }
-}
-
-fn strip_quotes(s: &str) -> String {
-    s.trim_matches('"').to_owned()
 }
 
 #[cfg(test)]
@@ -1057,29 +739,6 @@ mod tests {
 
     fn parse(src: &str) -> FileItems {
         parse_items(&FileCx::new(src))
-    }
-
-    #[test]
-    fn structs_with_serde_attrs() {
-        let src = r#"
-            #[derive(Debug, Serialize, Deserialize)]
-            pub struct Report {
-                pub total: u64,
-                #[serde(skip)]
-                cache: Vec<u8>,
-                #[serde(rename = "recordCount")]
-                records: u64,
-            }
-        "#;
-        let fi = parse(src);
-        let s = fi.items.iter().find(|x| x.kind == ItemKind::Struct).expect("struct");
-        assert_eq!(s.name, "Report");
-        assert_eq!(s.vis, Vis::Pub);
-        assert_eq!(s.derives, vec!["Debug", "Serialize", "Deserialize"]);
-        let names: Vec<&str> = s.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["total", "cache", "records"]);
-        assert!(s.fields[1].skipped);
-        assert_eq!(s.fields[2].wire_name, "recordCount");
     }
 
     #[test]
@@ -1125,35 +784,18 @@ mod tests {
     }
 
     #[test]
-    fn use_edges_with_groups_and_aliases() {
+    fn struct_enum_and_use_bodies_are_skipped_whole() {
         let src = r#"
-            use iotax_darshan::format::{parse_log, write_log as emit};
-            use iotax_stats::rng::substream;
-            use std::collections::BTreeMap;
-            pub use crate::baseline::Baseline;
+            use a::{b, c::{d, e as f}};
+            pub struct S { pub x: Vec<u8>, y: [u8; { 2 }] }
+            pub enum E { A { x: u8 }, B(u8), C = 3 }
+            pub fn after() {}
         "#;
         let fi = parse(src);
-        let names: Vec<(String, String, Option<String>)> =
-            fi.uses.iter().map(|u| (u.root.clone(), u.leaf.clone(), u.alias.clone())).collect();
-        assert!(names.contains(&("iotax_darshan".into(), "parse_log".into(), None)));
-        assert!(names.contains(&("iotax_darshan".into(), "write_log".into(), Some("emit".into()))));
-        assert!(names.contains(&("iotax_stats".into(), "substream".into(), None)));
-        assert!(names.contains(&("std".into(), "BTreeMap".into(), None)));
-        assert!(names.contains(&("crate".into(), "Baseline".into(), None)));
-        let emit = fi.uses.iter().find(|u| u.leaf == "write_log").expect("aliased");
-        assert_eq!(emit.local_name(), "emit");
-    }
-
-    #[test]
-    fn enum_variants_are_recorded() {
-        let src = r#"
-            #[derive(Serialize)]
-            pub enum FaultKind { Truncate, BitFlip, ZeroBlock(u8), Weird { x: u8 } }
-        "#;
-        let fi = parse(src);
-        let e = fi.items.iter().find(|x| x.kind == ItemKind::Enum).expect("enum");
-        let names: Vec<&str> = e.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["Truncate", "BitFlip", "ZeroBlock", "Weird"]);
+        let kinds: Vec<(ItemKind, &str)> =
+            fi.items.iter().map(|x| (x.kind, x.name.as_str())).collect();
+        let want = vec![(ItemKind::Struct, "S"), (ItemKind::Enum, "E"), (ItemKind::Fn, "after")];
+        assert_eq!(kinds, want);
     }
 
     #[test]

@@ -2,20 +2,19 @@
 //!
 //! The taxonomy pipeline's headline guarantees — byte-determinism of
 //! serialized traces, seed-reproducibility of simulations, totality of
-//! the Darshan parsers — are properties of *code*, but until now they
-//! were only enforced by *tests*, which sample a handful of seeds and
-//! inputs. This crate closes that gap: a small, dependency-free Rust
-//! lexer plus ten token-level lints that check the properties on every
-//! line of every crate, on every commit — and, on top of the lexer, an
-//! item parser, a workspace symbol table, and four cross-file flow
-//! analyses ([`flow`]) that check the properties that live at crate
-//! seams: seed provenance, writer/reader schema agreement, dead public
-//! API, and error-context loss across crate boundaries. A statement-level
-//! def-use engine ([`dataflow`]) runs the same taint machinery under two
-//! vocabularies — wire-derived lengths and corpus-scale cardinality —
-//! for its six allocation, float-ordering, lock-order, and capacity
-//! lints. Every run analyzes each file once, in one uncached pass
-//! ([`driver`]).
+//! the Darshan parsers, durability of the run store — are properties of
+//! *code*, but until now they were only enforced by *tests*, which sample
+//! a handful of seeds and inputs. This crate closes that gap: a small,
+//! dependency-free Rust lexer plus seven token-level lints that check the
+//! properties on every line of every crate, on every commit — and, on top
+//! of the lexer, an item parser, a workspace symbol table, and two
+//! cross-file flow analyses ([`flow`]) that check the properties that
+//! live at crate seams: seed provenance and dead public API. A
+//! statement-level def-use engine ([`dataflow`]) runs the same taint
+//! machinery under two vocabularies — wire-derived lengths and
+//! corpus-scale cardinality — for its four allocation, float-ordering,
+//! lock-order, and capacity lints. Every run analyzes each file once, in
+//! one uncached pass ([`driver`]).
 //!
 //! Design constraints, in order:
 //!

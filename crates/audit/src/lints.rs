@@ -1,4 +1,4 @@
-//! The ten domain lints.
+//! The seven token lints.
 //!
 //! Each lint turns one of the taxonomy pipeline's *dynamic* guarantees
 //! (proptests, the pinned-seed chaos gate) into a *static* check that
@@ -12,10 +12,7 @@
 //! | `panic-in-parser`        | totality: parsers return errors, never panic |
 //! | `unchecked-cast`         | counter/offset integrity: no silent truncation |
 //! | `swallowed-result`       | no silent data loss: every `Result` is handled or loudly waived |
-//! | `unspanned-stage`        | observability: taxonomy stages are traceable |
-//! | `unbound-span`           | observability: span guards live for the region they time |
 //! | `unsynced-durable-write` | crash durability: written bytes are fsynced before the publishing rename |
-//! | `event-outside-span`     | observability: flight-recorder breadcrumbs carry a span context |
 //!
 //! Lints are token-sequence matchers over [`FileCx`] — deliberately
 //! simple and predictable. Where a pattern is provably safe (a masked
@@ -78,20 +75,8 @@ pub const LINTS: &[LintSpec] = &[
         summary: "`let _ =` or trailing `.ok()` silently discards a Result",
     },
     LintSpec {
-        name: "unspanned-stage",
-        summary: "configured stage entry points must open an iotax-obs span",
-    },
-    LintSpec {
-        name: "unbound-span",
-        summary: "`span!` statement drops its guard immediately, timing nothing",
-    },
-    LintSpec {
         name: "unsynced-durable-write",
         summary: "file written then renamed into place with no fsync between; a crash can publish a torn file",
-    },
-    LintSpec {
-        name: "event-outside-span",
-        summary: "`event!` breadcrumb in a function that opens no span attributes to nothing in the black box",
     },
 ];
 
@@ -113,8 +98,6 @@ pub(crate) struct LintOptions {
     pub include_tests: bool,
     /// `panic-in-parser` also flags direct indexing.
     pub check_indexing: bool,
-    /// `unspanned-stage` required functions.
-    pub stage_functions: Vec<String>,
 }
 
 /// Run one lint over a file. Returns raw findings; the driver applies
@@ -127,27 +110,9 @@ pub(crate) fn run_lint(name: &str, cx: &FileCx<'_>, opts: &LintOptions) -> Vec<R
         "panic-in-parser" => panic_in_parser(cx, opts),
         "unchecked-cast" => unchecked_cast(cx, opts),
         "swallowed-result" => swallowed_result(cx, opts),
-        "unspanned-stage" => unspanned_stage(cx, opts),
-        "unbound-span" => unbound_span(cx, opts),
         "unsynced-durable-write" => unsynced_durable_write(cx, opts),
-        "event-outside-span" => event_outside_span(cx, opts),
         _ => Vec::new(),
     }
-}
-
-/// Functions named in `stage_functions` that are *defined* in this file
-/// (used by the driver to flag configured-but-missing stages).
-pub(crate) fn stage_functions_defined(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<String> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if cx.ident_at(i, "fn") && !skip(cx, i, opts) {
-            let name = cx.text(i + 1);
-            if opts.stage_functions.iter().any(|f| f == name) {
-                out.push(name.to_owned());
-            }
-        }
-    }
-    out
 }
 
 fn skip(cx: &FileCx<'_>, i: usize, opts: &LintOptions) -> bool {
@@ -540,122 +505,6 @@ fn swallowed_result(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
 }
 
 // ---------------------------------------------------------------------------
-// unspanned-stage
-// ---------------------------------------------------------------------------
-
-fn unspanned_stage(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if !cx.ident_at(i, "fn") || skip(cx, i, opts) {
-            continue;
-        }
-        let name = cx.text(i + 1);
-        if !opts.stage_functions.iter().any(|f| f == name) {
-            continue;
-        }
-        // Find the body `{ … }` and look for `span !` inside it.
-        let mut j = i + 2;
-        while j < cx.code.len() && !cx.punct_at(j, "{") {
-            if cx.punct_at(j, ";") {
-                break; // declaration without body (trait fn)
-            }
-            j += 1;
-        }
-        if !cx.punct_at(j, "{") {
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut has_span = false;
-        while j < cx.code.len() {
-            if cx.punct_at(j, "{") {
-                depth += 1;
-            } else if cx.punct_at(j, "}") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if cx.ident_at(j, "span") && cx.punct_at(j + 1, "!") {
-                has_span = true;
-            }
-            j += 1;
-        }
-        if !has_span {
-            out.push(finding(
-                cx,
-                "unspanned-stage",
-                i + 1,
-                format!(
-                    "stage entry point `{name}` opens no iotax-obs span; add \
-                     `let _span = iotax_obs::span!(\"…\");` so the stage appears in \
-                     TaxonomyReport timings"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// unbound-span
-// ---------------------------------------------------------------------------
-
-fn unbound_span(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if skip(cx, i, opts)
-            || !cx.ident_at(i, "span")
-            || !cx.punct_at(i + 1, "!")
-            || !cx.punct_at(i + 2, "(")
-        {
-            continue;
-        }
-        // Find the macro's closing paren.
-        let mut j = i + 2;
-        let mut depth = 0i32;
-        while j < cx.code.len() {
-            if cx.punct_at(j, "(") {
-                depth += 1;
-            } else if cx.punct_at(j, ")") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        // Only a whole statement drops the guard on the spot; a bound or
-        // nested use (`let _s = span!(…)`, `f(span!(…))`, tail position)
-        // hands it to someone.
-        if !cx.punct_at(j + 1, ";") {
-            continue;
-        }
-        // Strip an optional path prefix (`iotax_obs::`, `crate::`, …).
-        let mut k = i;
-        while k >= 2 && cx.punct_at(k - 1, "::") && cx.kind(k - 2) == TokKind::Ident {
-            k -= 2;
-        }
-        let statement_head = k == 0 || matches!(cx.text(k - 1), ";" | "{" | "}");
-        // `let _ = span!(…);` discards the guard just as immediately.
-        let wildcard_bound = k >= 3
-            && cx.punct_at(k - 1, "=")
-            && cx.ident_at(k - 2, "_")
-            && cx.ident_at(k - 3, "let");
-        if statement_head || wildcard_bound {
-            out.push(finding(
-                cx,
-                "unbound-span",
-                i,
-                "this `span!` guard is dropped immediately, so the span closes before \
-                 the work it should time; bind it (`let _span = span!(…);`) for the \
-                 lifetime of the region"
-                    .to_owned(),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // unsynced-durable-write
 // ---------------------------------------------------------------------------
 
@@ -724,79 +573,13 @@ fn unsynced_durable_write(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding
     out
 }
 
-// ---------------------------------------------------------------------------
-// event-outside-span
-// ---------------------------------------------------------------------------
-
-/// A flight-recorder breadcrumb (`event!`) fired in a function that has
-/// opened no span by that point attributes to nothing: in the black box
-/// it floats between span opens, and `iotax-report blackbox` cannot tie
-/// it to a stage. Within one function body, flag any `event!(…)` with no
-/// `span!(…)` earlier in the same body. A breadcrumb that genuinely
-/// belongs to the caller's span (helpers invoked under an enclosing
-/// guard) carries a reasoned `audit:allow(event-outside-span)`.
-fn event_outside_span(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if !cx.ident_at(i, "fn") || skip(cx, i, opts) {
-            continue;
-        }
-        // Find the body `{ … }`; a `;` first means a bodyless trait fn.
-        let mut j = i + 2;
-        while j < cx.code.len() && !cx.punct_at(j, "{") {
-            if cx.punct_at(j, ";") {
-                break;
-            }
-            j += 1;
-        }
-        if !cx.punct_at(j, "{") {
-            continue;
-        }
-        let mut depth = 0i32;
-        let mut has_span = false;
-        while j < cx.code.len() {
-            if cx.punct_at(j, "{") {
-                depth += 1;
-            } else if cx.punct_at(j, "}") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if cx.ident_at(j, "span") && cx.punct_at(j + 1, "!") && cx.punct_at(j + 2, "(") {
-                has_span = true;
-            } else if !has_span
-                && cx.ident_at(j, "event")
-                && cx.punct_at(j + 1, "!")
-                && cx.punct_at(j + 2, "(")
-            {
-                out.push(finding(
-                    cx,
-                    "event-outside-span",
-                    j,
-                    "this `event!` breadcrumb fires before any span opens in this \
-                     function, so the black box cannot attribute it to a stage; open a \
-                     span first (`let _span = iotax_obs::span!(\"…\");`) or waive it if \
-                     the caller's span is the intended context"
-                        .to_owned(),
-                ));
-            }
-            j += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn run(lint: &str, src: &str) -> Vec<RawFinding> {
         let cx = FileCx::new(src);
-        let opts = LintOptions {
-            include_tests: false,
-            check_indexing: true,
-            stage_functions: vec!["baseline".to_owned()],
-        };
+        let opts = LintOptions { include_tests: false, check_indexing: true };
         run_lint(lint, &cx, &opts)
     }
 
@@ -865,27 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn unspanned_stage_requires_span() {
-        let with = "impl X { pub fn baseline(self) -> Y { let _span = span!(\"s\"); y() } }";
-        assert!(run("unspanned-stage", with).is_empty());
-        let without = "impl X { pub fn baseline(self) -> Y { y() } }";
-        assert_eq!(run("unspanned-stage", without).len(), 1);
-        let other = "fn unrelated() { }";
-        assert!(run("unspanned-stage", other).is_empty());
-    }
-
-    #[test]
-    fn unbound_span_flags_only_immediately_dropped_guards() {
-        assert_eq!(run("unbound-span", "fn f() { span!(\"s\"); work(); }").len(), 1);
-        assert_eq!(run("unbound-span", "fn f() { iotax_obs::span!(\"s\"); work(); }").len(), 1);
-        assert_eq!(run("unbound-span", "fn f() { let _ = span!(\"s\"); work(); }").len(), 1);
-        assert!(run("unbound-span", "fn f() { let _span = span!(\"s\"); work(); }").is_empty());
-        assert!(run("unbound-span", "fn f() { let _s = crate::span!(\"s\"); work(); }").is_empty());
-        assert!(run("unbound-span", "fn f() -> G { span!(\"s\") }").is_empty());
-        assert!(run("unbound-span", "fn f() { g(span!(\"s\")); }").is_empty());
-    }
-
-    #[test]
     fn unsynced_durable_write_needs_fsync_between_write_and_rename() {
         let torn = "fn publish(d: &Path) -> io::Result<()> {
             let mut f = File::create(&tmp)?;
@@ -907,23 +669,6 @@ mod tests {
         // Pure moves (no write in the function) are not publishes.
         let mv = "fn quarantine(a: &Path, b: &Path) { let _r = fs::rename(a, b); }";
         assert!(run("unsynced-durable-write", mv).is_empty());
-    }
-
-    #[test]
-    fn event_outside_span_requires_a_preceding_span() {
-        let bare = "fn f() { iotax_obs::event!(\"stage\", \"msg\"); work(); }";
-        assert_eq!(run("event-outside-span", bare).len(), 1);
-        let spanned = "fn f() { let _s = span!(\"f\"); iotax_obs::event!(\"stage\", \"msg\"); }";
-        assert!(run("event-outside-span", spanned).is_empty());
-        // Order matters: a span opened AFTER the breadcrumb is too late.
-        let late = "fn f() { event!(\"stage\", \"msg\"); let _s = span!(\"f\"); }";
-        assert_eq!(run("event-outside-span", late).len(), 1);
-        // Nested block spans still count — same function body.
-        let nested = "fn f() { { let _s = span!(\"f\"); } event!(\"stage\", \"msg\"); }";
-        assert!(run("event-outside-span", nested).is_empty());
-        // `event` as a plain identifier is not the macro.
-        let ident = "fn f(event: u32) { let x = event + 1; }";
-        assert!(run("event-outside-span", ident).is_empty());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The workspace symbol layer: per-file analyses bundled with enough
-//! cross-file structure (definitions, imports, identifier usage) for the
-//! flow analyses in [`crate::flow`] to reason across crate boundaries.
+//! cross-file structure (definitions, identifier usage) for the flow
+//! analyses in [`crate::flow`] to reason across crate boundaries.
 //!
 //! The model is deliberately name-based. A real resolver needs type
-//! inference; this workspace needs something weaker but trustworthy:
-//! "is this public item's name mentioned by any other crate?" and "does
-//! this local name come from a `use iotax_x::…` import?". Name collisions
-//! make the answers conservative (an item shadowed by an unrelated
-//! same-name mention counts as referenced), which is the correct failure
-//! direction for a linter — missed findings, never false alarms.
+//! inference; this workspace needs something weaker but trustworthy: "is
+//! this public item's name mentioned by any other crate?". Name
+//! collisions make the answer conservative (an item shadowed by an
+//! unrelated same-name mention counts as referenced), which is the
+//! correct failure direction for a linter — missed findings, never false
+//! alarms.
 
 use crate::context::FileCx;
 use crate::items::{parse_items, FileItems};
@@ -86,7 +86,7 @@ pub struct FileAnalysis<'a> {
     pub spec: &'a SourceSpec,
     /// Token-level context (code tokens, test regions, suppressions).
     pub cx: FileCx<'a>,
-    /// Item tree and use edges.
+    /// Item tree.
     pub items: FileItems,
     /// Identifiers mentioned in non-test code plus words in doc comments.
     /// This is the reference set for dead-API detection: doc examples are
@@ -96,8 +96,6 @@ pub struct FileAnalysis<'a> {
     /// macro's body expands at *external* call sites, so `$crate::foo`
     /// inside one keeps `foo` alive even with zero direct references.
     pub macro_mentions: BTreeSet<String>,
-    /// The crate's identifier form (`iotax_sim` for `iotax-sim`).
-    pub krate_ident: String,
 }
 
 /// Analyze one file. Pure; safe to fan out over files in parallel.
@@ -143,19 +141,7 @@ pub fn analyze_file(spec: &SourceSpec) -> FileAnalysis<'_> {
             }
         }
     }
-    FileAnalysis {
-        cx,
-        items,
-        mentions,
-        macro_mentions,
-        krate_ident: crate_ident(&spec.krate),
-        spec,
-    }
-}
-
-/// `iotax-sim` → `iotax_sim`: the form a crate name takes in paths.
-pub(crate) fn crate_ident(krate: &str) -> String {
-    krate.replace('-', "_")
+    FileAnalysis { cx, items, mentions, macro_mentions, spec }
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
-//! Fixture triples for the four cross-file flow analyses. Each lint has a
-//! violating corpus (must fire), a suppressed corpus (silent, suppression
-//! counted), and a clean corpus (silent, nothing suppressed) — the same
-//! contract the token-lint fixtures pin, lifted to multi-file inputs.
+//! Fixture triples for the cross-file flow and dataflow analyses. Each
+//! lint has a violating corpus (must fire), a suppressed corpus (silent,
+//! suppression counted), and a clean corpus (silent, nothing suppressed)
+//! — the same contract the token-lint fixtures pin, lifted to multi-file
+//! inputs.
 //!
 //! The corpora are built in memory and run through `audit_sources`, the
 //! same seam the workspace walk feeds, so these tests exercise the real
-//! engine: item parsing, the symbol table, import edges, and suppression
-//! handling across files.
+//! engine: item parsing, the symbol table, and suppression handling
+//! across files.
 
 use iotax_audit::driver::{audit_sources as audit, AuditReport};
 use iotax_audit::symbols::{FileRole, SourceSpec};
@@ -67,70 +68,6 @@ fn seed_provenance_parameter_seeded_rngs_pass() {
     let r = audit(seed_corpus(include_str!("fixtures/seed_provenance_clean.rs")), &cfg(SEED_TOML));
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
-}
-
-// ---------------------------------------------------------------------------
-// schema-drift
-// ---------------------------------------------------------------------------
-
-const SCHEMA_TOML: &str = "[default]\nschema-drift = true\n\n[schema.span-rec]\nstruct = \
-                           \"SpanRec\"\nreaders = [\"reader\"]\n";
-
-fn schema_corpus(reader_src: &str) -> Vec<SourceSpec> {
-    vec![
-        spec(
-            "fixture-obs",
-            "crates/fixture-obs/src/sink.rs",
-            FileRole::Lib,
-            include_str!("fixtures/schema_drift_writer.rs"),
-        ),
-        spec("fixture-cli", "crates/fixture-cli/src/reader.rs", FileRole::Lib, reader_src),
-    ]
-}
-
-#[test]
-fn schema_drift_catches_renamed_writer_field_with_stale_reader() {
-    let r = audit(
-        schema_corpus(include_str!("fixtures/schema_drift_reader_violating.rs")),
-        &cfg(SCHEMA_TOML),
-    );
-    // The writer renamed `start_us` to `t_start_us`; the unchanged reader
-    // still probes the old name and must be caught. The `label` probe
-    // matches the writer and must not fire.
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    assert_eq!(r.findings[0].lint, "schema-drift");
-    assert!(r.findings[0].message.contains("`start_us`"), "{:?}", r.findings);
-    assert!(r.findings[0].file.contains("reader"), "finding must attach to the reader");
-}
-
-#[test]
-fn schema_drift_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit(
-        schema_corpus(include_str!("fixtures/schema_drift_reader_suppressed.rs")),
-        &cfg(SCHEMA_TOML),
-    );
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 1);
-}
-
-#[test]
-fn schema_drift_matching_reader_passes() {
-    let r = audit(
-        schema_corpus(include_str!("fixtures/schema_drift_reader_clean.rs")),
-        &cfg(SCHEMA_TOML),
-    );
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 0);
-}
-
-#[test]
-fn schema_drift_flags_config_naming_a_missing_struct() {
-    let toml = "[default]\nschema-drift = true\n\n[schema.gone]\nstruct = \
-                \"NoSuchStruct\"\nreaders = [\"reader\"]\n";
-    let r = audit(schema_corpus(include_str!("fixtures/schema_drift_reader_clean.rs")), &cfg(toml));
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-    assert_eq!(r.findings[0].file, "audit.toml", "config findings attach to the config");
-    assert!(r.findings[0].message.contains("NoSuchStruct"), "{:?}", r.findings);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,48 +143,6 @@ fn dead_public_api_test_references_do_not_keep_items_alive() {
     ];
     let r = audit(specs.clone(), &cfg(DEAD_TOML));
     assert_eq!(r.findings.len(), 1, "test-only consumers must not count: {:?}", r.findings);
-}
-
-// ---------------------------------------------------------------------------
-// error-context-loss
-// ---------------------------------------------------------------------------
-
-const ECL_TOML: &str = "[default]\nerror-context-loss = true\n";
-
-fn ecl_corpus(src: &str) -> Vec<SourceSpec> {
-    vec![spec("fixture-cli", "crates/fixture-cli/src/ingest.rs", FileRole::Lib, src)]
-}
-
-#[test]
-fn error_context_loss_catches_bare_cross_crate_question_marks() {
-    let r =
-        audit(ecl_corpus(include_str!("fixtures/error_context_loss_violating.rs")), &cfg(ECL_TOML));
-    // One `?` through an imported name, one through a qualified path.
-    assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
-    assert!(r.findings.iter().all(|f| f.lint == "error-context-loss"));
-    assert!(r.findings.iter().any(|f| f.message.contains("`load_trace(…)?`")), "{:?}", r.findings);
-    assert!(
-        r.findings.iter().any(|f| f.message.contains("`iotax_ml::fit_model(…)?`")),
-        "{:?}",
-        r.findings
-    );
-}
-
-#[test]
-fn error_context_loss_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit(
-        ecl_corpus(include_str!("fixtures/error_context_loss_suppressed.rs")),
-        &cfg(ECL_TOML),
-    );
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 2);
-}
-
-#[test]
-fn error_context_loss_wrapped_and_local_calls_pass() {
-    let r = audit(ecl_corpus(include_str!("fixtures/error_context_loss_clean.rs")), &cfg(ECL_TOML));
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -373,17 +268,10 @@ fn lock_order_cycle_consistent_order_passes() {
 }
 
 // ---------------------------------------------------------------------------
-// Ordering: one canonical diagnostic order, independent of input order
-// and parallel scheduling
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// the capacity lints (corpus-cardinality taint)
+// unbounded-corpus-materialization (corpus-cardinality taint)
 // ---------------------------------------------------------------------------
 
 const UCM_TOML: &str = "[default]\nunbounded-corpus-materialization = true\n";
-const UCH_TOML: &str = "[default]\nunbounded-channel = true\n";
-const QCJ_TOML: &str = "[default]\nquadratic-corpus-join = true\n";
 
 fn capacity_corpus(src: &str) -> Vec<SourceSpec> {
     vec![spec("fixture-ml", "crates/fixture-ml/src/data.rs", FileRole::Lib, src)]
@@ -428,70 +316,15 @@ fn unbounded_corpus_materialization_bounded_streams_pass() {
     assert_eq!(r.suppressed, 0);
 }
 
-#[test]
-fn unbounded_channel_catches_capacityless_channels_fed_per_job() {
-    let r = audit(
-        capacity_corpus(include_str!("fixtures/unbounded_channel_violating.rs")),
-        &cfg(UCH_TOML),
-    );
-    assert!(r.findings.iter().all(|f| f.lint == "unbounded-channel"), "{:?}", r.findings);
-    assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
-}
+// ---------------------------------------------------------------------------
+// Ordering: one canonical diagnostic order, independent of input order
+// and parallel scheduling
+// ---------------------------------------------------------------------------
 
-#[test]
-fn unbounded_channel_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit(
-        capacity_corpus(include_str!("fixtures/unbounded_channel_suppressed.rs")),
-        &cfg(UCH_TOML),
-    );
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 2);
-}
-
-#[test]
-fn unbounded_channel_bounded_or_sampled_feeds_pass() {
-    let r =
-        audit(capacity_corpus(include_str!("fixtures/unbounded_channel_clean.rs")), &cfg(UCH_TOML));
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 0);
-}
-
-#[test]
-fn quadratic_corpus_join_catches_nested_corpus_loops() {
-    let r = audit(
-        capacity_corpus(include_str!("fixtures/quadratic_corpus_join_violating.rs")),
-        &cfg(QCJ_TOML),
-    );
-    assert!(r.findings.iter().all(|f| f.lint == "quadratic-corpus-join"), "{:?}", r.findings);
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-}
-
-#[test]
-fn quadratic_corpus_join_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit(
-        capacity_corpus(include_str!("fixtures/quadratic_corpus_join_suppressed.rs")),
-        &cfg(QCJ_TOML),
-    );
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 1);
-}
-
-#[test]
-fn quadratic_corpus_join_keyed_inner_loop_passes() {
-    let r = audit(
-        capacity_corpus(include_str!("fixtures/quadratic_corpus_join_clean.rs")),
-        &cfg(QCJ_TOML),
-    );
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 0);
-}
-
-const ALL_TOML: &str = "[default]\nseed-provenance = true\nschema-drift = \
-                        true\ndead-public-api = true\nerror-context-loss = \
+const ALL_TOML: &str = "[default]\nseed-provenance = true\ndead-public-api = \
                         true\nuntrusted-length-allocation = true\nunordered-float-reduction = \
                         true\nlock-order-cycle = true\nunbounded-corpus-materialization = \
-                        true\nunbounded-channel = true\nquadratic-corpus-join = \
-                        true\n\n[schema.span-rec]\nstruct = \"SpanRec\"\nreaders = [\"reader\"]\n";
+                        true\n";
 
 /// A corpus that makes every flow and dataflow analysis fire at least once.
 fn mixed_corpus() -> Vec<SourceSpec> {
@@ -503,28 +336,10 @@ fn mixed_corpus() -> Vec<SourceSpec> {
             include_str!("fixtures/seed_provenance_violating.rs"),
         ),
         spec(
-            "fixture-obs",
-            "crates/fixture-obs/src/sink.rs",
-            FileRole::Lib,
-            include_str!("fixtures/schema_drift_writer.rs"),
-        ),
-        spec(
-            "fixture-cli",
-            "crates/fixture-cli/src/reader.rs",
-            FileRole::Lib,
-            include_str!("fixtures/schema_drift_reader_violating.rs"),
-        ),
-        spec(
             "fixture-a",
             "crates/fixture-a/src/lib.rs",
             FileRole::Lib,
             include_str!("fixtures/dead_public_api_violating.rs"),
-        ),
-        spec(
-            "fixture-cli",
-            "crates/fixture-cli/src/ingest.rs",
-            FileRole::Lib,
-            include_str!("fixtures/error_context_loss_violating.rs"),
         ),
         spec(
             "fixture-wire",
@@ -549,12 +364,6 @@ fn mixed_corpus() -> Vec<SourceSpec> {
             "crates/fixture-ml/src/data.rs",
             FileRole::Lib,
             include_str!("fixtures/unbounded_corpus_materialization_violating.rs"),
-        ),
-        spec(
-            "fixture-ml",
-            "crates/fixture-ml/src/join.rs",
-            FileRole::Lib,
-            include_str!("fixtures/quadratic_corpus_join_violating.rs"),
         ),
     ]
 }

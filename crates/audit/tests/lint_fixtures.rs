@@ -10,9 +10,6 @@ fn config_for(lint: &str) -> CrateConfig {
     let mut cfg = CrateConfig::default();
     cfg.lints.insert(lint.to_owned(), true);
     cfg.check_indexing = true;
-    if lint == "unspanned-stage" {
-        cfg.stage_functions = vec!["baseline".to_owned()];
-    }
     cfg
 }
 
@@ -59,28 +56,10 @@ const CASES: &[(&str, &str, &str, &str)] = &[
         include_str!("fixtures/swallowed_result_clean.rs"),
     ),
     (
-        "unspanned-stage",
-        include_str!("fixtures/unspanned_stage_violating.rs"),
-        include_str!("fixtures/unspanned_stage_suppressed.rs"),
-        include_str!("fixtures/unspanned_stage_clean.rs"),
-    ),
-    (
-        "unbound-span",
-        include_str!("fixtures/unbound_span_violating.rs"),
-        include_str!("fixtures/unbound_span_suppressed.rs"),
-        include_str!("fixtures/unbound_span_clean.rs"),
-    ),
-    (
         "unsynced-durable-write",
         include_str!("fixtures/unsynced_durable_write_violating.rs"),
         include_str!("fixtures/unsynced_durable_write_suppressed.rs"),
         include_str!("fixtures/unsynced_durable_write_clean.rs"),
-    ),
-    (
-        "event-outside-span",
-        include_str!("fixtures/event_outside_span_violating.rs"),
-        include_str!("fixtures/event_outside_span_suppressed.rs"),
-        include_str!("fixtures/event_outside_span_clean.rs"),
     ),
 ];
 

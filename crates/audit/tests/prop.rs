@@ -11,8 +11,9 @@ use iotax_audit::{audit_source, AuditConfig, CrateConfig};
 use proptest::prelude::*;
 
 /// Item-declaration openers prepended to byte soup: the parser enters its
-/// per-kind states (fn signatures, struct fields, use trees, macro
-/// bodies) and then meets garbage where it expects structure.
+/// per-kind states (fn signatures, struct and enum bodies, use
+/// declarations, macro bodies) and then meets garbage where it expects
+/// structure.
 const MAGIC_PREFIXES: &[&str] = &[
     "pub fn f(",
     "pub struct S {",
@@ -30,7 +31,6 @@ fn full_config() -> CrateConfig {
         cfg.lints.insert(lint.name.to_owned(), true);
     }
     cfg.check_indexing = true;
-    cfg.stage_functions = vec!["baseline".to_owned()];
     cfg
 }
 
@@ -47,8 +47,7 @@ fn dataflow_findings(src: &str) -> usize {
     };
     let toml = "[default]\nuntrusted-length-allocation = true\n\
                 unordered-float-reduction = true\nlock-order-cycle = true\n\
-                unbounded-corpus-materialization = true\nunbounded-channel = true\n\
-                quadratic-corpus-join = true\n";
+                unbounded-corpus-materialization = true\n";
     let cfg = AuditConfig::from_toml(toml, "dataflow-seam", &iotax_audit::known_lint_names())
         .expect("static lint config");
     audit_sources(vec![spec], &cfg).findings.len()

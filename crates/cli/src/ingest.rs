@@ -109,8 +109,8 @@ pub struct IngestReport {
     pub salvaged: u64,
     /// Records recovered across all salvaged files.
     pub records_salvaged: u64,
-    /// Manifest lines skipped as unparseable or unreadable (lenient mode
-    /// only).
+    /// Manifest lines skipped as unreadable or unparseable, a throughput
+    /// that is not a positive finite number included (lenient mode only).
     pub manifest_rejects: u64,
     /// Total retry attempts across all files.
     pub retries: u64,
@@ -320,7 +320,7 @@ fn parse_manifest_row(line: &str, line_no: usize) -> Result<ManifestRow> {
             Error::new(ErrorKind::Parse, format!("manifest line {}: field {i}: {e}", line_no + 1))
         })
     }
-    Ok(ManifestRow {
+    let row = ManifestRow {
         job_id: field(job_id, 0, line_no)?,
         arrival_time: field(arrival, 1, line_no)?,
         start_time: field(start, 2, line_no)?,
@@ -329,7 +329,20 @@ fn parse_manifest_row(line: &str, line_no: usize) -> Result<ManifestRow> {
         cores: field(cores, 5, line_no)?,
         nprocs: field(nprocs, 6, line_no)?,
         throughput: field(throughput, 7, line_no)?,
-    })
+    };
+    // The target is log10(throughput): zero, negative, NaN or infinite
+    // rows would reach the models as -inf or NaN.
+    if !(row.throughput.is_finite() && row.throughput > 0.0) {
+        return Err(Error::new(
+            ErrorKind::Parse,
+            format!(
+                "manifest line {}: field 7: throughput {throughput} is not a positive finite \
+                 number",
+                line_no + 1
+            ),
+        ));
+    }
+    Ok(row)
 }
 
 /// The part of a [`TraceJob`] its Darshan log gives.
@@ -528,6 +541,7 @@ fn ingest_on(
             Err(e) if opts.strict => return Err(e),
             Err(_) => {
                 report.manifest_rejects += 1;
+                iotax_obs::counter!("cli.ingest.manifest_rejects").incr(1);
                 continue;
             }
         };
@@ -965,19 +979,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Replaces field `i` of a manifest line.
+    fn with_field(line: &str, i: usize, value: &str) -> String {
+        let mut fields: Vec<String> = line.split(',').map(str::to_owned).collect();
+        fields[i] = value.to_owned();
+        fields.join(",")
+    }
+
     #[test]
     fn out_of_range_manifest_integers_are_rejected_not_saturated() {
         let dir = exported_trace("range", 8, 99);
         // A negative job id, and a node count one past u32::MAX.
         edit_manifest_line(&dir, 3, |line| format!("-{line}"));
         edit_manifest_line(&dir, 5, |line| {
-            let mut fields: Vec<String> = line.split(',').map(str::to_owned).collect();
-            fields[4] = (u64::from(u32::MAX) + 1).to_string();
-            fields.join(",")
+            with_field(line, 4, &(u64::from(u32::MAX) + 1).to_string())
         });
+        // Throughputs that are not positive finite numbers.
+        let bad_throughputs = [(4, "0"), (6, "-1"), (7, "nan"), (8, "inf")];
+        for (line_no, value) in bad_throughputs {
+            edit_manifest_line(&dir, line_no, |line| with_field(line, 7, value));
+            let line = manifest_line(&dir, line_no);
+            let err = parse_manifest_row(&line, line_no).map(|_| ()).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Parse);
+            let want = format!("manifest line {}: field 7", line_no + 1);
+            assert!(err.to_string().contains(&want), "{value}: {err}");
+        }
         let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
-        assert_eq!(report.manifest_rejects, 2);
-        assert_eq!(jobs.len(), 6);
+        assert_eq!(report.manifest_rejects, 6);
+        assert_eq!(jobs.len(), 2);
         let err = ingest_trace(&dir, &IngestOptions::strict()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Parse);
         assert!(err.to_string().contains("manifest line 4: field 0"), "{err}");

@@ -67,9 +67,10 @@ pub fn feature_signature<'a>(
     hasher.finish()
 }
 
-/// Group jobs into duplicate sets by observable signature.
-pub fn find_duplicate_sets(jobs: &[SimJob]) -> DuplicateSets {
-    let dup = group_signatures(jobs.iter().map(job_signature));
+/// Group jobs into duplicate sets by observable signature. Set members
+/// are positions in the order `jobs` yields them.
+pub fn find_duplicate_sets<'a>(jobs: impl IntoIterator<Item = &'a SimJob>) -> DuplicateSets {
+    let dup = group_signatures(jobs.into_iter().map(job_signature));
     counter!("core.duplicate_sets_found").incr(dup.sets.len() as u64);
     dup
 }

@@ -68,10 +68,12 @@ pub(crate) struct SplitData {
 
 /// Materialize a feature set and split it 70/15/15 with a seeded random
 /// permutation (see [`Dataset::split_random`] for why litmus evaluations
-/// must not split temporally).
+/// must not split temporally). The matrix goes through the sanitizer the
+/// taxonomy's baseline uses, so salvaged traces with non-finite values
+/// reach every fit imputed and with the same rows dropped.
 pub(crate) fn split_features(sim: &SimDataset, set: FeatureSet) -> SplitData {
     let m = sim.feature_matrix(set);
-    let data = Dataset::new(m.data, m.n_rows, m.n_cols, m.y, m.names);
+    let (data, _) = Dataset::sanitized(m.data, m.n_rows, m.n_cols, m.y, m.names);
     let (train, val, test) = data.split_random(0.70, 0.15, sim.config.seed ^ 0x5EED);
     SplitData { train, val, test }
 }
@@ -122,7 +124,8 @@ pub struct SystemLitmus {
     pub baseline: FeatureSetResult,
     /// Golden model: POSIX + start time.
     pub golden: FeatureSetResult,
-    /// LMT-enriched model, when the system collects LMT (Fig. 4's green).
+    /// LMT-enriched model, when the system collects LMT and every job
+    /// carries LMT aggregates (Fig. 4's green).
     pub lmt_enriched: Option<FeatureSetResult>,
     /// Relative error reduction of the golden model vs the baseline
     /// (the paper: 40 % on Cori, 30.8 % on Theta).
@@ -155,7 +158,7 @@ pub(crate) fn system_litmus_with_baseline(
         "POSIX+StartTime",
         effort.golden_params(),
     );
-    let lmt_enriched = sim.config.collect_lmt.then(|| {
+    let lmt_enriched = lmt_complete(sim).then(|| {
         evaluate_feature_set(sim, FeatureSet::posix_lmt(), "POSIX+LMT", effort.golden_params())
     });
     let golden_reduction_pct = if baseline.test_error_log10 > 0.0 {
@@ -164,6 +167,12 @@ pub(crate) fn system_litmus_with_baseline(
         0.0
     };
     SystemLitmus { baseline, golden, lmt_enriched, golden_reduction_pct }
+}
+
+/// Whether the LMT-enriched model can be fit: the system collects LMT
+/// and every job carries its LMT aggregates.
+pub(crate) fn lmt_complete(sim: &SimDataset) -> bool {
+    sim.config.collect_lmt && sim.jobs.iter().all(|j| j.lmt.is_some())
 }
 
 #[cfg(test)]

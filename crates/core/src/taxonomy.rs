@@ -21,7 +21,7 @@
 //! in [`TaxonomyReport::timings`].
 
 use crate::duplicates::{find_duplicate_sets, DuplicateSets};
-use crate::golden::{system_litmus, Effort, SystemLitmus};
+use crate::golden::{lmt_complete, system_litmus, Effort, SystemLitmus};
 use crate::litmus::{app_modeling_bound, concurrent_noise_floor, AppBound, NoiseFloor};
 use crate::ood::{ood_litmus, OodConfig, OodLitmus};
 use iotax_ml::data::Dataset;
@@ -31,7 +31,7 @@ use iotax_ml::prepared::PreparedDataset;
 use iotax_ml::search::grid_search;
 use iotax_ml::Regressor;
 use iotax_obs::{span, Error, ErrorKind, Result, SpanNode};
-use iotax_sim::{FeatureSet, SimDataset, SystemKind};
+use iotax_sim::{FeatureSet, SimDataset, SimJob, SystemKind};
 use iotax_uq::classify_ood;
 use serde::Serialize;
 
@@ -391,11 +391,10 @@ impl<'a> BaselineStage<'a> {
         let _span = span!("core.app_litmus");
         let mut core = self.core;
 
-        // Step 2.1: duplicate litmus (whole trace, like the paper).
-        let dup = find_duplicate_sets(&core.sim.jobs);
-        // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
-        let y_all: Vec<f64> = core.sim.jobs.iter().map(|j| j.log10_throughput()).collect();
-        let app_bound = app_modeling_bound(&y_all, &dup);
+        // Step 2.1: duplicate litmus (whole trace, like the paper), over
+        // the jobs stage 1 kept, so the sets index the rows of `data`.
+        let dup = find_duplicate_sets(kept(&core.sim.jobs));
+        let app_bound = app_modeling_bound(&core.data.y, &dup);
         let mut reasons = Vec::new();
         if dup.n_sets() < core.cfg.min_duplicate_sets {
             reasons.push(format!(
@@ -434,7 +433,6 @@ impl<'a> BaselineStage<'a> {
             baseline_error_log10: self.baseline_error_log10,
             baseline_error_pct: self.baseline_error_pct,
             dup,
-            y_all,
             app_bound,
             tuned_params: best,
             tuned_error_log10,
@@ -451,7 +449,6 @@ pub struct AppLitmusStage<'a> {
     /// Baseline median absolute test error, percent.
     pub baseline_error_pct: f64,
     dup: DuplicateSets,
-    y_all: Vec<f64>,
     /// §VI duplicate litmus result.
     pub app_bound: AppBound,
     /// Winning grid-search parameters.
@@ -465,13 +462,15 @@ impl<'a> AppLitmusStage<'a> {
     /// Step 3: start-time golden model and system-log enrichment.
     pub fn system_litmus(mut self) -> Result<SystemLitmusStage<'a>> {
         let _span = span!("core.system_litmus");
-        let sys = system_litmus(self.core.sim, self.core.cfg.effort);
+        let sim = self.core.sim;
+        let sys = system_litmus(sim, self.core.cfg.effort);
         let mut reasons = Vec::new();
-        if self.core.sim.config.collect_lmt && self.core.sim.lmt.is_none() {
-            reasons.push(
-                "LMT collection enabled but no LMT telemetry present; enrichment skipped"
-                    .to_owned(),
-            );
+        if sim.config.collect_lmt && !lmt_complete(sim) {
+            let missing = sim.jobs.iter().filter(|j| j.lmt.is_none()).count();
+            reasons.push(format!(
+                "LMT collection enabled but {missing} jobs carry no LMT telemetry; enrichment \
+                 skipped"
+            ));
         }
         self.core.health.push(StageHealth::from_reasons("core.system_litmus", reasons));
         Ok(SystemLitmusStage { prev: self, sys })
@@ -523,9 +522,9 @@ impl<'a> OodStage<'a> {
         let app = &self.prev.prev;
         let core = &app.core;
         // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
-        let starts: Vec<i64> = core.sim.jobs.iter().map(|j| j.start_time).collect();
+        let starts: Vec<i64> = kept(&core.sim.jobs).map(|j| j.start_time).collect();
         let noise = concurrent_noise_floor(
-            &app.y_all,
+            &core.data.y,
             &starts,
             &app.dup,
             &self.exclude,
@@ -630,6 +629,13 @@ impl NoiseFloorStage<'_> {
                 .collect(),
         }
     }
+}
+
+/// The jobs stage 1 kept, in trace order: [`Dataset::sanitized`] drops
+/// the rows whose target, log10 throughput, is not finite. The whole-trace
+/// litmus stages read these, so their rows line up with `data`'s.
+fn kept(jobs: &[SimJob]) -> impl Iterator<Item = &SimJob> {
+    jobs.iter().filter(|j| j.log10_throughput().is_finite())
 }
 
 /// Shorthand for one [`StageMetric`].
@@ -862,6 +868,63 @@ mod tests {
         assert!(baseline.reason.as_ref().unwrap().contains("MPI-IO"), "{:?}", baseline.reason);
         assert!(report.baseline_median_error_pct > 0.0, "numbers still produced");
         assert!(report.render_text().contains("degraded stages"));
+    }
+
+    /// Every Fig. 7 share of `report` is a finite number.
+    fn assert_shares_finite(report: &TaxonomyReport) {
+        let b = &report.breakdown;
+        let shares = [
+            b.app_share,
+            b.app_fixed_share,
+            b.system_share,
+            b.ood_share,
+            b.noise_share,
+            b.unexplained_share,
+        ];
+        assert!(shares.iter().chain(&b.system_fixed_share).all(|s| s.is_finite()), "{b:?}");
+    }
+
+    #[test]
+    fn nan_feature_is_imputed_for_every_stage() {
+        let mut sim = Platform::new(SimConfig::theta().with_jobs(1_500).with_seed(7)).generate();
+        sim.jobs[10].posix[3] = f64::NAN;
+        let report = Taxonomy::quick().run(&sim);
+        let baseline = &report.stages[0];
+        let reason = baseline.reason.as_deref().unwrap_or_default();
+        assert!(reason.contains("imputed 1 non-finite feature values"), "{reason}");
+        assert_eq!(report.n_jobs, 1_500);
+        assert_shares_finite(&report);
+    }
+
+    #[test]
+    fn dropped_jobs_leave_every_stage_on_the_kept_rows() {
+        let mut sim = Platform::new(SimConfig::theta().with_jobs(1_500).with_seed(7)).generate();
+        // One member of a duplicate set that outlives it, and one job
+        // outside every set.
+        let dup = find_duplicate_sets(&sim.jobs);
+        let member = dup.sets.iter().find(|set| set.len() > 2).expect("a set of three")[0];
+        let loner = dup.set_of.iter().position(Option::is_none).expect("a job outside any set");
+        sim.jobs[member].throughput = 0.0;
+        sim.jobs[loner].throughput = 0.0;
+        let report = Taxonomy::quick().run(&sim);
+        let baseline = &report.stages[0];
+        let reason = baseline.reason.as_deref().unwrap_or_default();
+        assert!(reason.contains("dropped 2 jobs with non-finite targets"), "{reason}");
+        assert_eq!(report.app_bound.n_duplicates + 1, dup.n_duplicates(), "member left its set");
+        assert!(report.app_bound.median_abs_pct.is_finite());
+        assert_shares_finite(&report);
+    }
+
+    #[test]
+    fn cori_job_without_lmt_skips_enrichment() {
+        let mut sim = Platform::new(SimConfig::cori().with_jobs(1_500).with_seed(7)).generate();
+        sim.jobs[10].lmt = None;
+        let report = Taxonomy::quick().run(&sim);
+        assert_eq!(report.system_litmus.lmt_enriched, None);
+        let system = &report.stages[2];
+        assert!(system.degraded, "a job without LMT must degrade the system litmus");
+        let reason = system.reason.as_deref().unwrap_or_default();
+        assert!(reason.contains("1 jobs carry no LMT telemetry; enrichment skipped"), "{reason}");
     }
 
     #[test]

@@ -125,8 +125,7 @@ macro_rules! gauge {
 /// Near-free when no recorder is installed (one relaxed atomic load).
 ///
 /// Call sites should sit inside an open span so the black box can place
-/// the breadcrumb in the span timeline — the `event-outside-span` audit
-/// lint enforces this.
+/// the breadcrumb in the span timeline.
 #[macro_export]
 macro_rules! event {
     ($name:literal) => {

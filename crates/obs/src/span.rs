@@ -133,8 +133,12 @@ thread_local! {
 
 /// RAII guard for one timing span; created by the [`span!`] macro.
 /// Not `Send`: a span must close on the thread that opened it.
+/// `#[must_use]`: a guard dropped in the statement that opens it closes
+/// the span at once and times nothing, so bind it for the region it
+/// measures (`let _span = span!(…);`).
 ///
 /// [`span!`]: crate::span
+#[must_use = "a span guard closes its span when dropped; bind it with `let _span = …`"]
 pub struct SpanGuard {
     // !Send + !Sync: the guard is tied to the thread-local stack.
     _not_send: std::marker::PhantomData<*const ()>,
