@@ -11,13 +11,19 @@
 //! With `--fault-rate`, a deterministic `FaultPlan` corrupts that fraction
 //! of the emitted logs post-serialization (truncation, bit flips, zeroed
 //! counters, dropped modules, trailing garbage, duplicated records,
-//! transient unreadability) and writes the ground-truth `faults.json`
-//! manifest so recovery can be scored by `iotax-analyze`.
+//! transient unreadability), in memory before each log's one write, and
+//! writes the ground-truth `faults.json` manifest so recovery can be
+//! scored by `iotax-analyze`. Without it, a `faults.json` left in `--out`
+//! by an earlier run is removed.
+//!
+//! The per-job work — assembling each job in the simulator, then encoding,
+//! damaging and writing its log — runs on every available core, and the
+//! trace is byte-identical at any thread count (`taskset -c 0` gives one).
 //!
 //! The observability flags (`--metrics-out`, `--ledger`) are shared with
 //! `iotax-analyze` and `iotax-audit`; see `iotax_cli::obsargs`.
 
-use iotax_cli::{export_trace, inject_faults, ObsArgs, ObsSession, OBS_USAGE};
+use iotax_cli::{export_trace, export_trace_with_faults, ObsArgs, ObsSession, OBS_USAGE};
 use iotax_obs::{digest_bytes, Error};
 use iotax_sim::{FaultPlan, Platform, SimConfig};
 use std::path::PathBuf;
@@ -50,7 +56,10 @@ fn parse_args() -> Result<Args, Error> {
             "--system" => args.system = value("--system")?,
             "--jobs" => {
                 args.jobs =
-                    value("--jobs")?.parse().map_err(|e| Error::usage(format!("--jobs: {e}")))?
+                    value("--jobs")?.parse().map_err(|e| Error::usage(format!("--jobs: {e}")))?;
+                if args.jobs == 0 {
+                    return Err(Error::usage("--jobs must be positive"));
+                }
             }
             "--seed" => {
                 args.seed =
@@ -117,11 +126,10 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
         args.seed
     );
     let dataset = Platform::new(config).generate();
-    let n = export_trace(&dataset, &args.out)?;
-    eprintln!("wrote {n} jobs to {}", args.out.display());
     if args.fault_rate > 0.0 {
         let plan = FaultPlan::new(args.fault_seed.unwrap_or(args.seed), args.fault_rate);
-        let manifest = inject_faults(&args.out, &plan)?;
+        let manifest = export_trace_with_faults(&dataset, &args.out, &plan)?;
+        eprintln!("wrote {} jobs to {}", dataset.jobs.len(), args.out.display());
         eprintln!(
             "injected {} faults across {} logs (rate {:.0} %, seed {}); \
              ground truth in faults.json",
@@ -130,6 +138,9 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
             plan.rate * 100.0,
             plan.seed
         );
+    } else {
+        let n = export_trace(&dataset, &args.out)?;
+        eprintln!("wrote {n} jobs to {}", args.out.display());
     }
     if let Some(ledger) = session.ledger_mut() {
         // Digest the written manifest so two gen runs can be compared for

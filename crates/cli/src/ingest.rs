@@ -388,7 +388,7 @@ struct FileOutcome {
 }
 
 /// `<logs>/<job_id>.drn`, built in one allocation.
-fn log_path(logs: &Path, job_id: u64) -> PathBuf {
+pub(crate) fn log_path(logs: &Path, job_id: u64) -> PathBuf {
     use std::fmt::Write as _;
     let mut path = OsString::with_capacity(logs.as_os_str().len() + 32);
     path.push(logs);
@@ -516,7 +516,7 @@ fn ingest_on(
             Ok((row, read_and_parse(reader, &logs, row.job_id, opts, buf)))
         };
     let first_failure = AtomicUsize::new(usize::MAX);
-    let outcomes = crate::fanout::map_in_order(&lines, threads, &|buf, i, line: &&str| {
+    let outcomes = iotax_stats::fanout::map_in_order(&lines, threads, &|buf, i, line: &&str| {
         if opts.strict && i > first_failure.load(Ordering::Relaxed) {
             return None;
         }
@@ -651,8 +651,11 @@ fn quarantine(
 }
 
 /// Apply a [`FaultPlan`] to every log in an exported trace directory,
-/// rewriting damaged files in place and writing the ground-truth
-/// `faults.json` manifest next to `manifest.csv`. Returns the manifest.
+/// one file at a time in file-name order, rewriting damaged files in
+/// place and writing the ground-truth `faults.json` manifest next to
+/// `manifest.csv`. Returns the manifest. [`crate::export_trace_with_faults`]
+/// writes the same bytes in one pass.
+// audit:allow(dead-public-api) -- perfbench-trace, outside the workspace, injects the workload's faults through this; tests/chaos.rs and the fused writer's byte-identity test compare against it
 pub fn inject_faults(dir: &Path, plan: &FaultPlan) -> Result<FaultManifest> {
     let _span = iotax_obs::span!("cli.inject_faults");
     let logs_dir = dir.join("logs");
@@ -672,23 +675,30 @@ pub fn inject_faults(dir: &Path, plan: &FaultPlan) -> Result<FaultManifest> {
             continue;
         };
         manifest.jobs_seen += 1;
-        let bytes = std::fs::read(&path)?;
+        let bytes = std::fs::read(&path)
+            .map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
         if let Some((dirty, rec)) = plan.corrupt(job_id, &bytes) {
-            std::fs::write(&path, dirty)?;
+            std::fs::write(&path, dirty)
+                .map_err(|e| Error::io(format!("writing {}", path.display()), e))?;
             iotax_obs::counter!("sim.faults_injected").incr(1);
             manifest.faults.push(rec);
         }
     }
-    let out = dir.join("faults.json");
-    let file = std::fs::File::create(&out)
-        .map_err(|e| Error::io(format!("creating {}", out.display()), e))?;
-    let mut w = io::BufWriter::new(file);
-    serde_json::to_writer_pretty(&mut w, &manifest)
-        .map_err(|e| Error::new(ErrorKind::Internal, format!("encoding faults.json: {e}")))?;
+    write_fault_manifest(dir, &manifest)?;
     Ok(manifest)
 }
 
-/// Load the ground-truth fault manifest written by [`inject_faults`].
+/// Write the ground-truth fault manifest to `<dir>/faults.json`.
+pub(crate) fn write_fault_manifest(dir: &Path, manifest: &FaultManifest) -> Result<()> {
+    let path = dir.join("faults.json");
+    let text = serde_json::to_string_pretty(manifest).map_err(|e| {
+        Error::new(ErrorKind::Internal, format!("encoding {}: {e}", path.display()))
+    })?;
+    std::fs::write(&path, text).map_err(|e| Error::io(format!("writing {}", path.display()), e))
+}
+
+/// Load the ground-truth fault manifest written by [`inject_faults`] or
+/// [`crate::export_trace_with_faults`].
 // audit:allow(dead-public-api) -- perfbench-trace, outside the workspace, reads the fault manifest through this
 pub fn load_fault_manifest(dir: &Path) -> Result<FaultManifest> {
     let path = dir.join("faults.json");

@@ -5,7 +5,11 @@
 //! * `iotax-gen` — generate a simulated trace and write it out as a
 //!   directory of **binary Darshan logs** (one `.drn` file per job, through
 //!   the real `iotax-darshan` encoder) plus a `manifest.csv` with the
-//!   scheduler-visible fields and the measured throughput.
+//!   scheduler-visible fields and the measured throughput. With a fault
+//!   plan, each log is damaged in memory before its one write, and the
+//!   ground truth goes to `faults.json`. The logs are encoded, damaged and
+//!   written on every available core, with the same bytes at any thread
+//!   count (see [`export_trace_with_faults`]).
 //! * `iotax-analyze` — read such a directory back (through the real
 //!   parser), detect duplicate jobs from the *parsed* features, and run the
 //!   application-bound and noise-floor litmus tests — the workflow a
@@ -17,9 +21,9 @@
 //! <trace>/
 //!   manifest.csv      job_id,arrival,start,end,nodes,cores,nprocs,throughput
 //!   logs/<job_id>.drn binary Darshan log per job
+//!   faults.json       ground truth of the damaged logs (dirty traces only)
 //! ```
 
-mod fanout;
 pub mod ingest;
 pub mod obsargs;
 
@@ -33,8 +37,9 @@ use iotax_darshan::format::write_log;
 use iotax_darshan::record::{FileRecord, JobLog, ModuleData, ModuleId};
 use iotax_darshan::{MPIIO_COUNTERS, POSIX_COUNTERS};
 use iotax_obs::{Error, Result};
-use iotax_sim::{GroundTruth, SimConfig, SimDataset, SimJob, Weather};
-use std::io::Write;
+use iotax_sim::fault::FaultRecord;
+use iotax_sim::{FaultManifest, FaultPlan, GroundTruth, SimConfig, SimDataset, SimJob, Weather};
+use std::io::{self, Write};
 use std::path::Path;
 
 /// POSIX job-level features per job; the MPI-IO ones follow them.
@@ -104,33 +109,119 @@ pub(crate) fn job_to_log(job: &SimJob) -> JobLog {
     log
 }
 
-/// Write a dataset out as a trace directory. Returns the number of jobs
+/// Write a dataset out as a clean trace directory, removing a
+/// `faults.json` an earlier run left there. Returns the number of jobs
 /// written.
 pub fn export_trace(ds: &SimDataset, dir: &Path) -> Result<usize> {
     let _span = iotax_obs::span!("cli.export_trace");
-    let logs_dir = dir.join("logs");
-    std::fs::create_dir_all(&logs_dir)
-        .map_err(|e| Error::io(format!("creating {}", logs_dir.display()), e))?;
-    let mut manifest = std::io::BufWriter::new(std::fs::File::create(dir.join("manifest.csv"))?);
-    writeln!(manifest, "job_id,arrival,start,end,nodes,cores,nprocs,throughput")?;
-    for job in &ds.jobs {
-        writeln!(
-            manifest,
-            "{},{},{},{},{},{},{},{:.6e}",
-            job.job_id,
-            job.arrival_time,
-            job.start_time,
-            job.end_time,
-            job.nodes,
-            job.cores,
-            job.nprocs,
-            job.throughput
-        )?;
-        let log = job_to_log(job);
-        std::fs::write(logs_dir.join(format!("{}.drn", job.job_id)), write_log(&log))?;
+    write_trace_on(ds, dir, None, rayon::current_num_threads())?;
+    // The ground truth of an earlier, dirty trace must not outlive it.
+    let faults = dir.join("faults.json");
+    match std::fs::remove_file(&faults) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        Err(e) => return Err(Error::io(format!("removing {}", faults.display()), e)),
     }
-    manifest.flush()?;
     Ok(ds.jobs.len())
+}
+
+/// Write a dataset out as a trace directory with `plan`'s damage applied
+/// to each log before its one write, and the ground-truth `faults.json`
+/// next to `manifest.csv`. The bytes are the ones [`export_trace`]
+/// followed by [`inject_faults`] leave in an empty directory. Returns the
+/// fault manifest.
+pub fn export_trace_with_faults(
+    ds: &SimDataset,
+    dir: &Path,
+    plan: &FaultPlan,
+) -> Result<FaultManifest> {
+    let _span = iotax_obs::span!("cli.export_trace");
+    let faults = write_trace_on(ds, dir, Some(plan), rayon::current_num_threads())?;
+    let jobs_seen = ds.jobs.len() as u64;
+    let manifest = FaultManifest { seed: plan.seed, rate: plan.rate, jobs_seen, faults };
+    ingest::write_fault_manifest(dir, &manifest)?;
+    Ok(manifest)
+}
+
+/// Write `manifest.csv` and every job's log on `threads` threads, in
+/// three phases, so the bytes written are the same at any thread count:
+///
+/// 1. one sequential pass writes `manifest.csv`;
+/// 2. the jobs are split into one fixed contiguous range per thread, and
+///    each thread encodes each of its jobs' logs, applies `plan`'s damage
+///    in memory and writes the file once;
+/// 3. one sequential merge walks the outcomes in manifest order and
+///    returns the error at the lowest manifest position, or the fault
+///    records in the order of their logs' file names (`10.drn` before
+///    `2.drn`, the order `inject_faults`'s sorted listing gives).
+fn write_trace_on(
+    ds: &SimDataset,
+    dir: &Path,
+    plan: Option<&FaultPlan>,
+    threads: usize,
+) -> Result<Vec<FaultRecord>> {
+    let logs = dir.join("logs");
+    std::fs::create_dir_all(&logs)
+        .map_err(|e| Error::io(format!("creating {}", logs.display()), e))?;
+    write_manifest(&ds.jobs, &dir.join("manifest.csv"))?;
+    let written = iotax_stats::fanout::map_in_order(&ds.jobs, threads, &|_: &mut (), _, job| {
+        write_job_log(&logs, job, plan)
+    });
+    let mut faults = Vec::new();
+    for fault in written {
+        if let Some(fault) = fault? {
+            iotax_obs::counter!("sim.faults_injected").incr(1);
+            // audit:allow(unbounded-corpus-materialization) -- out-of-core: faults.json lists every damaged log in file-name order; spill sorted runs and merge them if traces outgrow memory
+            faults.push(fault);
+        }
+    }
+    faults.sort_by_cached_key(|f| f.job_id.to_string());
+    Ok(faults)
+}
+
+/// Write `manifest.csv`: the scheduler-visible fields and the throughput
+/// of every job, in dataset order.
+fn write_manifest(jobs: &[SimJob], path: &Path) -> Result<()> {
+    let write = || -> io::Result<()> {
+        let mut w = io::BufWriter::new(std::fs::File::create(path)?);
+        writeln!(w, "job_id,arrival,start,end,nodes,cores,nprocs,throughput")?;
+        for job in jobs {
+            writeln!(
+                w,
+                "{},{},{},{},{},{},{},{:.6e}",
+                job.job_id,
+                job.arrival_time,
+                job.start_time,
+                job.end_time,
+                job.nodes,
+                job.cores,
+                job.nprocs,
+                job.throughput
+            )?;
+        }
+        w.flush()
+    };
+    write().map_err(|e| Error::io(format!("writing {}", path.display()), e))
+}
+
+/// Encode one job's log, apply `plan`'s damage to the bytes and write the
+/// file once. Returns the fault record of a damaged log. Pure apart from
+/// the file and the darshan and fault counters, so any thread may run it.
+fn write_job_log(
+    logs: &Path,
+    job: &SimJob,
+    plan: Option<&FaultPlan>,
+) -> Result<Option<FaultRecord>> {
+    let clean = write_log(&job_to_log(job));
+    let (bytes, fault) = match plan.and_then(|plan| plan.corrupt(job.job_id, &clean)) {
+        Some((dirty, fault)) => (dirty, Some(fault)),
+        None => (clean, None),
+    };
+    let path = ingest::log_path(logs, job.job_id);
+    std::fs::write(&path, bytes).map_err(|e| {
+        Error::io(format!("writing darshan log {} for job {}", path.display(), job.job_id), e)
+    })?;
+    Ok(fault)
 }
 
 /// Rebuild an in-memory [`SimDataset`] from an ingested trace so the full
@@ -201,12 +292,99 @@ mod tests {
     use iotax_core::{app_modeling_bound, concurrent_noise_floor, find_duplicate_sets};
     use iotax_obs::ErrorKind;
     use iotax_sim::{Platform, SimConfig};
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("iotax-cli-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create temp dir");
         dir
+    }
+
+    /// The bytes of every file under `dir`, by path relative to `dir`.
+    fn files_of(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = BTreeMap::new();
+        let mut dirs = vec![dir.to_path_buf()];
+        while let Some(next) = dirs.pop() {
+            for entry in std::fs::read_dir(&next).expect("list dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    let bytes = std::fs::read(&path).expect("read file");
+                    files.insert(path.strip_prefix(dir).expect("under dir").to_path_buf(), bytes);
+                }
+            }
+        }
+        files
+    }
+
+    /// The pinned chaos trace's jobs: theta, 2 000 jobs, seed 301.
+    fn chaos_dataset() -> SimDataset {
+        Platform::new(SimConfig::theta().with_jobs(2_000).with_seed(301)).generate()
+    }
+
+    #[test]
+    fn writer_is_byte_identical_at_1_2_and_3_threads() {
+        // The pinned chaos trace, 20 % of its logs damaged with fault seed
+        // 20220914. Three threads split it unevenly, so every range
+        // boundary moves.
+        let ds = chaos_dataset();
+        let plan = FaultPlan::new(20_220_914, 0.20);
+        let write = |threads: usize| {
+            let dir = temp_dir(&format!("writer-{threads}"));
+            let faults = write_trace_on(&ds, &dir, Some(&plan), threads).expect("write trace");
+            let files = files_of(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
+            (faults, files)
+        };
+        let one = write(1);
+        assert_eq!(one.1.len(), 1 + 2_000, "manifest.csv and one log per job");
+        assert!(!one.0.is_empty());
+        for threads in [2, 3] {
+            let other = write(threads);
+            assert_eq!(other.0, one.0, "{threads} threads: fault records differ");
+            assert!(other.1 == one.1, "{threads} threads: files differ");
+        }
+    }
+
+    #[test]
+    fn fused_writer_equals_export_then_inject() {
+        // Job ids of 1 to 4 digits, so faults.json's file-name order
+        // (`10.drn` before `2.drn`) differs from numeric order at every rate.
+        let ds = chaos_dataset();
+        for rate in [0.02, 0.20, 1.0] {
+            let plan = FaultPlan::new(20_220_914, rate);
+            let fused = temp_dir(&format!("fused-{rate}"));
+            let manifest = export_trace_with_faults(&ds, &fused, &plan).expect("fused writer");
+            let reference = temp_dir(&format!("reference-{rate}"));
+            export_trace(&ds, &reference).expect("export");
+            let want = inject_faults(&reference, &plan).expect("inject");
+            assert_eq!(manifest, want, "rate {rate}: fault manifest differs");
+            assert!(files_of(&fused) == files_of(&reference), "rate {rate}: files differ");
+            for dir in [fused, reference] {
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    #[test]
+    fn write_error_is_the_lowest_manifest_position_at_any_thread_count() {
+        let ds = Platform::new(SimConfig::theta().with_jobs(120).with_seed(101)).generate();
+        let (early, late) = (ds.jobs[11].job_id, ds.jobs[110].job_id);
+        for threads in [1, 2, 3] {
+            let dir = temp_dir(&format!("write-error-{threads}"));
+            let logs = dir.join("logs");
+            for id in [early, late] {
+                std::fs::create_dir_all(ingest::log_path(&logs, id)).expect("dir in a log's place");
+            }
+            let err = write_trace_on(&ds, &dir, None, threads).unwrap_err();
+            assert_eq!((err.kind(), err.exit_code()), (ErrorKind::Io, 74));
+            let want = format!("{} for job {early}", ingest::log_path(&logs, early).display());
+            assert!(err.to_string().contains(&want), "{threads} threads: {err}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! `--help` is a successful request for usage, not a usage error: both
 //! pipeline binaries print their usage to stdout and exit 0, while an
-//! unknown flag still exits 64.
+//! unknown flag still exits 64, and so does `iotax-gen --jobs 0`.
 
 use std::process::Command;
 
@@ -14,4 +14,9 @@ fn help_prints_usage_to_stdout_and_exits_zero() {
         let out = Command::new(exe).arg("--no-such-flag").output().expect("spawning tool");
         assert_eq!(out.status.code(), Some(64), "{exe}: unknown flags stay usage errors");
     }
+    let out = Command::new(env!("CARGO_BIN_EXE_iotax-gen"))
+        .args(["--jobs", "0"])
+        .output()
+        .expect("spawning tool");
+    assert_eq!(out.status.code(), Some(64), "{}", String::from_utf8_lossy(&out.stderr));
 }

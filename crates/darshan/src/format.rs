@@ -277,7 +277,7 @@ pub fn write_log(log: &JobLog) -> Vec<u8> {
     }
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
-    iotax_obs::histogram!("darshan.log_bytes").record(out.len() as u64);
+    iotax_obs::histogram!("darshan.encoded_log_bytes").record(out.len() as u64);
     out
 }
 

@@ -58,7 +58,6 @@ impl FaultKind {
 
 /// Ground truth for one injected fault.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- element type of FaultManifest's public `faults` field; iotax-cli reads FaultManifest
 pub struct FaultRecord {
     /// The job whose log was damaged.
     pub job_id: u64,

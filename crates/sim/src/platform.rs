@@ -18,8 +18,8 @@ use iotax_darshan::format::{parse_log, write_log};
 use iotax_lmt::recorder::LmtRecorder;
 use iotax_sched::{JobRequest, Scheduler, SchedulerConfig};
 use iotax_stats::dist::{ContinuousDist, Normal};
+use iotax_stats::fanout::map_in_order;
 use iotax_stats::rng::{splitmix64, substream};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// The hidden log10-space components of one job's throughput — what the
@@ -112,8 +112,15 @@ impl Platform {
         Self { config }
     }
 
-    /// Run the full generation pipeline.
+    /// Run the full generation pipeline, with the per-job assembly on
+    /// every available core.
     pub fn generate(&self) -> SimDataset {
+        self.generate_on(rayon::current_num_threads())
+    }
+
+    /// [`Platform::generate`] with the per-job assembly on `threads`
+    /// threads. The jobs are the same at any thread count.
+    fn generate_on(&self, threads: usize) -> SimDataset {
         let _span = iotax_obs::span!("sim.generate");
         let cfg = &self.config;
         let seed = cfg.seed;
@@ -190,80 +197,78 @@ impl Platform {
             build_telemetry(&grid, &weather, cfg)
         });
 
-        // 6. Per-job assembly: throughput composition + Darshan round trip.
+        // 6. Per-job assembly: throughput composition + Darshan round trip,
+        // on one fixed range of the records per thread, merged in record
+        // order. A job reads only what the phases above built and its own
+        // noise substream, so it is the same whichever thread assembles it.
+        // Workers open no spans.
         let assemble_span = iotax_obs::span!("sim.assemble");
-        let jobs: Vec<SimJob> = records
-            .par_iter()
-            .zip(stripes.par_iter())
-            .map(|(rec, stripe)| {
-                let sub = &workload.submissions[dense_idx(rec.job_id)];
-                let jc = &workload.configs[dense_idx(sub.config_id)];
-                let app = &population.apps[sub.app_idx];
+        let jobs: Vec<SimJob> = map_in_order(&records, threads, &|_: &mut (), i, rec| {
+            let stripe = &stripes[i];
+            let sub = &workload.submissions[dense_idx(rec.job_id)];
+            let jc = &workload.configs[dense_idx(sub.config_id)];
+            let app = &population.apps[sub.app_idx];
 
-                // Eq. 3, log-additively.
-                let f_a = ideal_throughput(jc, cfg.peak_bandwidth);
-                let log10_app = f_a.log10();
-                let log10_weather = weather.mean_log10_factor(rec.start_time, rec.end_time);
-                let ext_ratio = grid.external_load(stripe, jc, rec.start_time, rec.end_time)
-                    / cfg.contention_reference;
-                let log10_contention = contention_factor(
-                    ext_ratio,
-                    jc.contention_sensitivity,
-                    cfg.contention_strength,
-                )
-                .log10();
-                let mut noise_rng = substream(seed, 10_000 + rec.job_id);
-                let log10_noise = Normal::new(0.0, cfg.noise_sigma_log10 * jc.noise_sensitivity)
-                    .sample(&mut noise_rng);
-                let log10_phi = log10_app + log10_weather + log10_contention + log10_noise;
+            // Eq. 3, log-additively.
+            let f_a = ideal_throughput(jc, cfg.peak_bandwidth);
+            let log10_app = f_a.log10();
+            let log10_weather = weather.mean_log10_factor(rec.start_time, rec.end_time);
+            let ext_ratio = grid.external_load(stripe, jc, rec.start_time, rec.end_time)
+                / cfg.contention_reference;
+            let log10_contention =
+                contention_factor(ext_ratio, jc.contention_sensitivity, cfg.contention_strength)
+                    .log10();
+            let mut noise_rng = substream(seed, 10_000 + rec.job_id);
+            let log10_noise = Normal::new(0.0, cfg.noise_sigma_log10 * jc.noise_sensitivity)
+                .sample(&mut noise_rng);
+            let log10_phi = log10_app + log10_weather + log10_contention + log10_noise;
 
-                // Darshan log: write and re-parse through the binary format.
-                let log = generate_job_log(
-                    rec.job_id,
-                    app.uid,
-                    &app.exe,
-                    rec.start_time,
-                    rec.end_time,
-                    jc,
-                    cfg.peak_bandwidth,
-                    sub.config_id,
-                );
-                let parsed = parse_log(&write_log(&log)).expect("format round trip");
-                let posix = extract_posix_features(&parsed).to_vec();
-                let mpiio = extract_mpiio_features(&parsed).to_vec();
+            // Darshan log: write and re-parse through the binary format.
+            let log = generate_job_log(
+                rec.job_id,
+                app.uid,
+                &app.exe,
+                rec.start_time,
+                rec.end_time,
+                jc,
+                cfg.peak_bandwidth,
+                sub.config_id,
+            );
+            let parsed = parse_log(&write_log(&log)).expect("format round trip");
+            let posix = extract_posix_features(&parsed).to_vec();
+            let mpiio = extract_mpiio_features(&parsed).to_vec();
 
-                let lmt_features =
-                    lmt.as_ref().map(|r| r.window_features(rec.start_time, rec.end_time).to_vec());
+            let lmt_features =
+                lmt.as_ref().map(|r| r.window_features(rec.start_time, rec.end_time).to_vec());
 
-                SimJob {
-                    job_id: rec.job_id,
-                    app_id: app.app_id,
-                    config_id: sub.config_id,
-                    exe: app.exe.clone(),
-                    arrival_time: rec.arrival_time,
-                    start_time: rec.start_time,
-                    end_time: rec.end_time,
-                    nodes: rec.nodes,
-                    cores: rec.cores,
-                    placement_first: rec.placement_first,
-                    nprocs: jc.nprocs,
-                    posix,
-                    mpiio,
-                    uses_mpiio: jc.uses_mpiio,
-                    lmt: lmt_features,
-                    throughput: 10f64.powf(log10_phi),
-                    truth: GroundTruth {
-                        log10_app,
-                        log10_weather,
-                        log10_contention,
-                        log10_noise,
-                        is_novel_era: app.is_novel_era,
-                        is_rare: app.is_rare,
-                    },
-                }
-            })
-            .collect();
-
+            SimJob {
+                job_id: rec.job_id,
+                app_id: app.app_id,
+                config_id: sub.config_id,
+                exe: app.exe.clone(),
+                arrival_time: rec.arrival_time,
+                start_time: rec.start_time,
+                end_time: rec.end_time,
+                nodes: rec.nodes,
+                cores: rec.cores,
+                placement_first: rec.placement_first,
+                nprocs: jc.nprocs,
+                posix,
+                mpiio,
+                uses_mpiio: jc.uses_mpiio,
+                lmt: lmt_features,
+                throughput: 10f64.powf(log10_phi),
+                truth: GroundTruth {
+                    log10_app,
+                    log10_weather,
+                    log10_contention,
+                    log10_noise,
+                    is_novel_era: app.is_novel_era,
+                    is_rare: app.is_rare,
+                },
+            }
+        })
+        .collect();
         drop(assemble_span);
 
         let mut jobs = jobs;
@@ -352,6 +357,36 @@ mod tests {
         let a = small();
         let b = small();
         assert_eq!(a.jobs, b.jobs);
+    }
+
+    /// Every `f64` of a job as its bits: `==` on `f64` equates 0.0 and
+    /// -0.0, which bit identity must not.
+    fn float_bits(job: &SimJob) -> Vec<u64> {
+        let t = &job.truth;
+        let truth = [t.log10_app, t.log10_weather, t.log10_contention, t.log10_noise];
+        let lmt = job.lmt.iter().flatten();
+        let all = job.posix.iter().chain(&job.mpiio).chain(lmt).chain(&truth);
+        all.chain([&job.throughput]).map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn generate_is_identical_at_1_2_and_3_threads() {
+        // Three threads split the records unevenly, so every range
+        // boundary moves; cori also assembles each job's LMT window.
+        let theta = SimConfig::theta().with_jobs(1_500).with_seed(11);
+        let cori = SimConfig::cori().with_jobs(800).with_seed(12);
+        for config in [theta, cori] {
+            let platform = Platform::new(config);
+            let one = platform.generate_on(1);
+            let lmt = one.jobs.iter().all(|j| j.lmt.is_some());
+            assert_eq!(lmt, platform.config.collect_lmt, "{:?}", platform.config.system);
+            for threads in [2, 3] {
+                let other = platform.generate_on(threads);
+                assert!(other.jobs == one.jobs, "{threads} threads: jobs differ");
+                let bits = |ds: &SimDataset| ds.jobs.iter().map(float_bits).collect::<Vec<_>>();
+                assert!(bits(&other) == bits(&one), "{threads} threads: float bits differ");
+            }
+        }
     }
 
     #[test]

@@ -15,11 +15,7 @@
 
 /// Maps `f(scratch, position, item)` over `items` on `threads` threads
 /// (clamped to `1..=items.len()`) and returns the results in input order.
-pub(crate) fn map_in_order<T, S, R, F>(
-    items: &[T],
-    threads: usize,
-    f: &F,
-) -> impl Iterator<Item = R>
+pub fn map_in_order<T, S, R, F>(items: &[T], threads: usize, f: &F) -> impl Iterator<Item = R>
 where
     T: Sync,
     S: Default,

@@ -24,6 +24,10 @@
 //!   profiled degrees-of-freedom search).
 //! * [`rng`] — deterministic seed-derivation helpers so parallel simulation
 //!   streams stay reproducible.
+//! * [`fanout`] — the deterministic executor: independent per-item work
+//!   on fixed contiguous ranges, one per thread, merged in input order,
+//!   so the result does not depend on the thread count. The simulator's
+//!   per-job assembly, the trace writer and trace ingest run on it.
 //!
 //! All sampling is generic over [`rand::Rng`] and deterministic for a given
 //! seed, which the experiment harness relies on for bit-for-bit reproduction.
@@ -31,6 +35,7 @@
 pub mod cast;
 pub mod describe;
 pub mod dist;
+pub mod fanout;
 pub mod fit;
 pub mod hashing;
 pub mod histogram;
