@@ -29,6 +29,11 @@
 //! `--strict` restores the legacy fail-fast contract. `--quarantine DIR`
 //! moves unsalvageable files aside; `--ingest-report PATH` writes the
 //! per-file ingest accounting as JSON lines (the CI chaos job uploads it).
+//!
+//! The report, and `--help`, go to stdout through one lock. A write that
+//! fails there (`iotax-analyze TRACE | head -1` once `head` has exited)
+//! ends the run like any other I/O error: exit 74, one line on stderr, and
+//! the ledger still written.
 
 use iotax_cli::{
     ingest_trace, trace_duplicate_sets, trace_to_dataset, IngestOptions, IngestReport, ObsArgs,
@@ -41,6 +46,12 @@ use iotax_core::{
 use iotax_obs::{digest_bytes, Error};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// The error a failed write to stdout (a closed pipe, a full disk) ends the
+/// run with, where `println!` would panic.
+fn stdout_failed(e: std::io::Error) -> Error {
+    Error::io("writing stdout", e)
+}
 
 fn usage() -> String {
     format!(
@@ -84,7 +95,8 @@ fn parse_args() -> Result<Args, Error> {
             |name: &str| it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")));
         match arg.as_str() {
             "--help" | "-h" => {
-                println!("{}", usage());
+                let mut out = std::io::stdout().lock();
+                writeln!(out, "{}", usage()).and_then(|()| out.flush()).map_err(stdout_failed)?;
                 std::process::exit(0);
             }
             "--stats-only" => stats_only = true,
@@ -112,6 +124,7 @@ fn parse_args() -> Result<Args, Error> {
 
 fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
     let _span = iotax_obs::span!("analyze");
+    let mut out = std::io::stdout().lock();
     if let Some(ledger) = session.ledger_mut() {
         ledger.set_config_digest(digest_bytes(
             format!(
@@ -132,8 +145,9 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
     crash_hook("ingest");
     let (jobs, report) = ingest_trace(&args.dir, &opts)?;
     iotax_obs::gauge!("analyze.trace_jobs").set(jobs.len() as u64);
-    println!("trace: {} jobs from {}", jobs.len(), args.dir.display());
-    println!("ingest: {}", report.summary());
+    writeln!(out, "trace: {} jobs from {}", jobs.len(), args.dir.display())
+        .map_err(stdout_failed)?;
+    writeln!(out, "ingest: {}", report.summary()).map_err(stdout_failed)?;
     for q in &report.quarantined {
         eprintln!("  quarantined job {}: {}", q.job_id, q.reason);
     }
@@ -182,32 +196,42 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
             report.quarantined.len()
         )));
     };
-    println!(
+    writeln!(
+        out,
         "\nduplicates: {} jobs ({:.1} % of trace) in {} sets",
         bound.n_duplicates,
         bound.duplicate_fraction * 100.0,
         bound.n_sets
-    );
-    println!(
+    )
+    .map_err(stdout_failed)?;
+    writeln!(
+        out,
         "application-modeling bound (§VI): no model sees below {:.2} % median error",
         bound.median_abs_pct
-    );
+    )
+    .map_err(stdout_failed)?;
 
     match floor {
         Some(floor) => {
-            println!(
+            writeln!(
+                out,
                 "\nnoise floor (§IX): {} concurrent duplicates in {} sets",
                 floor.n_concurrent, floor.n_sets
-            );
-            println!(
+            )
+            .map_err(stdout_failed)?;
+            writeln!(
+                out,
                 "  expect throughput within ±{:.2} % of predictions 68 % of the time, \
                  ±{:.2} % 95 % of the time",
                 floor.pct_68, floor.pct_95
-            );
-            println!(
+            )
+            .map_err(stdout_failed)?;
+            writeln!(
+                out,
                 "  distribution: Student-t (ν = {:.1}) preferred over normal: {}",
                 floor.t_df, floor.t_preferred
-            );
+            )
+            .map_err(stdout_failed)?;
             // The paper's closing, user-facing number (§XI): wrap the trace's
             // median throughput in the floor-derived band, and validate the
             // band's nominal coverage against the duplicate sets themselves
@@ -216,10 +240,12 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
             sorted.sort_by(|a, b| a.total_cmp(b));
             let median = sorted.get(sorted.len() / 2).copied().unwrap_or(f64::NAN);
             let iv: ThroughputInterval = interval_from_floor(median, &floor, 0.68);
-            println!(
+            writeln!(
+                out,
                 "  a job predicted at {:.2e} B/s lands in [{:.2e}, {:.2e}] B/s 68 % of the time",
                 iv.predicted, iv.lo, iv.hi
-            );
+            )
+            .map_err(stdout_failed)?;
             let pairs: Vec<(f64, f64)> = dup
                 .sets
                 .iter()
@@ -231,19 +257,23 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
                 })
                 .collect();
             if !pairs.is_empty() {
-                println!(
+                writeln!(
+                    out,
                     "  empirical coverage over {} duplicate pairs: {:.0} % at nominal 68 %, \
                      {:.0} % at nominal 95 %",
                     pairs.len(),
                     empirical_coverage(&pairs, &floor, 0.68) * 100.0,
                     empirical_coverage(&pairs, &floor, 0.95) * 100.0,
-                );
+                )
+                .map_err(stdout_failed)?;
             }
         }
-        None => println!(
+        None => writeln!(
+            out,
             "\nnoise floor: fewer than 30 simultaneous duplicates — schedule batched \
              benchmark runs to measure it"
-        ),
+        )
+        .map_err(stdout_failed)?,
     }
 
     if !args.stats_only {
@@ -264,7 +294,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
         if let Some(id) = session.run_id() {
             report = report.with_run_id(id);
         }
-        println!("\n{}", report.render_text());
+        writeln!(out, "\n{}", report.render_text()).map_err(stdout_failed)?;
         if args.obs.metrics_out.is_some() {
             let stages: Vec<&str> = report.timings.iter().map(|t| t.name.as_str()).collect();
             eprintln!("stage spans captured: {}", stages.join(", "));
@@ -276,7 +306,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
             ledger.add_section("stage_metrics", &report.stage_metrics);
         }
     }
-    Ok(())
+    out.flush().map_err(stdout_failed)
 }
 
 /// Writes the ingest report to `path` as JSON lines; returns `path`.

@@ -17,8 +17,11 @@
 //! by an earlier run is removed.
 //!
 //! The per-job work — assembling each job in the simulator, then encoding,
-//! damaging and writing its log — runs on every available core, and the
-//! trace is byte-identical at any thread count (`taskset -c 0` gives one).
+//! damaging and writing its log — runs on every available core, in fixed
+//! chunks of jobs that each thread claims as it frees up, and the trace is
+//! byte-identical at any thread count (`taskset -c 0` gives one). The
+//! simulator reads each job's features straight off the log it generates,
+//! so a clean run encodes every log once and parses none.
 //!
 //! The observability flags (`--metrics-out`, `--ledger`) are shared with
 //! `iotax-analyze` and `iotax-audit`; see `iotax_cli::obsargs`.

@@ -20,7 +20,7 @@
 //! * **A parallel read path whose result does not depend on the thread
 //!   count**: files are read, parsed, salvaged and reduced to job rows
 //!   (features and duplicate signature) on every available core in fixed
-//!   contiguous ranges, then merged in manifest order (see
+//!   chunks that idle workers claim, then merged in manifest order (see
 //!   [`ingest_trace_with_reader`]).
 //!
 //! Strict mode ([`IngestOptions::strict`]) restores the old fail-fast
@@ -454,9 +454,10 @@ pub fn ingest_trace_with_reader(
 ///
 /// 1. one sequential pass reads `manifest.csv` once and splits it into
 ///    borrowed lines;
-/// 2. the rows are split into one fixed contiguous range per thread, and
-///    each thread parses its rows and reads, parses, salvages and reduces
-///    their files, one at a time, into one read buffer of its own;
+/// 2. the rows are cut into the executor's fixed chunks, and each worker
+///    parses the rows of each chunk it claims and reads, parses, salvages
+///    and reduces their files, one at a time, into one read buffer of its
+///    own;
 /// 3. one sequential merge walks the outcomes in manifest order, filling
 ///    the [`IngestReport`], bumping the `cli.ingest.*` counters, moving
 ///    quarantined files and picking the strict-mode error (the one at
@@ -1026,8 +1027,8 @@ mod tests {
     #[test]
     fn pinned_chaos_ingest_is_identical_at_1_2_and_3_threads() {
         // The pinned chaos trace (theta, 2 000 jobs, seed 301, 20 % of
-        // the logs damaged with fault seed 20220914). Three threads split
-        // it unevenly, so every range boundary moves.
+        // the logs damaged with fault seed 20220914). Each thread count
+        // hands the chunks out to a different number of workers.
         let dir = exported_trace("threads", 2_000, 301);
         let manifest = inject_faults(&dir, &FaultPlan::new(20_220_914, 0.20)).expect("inject");
         let reader = simulated_transient_reader(manifest);

@@ -147,9 +147,9 @@ pub fn export_trace_with_faults(
 /// three phases, so the bytes written are the same at any thread count:
 ///
 /// 1. one sequential pass writes `manifest.csv`;
-/// 2. the jobs are split into one fixed contiguous range per thread, and
-///    each thread encodes each of its jobs' logs, applies `plan`'s damage
-///    in memory and writes the file once;
+/// 2. the jobs are cut into the executor's fixed chunks, and each worker
+///    encodes the logs of each chunk it claims, applies `plan`'s damage in
+///    memory and writes each file once;
 /// 3. one sequential merge walks the outcomes in manifest order and
 ///    returns the error at the lowest manifest position, or the fault
 ///    records in the order of their logs' file names (`10.drn` before
@@ -328,8 +328,8 @@ mod tests {
     #[test]
     fn writer_is_byte_identical_at_1_2_and_3_threads() {
         // The pinned chaos trace, 20 % of its logs damaged with fault seed
-        // 20220914. Three threads split it unevenly, so every range
-        // boundary moves.
+        // 20220914. Each thread count hands the chunks out to a different
+        // number of workers.
         let ds = chaos_dataset();
         let plan = FaultPlan::new(20_220_914, 0.20);
         let write = |threads: usize| {

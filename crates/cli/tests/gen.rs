@@ -75,10 +75,14 @@ fn a_log_that_cannot_be_written_is_named_with_its_job() {
 
 #[test]
 fn every_histogram_of_a_gen_run_has_a_name_of_its_own() {
+    // Every log damaged: the faults that drop the MPI-IO module or
+    // duplicate a record decode the log and encode it again, so the run
+    // both encodes and parses logs.
     let dir = workdir("histogram-names");
     let metrics = dir.join("metrics.jsonl");
     let metrics_arg = metrics.to_str().expect("utf-8 tmpdir");
-    gen_ok(&dir.join("trace"), &["--jobs", "50", "--seed", "9", "--metrics-out", metrics_arg]);
+    let args = ["--jobs", "50", "--seed", "9", "--fault-rate", "1.0", "--metrics-out", metrics_arg];
+    gen_ok(&dir.join("trace"), &args);
     let text = std::fs::read_to_string(&metrics).expect("reading metrics");
     let mut names = Vec::new();
     for line in text.lines() {

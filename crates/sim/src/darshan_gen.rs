@@ -199,8 +199,11 @@ pub(crate) fn generate_job_log(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::{generate_population, generate_workload};
+    use crate::config::SimConfig;
     use iotax_darshan::features::{extract_mpiio_features, extract_posix_features};
     use iotax_darshan::format::{parse_log, write_log};
+    use iotax_stats::rng::substream;
     use iotax_stats::rng_from_seed;
 
     fn features(log: &JobLog) -> ([f64; 48], [f64; 48]) {
@@ -248,10 +251,42 @@ mod tests {
 
     #[test]
     fn logs_survive_the_binary_format() {
-        let c = cfg(5);
-        let log = generate_job_log(9, 10, "app", 0, 3600, &c, 200e9, 5);
-        let parsed = parse_log(&write_log(&log)).expect("round trip");
-        assert_eq!(parsed, log);
+        // The simulator reads each job's features straight off its log, so
+        // every config a workload draws must give a log the binary format
+        // carries exactly: finite counters, and a parse that equals it.
+        let (mut mpiio, mut posix_only, mut capped) = (0, 0, 0);
+        for sim in [SimConfig::theta().with_seed(5), SimConfig::cori().with_seed(7)] {
+            let sim = sim.with_jobs(3_000);
+            let population = generate_population(&mut substream(sim.seed, 1), &sim);
+            let workload = generate_workload(&mut substream(sim.seed, 2), &sim, &population);
+            for (id, (c, &app)) in workload.configs.iter().zip(&workload.config_app).enumerate() {
+                let app = &population.apps[app];
+                let log = generate_job_log(
+                    id as u64,
+                    app.uid,
+                    &app.exe,
+                    0,
+                    3600,
+                    c,
+                    sim.peak_bandwidth,
+                    id as u64,
+                );
+                let modules = std::iter::once(&log.posix).chain(&log.mpiio);
+                let mut counters = modules.flat_map(|m| &m.records).flat_map(|r| &r.counters);
+                assert!(counters.all(|v| v.is_finite()), "config {id}: non-finite counter");
+                assert_eq!(parse_log(&write_log(&log)).as_ref(), Ok(&log), "config {id}");
+                if c.uses_mpiio {
+                    mpiio += 1;
+                } else {
+                    posix_only += 1;
+                }
+                if !c.shared && c.n_files as usize > MAX_FILE_RECORDS {
+                    assert_eq!(log.posix.records.len(), MAX_FILE_RECORDS, "config {id}");
+                    capped += 1;
+                }
+            }
+        }
+        assert!(mpiio > 0 && posix_only > 0 && capped > 0, "{mpiio} {posix_only} {capped}");
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //! * [`rng`] — deterministic seed-derivation helpers so parallel simulation
 //!   streams stay reproducible.
 //! * [`fanout`] — the deterministic executor: independent per-item work
-//!   on fixed contiguous ranges, one per thread, merged in input order,
-//!   so the result does not depend on the thread count. The simulator's
-//!   per-job assembly, the trace writer and trace ingest run on it.
+//!   in fixed chunks that each worker claims from a shared cursor, merged
+//!   in input order, so the result does not depend on the thread count
+//!   or the schedule. The simulator's per-job assembly, the trace writer
+//!   and trace ingest run on it.
 //!
 //! All sampling is generic over [`rand::Rng`] and deterministic for a given
 //! seed, which the experiment harness relies on for bit-for-bit reproduction.

@@ -1,10 +1,11 @@
 //! Deterministic RNG construction and substream derivation.
 //!
-//! The simulator fans work out across rayon workers; to keep experiments
-//! bit-for-bit reproducible regardless of thread scheduling, each logical
-//! unit of work (a job, a model in an ensemble, a bootstrap replicate) gets
-//! its own RNG derived from `(master_seed, stream_id)` via SplitMix64 rather
-//! than sharing a mutable generator.
+//! The simulator fans work out across the [`crate::fanout`] workers; to
+//! keep experiments bit-for-bit reproducible regardless of thread
+//! scheduling, each logical unit of work (a job, a model in an ensemble, a
+//! bootstrap replicate) gets its own RNG derived from
+//! `(master_seed, stream_id)` via SplitMix64 rather than sharing a mutable
+//! generator.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
