@@ -26,6 +26,7 @@ use iotax_audit::{
 use iotax_cli::{ObsArgs, ObsSession, OBS_USAGE};
 use iotax_obs::{digest_bytes, Error, ErrorKind};
 use serde::Serialize;
+use std::io::Write;
 use std::path::PathBuf;
 
 struct Args {
@@ -111,7 +112,8 @@ fn parse_args() -> Result<Args, Error> {
             "--list-lints" => args.list_lints = true,
             "--explain" => args.explain = Some(value("--explain")?),
             "--help" | "-h" => {
-                println!("{}", usage());
+                let mut out = std::io::stdout().lock();
+                writeln!(out, "{}", usage()).and_then(|()| out.flush()).map_err(Error::stdout)?;
                 std::process::exit(0);
             }
             other => {
@@ -148,16 +150,18 @@ fn load_config(args: &Args) -> Result<(AuditConfig, Option<PathBuf>), Error> {
     Ok((cfg, Some(path)))
 }
 
-fn run(args: &Args, session: &mut ObsSession) -> Result<i32, Error> {
+/// Runs the audit (or lists or explains lints), writing its report to
+/// `out`.
+fn run(args: &Args, session: &mut ObsSession, out: &mut impl Write) -> Result<i32, Error> {
     if args.list_lints {
-        for l in LINTS.iter().chain(FLOW_LINTS).chain(DATAFLOW_LINTS) {
-            println!("{:<28} {}", l.name, l.summary);
+        let meta = [
+            ("bad-suppression", "suppression without reason or naming an unknown lint (always on)"),
+            ("unused-suppression", "suppression that matched no finding (always on)"),
+        ];
+        let lints = LINTS.iter().chain(FLOW_LINTS).chain(DATAFLOW_LINTS);
+        for (name, summary) in lints.map(|l| (l.name, l.summary)).chain(meta) {
+            writeln!(out, "{name:<28} {summary}").map_err(Error::stdout)?;
         }
-        println!(
-            "{:<28} suppression without reason or naming an unknown lint (always on)",
-            "bad-suppression"
-        );
-        println!("{:<28} suppression that matched no finding (always on)", "unused-suppression");
         return Ok(0);
     }
     if let Some(name) = &args.explain {
@@ -167,7 +171,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<i32, Error> {
                 iotax_audit::known_lint_names().join(", ")
             )));
         };
-        print!("{text}");
+        write!(out, "{text}").map_err(Error::stdout)?;
         return Ok(0);
     }
 
@@ -218,7 +222,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<i32, Error> {
     match args.format {
         Format::Text => {
             for f in &fresh {
-                println!("{}\n", render_text(f));
+                writeln!(out, "{}\n", render_text(f)).map_err(Error::stdout)?;
             }
             eprintln!(
                 "iotax-audit: {} new finding(s), {} baselined, {} suppressed",
@@ -228,20 +232,20 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<i32, Error> {
             );
         }
         Format::Jsonl => {
-            let mut out = std::io::stdout();
-            write_jsonl(&mut out, &fresh, baselined, report.suppressed)
-                .map_err(|e| Error::new(ErrorKind::Io, format!("writing stdout: {e}")))?;
+            write_jsonl(out, &fresh, baselined, report.suppressed).map_err(Error::stdout)?;
         }
         Format::Github => {
             for f in &fresh {
-                println!(
+                writeln!(
+                    out,
                     "::warning file={},line={},col={},title={}::{}",
                     gh_property(&f.file),
                     f.line,
                     f.col,
                     gh_property(&f.lint),
                     gh_message(&format!("{} (in `{}`)", f.message, f.item)),
-                );
+                )
+                .map_err(Error::stdout)?;
             }
             eprintln!(
                 "iotax-audit: {} new finding(s), {} baselined, {} suppressed",
@@ -282,8 +286,12 @@ fn main() {
         }
     };
     // Wall time and per-phase spans reach the sinks only on the explicit
-    // flush inside `finish`; `process::exit` skips Drop.
-    match run(&args, &mut session) {
+    // flush inside `finish`; `process::exit` skips Drop (and would drop a
+    // failed final flush of stdout silently).
+    let mut out = std::io::stdout().lock();
+    let done = run(&args, &mut session, &mut out)
+        .and_then(|code| out.flush().map(|()| code).map_err(Error::stdout));
+    match done {
         Ok(code) => std::process::exit(session.finish(code)),
         Err(e) => {
             eprintln!("iotax-audit: {e}");

@@ -6,7 +6,7 @@
 //! parameter?), this module resolves *trust* and *scale*: statement-level
 //! def-use chains over the token stream decide whether a value that sizes
 //! an allocation was derived from the wire, whether a float reduction's
-//! grouping depends on scheduler or hash order, whether two locks are
+//! grouping depends on hash order, whether two locks are
 //! ever taken in opposite orders — and, with a second taint vocabulary,
 //! whether a value whose *cardinality* scales with the job corpus is ever
 //! materialized without a bound.
@@ -14,7 +14,7 @@
 //! | lint | hazard it guards |
 //! |------|------------------|
 //! | `untrusted-length-allocation` | a parse-derived integer reaches `with_capacity` / `vec![_; n]` / `reserve` / `take(n)` with no cap between source and sink |
-//! | `unordered-float-reduction`   | rayon `sum`/`fold`/`reduce` over floats, or hash-container iteration feeding a float accumulator — both break the `f64::to_bits`-exact equivalence contract |
+//! | `unordered-float-reduction`   | hash-container iteration feeding a float `sum`/`fold`/`reduce` or accumulator — breaks the `f64::to_bits`-exact equivalence contract |
 //! | `lock-order-cycle`            | the workspace lock-acquisition graph contains a cycle, the classic deadlock precondition |
 //! | `unbounded-corpus-materialization` | a corpus-scale stream reaches `collect`/`to_vec`/`read_to_end`/`extend`, or a per-job loop pushes into a container that outlives it |
 //!
@@ -45,7 +45,7 @@ pub const DATAFLOW_LINTS: &[LintSpec] = &[
     },
     LintSpec {
         name: "unordered-float-reduction",
-        summary: "parallel or hash-ordered float reduction breaks bit-identical metric replay",
+        summary: "hash-ordered float reduction breaks bit-identical metric replay",
     },
     LintSpec {
         name: "lock-order-cycle",
@@ -572,10 +572,6 @@ fn match_brace(f: &FileAnalysis<'_>, open: usize) -> usize {
 // unordered-float-reduction
 // ---------------------------------------------------------------------------
 
-/// Method names that enter a rayon parallel chain.
-const PAR_ENTRY: &[&str] =
-    &["par_iter", "into_par_iter", "par_iter_mut", "par_chunks", "par_windows", "par_bridge"];
-
 /// Reductions whose grouping is evaluation-order-dependent for floats.
 const REDUCERS: &[&str] = &["sum", "product", "fold", "reduce"];
 
@@ -591,30 +587,7 @@ pub(crate) fn unordered_float_reduction(f: &FileAnalysis<'_>) -> Vec<RawFinding>
             continue;
         }
         let name = cx.text(i);
-        // Arm 1: `xs.par_iter()…` with a chain-level float reduction.
-        // Reductions *inside* closure arguments sit one bracket deeper
-        // than the chain and are sequential per rayon item — the
-        // sanctioned `par_iter().map(|x| xs.iter().sum()).collect()`
-        // idiom stays silent by construction.
-        if PAR_ENTRY.contains(&name) && i > 0 && cx.punct_at(i - 1, ".") && cx.punct_at(i + 1, "(")
-        {
-            if let Some(red) = chain_float_reduction(f, i) {
-                out.push(raw(
-                    cx,
-                    "unordered-float-reduction",
-                    red,
-                    format!(
-                        "parallel `{name}()` chain reduces floats with `.{}(…)`, whose \
-                         grouping depends on rayon's work-splitting; collect per-item \
-                         results and reduce sequentially so metrics stay bit-identical \
-                         across thread counts",
-                        cx.text(red)
-                    ),
-                ));
-            }
-            continue;
-        }
-        // Arm 2a: `map.iter()…sum()` — hash order feeds the fold directly.
+        // Arm 1: `map.iter()…sum()` — hash order feeds the fold directly.
         if hash_names.iter().any(|n| n == name)
             && cx.punct_at(i + 1, ".")
             && HASH_ITER.contains(&cx.text(i + 2))
@@ -635,7 +608,7 @@ pub(crate) fn unordered_float_reduction(f: &FileAnalysis<'_>) -> Vec<RawFinding>
             }
             continue;
         }
-        // Arm 2b: `for … in &map { acc += v; }` with a float accumulator.
+        // Arm 2: `for … in &map { acc += v; }` with a float accumulator.
         if name == "for" {
             if let Some((hash, acc)) = for_loop_float_accumulation(f, i, &hash_names) {
                 out.push(raw(
@@ -697,8 +670,8 @@ fn hash_bound_names(f: &FileAnalysis<'_>) -> Vec<String> {
     names
 }
 
-/// Starting at chain token `entry` (a `.par_iter` / `.iter` method name),
-/// scan forward to the statement end. Returns the token of the first
+/// Starting at chain token `entry` (a hash container's `.iter`-like method
+/// name), scan forward to the statement end. Returns the token of the first
 /// `.sum`/`.product`/`.fold`/`.reduce` at the *chain's own* bracket depth
 /// — closure-nested reductions are skipped — provided float evidence
 /// (a float literal or an `f32`/`f64` mention) appears anywhere in the
@@ -1193,33 +1166,6 @@ mod tests {
                  Vec::with_capacity(cfg.capacity)\n\
              }",
         );
-        assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn parallel_chain_reduction_fires_but_nested_sequential_sum_passes() {
-        let bad = run_one(
-            "pub fn total(xs: &[f64]) -> f64 {\n\
-                 xs.par_iter().map(|x| x * 2.0).sum::<f64>()\n\
-             }",
-        );
-        assert_eq!(lints_of(&bad), vec!["unordered-float-reduction"], "{bad:?}");
-
-        // The sanctioned idiom: the float sum is sequential *inside* the
-        // parallel map closure; the chain itself only collects.
-        let good = run_one(
-            "pub fn predict(rows: &[Row], trees: &[Tree]) -> Vec<f64> {\n\
-                 rows.par_iter()\n\
-                     .map(|r| trees.iter().map(|t| t.predict(r)).sum::<f64>())\n\
-                     .collect()\n\
-             }",
-        );
-        assert!(good.is_empty(), "{good:?}");
-    }
-
-    #[test]
-    fn integer_parallel_reduction_passes() {
-        let found = run_one("pub fn total(xs: &[u64]) -> u64 { xs.par_iter().copied().sum() }");
         assert!(found.is_empty(), "{found:?}");
     }
 

@@ -32,7 +32,6 @@ use crate::flow;
 use crate::lints::{self, LintOptions, RawFinding, LINTS};
 use crate::symbols::{analyze_file, FileAnalysis, FileRole, SourceSpec};
 use iotax_obs::{Error, ErrorKind, Result};
-use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -237,7 +236,7 @@ pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
     let (files, wire_sum, corpus_sum) = {
         let _span = iotax_obs::span!("audit.parse");
         iotax_obs::counter!("audit.files").incr(specs.len() as u64);
-        let files: Vec<FileAnalysis<'_>> = specs.par_iter().map(analyze_file).collect();
+        let files: Vec<FileAnalysis<'_>> = specs.iter().map(analyze_file).collect();
         // Cross-file taint call summaries: the union every def-use pass
         // consumes. Only non-test targets contribute.
         let mut wire_sum: BTreeSet<String> = BTreeSet::new();
@@ -267,7 +266,7 @@ pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
     // Per-file passes, then finalize: merge, suppress, fingerprint.
     let _span = iotax_obs::span!("audit.lint");
     let sites: Vec<Vec<RawFinding>> =
-        files.par_iter().map(|f| file_sites(f, cfg, &wire_sum, &corpus_sum)).collect();
+        files.iter().map(|f| file_sites(f, cfg, &wire_sum, &corpus_sum)).collect();
     let mut report = AuditReport::default();
     for ((f, mut merged), mut ws) in files.iter().zip(sites).zip(workspace) {
         merged.append(&mut ws);

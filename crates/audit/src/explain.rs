@@ -124,14 +124,12 @@ pub(crate) const EXPLAINS: &[LintExplain] = &[
     },
     LintExplain {
         name: "unordered-float-reduction",
-        rationale: "Float addition is not associative, so a rayon sum/fold/reduce groups \
-                    differently per thread count, and a hash-ordered accumulation groups \
-                    differently per process — both violate the f64::to_bits-exact equivalence \
-                    contract the perf gate enforces. Parallel maps must collect per-item \
-                    results and reduce sequentially in a fixed order.",
-        bad: "let total: f64 = xs.par_iter().map(|x| score(x)).sum();",
-        good: "let scores: Vec<f64> = xs.par_iter().map(|x| score(x)).collect();\n\
-               let total: f64 = scores.iter().sum(); // fixed order",
+        rationale: "Float addition is not associative, so a sum/fold/reduce over a hash \
+                    container's iteration order groups differently per process, which \
+                    violates the f64::to_bits-exact equivalence contract the perf gate \
+                    enforces. Reduce over a fixed order: sort the entries or use a BTreeMap.",
+        bad: "let total: f64 = scores_by_job.values().sum(); // HashMap order",
+        good: "let total: f64 = scores_by_job.values().sum(); // BTreeMap: key order",
     },
     LintExplain {
         name: "lock-order-cycle",

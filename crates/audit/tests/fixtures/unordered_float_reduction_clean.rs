@@ -1,9 +1,8 @@
-//! Dataflow fixture: the sanctioned idioms — collect parallel results
-//! and reduce sequentially; iterate a BTreeMap so the order is fixed.
+//! Dataflow fixture: the sanctioned idioms — reduce a slice in order;
+//! iterate a BTreeMap so the order is fixed.
 
 fn total_gb(samples: &[f64]) -> f64 {
-    let scaled: Vec<f64> = samples.par_iter().map(|x| x / 1.0e9).collect();
-    scaled.iter().sum()
+    samples.iter().map(|x| x / 1.0e9).sum()
 }
 
 fn mean_latency(by_server: &BTreeMap<u64, f64>) -> f64 {

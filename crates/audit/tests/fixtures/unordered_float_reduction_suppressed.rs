@@ -1,10 +1,5 @@
-//! Dataflow fixture: the same two order-dependent reductions, each
-//! waived with a reason.
-
-fn total_gb(samples: &[f64]) -> f64 {
-    // audit:allow(unordered-float-reduction) -- fixture: figure-only total, 1e-9 relative tolerance accepted
-    samples.par_iter().map(|x| x / 1.0e9).sum::<f64>()
-}
+//! Dataflow fixture: the same order-dependent reduction, waived with a
+//! reason.
 
 fn mean_latency(by_server: &HashMap<u64, f64>) -> f64 {
     // audit:allow(unordered-float-reduction) -- fixture: diagnostic print, never compared bitwise

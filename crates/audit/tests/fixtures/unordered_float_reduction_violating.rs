@@ -1,10 +1,6 @@
-//! Dataflow fixture: float reductions whose grouping depends on rayon
-//! work-splitting or on hash iteration order — both break bit-identical
+//! Dataflow fixture: a float reduction whose grouping depends on hash
+//! iteration order, which differs every process — it breaks bit-identical
 //! metric replay.
-
-fn total_gb(samples: &[f64]) -> f64 {
-    samples.par_iter().map(|x| x / 1.0e9).sum::<f64>()
-}
 
 fn mean_latency(by_server: &HashMap<u64, f64>) -> f64 {
     by_server.values().sum::<f64>() / by_server.len() as f64

@@ -2,8 +2,7 @@
 //!
 //! Reproduction harness: one binary per figure/table of the paper's
 //! evaluation (run them with `cargo run --release -p iotax-bench --bin
-//! fig…`), plus criterion benchmarks for the substrates and the design
-//! ablations DESIGN.md calls out.
+//! fig…`).
 //!
 //! Every binary prints the series the corresponding figure plots and
 //! writes a CSV next to it under `target/repro/` so EXPERIMENTS.md can

@@ -47,12 +47,6 @@ use iotax_obs::{digest_bytes, Error};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// The error a failed write to stdout (a closed pipe, a full disk) ends the
-/// run with, where `println!` would panic.
-fn stdout_failed(e: std::io::Error) -> Error {
-    Error::io("writing stdout", e)
-}
-
 fn usage() -> String {
     format!(
         "usage: iotax-analyze TRACE_DIR {OBS_USAGE} [--stats-only] [--strict] [--retries N] \
@@ -96,7 +90,7 @@ fn parse_args() -> Result<Args, Error> {
         match arg.as_str() {
             "--help" | "-h" => {
                 let mut out = std::io::stdout().lock();
-                writeln!(out, "{}", usage()).and_then(|()| out.flush()).map_err(stdout_failed)?;
+                writeln!(out, "{}", usage()).and_then(|()| out.flush()).map_err(Error::stdout)?;
                 std::process::exit(0);
             }
             "--stats-only" => stats_only = true,
@@ -146,8 +140,8 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
     let (jobs, report) = ingest_trace(&args.dir, &opts)?;
     iotax_obs::gauge!("analyze.trace_jobs").set(jobs.len() as u64);
     writeln!(out, "trace: {} jobs from {}", jobs.len(), args.dir.display())
-        .map_err(stdout_failed)?;
-    writeln!(out, "ingest: {}", report.summary()).map_err(stdout_failed)?;
+        .map_err(Error::stdout)?;
+    writeln!(out, "ingest: {}", report.summary()).map_err(Error::stdout)?;
     for q in &report.quarantined {
         eprintln!("  quarantined job {}: {}", q.job_id, q.reason);
     }
@@ -155,7 +149,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
     // The log-only litmus tests run on this thread while a second one
     // writes the ingest report. Their output waits for the write, so a
     // failed write still ends the run before any of it is printed.
-    let (litmus, written) = rayon::join(
+    let (litmus, written) = iotax_stats::fanout::join(
         || {
             if jobs.is_empty() {
                 return None;
@@ -203,13 +197,13 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
         bound.duplicate_fraction * 100.0,
         bound.n_sets
     )
-    .map_err(stdout_failed)?;
+    .map_err(Error::stdout)?;
     writeln!(
         out,
         "application-modeling bound (§VI): no model sees below {:.2} % median error",
         bound.median_abs_pct
     )
-    .map_err(stdout_failed)?;
+    .map_err(Error::stdout)?;
 
     match floor {
         Some(floor) => {
@@ -218,20 +212,20 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
                 "\nnoise floor (§IX): {} concurrent duplicates in {} sets",
                 floor.n_concurrent, floor.n_sets
             )
-            .map_err(stdout_failed)?;
+            .map_err(Error::stdout)?;
             writeln!(
                 out,
                 "  expect throughput within ±{:.2} % of predictions 68 % of the time, \
                  ±{:.2} % 95 % of the time",
                 floor.pct_68, floor.pct_95
             )
-            .map_err(stdout_failed)?;
+            .map_err(Error::stdout)?;
             writeln!(
                 out,
                 "  distribution: Student-t (ν = {:.1}) preferred over normal: {}",
                 floor.t_df, floor.t_preferred
             )
-            .map_err(stdout_failed)?;
+            .map_err(Error::stdout)?;
             // The paper's closing, user-facing number (§XI): wrap the trace's
             // median throughput in the floor-derived band, and validate the
             // band's nominal coverage against the duplicate sets themselves
@@ -245,7 +239,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
                 "  a job predicted at {:.2e} B/s lands in [{:.2e}, {:.2e}] B/s 68 % of the time",
                 iv.predicted, iv.lo, iv.hi
             )
-            .map_err(stdout_failed)?;
+            .map_err(Error::stdout)?;
             let pairs: Vec<(f64, f64)> = dup
                 .sets
                 .iter()
@@ -265,7 +259,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
                     empirical_coverage(&pairs, &floor, 0.68) * 100.0,
                     empirical_coverage(&pairs, &floor, 0.95) * 100.0,
                 )
-                .map_err(stdout_failed)?;
+                .map_err(Error::stdout)?;
             }
         }
         None => writeln!(
@@ -273,7 +267,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
             "\nnoise floor: fewer than 30 simultaneous duplicates — schedule batched \
              benchmark runs to measure it"
         )
-        .map_err(stdout_failed)?,
+        .map_err(Error::stdout)?,
     }
 
     if !args.stats_only {
@@ -294,7 +288,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
         if let Some(id) = session.run_id() {
             report = report.with_run_id(id);
         }
-        writeln!(out, "\n{}", report.render_text()).map_err(stdout_failed)?;
+        writeln!(out, "\n{}", report.render_text()).map_err(Error::stdout)?;
         if args.obs.metrics_out.is_some() {
             let stages: Vec<&str> = report.timings.iter().map(|t| t.name.as_str()).collect();
             eprintln!("stage spans captured: {}", stages.join(", "));
@@ -306,7 +300,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
             ledger.add_section("stage_metrics", &report.stage_metrics);
         }
     }
-    out.flush().map_err(stdout_failed)
+    out.flush().map_err(Error::stdout)
 }
 
 /// Writes the ingest report to `path` as JSON lines; returns `path`.

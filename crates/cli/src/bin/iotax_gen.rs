@@ -29,6 +29,7 @@
 use iotax_cli::{export_trace, export_trace_with_faults, ObsArgs, ObsSession, OBS_USAGE};
 use iotax_obs::{digest_bytes, Error};
 use iotax_sim::{FaultPlan, Platform, SimConfig};
+use std::io::Write;
 use std::path::PathBuf;
 
 struct Args {
@@ -85,11 +86,15 @@ fn parse_args() -> Result<Args, Error> {
                 )
             }
             "--help" | "-h" => {
-                println!(
+                let mut out = std::io::stdout().lock();
+                writeln!(
+                    out,
                     "usage: iotax-gen [--system theta|cori] [--jobs N] \
                      [--seed N] [--out DIR] {OBS_USAGE} \
                      [--fault-rate F] [--fault-seed N]"
-                );
+                )
+                .and_then(|()| out.flush())
+                .map_err(Error::stdout)?;
                 std::process::exit(0);
             }
             other => {

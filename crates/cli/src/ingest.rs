@@ -446,7 +446,7 @@ pub fn ingest_trace_with_reader(
     reader: &ReadAttemptFn<'_>,
 ) -> Result<(Vec<TraceJob>, IngestReport)> {
     let _span = iotax_obs::span!("cli.ingest");
-    ingest_on(dir, opts, reader, rayon::current_num_threads())
+    ingest_on(dir, opts, reader, iotax_stats::fanout::current_num_threads())
 }
 
 /// Ingest on `threads` threads, in three phases, so the result is the

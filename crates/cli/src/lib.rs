@@ -114,7 +114,7 @@ pub(crate) fn job_to_log(job: &SimJob) -> JobLog {
 /// written.
 pub fn export_trace(ds: &SimDataset, dir: &Path) -> Result<usize> {
     let _span = iotax_obs::span!("cli.export_trace");
-    write_trace_on(ds, dir, None, rayon::current_num_threads())?;
+    write_trace_on(ds, dir, None, iotax_stats::fanout::current_num_threads())?;
     // The ground truth of an earlier, dirty trace must not outlive it.
     let faults = dir.join("faults.json");
     match std::fs::remove_file(&faults) {
@@ -136,7 +136,7 @@ pub fn export_trace_with_faults(
     plan: &FaultPlan,
 ) -> Result<FaultManifest> {
     let _span = iotax_obs::span!("cli.export_trace");
-    let faults = write_trace_on(ds, dir, Some(plan), rayon::current_num_threads())?;
+    let faults = write_trace_on(ds, dir, Some(plan), iotax_stats::fanout::current_num_threads())?;
     let jobs_seen = ds.jobs.len() as u64;
     let manifest = FaultManifest { seed: plan.seed, rate: plan.rate, jobs_seen, faults };
     ingest::write_fault_manifest(dir, &manifest)?;

@@ -16,7 +16,6 @@ use crate::tree::{RegressionTree, TreeParams, DEFAULT_MAX_BINS};
 use crate::Regressor;
 use iotax_stats::rng::substream;
 use rand::RngExt;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Training loss for the GBM.
@@ -374,7 +373,6 @@ impl Gbm {
     /// context was prepared from.
     pub fn predict_prepared(&self, data: &PreparedDataset) -> Vec<f64> {
         (0..data.n_rows())
-            .into_par_iter()
             .map(|i| {
                 self.base
                     + self.params.learning_rate
@@ -411,7 +409,7 @@ impl Regressor for Gbm {
     }
 
     fn predict(&self, data: &Dataset) -> Vec<f64> {
-        (0..data.n_rows).into_par_iter().map(|i| self.predict_row(data.row(i))).collect()
+        (0..data.n_rows).map(|i| self.predict_row(data.row(i))).collect()
     }
 }
 

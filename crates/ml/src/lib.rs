@@ -25,8 +25,7 @@
 //!   fold split once ([`PreparedDataset`]), then train any number of GBMs
 //!   through [`Trainer`] without touching the raw floats again.
 //!
-//! Everything is deterministic under a seed and parallelized with rayon
-//! where it pays (histogram builds, grid points, NAS populations).
+//! Everything is deterministic under a seed and runs on the calling thread.
 
 pub mod data;
 pub mod gbm;

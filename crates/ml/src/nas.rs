@@ -14,7 +14,6 @@ use crate::Regressor;
 use iotax_stats::rng::substream;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -140,10 +139,10 @@ pub fn evolve(train: &Dataset, val: &Dataset, cfg: NasConfig) -> Vec<NasRecord> 
         );
         median_abs_error(&val.y, &model.predict(val))
     };
-    // Generation 0: random population, trained in parallel.
+    // Generation 0: random population.
     let genomes: Vec<Genome> = (0..cfg.population).map(|_| Genome::random(&mut rng)).collect();
     let mut history: Vec<NasRecord> = genomes
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, g)| NasRecord { generation: 0, genome: g.clone(), val_error: eval(g, i as u64) })
         .collect();
@@ -153,8 +152,8 @@ pub fn evolve(train: &Dataset, val: &Dataset, cfg: NasConfig) -> Vec<NasRecord> 
     let mut eval_idx = cfg.population as u64;
     for generation in 1..cfg.generations {
         iotax_obs::counter!("ml.nas.generations").incr(1);
-        // Produce one generation of children (in parallel), then age the
-        // population by the same count.
+        // Produce one generation of children, then age the population by
+        // the same count.
         let parents: Vec<Genome> = (0..cfg.population)
             .map(|_| {
                 let mut best: Option<&(Genome, f64)> = None;
@@ -169,7 +168,7 @@ pub fn evolve(train: &Dataset, val: &Dataset, cfg: NasConfig) -> Vec<NasRecord> 
             .collect();
         let children: Vec<Genome> = parents.iter().map(|p| p.mutate(&mut rng)).collect();
         let evaluated: Vec<NasRecord> = children
-            .into_par_iter()
+            .into_iter()
             .enumerate()
             .map(|(i, g)| NasRecord {
                 generation,

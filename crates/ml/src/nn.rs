@@ -8,7 +8,7 @@
 //! ensemble members estimates *epistemic* uncertainty.
 //!
 //! Training is deliberately serial within a model (bit-for-bit determinism
-//! under a seed); parallelism lives one level up, across NAS/ensemble
+//! under a seed); a fan-out belongs one level up, across NAS/ensemble
 //! members. Ensemble and NAS loops preprocess the training fold once
 //! ([`MlpContext::prepare`]) and fit every member against the shared
 //! context; per-sample forward/backward passes run in preallocated

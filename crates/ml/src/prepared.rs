@@ -10,9 +10,8 @@
 //!
 //! Layout: codes are **feature-major** (`codes[c * n_rows + r]`), because
 //! histogram building walks one feature over many rows — the contiguous
-//! per-feature stripe turns the inner loop into a sequential scan, and it
-//! is what lets the tree learner parallelize across features without
-//! false sharing. Codes are `u16` because `max_bins` is capped at
+//! per-feature stripe turns the inner loop into a sequential scan. Codes
+//! are `u16` because `max_bins` is capped at
 //! `u16::MAX`: half the memory traffic of `u32` per histogram pass.
 //!
 //! For strictly increasing cuts, `code(x) <= b  ⟺  x <= cuts[b]`, hence
@@ -21,7 +20,6 @@
 //! either representation.
 
 use crate::data::Dataset;
-use rayon::prelude::*;
 
 /// A dataset quantile-binned once, ready to train many models.
 #[derive(Debug, Clone)]
@@ -44,7 +42,6 @@ impl PreparedDataset {
     pub fn fit(data: &Dataset, max_bins: usize) -> Self {
         assert!(max_bins >= 2 && max_bins <= u16::MAX as usize);
         let cuts: Vec<Vec<f64>> = (0..data.n_cols)
-            .into_par_iter()
             .map(|c| {
                 let mut vals: Vec<f64> =
                     (0..data.n_rows).map(|r| data.x[r * data.n_cols + c]).collect();
@@ -125,13 +122,13 @@ pub(crate) struct BoundDataset {
 /// Feature-major bin codes of `data` under `cuts`.
 fn encode(cuts: &[Vec<f64>], data: &Dataset) -> Vec<u16> {
     let mut codes = vec![0u16; data.n_rows * data.n_cols];
-    codes.par_chunks_mut(data.n_rows).enumerate().for_each(|(c, col)| {
+    for (c, col) in codes.chunks_mut(data.n_rows).enumerate() {
         let cuts = &cuts[c];
         for (r, code) in col.iter_mut().enumerate() {
             let x = data.x[r * data.n_cols + c];
             *code = cuts.partition_point(|&cut| cut < x) as u16;
         }
-    });
+    }
     codes
 }
 

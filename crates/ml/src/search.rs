@@ -2,7 +2,7 @@
 //!
 //! §VI.B sweeps four XGBoost knobs — tree count, depth, row subsample and
 //! column subsample — over 8046 configurations. `grid_search` reproduces
-//! the sweep (grid points run rayon-parallel) and its output drives the
+//! the sweep, one grid point after another, and its output drives the
 //! Fig. 1(a) heatmap. The training fold is binned exactly once — every
 //! candidate trains through a [`Trainer`] over the shared
 //! [`PreparedDataset`] — and duplicate configurations (overlapping sweep
@@ -14,7 +14,6 @@ use crate::gbm::{GbmParams, Trainer};
 use crate::metrics::median_abs_error;
 use crate::prepared::PreparedDataset;
 use crate::Regressor;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// One evaluated grid point.
@@ -67,7 +66,7 @@ pub fn grid_search(
     }
     let trainer = Trainer::new(train);
     let mut points: Vec<GridPoint> = combos
-        .into_par_iter()
+        .into_iter()
         .map(|params| {
             iotax_obs::counter!("ml.grid_search.candidates").incr(1);
             let model = trainer.fit(params);

@@ -4,15 +4,13 @@
 //! quantile-binned once per training set ([`PreparedDataset`]), and each
 //! node finds its best split by accumulating gradient/hessian histograms —
 //! O(rows × features) per level instead of O(rows log rows) per feature.
-//! Histogram building is rayon-parallel across features (the ablation
-//! bench `ablation_parallel_hist` measures exactly this choice), walks the
-//! prepared context's contiguous feature-major `u16` codes, and reuses a
+//! Histogram building walks one feature at a time over the prepared
+//! context's contiguous feature-major `u16` codes, and reuses a
 //! thread-local histogram scratch instead of allocating per node — the
 //! former per-node `vec![0.0; n_bins]` pair was the dominant tree cost.
 
 use crate::prepared::PreparedDataset;
 use iotax_obs::{Error, Result};
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Maximum number of histogram bins per feature.
@@ -132,7 +130,7 @@ fn gain_term(g: f64, h: f64, lambda: f64) -> f64 {
     g * g / (h + lambda)
 }
 
-/// Reusable histogram buffers, one set per worker thread. Invariant: every
+/// Reusable histogram buffers, one set per thread. Invariant: every
 /// buffer is all-zero between `best_split` calls (each call clears exactly
 /// the bins it touched before returning).
 struct SplitScratch {
@@ -343,8 +341,8 @@ fn best_split(
 ) -> (Option<Split>, Vec<usize>) {
     let parent_term = gain_term(sum_g, sum_h, params.lambda);
     // Per feature: (best split, dead-for-subtree flag). Takes the scratch
-    // explicitly so the serial path below can borrow it once per node
-    // instead of once per feature.
+    // explicitly so the loop below borrows it once per node instead of
+    // once per feature.
     let candidate = |scratch: &mut SplitScratch, f: usize| -> (Option<Split>, bool) {
         let n_bins = binned.n_bins(f);
         if n_bins < 2 {
@@ -470,49 +468,27 @@ fn best_split(
             (best, dead)
         }
     };
-    // Parallelize the histogram builds across features when the node is
-    // large enough to amortize the fork; small (deep) nodes take the
-    // serial path, which borrows the thread-local scratch once for the
-    // whole node. Both paths keep the last-maximal-gain tie-break in
-    // feature order, so the chosen split is deterministic and identical.
+    // Features in order, keeping the last maximal gain, so the chosen
+    // split is deterministic.
     let mut best: Option<Split> = None;
     let mut dead: Vec<usize> = Vec::new();
-    let keep_later = |new: &Split, cur: &Option<Split>| {
-        cur.as_ref().is_none_or(|c| {
-            new.gain.partial_cmp(&c.gain).expect("finite gains") != std::cmp::Ordering::Less
-        })
-    };
-    if rows.len() * features.len() > 16_384 {
-        let evals: Vec<(Option<Split>, bool)> = features
-            .par_iter()
-            .map(|&f| SCRATCH.with(|s| candidate(&mut s.borrow_mut(), f)))
-            .collect();
-        for (&f, (s, d)) in features.iter().zip(&evals) {
-            if *d {
+    SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        for &f in features {
+            let (s, d) = candidate(scratch, f);
+            if d {
                 dead.push(f);
             }
             if let Some(s) = s {
-                if keep_later(s, &best) {
-                    best = Some(*s);
+                let keep = best.as_ref().is_none_or(|c| {
+                    s.gain.partial_cmp(&c.gain).expect("finite gains") != std::cmp::Ordering::Less
+                });
+                if keep {
+                    best = Some(s);
                 }
             }
         }
-    } else {
-        SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            for &f in features {
-                let (s, d) = candidate(scratch, f);
-                if d {
-                    dead.push(f);
-                }
-                if let Some(s) = s {
-                    if keep_later(&s, &best) {
-                        best = Some(s);
-                    }
-                }
-            }
-        });
-    }
+    });
     // Guard against degenerate partitions (all rows one side).
     (best.filter(|s| s.left_h > 0.0 && sum_h - s.left_h > 0.0 && s.left_g.is_finite()), dead)
 }

@@ -62,6 +62,12 @@ impl Error {
         Self::new(ErrorKind::Io, context).with_source(source)
     }
 
+    /// A failed write to stdout (a closed pipe, a full disk): what a tool
+    /// ends with where `println!` would panic.
+    pub fn stdout(source: std::io::Error) -> Self {
+        Self::io("writing stdout", source)
+    }
+
     /// Shorthand for a parse failure while doing `context`.
     pub fn parse(
         context: impl Into<String>,

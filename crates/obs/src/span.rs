@@ -70,7 +70,7 @@ pub struct SpanHandle {
 }
 
 /// Returns a handle to the innermost open span on this thread, if any.
-/// Capture it *before* fanning work out (e.g. before `par_iter`) and
+/// Capture it *before* fanning work out (e.g. before `map_in_order`) and
 /// open worker spans with [`SpanGuard::enter_under`].
 pub fn current_span() -> Option<SpanHandle> {
     STACK.with(|stack| stack.borrow().frames.last().map(|f| SpanHandle { id: f.id }))

@@ -33,7 +33,8 @@ use iotax_report::{
     render_show, render_trajectory, resolve_run, run_crash_matrix, scan_ledger_store, store_runs,
     to_chrome_trace, to_folded, trajectory, GateOutcome, RunDiff,
 };
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 const USAGE: &str = "usage: iotax-report <command>
   show RUN
@@ -58,26 +59,32 @@ fn positional(it: &mut impl Iterator<Item = String>, what: &str) -> Result<Strin
     }
 }
 
+/// Pulls the value of flag `name` or fails with usage context.
+fn value(it: &mut impl Iterator<Item = String>, name: &str) -> Result<String, Error> {
+    it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")))
+}
+
 /// Loads a RUN argument: a run directory, a `run.json` path, or a
 /// store selector (`STORE@last`, `STORE@<prefix>`, bare store dir).
 fn load(path: &str) -> Result<RunFile, Error> {
     resolve_run(path)
 }
 
-fn run() -> Result<i32, Error> {
+/// Runs one command, writing its report to `out`.
+fn run(out: &mut impl Write) -> Result<i32, Error> {
     let mut it = std::env::args().skip(1);
     let command = it.next().ok_or_else(|| Error::usage(USAGE))?;
     match command.as_str() {
         "show" => {
             let run = load(&positional(&mut it, "a RUN directory")?)?;
-            print!("{}", render_show(&run));
+            write!(out, "{}", render_show(&run)).map_err(Error::stdout)?;
             Ok(0)
         }
         "diff" => {
             let a = load(&positional(&mut it, "RUN_A")?)?;
             let b = load(&positional(&mut it, "RUN_B")?)?;
             let d: RunDiff = diff_runs(&a, &b);
-            print!("{}", render_diff(&d));
+            write!(out, "{}", render_diff(&d)).map_err(Error::stdout)?;
             Ok(i32::from(!d.metrics_identical()))
         }
         "export" => {
@@ -85,12 +92,9 @@ fn run() -> Result<i32, Error> {
             let mut format = None;
             let mut out_path = None;
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
-                    "--format" => format = Some(value("--format")?),
-                    "--out" => out_path = Some(PathBuf::from(value("--out")?)),
+                    "--format" => format = Some(value(&mut it, "--format")?),
+                    "--out" => out_path = Some(PathBuf::from(value(&mut it, "--out")?)),
                     other => return Err(Error::usage(format!("unknown flag {other}\n{USAGE}"))),
                 }
             }
@@ -111,7 +115,7 @@ fn run() -> Result<i32, Error> {
                         .map_err(|e| Error::io(format!("writing {}", path.display()), e))?;
                     eprintln!("exported to {}", path.display());
                 }
-                None => print!("{rendered}"),
+                None => write!(out, "{rendered}").map_err(Error::stdout)?,
             }
             Ok(0)
         }
@@ -120,13 +124,10 @@ fn run() -> Result<i32, Error> {
             let mut baseline = None;
             let mut max_regress = 100.0;
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
-                    "--baseline" => baseline = Some(value("--baseline")?),
+                    "--baseline" => baseline = Some(value(&mut it, "--baseline")?),
                     "--max-regress" => {
-                        max_regress = value("--max-regress")?
+                        max_regress = value(&mut it, "--max-regress")?
                             .parse()
                             .map_err(|e| Error::usage(format!("--max-regress: {e}")))?
                     }
@@ -138,13 +139,13 @@ fn run() -> Result<i32, Error> {
             let run = load(&run_path)?;
             let base = load(&baseline)?;
             let outcome: GateOutcome = evaluate_gate(&run, &base, max_regress);
-            print!("{}", render_gate(&outcome));
+            write!(out, "{}", render_gate(&outcome)).map_err(Error::stdout)?;
             Ok(if outcome.passed() { 0 } else { 1 })
         }
         "scan" => {
             let dir = PathBuf::from(positional(&mut it, "a STORE directory")?);
             let (report, raw) = scan_ledger_store(&dir)?;
-            print!("{}", render_scan(&report));
+            write!(out, "{}", render_scan(&report)).map_err(Error::stdout)?;
             let sidecars = iotax_obs::store::write_quarantine(&dir, &raw)?;
             for path in &sidecars {
                 eprintln!("quarantine report written to {}", path.display());
@@ -163,13 +164,10 @@ fn run() -> Result<i32, Error> {
             let mut metric = None;
             let mut last = 50usize;
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
-                    "--metric" => metric = Some(value("--metric")?),
+                    "--metric" => metric = Some(value(&mut it, "--metric")?),
                     "--last" => {
-                        last = value("--last")?
+                        last = value(&mut it, "--last")?
                             .parse()
                             .map_err(|e| Error::usage(format!("--last: {e}")))?
                     }
@@ -180,18 +178,15 @@ fn run() -> Result<i32, Error> {
                 metric.ok_or_else(|| Error::usage(format!("--metric is required\n{USAGE}")))?;
             let runs = store_runs(&dir)?;
             let t = trajectory(&runs, &metric, last);
-            print!("{}", render_trajectory(&t));
+            write!(out, "{}", render_trajectory(&t)).map_err(Error::stdout)?;
             Ok(0)
         }
         "import" => {
             let run_path = positional(&mut it, "a RUN directory")?;
             let mut store = None;
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
-                    "--store" => store = Some(PathBuf::from(value("--store")?)),
+                    "--store" => store = Some(PathBuf::from(value(&mut it, "--store")?)),
                     other => return Err(Error::usage(format!("unknown flag {other}\n{USAGE}"))),
                 }
             }
@@ -218,18 +213,15 @@ fn run() -> Result<i32, Error> {
             let mut seed = 20220914u64;
             let mut records = 40usize;
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
-                    "--dir" => dir = Some(PathBuf::from(value("--dir")?)),
+                    "--dir" => dir = Some(PathBuf::from(value(&mut it, "--dir")?)),
                     "--seed" => {
-                        seed = value("--seed")?
+                        seed = value(&mut it, "--seed")?
                             .parse()
                             .map_err(|e| Error::usage(format!("--seed: {e}")))?
                     }
                     "--records" => {
-                        records = value("--records")?
+                        records = value(&mut it, "--records")?
                             .parse()
                             .map_err(|e| Error::usage(format!("--records: {e}")))?
                     }
@@ -238,20 +230,17 @@ fn run() -> Result<i32, Error> {
             }
             let dir = dir.ok_or_else(|| Error::usage(format!("--dir is required\n{USAGE}")))?;
             let matrix = run_crash_matrix(&dir, seed, records)?;
-            print!("{}", render_crash_matrix(&matrix));
+            write!(out, "{}", render_crash_matrix(&matrix)).map_err(Error::stdout)?;
             Ok(i32::from(!matrix.passed()))
         }
         "blackbox" => {
             let run_dir = PathBuf::from(positional(&mut it, "a --ledger RUN directory")?);
             let mut last = None;
             while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next().ok_or_else(|| Error::usage(format!("{name} needs a value")))
-                };
                 match flag.as_str() {
                     "--last" => {
                         last = Some(
-                            value("--last")?
+                            value(&mut it, "--last")?
                                 .parse::<usize>()
                                 .map_err(|e| Error::usage(format!("--last: {e}")))?,
                         )
@@ -265,7 +254,7 @@ fn run() -> Result<i32, Error> {
             let dir = if bb.is_dir() { bb } else { run_dir };
             let scan = iotax_obs::store::scan_store(&dir)?;
             if scan.records.is_empty() && scan.damage.is_empty() {
-                println!("black box: empty ({})", dir.display());
+                writeln!(out, "black box: empty ({})", dir.display()).map_err(Error::stdout)?;
                 return Ok(0);
             }
             let mut undecodable = 0usize;
@@ -279,14 +268,16 @@ fn run() -> Result<i32, Error> {
             let total = events.len();
             let skip = last.map_or(0, |n| total.saturating_sub(n));
             for event in &events[skip..] {
-                println!("{}", render_flight_event(event));
+                writeln!(out, "{}", render_flight_event(event)).map_err(Error::stdout)?;
             }
-            println!(
+            writeln!(
+                out,
                 "black box: {} event(s), {} undecodable, {} damaged record(s)",
                 total,
                 undecodable,
                 scan.damage.len()
-            );
+            )
+            .map_err(Error::stdout)?;
             if scan.damage.is_empty() && undecodable == 0 {
                 Ok(0)
             } else {
@@ -303,10 +294,10 @@ fn run() -> Result<i32, Error> {
                     other => return Err(Error::usage(format!("unknown flag {other}\n{USAGE}"))),
                 }
             }
-            watch_heartbeat(&run_dir, once)
+            watch_heartbeat(out, &run_dir, once)
         }
         "--help" | "-h" => {
-            println!("{USAGE}");
+            writeln!(out, "{USAGE}").map_err(Error::stdout)?;
             Ok(0)
         }
         other => Err(Error::usage(format!("unknown command {other}\n{USAGE}"))),
@@ -355,10 +346,10 @@ fn render_heartbeat(line: &HeartbeatLine) -> String {
     )
 }
 
-/// Tails `<run>/heartbeat.jsonl`, printing each new tick. With `once`,
-/// prints what is there and returns. Otherwise polls until the run's
-/// `run.json` lands (the run finished) and drains any final lines.
-fn watch_heartbeat(run_dir: &std::path::Path, once: bool) -> Result<i32, Error> {
+/// Tails `<run>/heartbeat.jsonl`, printing each new tick to `out`. With
+/// `once`, prints what is there and returns. Otherwise polls until the
+/// run's `run.json` lands (the run finished) and drains any final lines.
+fn watch_heartbeat(out: &mut impl Write, run_dir: &Path, once: bool) -> Result<i32, Error> {
     let path = run_dir.join(iotax_obs::HEARTBEAT_FILE);
     let mut printed = 0usize;
     loop {
@@ -366,10 +357,11 @@ fn watch_heartbeat(run_dir: &std::path::Path, once: bool) -> Result<i32, Error> 
         let text = std::fs::read_to_string(&path).unwrap_or_default();
         for line in text.lines().skip(printed) {
             printed += 1;
-            match serde_json::from_str::<HeartbeatLine>(line) {
-                Ok(beat) => println!("{}", render_heartbeat(&beat)),
-                Err(_) => println!("(torn heartbeat line skipped)"),
-            }
+            let rendered = match serde_json::from_str::<HeartbeatLine>(line) {
+                Ok(beat) => render_heartbeat(&beat),
+                Err(_) => "(torn heartbeat line skipped)".to_owned(),
+            };
+            writeln!(out, "{rendered}").map_err(Error::stdout)?;
         }
         if once || finished {
             if finished {
@@ -384,7 +376,9 @@ fn watch_heartbeat(run_dir: &std::path::Path, once: bool) -> Result<i32, Error> 
 }
 
 fn main() {
-    match run() {
+    let mut out = std::io::stdout().lock();
+    // `process::exit` would drop a failed final flush silently.
+    match run(&mut out).and_then(|code| out.flush().map(|()| code).map_err(Error::stdout)) {
         Ok(code) => std::process::exit(code),
         Err(e) => {
             eprintln!("iotax-report: {e}");

@@ -160,6 +160,33 @@ fn show_renders_manifest_and_critical_path() {
 }
 
 #[test]
+fn a_closed_stdout_ends_report_with_exit_74_not_a_panic() {
+    let dir = write_run(&tmp("closed-stdout"), &synthetic_run(5_000, 42));
+    let run = dir.to_str().unwrap();
+    for args in [
+        &["--help"][..],
+        &["show", run],
+        &["diff", run, run],
+        &["export", run, "--format", "folded"],
+        &["gate", run, "--baseline", run],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("creating a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_iotax-report"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn iotax-report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(74), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("iotax-report:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {stderr}");
+        assert!(errors[0].contains("writing stdout"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn usage_errors_exit_with_ex_usage() {
     let out = report(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(64));

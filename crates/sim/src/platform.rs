@@ -25,7 +25,7 @@ use iotax_darshan::format::ParseError;
 use iotax_lmt::recorder::LmtRecorder;
 use iotax_sched::{JobRequest, Scheduler, SchedulerConfig};
 use iotax_stats::dist::{ContinuousDist, Normal};
-use iotax_stats::fanout::map_in_order;
+use iotax_stats::fanout::{current_num_threads, map_in_order};
 use iotax_stats::rng::{splitmix64, substream};
 use serde::{Deserialize, Serialize};
 
@@ -122,7 +122,7 @@ impl Platform {
     /// Run the full generation pipeline, with the per-job assembly on
     /// every available core.
     pub fn generate(&self) -> SimDataset {
-        self.generate_on(rayon::current_num_threads())
+        self.generate_on(current_num_threads())
     }
 
     /// [`Platform::generate`] with the per-job assembly on `threads`

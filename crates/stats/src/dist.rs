@@ -131,6 +131,7 @@ impl ContinuousDist for LogNormal {
 /// §IX of the paper shows the Δt = 0 duplicate-error distribution follows a
 /// t distribution because small duplicate sets bias the set-mean estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// audit:allow(dead-public-api) -- type of the public field StudentTFit::dist, which iotax-core's noise-floor litmus reads
 pub struct StudentT {
     /// Degrees of freedom ν > 0.
     pub df: f64,

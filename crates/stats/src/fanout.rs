@@ -1,4 +1,5 @@
-//! Deterministic fan-out of independent per-item work.
+//! Deterministic fan-out of independent per-item work, and every thread
+//! the workspace starts.
 //!
 //! [`map_in_order`] cuts its input into fixed chunks of `CHUNK` (64) items
 //! (the last one may be shorter). Its workers — the calling thread and
@@ -20,8 +21,12 @@
 //!
 //! A panic in a call reaches the caller with its own payload once every
 //! worker has stopped.
+//!
+//! [`join`] runs two different closures at once, and
+//! [`current_num_threads`] is the thread count every fan-out is given.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Items per chunk: enough that claiming a chunk costs nothing next to
 /// mapping it, few enough that the workers finish within about one chunk
@@ -72,6 +77,36 @@ where
     });
     done.sort_unstable_by_key(|&(chunk, _)| chunk);
     done.into_iter().flat_map(|(_, mapped)| mapped)
+}
+
+/// Runs `a` on the calling thread and `b` on a fresh scoped thread, and
+/// returns both results once both have finished.
+///
+/// A panic in either closure propagates to the caller after the other
+/// closure has finished; a panic in `b` resumes with its own payload.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    std::thread::scope(|s| {
+        let handle = s.spawn(b);
+        let ra = a();
+        match handle.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
+}
+
+/// The number of threads a fan-out should use: the process's available
+/// parallelism (1 when it cannot be determined), read once. `taskset`,
+/// CPU affinity and cgroup quotas narrow it.
+pub fn current_num_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 #[cfg(test)]
@@ -229,5 +264,40 @@ mod tests {
         };
         let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("a call panicked");
         assert_eq!(*payload.downcast::<Boom>().expect("the call's own payload"), Boom(70));
+    }
+
+    #[test]
+    fn join_runs_its_closures_on_two_threads_at_once() {
+        // Each closure waits at the barrier for the other: if `join` ran
+        // them one after the other, the first would wait forever.
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = join(
+            || {
+                barrier.wait();
+                std::thread::current().id()
+            },
+            || {
+                barrier.wait();
+                std::thread::current().id()
+            },
+        );
+        assert_eq!(a, std::thread::current().id(), "the first closure runs on the caller");
+        assert_ne!(a, b, "the second closure runs on another thread");
+    }
+
+    #[test]
+    fn join_propagates_a_panic_from_either_closure() {
+        let first = catch_unwind(|| join(|| panic!("left"), || 2));
+        let payload = first.expect_err("a panic in the first closure propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"left"));
+        let second = catch_unwind(|| join(|| 1, || panic!("right")));
+        let payload = second.expect_err("a panic in the second closure propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"right"));
+    }
+
+    #[test]
+    fn current_num_threads_is_the_available_parallelism() {
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(current_num_threads(), available);
     }
 }

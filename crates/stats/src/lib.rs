@@ -28,7 +28,8 @@
 //!   in fixed chunks that each worker claims from a shared cursor, merged
 //!   in input order, so the result does not depend on the thread count
 //!   or the schedule. The simulator's per-job assembly, the trace writer
-//!   and trace ingest run on it.
+//!   and trace ingest run on it. It also holds [`fanout::join`] and the
+//!   thread count, [`fanout::current_num_threads`].
 //!
 //! All sampling is generic over [`rand::Rng`] and deterministic for a given
 //! seed, which the experiment harness relies on for bit-for-bit reproduction.

@@ -2,8 +2,8 @@
 //!
 //! The LMT simulator ingests one sample per server per 5-second tick over
 //! multi-year timelines — far too much to buffer. Welford's algorithm keeps
-//! running mean/variance in O(1) space, and `merge` makes it a monoid so
-//! rayon reductions stay deterministic.
+//! running mean/variance in O(1) space, and `merge` makes it a monoid, so
+//! per-chunk accumulators merged in a fixed order stay deterministic.
 
 /// Welford online mean/variance accumulator.
 ///

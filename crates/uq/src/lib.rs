@@ -21,7 +21,6 @@
 use iotax_ml::data::Dataset;
 use iotax_ml::nn::{Mlp, MlpContext, MlpParams};
 use iotax_stats::rng::splitmix64;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Mean and decomposed uncertainty for one prediction.
@@ -65,12 +64,11 @@ impl DeepEnsemble {
         // Preprocess the shared training fold once; members differ only in
         // initialization and shuffling, never in preprocessing.
         let ctx = MlpContext::prepare(train);
-        // Spawn point: member fits may run on worker threads, where this
-        // thread's span stack is invisible — pass the parent explicitly so
-        // the members assemble under the caller's span.
+        // The members name their parent span explicitly, so they still
+        // assemble under the caller's span once they fan out to threads
+        // whose span stacks are empty.
         let parent: Option<iotax_obs::SpanHandle> = iotax_obs::current_span();
         let members = (0..k)
-            .into_par_iter()
             .map(|i| {
                 let _span = iotax_obs::span!("uq.ensemble.member", parent = parent);
                 iotax_obs::counter!("uq.ensemble.members_fit").incr(1);
@@ -111,9 +109,9 @@ impl DeepEnsemble {
         UqPrediction { mean, aleatory: au, epistemic: eu }
     }
 
-    /// Decomposed predictions for every row of a dataset (parallel).
+    /// Decomposed predictions for every row of a dataset.
     pub fn predict_uq_batch(&self, data: &Dataset) -> Vec<UqPrediction> {
-        (0..data.n_rows).into_par_iter().map(|i| self.predict_uq(data.row(i))).collect()
+        (0..data.n_rows).map(|i| self.predict_uq(data.row(i))).collect()
     }
 }
 
