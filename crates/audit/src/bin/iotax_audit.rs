@@ -12,9 +12,8 @@
 //! Exit codes: 0 clean (and `--help`), 1 new findings, 64 usage,
 //! 65 config parse, 74 I/O.
 //!
-//! The observability flags (`--metrics-out`, `--ledger`, `--store`,
-//! `--profile-hz`) are shared with the other workspace bins; see
-//! `iotax_cli::obsargs`. A ledger run records the effective `audit.toml`
+//! The observability flags (`--ledger`, `--store`) are shared with the
+//! other workspace bins; see `iotax_cli::obsargs`. A ledger run records the effective `audit.toml`
 //! digest and a `"audit"` section with the finding counts, so
 //! `iotax-report diff` can show lint drift between two audits.
 

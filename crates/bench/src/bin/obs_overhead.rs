@@ -1,11 +1,11 @@
 //! Observability-overhead gate: the whole in-flight layer — flight
-//! recorder, heap-accounting allocator, and the sampling self-profiler —
-//! must cost at most a few percent of pipeline wall time, or it is not
-//! "always-on" instrumentation at all.
+//! recorder and heap-accounting allocator — must cost at most a few
+//! percent of pipeline wall time, or it is not "always-on"
+//! instrumentation at all.
 //!
 //! Method: run the quick taxonomy pipeline `trials` times with the
 //! in-flight layer off (the cold baseline) and again with recorder +
-//! heap tracking + 97 Hz sampling armed (hot), take the **minimum** wall
+//! heap tracking armed (hot), take the **minimum** wall
 //! time of each side on the span clock ([`iotax_obs::uptime_us`]), and
 //! compare. Min-of-trials is the standard noise-robust estimator here:
 //! scheduler hiccups only ever add time, so the minimum is the cleanest
@@ -22,11 +22,6 @@ use serde::Serialize;
 const USAGE: &str = "usage: obs_overhead [--trials N] [--jobs N] \
                      [--max-overhead-pct P] [--out PATH]";
 
-/// Sampling rate for the hot side: the profiler's own default cadence in
-/// `iotax-analyze --profile-hz` examples, deliberately prime so samples
-/// cannot phase-lock with any periodic stage work.
-const PROFILE_HZ: u64 = 97;
-
 #[derive(Serialize)]
 struct BenchReport {
     jobs: usize,
@@ -35,8 +30,6 @@ struct BenchReport {
     hot_us: u64,
     overhead_pct: f64,
     max_overhead_pct: f64,
-    profile_hz: u64,
-    profile_samples: u64,
 }
 
 fn one_trial(jobs: usize, seed: u64) -> u64 {
@@ -92,13 +85,11 @@ fn run() -> Result<i32, String> {
     // pipeline's steady state) but the in-flight layer dark.
     let cold_us = min_of_trials(trials, jobs);
 
-    // Hot: flight recorder ring, heap-accounting latch, and the sampler.
+    // Hot: flight recorder ring and heap-accounting latch.
     let blackbox = std::env::temp_dir().join(format!("obs-overhead-{}", std::process::id()));
     iotax_obs::install_recorder(&blackbox, "bench-obs-overhead", None);
     iotax_obs::install_heap_accounting();
-    let profiler = iotax_obs::start_profiler(PROFILE_HZ);
     let hot_us = min_of_trials(trials, jobs);
-    let profile = profiler.stop();
     // audit:allow(swallowed-result) -- best-effort cleanup of the bench's own temp blackbox dir; a leftover dir cannot affect the measurement already taken
     let _ = std::fs::remove_dir_all(&blackbox);
 
@@ -107,22 +98,12 @@ fn run() -> Result<i32, String> {
     } else {
         ((hot_us as f64 - cold_us as f64) / cold_us as f64 * 100.0).max(0.0)
     };
-    let report = BenchReport {
-        jobs,
-        trials,
-        cold_us,
-        hot_us,
-        overhead_pct,
-        max_overhead_pct,
-        profile_hz: PROFILE_HZ,
-        profile_samples: profile.samples.iter().map(|(_, n)| n).sum(),
-    };
+    let report = BenchReport { jobs, trials, cold_us, hot_us, overhead_pct, max_overhead_pct };
     let json = serde_json::to_string_pretty(&report).map_err(|e| format!("serialize: {e}"))?;
     std::fs::write(&out, format!("{json}\n")).map_err(|e| format!("write {out}: {e}"))?;
     println!(
         "obs overhead: cold {cold_us} µs, hot {hot_us} µs → {overhead_pct:.2} % \
-         (budget {max_overhead_pct:.1} %), {} profiler samples → {out}",
-        report.profile_samples
+         (budget {max_overhead_pct:.1} %) → {out}"
     );
 
     if overhead_pct > max_overhead_pct {

@@ -4,7 +4,6 @@
 //!
 //! ```sh
 //! iotax-analyze /tmp/theta-trace
-//! iotax-analyze /tmp/theta-trace --metrics-out metrics.jsonl
 //! iotax-analyze /tmp/theta-trace --ledger runs/analyze-1
 //! iotax-analyze /tmp/theta-trace --stats-only
 //! ```
@@ -15,12 +14,10 @@
 //! dataset from the parsed logs and drives the full five-stage taxonomy
 //! through the staged `TaxonomyRun` API, printing the error-source report.
 //!
-//! With `--metrics-out PATH`, the run's timing spans, counters and
-//! histograms stream to `PATH` as JSON lines (see the `iotax-obs` crate);
-//! the five `core.*` stage spans appear there. With `--ledger DIR`, a
-//! self-contained run directory is written (manifest, span tree, metric
-//! summaries, stage health and per-stage metrics) for `iotax-report` to
-//! show, diff, export, or gate against.
+//! With `--ledger DIR`, a self-contained run directory is written
+//! (manifest, span tree with the five `core.*` stage spans, counters,
+//! histogram digests, gauges, stage health and per-stage metrics) for
+//! `iotax-report` to show, diff, export, or gate against.
 //!
 //! Ingestion is **lenient by default**: corrupt logs are salvaged (every
 //! intact record before the damage point is recovered), unsalvageable
@@ -289,10 +286,6 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
             report = report.with_run_id(id);
         }
         writeln!(out, "\n{}", report.render_text()).map_err(Error::stdout)?;
-        if args.obs.metrics_out.is_some() {
-            let stages: Vec<&str> = report.timings.iter().map(|t| t.name.as_str()).collect();
-            eprintln!("stage spans captured: {}", stages.join(", "));
-        }
         if let Some(ledger) = session.ledger_mut() {
             // The taxonomy payload rides in named ledger sections so
             // iotax-report can read it without a dependency on iotax-core.

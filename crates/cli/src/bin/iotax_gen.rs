@@ -3,7 +3,6 @@
 //!
 //! ```sh
 //! iotax-gen --system theta --jobs 5000 --seed 42 --out /tmp/theta-trace
-//! iotax-gen --jobs 2000 --metrics-out gen-metrics.jsonl
 //! iotax-gen --jobs 2000 --ledger runs/gen-1     # write a run ledger
 //! iotax-gen --jobs 2000 --fault-rate 0.2 --fault-seed 7   # dirty trace
 //! ```
@@ -23,7 +22,7 @@
 //! simulator reads each job's features straight off the log it generates,
 //! so a clean run encodes every log once and parses none.
 //!
-//! The observability flags (`--metrics-out`, `--ledger`) are shared with
+//! The observability flags (`--ledger`, `--store`) are shared with
 //! `iotax-analyze` and `iotax-audit`; see `iotax_cli::obsargs`.
 
 use iotax_cli::{export_trace, export_trace_with_faults, ObsArgs, ObsSession, OBS_USAGE};

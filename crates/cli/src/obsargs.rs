@@ -1,24 +1,20 @@
 //! The shared observability flags: one parser for all workspace bins.
 //!
 //! `iotax-gen`, `iotax-analyze`, and `iotax-audit` all accept
-//! `--metrics-out PATH` (stream spans/counters/histograms as JSON lines),
 //! `--ledger DIR` (write a self-contained run directory, see
-//! [`iotax_obs::Ledger`]), and `--store DIR` (append the finished run to
-//! the durable CRC-checked segment-log store, see [`iotax_obs::store`]).
-//! Each binary folds [`ObsArgs::accept`] into its flag loop instead of
-//! keeping its own copy of the parsing, then [`ObsArgs::install`]s the
-//! sinks once and [`ObsSession::finish`]es on every exit path so
-//! `run.json` carries the real exit status.
+//! [`iotax_obs::Ledger`]; a reused directory loses the earlier run's
+//! `run.json`, heartbeat stream and black box) and `--store DIR` (append
+//! the finished run to the durable CRC-checked segment-log store, see
+//! [`iotax_obs::store`]). Each binary folds [`ObsArgs::accept`] into its
+//! flag loop instead of keeping its own copy of the parsing, then
+//! [`ObsArgs::install`]s the ledger once and [`ObsSession::finish`]es on
+//! every exit path so `run.json` carries the real exit status.
 
-use iotax_obs::{
-    Error, Heartbeat, JsonLinesSink, Ledger, LedgerSink, Profiler, Result, Sink, TeeSink,
-    BLACKBOX_DIR, HEARTBEAT_FILE,
-};
+use iotax_obs::{Heartbeat, Ledger, Result, BLACKBOX_DIR, HEARTBEAT_FILE};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Usage-string fragment for the shared flags.
-pub const OBS_USAGE: &str = "[--metrics-out PATH] [--ledger DIR] [--store DIR] [--profile-hz N]";
+pub const OBS_USAGE: &str = "[--ledger DIR] [--store DIR]";
 
 /// Heartbeat period for `--ledger` runs; coarse liveness, not profiling,
 /// so one line a second is plenty for `iotax-report watch`.
@@ -42,15 +38,10 @@ const WORKSPACE_CRATES: &[&str] = &[
 /// Parsed values of the shared observability flags.
 #[derive(Debug, Default)]
 pub struct ObsArgs {
-    /// `--metrics-out PATH`: JSONL span/metric stream.
-    pub metrics_out: Option<PathBuf>,
     /// `--ledger DIR`: run-ledger directory.
     pub ledger: Option<PathBuf>,
     /// `--store DIR`: durable segment-log store to append the run to.
     pub store: Option<PathBuf>,
-    /// `--profile-hz N`: sample live span stacks N times a second and
-    /// attach the folded profile to the run ledger.
-    pub profile_hz: Option<u64>,
 }
 
 impl ObsArgs {
@@ -63,10 +54,6 @@ impl ObsArgs {
         value: &mut dyn FnMut(&str) -> Result<String>,
     ) -> Result<bool> {
         match flag {
-            "--metrics-out" => {
-                self.metrics_out = Some(PathBuf::from(value("--metrics-out")?));
-                Ok(true)
-            }
             "--ledger" => {
                 self.ledger = Some(PathBuf::from(value("--ledger")?));
                 Ok(true)
@@ -75,29 +62,13 @@ impl ObsArgs {
                 self.store = Some(PathBuf::from(value("--store")?));
                 Ok(true)
             }
-            "--profile-hz" => {
-                let hz: u64 = value("--profile-hz")?
-                    .parse()
-                    .map_err(|e| Error::usage(format!("--profile-hz: {e}")))?;
-                if hz == 0 {
-                    return Err(Error::usage("--profile-hz must be at least 1"));
-                }
-                self.profile_hz = Some(hz);
-                Ok(true)
-            }
             _ => Ok(false),
         }
     }
 
-    /// Installs the requested sinks globally (a [`TeeSink`] when both
-    /// flags are present) and opens the run ledger if one was requested.
+    /// Opens the run ledger, if one was requested, and installs its sink
+    /// globally.
     pub fn install(&self, tool: &str) -> Result<ObsSession> {
-        let mut sinks: Vec<Arc<dyn Sink>> = Vec::new();
-        if let Some(path) = &self.metrics_out {
-            let sink = JsonLinesSink::create(path)
-                .map_err(|e| Error::io(format!("creating metrics file {}", path.display()), e))?;
-            sinks.push(Arc::new(sink));
-        }
         let ledger = if self.ledger.is_some() || self.store.is_some() {
             let args: Vec<String> = std::env::args().skip(1).collect();
             let mut ledger = match &self.ledger {
@@ -110,23 +81,12 @@ impl ObsArgs {
             for name in WORKSPACE_CRATES {
                 ledger.add_crate_version(name, env!("CARGO_PKG_VERSION"));
             }
-            let sink: Arc<LedgerSink> = ledger.sink();
-            sinks.push(sink);
+            // audit:allow(swallowed-result) -- the displaced default NoopSink is dropped by design
+            let _ = iotax_obs::set_sink(ledger.sink());
             Some(ledger)
         } else {
             None
         };
-        match sinks.len() {
-            0 => {}
-            1 => {
-                // audit:allow(swallowed-result) -- the displaced default NoopSink is dropped by design
-                let _ = iotax_obs::set_sink(sinks.remove(0));
-            }
-            _ => {
-                // audit:allow(swallowed-result) -- the displaced default NoopSink is dropped by design
-                let _ = iotax_obs::set_sink(Arc::new(TeeSink::new(sinks)));
-            }
-        }
         // Ledger-directory runs are the long ones worth a black box:
         // arm the flight recorder (flushed into `<ledger>/blackbox/` on
         // panic or fatal exit), the heartbeat stream `iotax-report watch`
@@ -140,8 +100,7 @@ impl ObsArgs {
             }
             _ => None,
         };
-        let profiler = self.profile_hz.map(iotax_obs::start_profiler);
-        Ok(ObsSession { ledger, heartbeat, profiler })
+        Ok(ObsSession { ledger, heartbeat })
     }
 }
 
@@ -151,7 +110,6 @@ impl ObsArgs {
 pub struct ObsSession {
     ledger: Option<Ledger>,
     heartbeat: Option<Heartbeat>,
-    profiler: Option<Profiler>,
 }
 
 impl ObsSession {
@@ -166,34 +124,25 @@ impl ObsSession {
         self.ledger.as_mut()
     }
 
-    /// Tears down the session: stops the heartbeat and profiler (the
-    /// folded profile becomes the ledger's `"profile"` section), flushes
-    /// metrics to the installed sink and, when a ledger is active, stamps
-    /// `exit_status` and writes `run.json`. On a fatal exit the flight
-    /// recorder's ring is flushed as a black box first, while the evidence
-    /// is still warm.
+    /// Tears down the session: stops the heartbeat and, when a ledger is
+    /// active, stamps `exit_status` and writes `run.json`. On a fatal exit
+    /// the flight recorder's ring is flushed as a black box first, while
+    /// the evidence is still warm.
     ///
     /// Returns `exit_status` unchanged — observability teardown failures
     /// are reported to stderr but can never mask the run's own outcome,
     /// and the type signature makes the non-masking contract structural:
     /// callers exit with whatever comes back.
     #[must_use = "exit with the returned status so teardown can never mask the run's outcome"]
-    pub fn finish(mut self, exit_status: i32) -> i32 {
-        if let Some(heartbeat) = self.heartbeat.take() {
+    pub fn finish(self, exit_status: i32) -> i32 {
+        if let Some(heartbeat) = self.heartbeat {
             heartbeat.stop();
-        }
-        if let Some(profiler) = self.profiler.take() {
-            let section = profiler.stop();
-            if let Some(ledger) = self.ledger.as_mut() {
-                ledger.add_section("profile", &section);
-            }
         }
         if exit_status != 0 {
             if let Some(path) = iotax_obs::flush_blackbox(&format!("fatal exit {exit_status}")) {
                 eprintln!("flight recorder: black box written to {}", path.display());
             }
         }
-        iotax_obs::flush_metrics();
         if let Some(ledger) = self.ledger {
             match ledger.finish(exit_status) {
                 Ok(path) => eprintln!("run ledger written to {}", path.display()),
@@ -207,35 +156,18 @@ impl ObsSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iotax_obs::Error;
 
     #[test]
     fn accept_consumes_only_shared_flags() {
         let mut obs = ObsArgs::default();
-        let mut pulls = vec![
-            "metrics.jsonl".to_owned(),
-            "ledger-dir".to_owned(),
-            "store-dir".to_owned(),
-            "97".to_owned(),
-        ];
+        let mut pulls = vec!["ledger-dir".to_owned(), "store-dir".to_owned()];
         let mut value = move |_name: &str| Ok(pulls.remove(0));
-        assert!(obs.accept("--metrics-out", &mut value).expect("metrics-out"));
         assert!(obs.accept("--ledger", &mut value).expect("ledger"));
         assert!(obs.accept("--store", &mut value).expect("store"));
-        assert!(obs.accept("--profile-hz", &mut value).expect("profile-hz"));
         assert!(!obs.accept("--jobs", &mut value).expect("other flag untouched"));
-        assert_eq!(obs.metrics_out.as_deref(), Some(std::path::Path::new("metrics.jsonl")));
         assert_eq!(obs.ledger.as_deref(), Some(std::path::Path::new("ledger-dir")));
         assert_eq!(obs.store.as_deref(), Some(std::path::Path::new("store-dir")));
-        assert_eq!(obs.profile_hz, Some(97));
-    }
-
-    #[test]
-    fn profile_hz_rejects_zero_and_garbage() {
-        let mut obs = ObsArgs::default();
-        let mut zero = |_name: &str| Ok("0".to_owned());
-        assert!(obs.accept("--profile-hz", &mut zero).is_err());
-        let mut garbage = |_name: &str| Ok("fast".to_owned());
-        assert!(obs.accept("--profile-hz", &mut garbage).is_err());
     }
 
     #[test]

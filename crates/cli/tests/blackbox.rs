@@ -2,9 +2,10 @@
 //! run (via the test-only `IOTAX_PANIC_AT_STAGE` hook) must die nonzero
 //! *and* leave a readable black box behind — a CRC-clean segment store
 //! under `<ledger>/blackbox/` whose every record decodes as a
-//! [`iotax_obs::FlightEvent`]. A healthy `--ledger --profile-hz` run is
-//! exercised too: its ledger must carry the profiler section and the
-//! heap-accounting gauges without perturbing the deterministic metrics.
+//! [`iotax_obs::FlightEvent`]. A healthy `--ledger` run is exercised
+//! too: its ledger must carry the heap-accounting gauges and a heartbeat
+//! stream, and no black box. A reused ledger directory must hold only
+//! the latest run's record, heartbeat and black box.
 
 use iotax_obs::FlightEvent;
 use std::path::{Path, PathBuf};
@@ -106,7 +107,7 @@ fn injected_panic_leaves_a_clean_replayable_black_box() {
 }
 
 #[test]
-fn healthy_profiled_run_carries_profile_section_and_heap_gauges() {
+fn healthy_ledger_run_carries_heap_gauges_and_a_heartbeat() {
     let dir = workdir("blackbox-healthy");
     let trace = gen_trace(&dir);
     let ledger = dir.join("run");
@@ -116,8 +117,6 @@ fn healthy_profiled_run_carries_profile_section_and_heap_gauges() {
             trace.to_str().expect("utf-8 tmpdir"),
             "--ledger",
             ledger.to_str().expect("utf-8 tmpdir"),
-            "--profile-hz",
-            "997",
         ])
         .output()
         .expect("spawning iotax-analyze");
@@ -125,17 +124,6 @@ fn healthy_profiled_run_carries_profile_section_and_heap_gauges() {
 
     let run = iotax_obs::load_run(&ledger).expect("run ledger");
     assert_eq!(run.manifest.exit_status, 0);
-
-    // The profiler section is attached with the configured rate; sampled
-    // paths (if the run was long enough to catch any) are span paths.
-    let profile: iotax_obs::ProfileSection =
-        run.section("profile").expect("profile section present");
-    assert_eq!(profile.hz, 997);
-    assert_eq!(profile.period_us, 1_000_000 / 997);
-    for (path, samples) in &profile.samples {
-        assert!(*samples > 0, "zero-sample path {path}");
-        assert!(!path.is_empty());
-    }
 
     // Heap accounting was latched on by the ledger run: the per-stage
     // peak gauges are in the ledger, and a heartbeat stream was written.
@@ -152,4 +140,53 @@ fn healthy_profiled_run_carries_profile_section_and_heap_gauges() {
 
     // No black box: the run succeeded, so nothing flushed.
     assert!(!ledger.join(iotax_obs::BLACKBOX_DIR).exists(), "no blackbox on a clean run");
+}
+
+/// `iotax-analyze TRACE --stats-only --ledger LEDGER`, crash-injected at
+/// the `app_bound` stage when `crash` is set; returns whether it
+/// succeeded.
+fn stats_run(trace: &Path, ledger: &Path, crash: bool) -> bool {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_iotax-analyze"));
+    cmd.arg(trace).arg("--stats-only").arg("--ledger").arg(ledger);
+    if crash {
+        cmd.env("IOTAX_PANIC_AT_STAGE", "app_bound");
+    }
+    cmd.output().expect("spawning iotax-analyze").status.success()
+}
+
+/// Asserts that `ledger`'s heartbeat stream holds one run's ticks: `seq`
+/// counts up from 1 and never starts again.
+fn assert_one_runs_ticks(ledger: &Path) {
+    let path = ledger.join(iotax_obs::HEARTBEAT_FILE);
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    let line = |l: &str| serde_json::from_str::<iotax_obs::HeartbeatLine>(l).expect("tick").seq;
+    let seqs: Vec<u64> = text.lines().map(line).collect();
+    assert!(seqs.iter().zip(1..).all(|(&seq, n)| seq == n), "ticks of two runs: {seqs:?}");
+}
+
+#[test]
+fn a_reused_ledger_holds_only_the_latest_run() {
+    let dir = workdir("blackbox-reused");
+    let trace = gen_trace(&dir);
+
+    // A clean run, then a crash: the crash leaves no run.json, so no
+    // reader may find the clean run's record there.
+    let clean_then_crash = dir.join("clean-then-crash");
+    assert!(stats_run(&trace, &clean_then_crash, false));
+    assert!(!stats_run(&trace, &clean_then_crash, true));
+    assert!(!clean_then_crash.join("run.json").exists(), "the earlier run's run.json is left");
+    assert!(clean_then_crash.join(iotax_obs::BLACKBOX_DIR).is_dir());
+    assert_one_runs_ticks(&clean_then_crash);
+
+    // A crash, then a clean run: the crash's black box and heartbeat
+    // ticks go with it.
+    let crash_then_clean = dir.join("crash-then-clean");
+    assert!(!stats_run(&trace, &crash_then_clean, true));
+    assert!(stats_run(&trace, &crash_then_clean, false));
+    assert!(crash_then_clean.join("run.json").exists());
+    assert!(
+        !crash_then_clean.join(iotax_obs::BLACKBOX_DIR).exists(),
+        "the earlier crash's black box is left"
+    );
+    assert_one_runs_ticks(&crash_then_clean);
 }

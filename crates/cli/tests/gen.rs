@@ -1,6 +1,6 @@
 //! `iotax-gen` writing a trace into a directory: what it leaves when `--out`
 //! is reused, how it reports a log it cannot write, and the names of the
-//! histograms in its metrics.
+//! histograms in its run ledger.
 
 use iotax_cli::ingest::load_fault_manifest;
 use std::collections::HashSet;
@@ -79,19 +79,13 @@ fn every_histogram_of_a_gen_run_has_a_name_of_its_own() {
     // duplicate a record decode the log and encode it again, so the run
     // both encodes and parses logs.
     let dir = workdir("histogram-names");
-    let metrics = dir.join("metrics.jsonl");
-    let metrics_arg = metrics.to_str().expect("utf-8 tmpdir");
-    let args = ["--jobs", "50", "--seed", "9", "--fault-rate", "1.0", "--metrics-out", metrics_arg];
+    let ledger = dir.join("run");
+    let ledger_arg = ledger.to_str().expect("utf-8 tmpdir");
+    let args = ["--jobs", "50", "--seed", "9", "--fault-rate", "1.0", "--ledger", ledger_arg];
     gen_ok(&dir.join("trace"), &args);
-    let text = std::fs::read_to_string(&metrics).expect("reading metrics");
-    let mut names = Vec::new();
-    for line in text.lines() {
-        let record: serde::Value = serde_json::from_str(line).expect("a JSON line");
-        if record.get("type").and_then(|t| t.as_str()) == Some("histogram") {
-            names.push(record.get("name").and_then(|n| n.as_str()).expect("name").to_owned());
-        }
-    }
-    let unique: HashSet<&str> = names.iter().map(String::as_str).collect();
+    let run = iotax_obs::load_run(&ledger).expect("reading run.json");
+    let names: Vec<&str> = run.histograms.iter().map(|h| h.name.as_str()).collect();
+    let unique: HashSet<&str> = names.iter().copied().collect();
     assert_eq!(unique.len(), names.len(), "{names:?}");
     // The encoder's and the parser's byte counts, each under its own name.
     assert!(unique.contains("darshan.encoded_log_bytes") && unique.contains("darshan.log_bytes"));

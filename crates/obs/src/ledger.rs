@@ -20,6 +20,7 @@ use crate::metrics::{
     snapshot_counters, snapshot_gauges, snapshot_histograms, CounterSnapshot, GaugeSnapshot,
     HistogramSummary,
 };
+use crate::recorder::{BLACKBOX_DIR, HEARTBEAT_FILE};
 use crate::sink::Sink;
 use crate::span::SpanRecord;
 use crate::{Error, Result};
@@ -164,16 +165,11 @@ pub(crate) fn load_run_with_limit(path: impl AsRef<Path>, max_bytes: u64) -> Res
 /// collected here — `finish` snapshots the live registry directly, so
 /// the ledger always holds final values regardless of flush ordering.
 #[derive(Default)]
-pub struct LedgerSink {
+pub(crate) struct LedgerSink {
     spans: Mutex<Vec<SpanRecord>>,
 }
 
 impl LedgerSink {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// All span records seen so far, in arrival order.
     pub(crate) fn span_records(&self) -> Vec<SpanRecord> {
         self.spans.lock().expect("ledger sink poisoned").clone()
@@ -187,11 +183,8 @@ impl Sink for LedgerSink {
 }
 
 /// An in-progress run ledger. Create one at process start, install its
-/// [`sink`](Ledger::sink) (possibly behind a [`TeeSink`]), describe the
-/// run through the builder methods, and [`finish`](Ledger::finish) on
-/// every exit path.
-///
-/// [`TeeSink`]: crate::TeeSink
+/// [`sink`](Ledger::sink), describe the run through the builder methods,
+/// and [`finish`](Ledger::finish) on every exit path.
 pub struct Ledger {
     dir: Option<PathBuf>,
     store: Option<PathBuf>,
@@ -204,6 +197,11 @@ pub struct Ledger {
 impl Ledger {
     /// Creates the run directory (and parents) and an empty ledger for
     /// `tool`. `args` should be the command line after the binary name.
+    ///
+    /// A reused directory loses what an earlier run left in it — its
+    /// `run.json`, heartbeat stream and black box — so no reader mixes
+    /// two runs. Anything else stays: a `--store` pointed at the same
+    /// directory keeps its segments.
     pub fn create(
         dir: impl Into<PathBuf>,
         tool: &str,
@@ -213,6 +211,17 @@ impl Ledger {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| Error::io(format!("creating ledger dir {}", dir.display()), e))?;
+        for (name, is_dir) in [("run.json", false), (HEARTBEAT_FILE, false), (BLACKBOX_DIR, true)] {
+            let path = dir.join(name);
+            let removed =
+                if is_dir { std::fs::remove_dir_all(&path) } else { std::fs::remove_file(&path) };
+            match removed {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(Error::io(format!("removing {}", path.display()), e));
+                }
+                _ => {}
+            }
+        }
         let mut ledger = Self::create_detached(tool, tool_version, args);
         ledger.dir = Some(dir);
         Ok(ledger)
@@ -233,7 +242,7 @@ impl Ledger {
         Self {
             dir: None,
             store: None,
-            sink: Arc::new(LedgerSink::new()),
+            sink: Arc::default(),
             start: Instant::now(),
             manifest: RunManifest {
                 run_id,
@@ -259,7 +268,7 @@ impl Ledger {
     }
 
     /// The span-collecting sink to install for this run.
-    pub fn sink(&self) -> Arc<LedgerSink> {
+    pub fn sink(&self) -> Arc<dyn Sink> {
         self.sink.clone()
     }
 

@@ -14,10 +14,12 @@
 //!   only on each counter's *first* use).
 //! * **Histograms** ([`histogram!`], [`Histogram`]) — power-of-two
 //!   bucketed value distributions, same lock-free discipline.
-//! * **Sinks** ([`Sink`]) — pluggable backends: [`NoopSink`] (default;
-//!   near-zero overhead, benchmarked in `crates/bench`), [`MemorySink`]
-//!   (collects counter snapshots for an embedder to read), [`JsonLinesSink`]
-//!   (one JSON object per line, the `--metrics-out` format).
+//! * **Sinks** ([`Sink`]) — where span closes and flushed counters go:
+//!   [`NoopSink`] (default; near-zero overhead), a [`Ledger`]'s span
+//!   buffer, or [`MemorySink`] (collects counter snapshots for an
+//!   embedder to read).
+//! * **Run ledger** ([`Ledger`]) — the one record of a run: `run.json`
+//!   holds its spans, counters, histogram digests and gauges.
 //! * **Durable store** ([`store`]) — an append-only, CRC-checked
 //!   segment log that [`Ledger::finish`] can append finished runs to
 //!   (`--store`), with torn-write recovery and quarantine reporting.
@@ -43,7 +45,6 @@ pub mod alloc;
 mod error;
 mod ledger;
 mod metrics;
-mod profiler;
 mod recorder;
 mod sink;
 mod span;
@@ -51,19 +52,16 @@ pub mod store;
 
 pub use alloc::{heap_slot_peaks, install_heap_accounting};
 pub use error::{Error, ErrorKind, Result};
-pub use ledger::{digest_bytes, load_run, InputDigest, Ledger, LedgerSink, RunFile, RunManifest};
+pub use ledger::{digest_bytes, load_run, InputDigest, Ledger, RunFile, RunManifest};
 pub use metrics::{
     register_counter, register_gauge, register_histogram, Counter, CounterSnapshot, Gauge,
-    GaugeSnapshot, Histogram, HistogramSnapshot, HistogramSummary,
+    GaugeSnapshot, Histogram, HistogramSummary,
 };
-pub use profiler::{start_profiler, ProfileSection, Profiler};
 pub use recorder::{
     flush_blackbox, install_recorder, record_event, start_heartbeat, uptime_us, FlightEvent,
     Heartbeat, HeartbeatLine, BLACKBOX_DIR, HEARTBEAT_FILE,
 };
-pub use sink::{
-    flush_metrics, restore_sink, set_sink, JsonLinesSink, MemorySink, NoopSink, Sink, TeeSink,
-};
+pub use sink::{flush_metrics, restore_sink, set_sink, MemorySink, NoopSink, Sink};
 pub use span::{
     assemble_span_tree, capture, current_span, Capture, SpanGuard, SpanHandle, SpanNode, SpanRecord,
 };

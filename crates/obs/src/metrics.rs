@@ -94,7 +94,7 @@ pub(crate) fn snapshot_counters() -> Vec<CounterSnapshot> {
 /// each call site a `&'static` instance.
 ///
 /// Gauges are **informational**: they are snapshotted into ledgers and
-/// sinks but deliberately excluded from `iotax-report`'s
+/// heartbeats but deliberately excluded from `iotax-report`'s
 /// `metrics_identical` drift contract, so allocator or environment noise
 /// can never fail a determinism gate.
 ///
@@ -210,7 +210,7 @@ impl Histogram {
     }
 
     /// Point-in-time copy of the distribution.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             name: self.name.to_owned(),
             count: self.count.load(Ordering::Relaxed),
@@ -239,9 +239,8 @@ pub fn register_histogram(histogram: &'static Histogram) {
 
 /// Point-in-time state of one histogram. `buckets` holds
 /// `(bit_length, count)` pairs for non-empty buckets only.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-// audit:allow(dead-public-api) -- parameter type of the public Sink trait's histogram_flush; iotax-cli installs Sinks
-pub struct HistogramSnapshot {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct HistogramSnapshot {
     /// Histogram name.
     pub name: String,
     /// Total number of recorded values.
@@ -295,7 +294,7 @@ pub struct HistogramSummary {
 impl HistogramSnapshot {
     /// Digests the snapshot into the fixed p50/p95/p99 summary used by
     /// run ledgers and `iotax-report`.
-    pub fn summary(&self) -> HistogramSummary {
+    pub(crate) fn summary(&self) -> HistogramSummary {
         HistogramSummary {
             name: self.name.clone(),
             count: self.count,

@@ -147,6 +147,28 @@ pub(crate) fn recorder_enabled() -> bool {
     RECORDER_ON.load(Ordering::Relaxed)
 }
 
+/// Each thread's open-span path, for heartbeats. The span layer updates
+/// it on every open and close while a recorder is installed: one mutexed
+/// map update per span, and spans here bound stages and hot loops, not
+/// individual iterations.
+static LIVE_STACKS: Mutex<BTreeMap<u64, String>> = Mutex::new(BTreeMap::new());
+
+/// Publishes `thread`'s current open-span path (empty = idle).
+pub(crate) fn publish_stack(thread: u64, path: String) {
+    let mut table = LIVE_STACKS.lock().unwrap_or_else(|p| p.into_inner());
+    if path.is_empty() {
+        table.remove(&thread);
+    } else {
+        table.insert(thread, path);
+    }
+}
+
+/// Snapshot of every thread's live span path.
+fn live_stacks() -> Vec<(u64, String)> {
+    let table = LIVE_STACKS.lock().unwrap_or_else(|p| p.into_inner());
+    table.iter().map(|(t, p)| (*t, p.clone())).collect()
+}
+
 /// Installs the process-wide flight recorder: events buffer into a ring
 /// of `capacity` (`None` = default) and flush into `dir` (conventionally
 /// `<ledger>/blackbox/`) on panic or explicit [`flush_blackbox`]. The
@@ -401,7 +423,7 @@ fn heartbeat_loop(path: &Path, period_ms: u64, stop: &AtomicBool) {
         let line = HeartbeatLine {
             seq,
             uptime_us: now_us(),
-            stacks: crate::profiler::live_stacks(),
+            stacks: live_stacks(),
             counters: crate::metrics::snapshot_counters(),
             gauges: crate::metrics::snapshot_gauges(),
         };
@@ -518,6 +540,24 @@ mod tests {
             events.iter().filter(|e| e.kind == "blackbox").map(|e| e.detail.as_str()).collect();
         assert_eq!(headers, ["one", "two"]);
         assert!(events.iter().any(|e| e.name == "reflush.second"));
+        RECORDER_ON.store(false, Ordering::Release);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stacks_clear_when_spans_close() {
+        let _guard = crate::sink::test_sink_lock();
+        let dir = tmp("stacks");
+        install_recorder(&dir, "run-stacks", None);
+        let thread = crate::span::thread_ordinal();
+        {
+            let _span = crate::span!("rec.transient");
+            assert!(live_stacks().contains(&(thread, "rec.transient".to_owned())));
+        }
+        assert!(
+            !live_stacks().iter().any(|(t, _)| *t == thread),
+            "closing the last span must clear this thread's live stack"
+        );
         RECORDER_ON.store(false, Ordering::Release);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -163,7 +163,7 @@ impl SpanGuard {
         let heap_prev = crate::alloc::enter_scope(&name);
         STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            if crate::profiler::publishing_enabled() {
+            if crate::recorder::recorder_enabled() {
                 let path = stack
                     .frames
                     .iter()
@@ -172,7 +172,7 @@ impl SpanGuard {
                     .collect::<Vec<_>>()
                     .join("/");
                 crate::recorder::record_span("span_open", &name, &path, 0);
-                crate::profiler::publish_stack(thread_ordinal(), path);
+                crate::recorder::publish_stack(thread_ordinal(), path);
             }
             stack.frames.push(Frame {
                 name,
@@ -211,11 +211,11 @@ impl Drop for SpanGuard {
                 .collect::<Vec<_>>()
                 .join("/");
             crate::alloc::exit_scope(heap_prev);
-            if crate::profiler::publishing_enabled() {
+            if crate::recorder::recorder_enabled() {
                 crate::recorder::record_span("span_close", &node.name, &path, duration_us);
                 let parent_path =
                     stack.frames.iter().map(|f| f.name.as_str()).collect::<Vec<_>>().join("/");
-                crate::profiler::publish_stack(thread_ordinal(), parent_path);
+                crate::recorder::publish_stack(thread_ordinal(), parent_path);
             }
             with_sink(|sink| {
                 sink.span_close(&SpanRecord {
@@ -294,8 +294,8 @@ impl Drop for Capture {
     }
 }
 
-/// Rebuilds span trees from flat close-order records (e.g. parsed back
-/// from a JSONL metrics file or a run ledger).
+/// Rebuilds span trees from flat close-order records (e.g. read back
+/// from a run ledger).
 ///
 /// Within one thread, close order is post-order, so sibling order is
 /// open order and is preserved. Spans opened on *other* threads attach
@@ -410,11 +410,11 @@ mod tests {
 
     #[test]
     fn assemble_matches_capture() {
-        use crate::LedgerSink;
+        use crate::ledger::LedgerSink;
         use std::sync::Arc;
 
         let _guard = crate::sink::test_sink_lock();
-        let sink = Arc::new(LedgerSink::new());
+        let sink = Arc::new(LedgerSink::default());
         let previous = crate::set_sink(sink.clone());
         let cap = capture();
         {
@@ -441,11 +441,11 @@ mod tests {
 
     #[test]
     fn explicit_parent_grafts_worker_spans() {
-        use crate::LedgerSink;
+        use crate::ledger::LedgerSink;
         use std::sync::Arc;
 
         let _guard = crate::sink::test_sink_lock();
-        let sink = Arc::new(LedgerSink::new());
+        let sink = Arc::new(LedgerSink::default());
         let previous = crate::set_sink(sink.clone());
         {
             let _root = crate::span!("graft.root");
@@ -484,7 +484,7 @@ mod tests {
 
     #[test]
     fn assembled_tree_deterministic_across_schedules() {
-        use crate::LedgerSink;
+        use crate::ledger::LedgerSink;
         use std::sync::Arc;
 
         fn shape(nodes: &[SpanNode]) -> String {
@@ -498,7 +498,7 @@ mod tests {
         let _guard = crate::sink::test_sink_lock();
         let mut shapes: Vec<String> = Vec::new();
         for _round in 0..8 {
-            let sink = Arc::new(LedgerSink::new());
+            let sink = Arc::new(LedgerSink::default());
             let previous = crate::set_sink(sink.clone());
             {
                 let _root = crate::span!("sched.root");

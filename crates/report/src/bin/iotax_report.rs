@@ -23,9 +23,11 @@
 //! its budget; `scan` exits 65 (EX_DATAERR) after quarantining when a
 //! store holds damaged or undecodable records; `crash-matrix` exits 1
 //! when any fault kind goes undetected or loses an acknowledged
-//! record; everything else exits 0 on success. Chrome traces open in
-//! `chrome://tracing` or <https://ui.perfetto.dev>; folded output
-//! feeds `flamegraph.pl` / inferno.
+//! record; `watch` exits 1 when the run crashed (its ledger holds a
+//! black box and no `run.json`); everything else exits 0 on success.
+//! Chrome traces open in `chrome://tracing` or
+//! <https://ui.perfetto.dev>; folded output feeds `flamegraph.pl` /
+//! inferno.
 
 use iotax_obs::{load_run, Error, FlightEvent, HeartbeatLine, RunFile};
 use iotax_report::{
@@ -348,12 +350,20 @@ fn render_heartbeat(line: &HeartbeatLine) -> String {
 
 /// Tails `<run>/heartbeat.jsonl`, printing each new tick to `out`. With
 /// `once`, prints what is there and returns. Otherwise polls until the
-/// run's `run.json` lands (the run finished) and drains any final lines.
+/// run's `run.json` lands (the run finished: exit 0) or the run crashed
+/// (exit 1). A crashed run leaves a black box and no `run.json`; a fatal
+/// exit flushes its black box just before it writes `run.json`, so the
+/// crash is called only when `run.json` is still absent one poll after
+/// the black box appeared.
 fn watch_heartbeat(out: &mut impl Write, run_dir: &Path, once: bool) -> Result<i32, Error> {
     let path = run_dir.join(iotax_obs::HEARTBEAT_FILE);
+    let blackbox = run_dir.join(iotax_obs::BLACKBOX_DIR);
     let mut printed = 0usize;
+    let mut saw_blackbox = false;
     loop {
         let finished = run_dir.join("run.json").exists();
+        let crashed = !finished && saw_blackbox;
+        saw_blackbox = blackbox.is_dir();
         let text = std::fs::read_to_string(&path).unwrap_or_default();
         for line in text.lines().skip(printed) {
             printed += 1;
@@ -362,6 +372,10 @@ fn watch_heartbeat(out: &mut impl Write, run_dir: &Path, once: bool) -> Result<i
                 Err(_) => "(torn heartbeat line skipped)".to_owned(),
             };
             writeln!(out, "{rendered}").map_err(Error::stdout)?;
+        }
+        if crashed {
+            eprintln!("run crashed: no run.json, black box at {}", blackbox.display());
+            return Ok(1);
         }
         if once || finished {
             if finished {

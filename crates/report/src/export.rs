@@ -6,7 +6,7 @@
 //! * **folded** — `flamegraph.pl` / inferno folded stacks: one line per
 //!   span path with its *self* time, ready for `inferno-flamegraph`.
 
-use iotax_obs::{ProfileSection, RunFile, SpanRecord};
+use iotax_obs::{RunFile, SpanRecord};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -50,11 +50,7 @@ pub fn to_chrome_trace(run: &RunFile) -> String {
 
 /// Serializes the run's spans as folded stacks, one `path self_us` line
 /// per span path, self time summed over occurrences and frames joined
-/// with `;` as flamegraph tooling expects. When the run carries a
-/// `"profile"` section (a `--profile-hz` run), the sampler's folded
-/// samples are merged in — each sample contributes one sampling period
-/// of estimated wall time, so paths the span tree never closed (e.g. a
-/// crashed stage) still show up with their sampled weight.
+/// with `;` as flamegraph tooling expects.
 pub fn to_folded(run: &RunFile) -> String {
     // Self time of each record: its duration minus its direct children's.
     let mut child_us: BTreeMap<u64, u64> = BTreeMap::new();
@@ -67,12 +63,6 @@ pub fn to_folded(run: &RunFile) -> String {
     for s in &run.spans {
         let self_us = s.duration_us.saturating_sub(child_us.get(&s.id).copied().unwrap_or(0));
         *folded.entry(s.path.replace('/', ";")).or_insert(0) += self_us;
-    }
-    if let Some(profile) = run.section::<ProfileSection>("profile") {
-        for (path, samples) in &profile.samples {
-            *folded.entry(path.replace('/', ";")).or_insert(0) +=
-                samples.saturating_mul(profile.period_us);
-        }
     }
     let mut out = String::new();
     for (path, us) in &folded {
@@ -115,24 +105,6 @@ mod tests {
         assert!(text.contains("tool 1000\n"), "{text}");
         assert!(text.contains("tool;fit 7000\n"), "{text}");
         assert!(text.contains("tool;load 2000\n"), "{text}");
-    }
-
-    #[test]
-    fn folded_merges_profile_samples_scaled_by_period() {
-        let mut run = synthetic_run("tool", 1_000);
-        // A 100 Hz profile: 10 ms per sample. `tool/fit` gains 3 samples
-        // on top of its span self time; `tool/crashed` never closed a
-        // span but was sampled twice.
-        let profile = ProfileSection {
-            hz: 100,
-            period_us: 10_000,
-            samples: vec![("tool/crashed".to_owned(), 2), ("tool/fit".to_owned(), 3)],
-        };
-        use serde::Serialize as _;
-        run.sections.push(("profile".to_owned(), profile.to_value()));
-        let text = to_folded(&run);
-        assert!(text.contains("tool;fit 37000\n"), "7000 self + 3×10000 sampled: {text}");
-        assert!(text.contains("tool;crashed 20000\n"), "sample-only path present: {text}");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use iotax_obs::{CounterSnapshot, RunFile, RunManifest, SpanRecord};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// A run whose every duration is `scale_us`-proportional, so a "slow"
 /// run is just a bigger scale.
@@ -192,4 +193,49 @@ fn usage_errors_exit_with_ex_usage() {
     assert_eq!(out.status.code(), Some(64));
     let out = report(&["gate", "/nonexistent"]);
     assert_eq!(out.status.code(), Some(64)); // missing --baseline
+}
+
+/// Runs `iotax-report watch DIR` to its exit, killing it after 20 s so a
+/// watch that never returns fails the test instead of hanging it.
+fn watch_within_deadline(dir: &Path) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_iotax-report"))
+        .args(["watch", dir.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn iotax-report watch");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("polling watch").is_none() {
+        if Instant::now() > deadline {
+            child.kill().expect("killing watch");
+            panic!("watch {} still running after 20 s", dir.display());
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    child.wait_with_output().expect("watch output")
+}
+
+#[test]
+fn watch_ends_on_a_crashed_run_and_names_its_black_box() {
+    // What a run that panics leaves in its ledger: its heartbeat ticks
+    // and the black box the panic hook flushes, but no run.json.
+    let dir = tmp("watch-crashed");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let blackbox = dir.join(iotax_obs::BLACKBOX_DIR);
+    iotax_obs::install_recorder(&blackbox, "iotax-analyze-crashed", None);
+    iotax_obs::start_heartbeat(dir.join(iotax_obs::HEARTBEAT_FILE), 1_000).stop();
+    iotax_obs::flush_blackbox("panic: injected crash").expect("black box flushed");
+
+    let out = watch_within_deadline(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&blackbox.display().to_string()), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("tick 1 "), "the tick is printed");
+
+    // A fatal exit writes run.json just after its black box: that run
+    // finished.
+    write_run(&dir, &synthetic_run(5_000, 42));
+    let out = watch_within_deadline(&dir);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }

@@ -1,10 +1,9 @@
-//! End-to-end observability: a taxonomy run streamed through the
-//! JSON-lines sink must come back as a well-formed span tree — the same
-//! contract `iotax-analyze --metrics-out` exposes to operators.
+//! End-to-end observability: a taxonomy run recorded through a run
+//! ledger must come back from `run.json` as a well-formed span tree — the
+//! same record `iotax-analyze --ledger` writes for operators.
 
-use iotax::obs::{assemble_span_tree, flush_metrics, JsonLinesSink, SpanRecord};
+use iotax::obs::{assemble_span_tree, load_run, Ledger};
 use iotax::sim::{Platform, SimConfig};
-use std::sync::Arc;
 
 const STAGES: [&str; 5] =
     ["core.baseline", "core.app_litmus", "core.system_litmus", "core.ood", "core.noise_floor"];
@@ -12,45 +11,28 @@ const STAGES: [&str; 5] =
 /// One test drives the whole flow; the global sink is process-wide state,
 /// so this file deliberately holds a single #[test].
 #[test]
-fn taxonomy_span_tree_round_trips_through_jsonl() {
+fn taxonomy_span_tree_round_trips_through_run_json() {
     let dir = std::env::temp_dir().join(format!("iotax-obs-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("metrics.jsonl");
-
-    let sink = JsonLinesSink::create(&path).expect("create metrics file");
-    let previous = iotax::obs::set_sink(Arc::new(sink));
+    let ledger = Ledger::create(&dir, "observability", "0.0.0", Vec::new()).expect("ledger dir");
+    let previous = iotax::obs::set_sink(ledger.sink());
     let dataset = Platform::new(SimConfig::theta().with_jobs(1_200).with_seed(90)).generate();
     let report = iotax::core::Taxonomy::quick().run(&dataset);
-    flush_metrics();
     iotax::obs::restore_sink(previous);
+    ledger.finish(0).expect("writing run.json");
 
-    // Every line parses; spans, counters and histograms are all present.
-    let text = std::fs::read_to_string(&path).expect("read metrics back");
-    let mut spans: Vec<SpanRecord> = Vec::new();
-    let mut counter_names: Vec<String> = Vec::new();
-    for line in text.lines() {
-        let value: serde::Value = serde_json::from_str(line).expect("parseable JSONL line");
-        match value.get("type").and_then(|t| t.as_str()) {
-            Some("span") => spans.push(serde_json::from_str(line).expect("span record")),
-            Some("counter") => {
-                if let Some(name) = value.get("name").and_then(|n| n.as_str()) {
-                    counter_names.push(name.to_owned());
-                }
-            }
-            Some("histogram") => {}
-            Some("gauge") => {}
-            other => panic!("unexpected line type {other:?}"),
-        }
-    }
+    // The record reads back with its spans and counters.
+    let run = load_run(&dir).expect("reading run.json back");
+    let spans = &run.spans;
+    let counter_names: Vec<&str> = run.counters.iter().map(|c| c.name.as_str()).collect();
 
     // The generation phases and the instrumented hot loops all reported.
     assert!(spans.iter().any(|s| s.name == "sim.generate"), "simulator span missing");
     for counter in ["sim.jobs_generated", "core.duplicate_sets_found", "ml.gbm.trees_fit"] {
-        assert!(counter_names.iter().any(|n| n == counter), "{counter} missing");
+        assert!(counter_names.contains(&counter), "{counter} missing");
     }
 
     // The reassembled forest contains all five taxonomy stages, in order.
-    let forest = assemble_span_tree(&spans);
+    let forest = assemble_span_tree(spans);
     let stage_roots: Vec<&iotax::obs::SpanNode> =
         forest.iter().filter(|n| n.name.starts_with("core.")).collect();
     let names: Vec<&str> = stage_roots.iter().map(|n| n.name.as_str()).collect();
@@ -76,7 +58,7 @@ fn taxonomy_span_tree_round_trips_through_jsonl() {
         }
     }
 
-    // And the report's embedded timings agree with what the sink saw.
+    // And the report's embedded timings agree with what the ledger saw.
     let embedded: Vec<&str> = report.timings.iter().map(|t| t.name.as_str()).collect();
     assert_eq!(embedded, STAGES);
 
