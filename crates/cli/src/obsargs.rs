@@ -126,8 +126,10 @@ impl ObsSession {
 
     /// Tears down the session: stops the heartbeat and, when a ledger is
     /// active, stamps `exit_status` and writes `run.json`. On a fatal exit
-    /// the flight recorder's ring is flushed as a black box first, while
-    /// the evidence is still warm.
+    /// the flight recorder's ring is then flushed as a black box. It comes
+    /// after `run.json`, so a black box with no `run.json` beside it means
+    /// a run that died unfinished and nothing else (see
+    /// [`iotax_obs::run_crashed`]).
     ///
     /// Returns `exit_status` unchanged — observability teardown failures
     /// are reported to stderr but can never mask the run's own outcome,
@@ -138,15 +140,15 @@ impl ObsSession {
         if let Some(heartbeat) = self.heartbeat {
             heartbeat.stop();
         }
-        if exit_status != 0 {
-            if let Some(path) = iotax_obs::flush_blackbox(&format!("fatal exit {exit_status}")) {
-                eprintln!("flight recorder: black box written to {}", path.display());
-            }
-        }
         if let Some(ledger) = self.ledger {
             match ledger.finish(exit_status) {
                 Ok(path) => eprintln!("run ledger written to {}", path.display()),
                 Err(e) => eprintln!("run ledger write failed: {e}"),
+            }
+        }
+        if exit_status != 0 {
+            if let Some(path) = iotax_obs::flush_blackbox(&format!("fatal exit {exit_status}")) {
+                eprintln!("flight recorder: black box written to {}", path.display());
             }
         }
         exit_status

@@ -4,12 +4,14 @@
 //! under `<ledger>/blackbox/` whose every record decodes as a
 //! [`iotax_obs::FlightEvent`]. A healthy `--ledger` run is exercised
 //! too: its ledger must carry the heap-accounting gauges and a heartbeat
-//! stream, and no black box. A reused ledger directory must hold only
-//! the latest run's record, heartbeat and black box.
+//! stream, and no black box. A run that fails with an error must write
+//! its `run.json` before its black box, so that no watcher takes it for
+//! a crash. A reused ledger directory must hold only the latest run's
+//! record, heartbeat and black box.
 
 use iotax_obs::FlightEvent;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn workdir(name: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -65,6 +67,7 @@ fn injected_panic_leaves_a_clean_replayable_black_box() {
     // The panic hook flushed the ring before the process died.
     let blackbox = ledger.join(iotax_obs::BLACKBOX_DIR);
     assert!(blackbox.is_dir(), "no blackbox directory at {}", blackbox.display());
+    assert!(iotax_obs::run_crashed(&ledger), "a panic leaves a black box and no run.json");
     let events = read_blackbox(&blackbox);
 
     // The flush header records the panic as its reason, and the ring
@@ -140,6 +143,38 @@ fn healthy_ledger_run_carries_heap_gauges_and_a_heartbeat() {
 
     // No black box: the run succeeded, so nothing flushed.
     assert!(!ledger.join(iotax_obs::BLACKBOX_DIR).exists(), "no blackbox on a clean run");
+}
+
+#[test]
+fn a_fatal_exit_is_never_read_as_a_crash() {
+    // The run fails with an error, not a panic: its ingest report cannot
+    // be created. Watched the whole time, as `iotax-report watch` does,
+    // its ledger must never show a black box without run.json.
+    let dir = workdir("blackbox-fatal-exit");
+    let trace = gen_trace(&dir);
+    let ledger = dir.join("run");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_iotax-analyze"))
+        .arg(&trace)
+        .arg("--stats-only")
+        .arg("--ledger")
+        .arg(&ledger)
+        .arg("--ingest-report")
+        .arg(dir.join("missing").join("ingest.jsonl"))
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawning iotax-analyze");
+    let status = loop {
+        assert!(!iotax_obs::run_crashed(&ledger), "a black box landed before run.json");
+        if let Some(status) = child.try_wait().expect("polling iotax-analyze") {
+            break status;
+        }
+    };
+    assert_eq!(status.code(), Some(74), "a failed ingest-report write is an I/O error");
+    assert!(ledger.join(iotax_obs::BLACKBOX_DIR).is_dir(), "a fatal exit flushes a black box");
+    let run = iotax_obs::load_run(&ledger).expect("run ledger");
+    assert_eq!(run.manifest.exit_status, 74);
+    assert!(!iotax_obs::run_crashed(&ledger));
 }
 
 /// `iotax-analyze TRACE --stats-only --ledger LEDGER`, crash-injected at

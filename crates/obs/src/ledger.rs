@@ -160,6 +160,15 @@ pub(crate) fn load_run_with_limit(path: impl AsRef<Path>, max_bytes: u64) -> Res
         .map_err(|e| Error::parse(format!("decoding run ledger {}", file.display()), e))
 }
 
+/// Whether the run directory `dir` holds a run that crashed: a black box
+/// and no `run.json`. A panic never writes `run.json`, and a fatal exit
+/// writes it before it flushes its black box, so a black box alone means
+/// the run died unfinished. The black box is looked for first, so a run
+/// that finishes between the two looks is seen with its `run.json`.
+pub fn run_crashed(dir: &Path) -> bool {
+    dir.join(BLACKBOX_DIR).is_dir() && !dir.join("run.json").exists()
+}
+
 /// The sink side of a ledger: buffers the span stream in memory until
 /// [`Ledger::finish`] persists it. Counters and histograms are *not*
 /// collected here — `finish` snapshots the live registry directly, so
@@ -201,7 +210,8 @@ impl Ledger {
     /// A reused directory loses what an earlier run left in it — its
     /// `run.json`, heartbeat stream and black box — so no reader mixes
     /// two runs. Anything else stays: a `--store` pointed at the same
-    /// directory keeps its segments.
+    /// directory keeps its segments. A `blackbox/` holding anything a
+    /// black box does not is refused (an I/O error), not deleted.
     pub fn create(
         dir: impl Into<PathBuf>,
         tool: &str,
@@ -211,11 +221,10 @@ impl Ledger {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)
             .map_err(|e| Error::io(format!("creating ledger dir {}", dir.display()), e))?;
-        for (name, is_dir) in [("run.json", false), (HEARTBEAT_FILE, false), (BLACKBOX_DIR, true)] {
+        crate::store::remove_store(&dir.join(BLACKBOX_DIR))?;
+        for name in ["run.json", HEARTBEAT_FILE] {
             let path = dir.join(name);
-            let removed =
-                if is_dir { std::fs::remove_dir_all(&path) } else { std::fs::remove_file(&path) };
-            match removed {
+            match std::fs::remove_file(&path) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
                     return Err(Error::io(format!("removing {}", path.display()), e));
                 }
@@ -414,5 +423,21 @@ mod tests {
         );
         std::fs::remove_file(path).ok();
         std::fs::remove_dir(&dir).ok();
+    }
+
+    #[test]
+    fn create_refuses_a_blackbox_dir_that_is_no_black_box() {
+        let dir = std::env::temp_dir().join(format!("iotax-ledger-reuse-{}", std::process::id()));
+        let blackbox = dir.join(BLACKBOX_DIR);
+        std::fs::create_dir_all(&blackbox).expect("mkdir");
+        std::fs::write(blackbox.join("notes.txt"), "mine").expect("write");
+        std::fs::write(dir.join("run.json"), "{}").expect("write");
+        let err = Ledger::create(&dir, "iotax-test", "0.0.0", Vec::new())
+            .err()
+            .expect("a blackbox/ that is no black box is refused");
+        assert_eq!(err.exit_code(), 74);
+        assert!(err.context().contains(&blackbox.display().to_string()), "{err}");
+        assert!(blackbox.join("notes.txt").exists() && dir.join("run.json").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -52,7 +52,7 @@ pub mod store;
 
 pub use alloc::{heap_slot_peaks, install_heap_accounting};
 pub use error::{Error, ErrorKind, Result};
-pub use ledger::{digest_bytes, load_run, InputDigest, Ledger, RunFile, RunManifest};
+pub use ledger::{digest_bytes, load_run, run_crashed, InputDigest, Ledger, RunFile, RunManifest};
 pub use metrics::{
     register_counter, register_gauge, register_histogram, Counter, CounterSnapshot, Gauge,
     GaugeSnapshot, Histogram, HistogramSummary,

@@ -615,6 +615,36 @@ pub fn list_segments(dir: &Path) -> Result<Vec<String>> {
     Ok(names)
 }
 
+/// Deletes the segment store at `dir`, if there is one: its segments,
+/// their quarantine sidecars and its lock file, then the directory.
+/// Deletes nothing and fails when `dir` holds any other entry, which no
+/// store writes: the first pass over the listing checks, the second
+/// deletes.
+pub(crate) fn remove_store(dir: &Path) -> Result<()> {
+    let listing = |e| Error::io(format!("listing store directory {}", dir.display()), e);
+    for remove in [false, true] {
+        let entries = match std::fs::read_dir(dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            entries => entries.map_err(listing)?,
+        };
+        for entry in entries {
+            let name = entry.map_err(listing)?.file_name().to_string_lossy().into_owned();
+            let segment = name.strip_suffix(QUARANTINE_SUFFIX).unwrap_or(&name);
+            if name != LOCK_FILE && segment_base(segment).is_none() {
+                let why =
+                    format!("not removing {}: it holds {name}, not a store file", dir.display());
+                return Err(Error::new(ErrorKind::Io, why));
+            }
+            if remove {
+                let path = dir.join(name);
+                std::fs::remove_file(&path)
+                    .map_err(|e| Error::io(format!("removing {}", path.display()), e))?;
+            }
+        }
+    }
+    std::fs::remove_dir(dir).map_err(|e| Error::io(format!("removing {}", dir.display()), e))
+}
+
 /// Scans a whole store directory with default limits: every segment in
 /// offset order, with cross-segment offset continuity checked. I/O errors
 /// (unreadable directory or segment) are hard errors; *content* damage

@@ -348,22 +348,16 @@ fn render_heartbeat(line: &HeartbeatLine) -> String {
     )
 }
 
-/// Tails `<run>/heartbeat.jsonl`, printing each new tick to `out`. With
-/// `once`, prints what is there and returns. Otherwise polls until the
-/// run's `run.json` lands (the run finished: exit 0) or the run crashed
-/// (exit 1). A crashed run leaves a black box and no `run.json`; a fatal
-/// exit flushes its black box just before it writes `run.json`, so the
-/// crash is called only when `run.json` is still absent one poll after
-/// the black box appeared.
+/// Tails `<run>/heartbeat.jsonl`, printing each new tick to `out`, until
+/// the run's `run.json` lands (the run finished: exit 0) or the run
+/// crashed (exit 1; see [`iotax_obs::run_crashed`]). With `once`, prints
+/// what is there and returns: 1 if the run crashed, else 0.
 fn watch_heartbeat(out: &mut impl Write, run_dir: &Path, once: bool) -> Result<i32, Error> {
     let path = run_dir.join(iotax_obs::HEARTBEAT_FILE);
-    let blackbox = run_dir.join(iotax_obs::BLACKBOX_DIR);
     let mut printed = 0usize;
-    let mut saw_blackbox = false;
     loop {
-        let finished = run_dir.join("run.json").exists();
-        let crashed = !finished && saw_blackbox;
-        saw_blackbox = blackbox.is_dir();
+        let crashed = iotax_obs::run_crashed(run_dir);
+        let finished = !crashed && run_dir.join("run.json").exists();
         let text = std::fs::read_to_string(&path).unwrap_or_default();
         for line in text.lines().skip(printed) {
             printed += 1;
@@ -374,6 +368,7 @@ fn watch_heartbeat(out: &mut impl Write, run_dir: &Path, once: bool) -> Result<i
             writeln!(out, "{rendered}").map_err(Error::stdout)?;
         }
         if crashed {
+            let blackbox = run_dir.join(iotax_obs::BLACKBOX_DIR);
             eprintln!("run crashed: no run.json, black box at {}", blackbox.display());
             return Ok(1);
         }

@@ -1,7 +1,8 @@
 //! End-to-end tests of the `iotax-report` binary against synthetic run
 //! ledgers written to disk, exactly as `--ledger` would leave them.
 
-use iotax_obs::{CounterSnapshot, RunFile, RunManifest, SpanRecord};
+use iotax_obs::store::SegmentStore;
+use iotax_obs::{CounterSnapshot, FlightEvent, HeartbeatLine, RunFile, RunManifest, SpanRecord};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -222,20 +223,37 @@ fn watch_ends_on_a_crashed_run_and_names_its_black_box() {
     let dir = tmp("watch-crashed");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
+    let tick =
+        HeartbeatLine { seq: 1, uptime_us: 1, stacks: vec![], counters: vec![], gauges: vec![] };
+    let line = serde_json::to_string(&tick).expect("encode tick") + "\n";
+    std::fs::write(dir.join(iotax_obs::HEARTBEAT_FILE), line).expect("write heartbeat");
     let blackbox = dir.join(iotax_obs::BLACKBOX_DIR);
-    iotax_obs::install_recorder(&blackbox, "iotax-analyze-crashed", None);
-    iotax_obs::start_heartbeat(dir.join(iotax_obs::HEARTBEAT_FILE), 1_000).stop();
-    iotax_obs::flush_blackbox("panic: injected crash").expect("black box flushed");
+    let header = FlightEvent {
+        seq: 0,
+        at_us: 2_000,
+        thread: 0,
+        kind: "blackbox".to_owned(),
+        name: "iotax-analyze-crashed".to_owned(),
+        detail: "panic: injected crash".to_owned(),
+        value: 0,
+    };
+    SegmentStore::open(&blackbox)
+        .expect("open black box")
+        .append(&header.encode())
+        .expect("append");
 
     let out = watch_within_deadline(&dir);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains(&blackbox.display().to_string()), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("tick 1 "), "the tick is printed");
+    let out = report(&["watch", dir.to_str().unwrap(), "--once"]);
+    assert_eq!(out.status.code(), Some(1), "--once: {}", String::from_utf8_lossy(&out.stderr));
 
-    // A fatal exit writes run.json just after its black box: that run
+    // A fatal exit writes run.json before its black box: that run
     // finished.
     write_run(&dir, &synthetic_run(5_000, 42));
     let out = watch_within_deadline(&dir);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
 }
