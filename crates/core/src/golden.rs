@@ -181,6 +181,21 @@ mod tests {
     use iotax_sim::{Platform, SimConfig};
 
     #[test]
+    fn every_effort_preset_passes_the_fit_check() {
+        // `Trainer::fit` checks every knob before it trains and panics on
+        // one out of range; a 40-row fold keeps the presets' fits cheap.
+        let x: Vec<f64> = (0..40).map(f64::from).collect();
+        let y = x.iter().map(|v| 0.5 * v).collect();
+        let data = Dataset::new(x, 40, 1, y, vec!["x".into()]);
+        for effort in [Effort::Quick, Effort::Full] {
+            for params in [effort.baseline_params(), effort.golden_params()] {
+                let prepared = PreparedDataset::fit(&data, params.max_bins);
+                assert_eq!(Trainer::new(&prepared).fit(params).params(), &params);
+            }
+        }
+    }
+
+    #[test]
     fn golden_model_beats_baseline_on_weathered_data() {
         let sim = Platform::new(SimConfig::theta().with_jobs(4_000).with_seed(31)).generate();
         let result = system_litmus(&sim, Effort::Quick);

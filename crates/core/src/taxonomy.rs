@@ -194,6 +194,15 @@ impl From<&OodLitmus> for OodSummary {
     }
 }
 
+/// Δt tolerance for "simultaneous" duplicates, seconds.
+const CONCURRENCY_TOLERANCE: i64 = 1;
+/// Minimum duplicate clusters before the application bound is considered
+/// trustworthy; fewer marks the stage degraded.
+const MIN_DUPLICATE_SETS: usize = 3;
+/// Minimum test-split rows before OoD attribution is considered
+/// trustworthy; fewer marks the stage degraded.
+const MIN_TEST_ROWS: usize = 30;
+
 /// The configurable pipeline.
 #[derive(Debug, Clone)]
 pub struct Taxonomy {
@@ -206,16 +215,8 @@ pub struct Taxonomy {
     pub grid_trees: Vec<usize>,
     /// Grid-search depth axis.
     pub grid_depths: Vec<usize>,
-    /// Δt tolerance for "simultaneous" duplicates, seconds.
-    pub concurrency_tolerance: i64,
     /// Minimum concurrent duplicates for the noise litmus.
     pub min_noise_samples: usize,
-    /// Minimum duplicate clusters before the application bound is
-    /// considered trustworthy; fewer marks the stage degraded.
-    pub min_duplicate_sets: usize,
-    /// Minimum test-split rows before OoD attribution is considered
-    /// trustworthy; fewer marks the stage degraded.
-    pub min_test_rows: usize,
     /// Master seed.
     pub seed: u64,
 }
@@ -228,10 +229,7 @@ impl Taxonomy {
             ood: OodConfig::quick(11),
             grid_trees: vec![40, 120],
             grid_depths: vec![3, 8],
-            concurrency_tolerance: 1,
             min_noise_samples: 20,
-            min_duplicate_sets: 3,
-            min_test_rows: 30,
             seed: 11,
         }
     }
@@ -243,10 +241,7 @@ impl Taxonomy {
             ood: OodConfig::quick(13),
             grid_trees: vec![32, 64, 128],
             grid_depths: vec![3, 6, 9, 15],
-            concurrency_tolerance: 1,
             min_noise_samples: 30,
-            min_duplicate_sets: 3,
-            min_test_rows: 30,
             seed: 13,
         }
     }
@@ -396,11 +391,11 @@ impl<'a> BaselineStage<'a> {
         let dup = find_duplicate_sets(kept(&core.sim.jobs));
         let app_bound = app_modeling_bound(&core.data.y, &dup);
         let mut reasons = Vec::new();
-        if dup.n_sets() < core.cfg.min_duplicate_sets {
+        if dup.n_sets() < MIN_DUPLICATE_SETS {
             reasons.push(format!(
-                "only {} duplicate clusters (need {}); application bound unreliable",
-                dup.n_sets(),
-                core.cfg.min_duplicate_sets
+                "only {} duplicate clusters (need {MIN_DUPLICATE_SETS}); application bound \
+                 unreliable",
+                dup.n_sets()
             ));
         }
         core.health.push(StageHealth::from_reasons("core.app_litmus", reasons));
@@ -495,10 +490,10 @@ impl<'a> SystemLitmusStage<'a> {
         let all_preds = ood.ensemble.predict_uq_batch(&core.data);
         let exclude = classify_ood(&all_preds, ood.eu_threshold);
         let mut reasons = Vec::new();
-        if core.test.n_rows < core.cfg.min_test_rows {
+        if core.test.n_rows < MIN_TEST_ROWS {
             reasons.push(format!(
-                "test split has only {} jobs (need {}); OoD attribution noisy",
-                core.test.n_rows, core.cfg.min_test_rows
+                "test split has only {} jobs (need {MIN_TEST_ROWS}); OoD attribution noisy",
+                core.test.n_rows
             ));
         }
         self.prev.core.health.push(StageHealth::from_reasons("core.ood", reasons));
@@ -528,7 +523,7 @@ impl<'a> OodStage<'a> {
             &starts,
             &app.dup,
             &self.exclude,
-            core.cfg.concurrency_tolerance,
+            CONCURRENCY_TOLERANCE,
             core.cfg.min_noise_samples,
         );
         let mut reasons = Vec::new();

@@ -14,6 +14,7 @@ use crate::data::Dataset;
 use crate::prepared::{BoundDataset, PreparedDataset};
 use crate::tree::{RegressionTree, TreeParams, DEFAULT_MAX_BINS};
 use crate::Regressor;
+use iotax_obs::Error;
 use iotax_stats::rng::substream;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -77,133 +78,55 @@ impl Default for GbmParams {
 }
 
 impl GbmParams {
-    /// Validated builder, starting from the defaults.
-    pub fn builder() -> GbmParamsBuilder {
-        GbmParamsBuilder { p: Self::default() }
-    }
-}
-
-/// Builder for [`GbmParams`] that rejects out-of-range values with a usage
-/// error (sysexits 64) instead of silently clamping them at fit time:
-/// `max_bins` outside `[2, u16::MAX]`, `subsample`/`colsample` outside
-/// (0, 1], zero trees or depth.
-#[derive(Debug, Clone)]
-// audit:allow(dead-public-api) -- return type of the public GbmParams::builder(), which the hyperparameter_search example calls
-pub struct GbmParamsBuilder {
-    p: GbmParams,
-}
-
-impl GbmParamsBuilder {
-    /// Start from an existing parameter set instead of the defaults.
-    pub fn base(mut self, base: GbmParams) -> Self {
-        self.p = base;
-        self
-    }
-
-    /// Number of boosting rounds (must be at least 1).
-    pub fn n_trees(mut self, v: usize) -> Self {
-        self.p.n_trees = v;
-        self
-    }
-
-    /// Maximum tree depth (must be at least 1).
-    pub fn max_depth(mut self, v: usize) -> Self {
-        self.p.max_depth = v;
-        self
-    }
-
-    /// Learning rate / shrinkage (must be finite and positive).
-    pub fn learning_rate(mut self, v: f64) -> Self {
-        self.p.learning_rate = v;
-        self
-    }
-
-    /// L2 regularization on leaf values.
-    pub fn lambda(mut self, v: f64) -> Self {
-        self.p.lambda = v;
-        self
-    }
-
-    /// Fraction of rows seen by each tree, in (0, 1].
-    pub fn subsample(mut self, v: f64) -> Self {
-        self.p.subsample = v;
-        self
-    }
-
-    /// Fraction of columns seen by each tree, in (0, 1].
-    pub fn colsample(mut self, v: f64) -> Self {
-        self.p.colsample = v;
-        self
-    }
-
-    /// Minimum hessian weight per child.
-    pub fn min_child_weight(mut self, v: f64) -> Self {
-        self.p.min_child_weight = v;
-        self
-    }
-
-    /// Histogram bins per feature, in `[2, u16::MAX]`.
-    pub fn max_bins(mut self, v: usize) -> Self {
-        self.p.max_bins = v;
-        self
-    }
-
-    /// Seed for row/column subsampling.
-    pub fn seed(mut self, v: u64) -> Self {
-        self.p.seed = v;
-        self
-    }
-
-    /// Stop after this many rounds without validation improvement.
-    pub fn early_stopping_rounds(mut self, v: Option<usize>) -> Self {
-        self.p.early_stopping_rounds = v;
-        self
-    }
-
-    /// Training loss.
-    pub fn loss(mut self, v: Loss) -> Self {
-        self.p.loss = v;
-        self
-    }
-
-    /// Validate and produce the parameters.
-    pub fn build(self) -> iotax_obs::Result<GbmParams> {
-        let p = self.p;
-        if p.n_trees == 0 {
-            return Err(iotax_obs::Error::usage("n_trees must be at least 1 (got 0)"));
+    /// Checks every knob's range; the usage error (sysexits 64) names the
+    /// first knob outside it. [`Trainer::fit`] runs it on every fit,
+    /// [`grid_search`](crate::search::grid_search) on every candidate.
+    pub(crate) fn validate(&self) -> iotax_obs::Result<()> {
+        if self.n_trees == 0 {
+            return Err(Error::usage("n_trees must be at least 1 (got 0)"));
         }
-        if !(p.subsample > 0.0 && p.subsample <= 1.0) {
-            return Err(iotax_obs::Error::usage(format!(
+        if !(self.subsample > 0.0 && self.subsample <= 1.0) {
+            return Err(Error::usage(format!(
                 "subsample must be in (0, 1] (got {})",
-                p.subsample
+                self.subsample
             )));
         }
-        if !(p.colsample > 0.0 && p.colsample <= 1.0) {
-            return Err(iotax_obs::Error::usage(format!(
+        if !(self.colsample > 0.0 && self.colsample <= 1.0) {
+            return Err(Error::usage(format!(
                 "colsample must be in (0, 1] (got {})",
-                p.colsample
+                self.colsample
             )));
         }
-        if p.max_bins < 2 || p.max_bins > u16::MAX as usize {
-            return Err(iotax_obs::Error::usage(format!(
+        if self.max_bins < 2 || self.max_bins > u16::MAX as usize {
+            return Err(Error::usage(format!(
                 "max_bins must be in [2, {}] (got {})",
                 u16::MAX,
-                p.max_bins
+                self.max_bins
             )));
         }
-        if !(p.learning_rate.is_finite() && p.learning_rate > 0.0) {
-            return Err(iotax_obs::Error::usage(format!(
+        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            return Err(Error::usage(format!(
                 "learning_rate must be finite and positive (got {})",
-                p.learning_rate
+                self.learning_rate
             )));
         }
-        // Tree-level knobs share the TreeParams validation.
-        TreeParams::builder()
-            .max_depth(p.max_depth)
-            .min_child_weight(p.min_child_weight)
-            .lambda(p.lambda)
-            .build()?;
-        Ok(p)
+        // A depth-0 tree is a single leaf: the model would be a constant.
+        if self.max_depth == 0 {
+            return Err(Error::usage("max_depth must be at least 1 (got 0)"));
+        }
+        if !(self.min_child_weight.is_finite() && self.min_child_weight >= 0.0) {
+            return Err(Error::usage(format!(
+                "min_child_weight must be finite and non-negative (got {})",
+                self.min_child_weight
+            )));
+        }
+        if !(self.lambda.is_finite() && self.lambda >= 0.0) {
+            return Err(Error::usage(format!(
+                "lambda must be finite and non-negative (got {})",
+                self.lambda
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -243,14 +166,18 @@ impl<'a> Trainer<'a> {
 
     /// Fit one model. With a validation fold attached and early stopping
     /// configured, keeps the prefix of trees minimizing validation MAE.
+    ///
+    /// Panics with `GbmParams::validate`'s message when a knob is out of
+    /// range: every parameter set comes from the program itself, so an
+    /// invalid one is a bug in its caller.
     pub fn fit(&self, params: GbmParams) -> Gbm {
+        if let Err(e) = params.validate() {
+            panic!("invalid GBM parameters: {e}");
+        }
         let train = self.train;
         let n_rows = train.n_rows();
         let n_cols = train.n_cols();
         assert!(n_rows > 0, "empty training set");
-        assert!(params.n_trees >= 1);
-        assert!((0.0..=1.0).contains(&params.subsample) && params.subsample > 0.0);
-        assert!((0.0..=1.0).contains(&params.colsample) && params.colsample > 0.0);
         assert_eq!(
             params.max_bins,
             train.max_bins(),
@@ -528,36 +455,71 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_the_paper_knobs() {
-        assert!(GbmParams::builder().n_trees(0).build().is_err());
-        assert!(GbmParams::builder().max_depth(0).build().is_err());
-        assert!(GbmParams::builder().subsample(0.0).build().is_err());
-        assert!(GbmParams::builder().subsample(1.5).build().is_err());
-        assert!(GbmParams::builder().subsample(f64::NAN).build().is_err());
-        assert!(GbmParams::builder().colsample(-0.2).build().is_err());
-        assert!(GbmParams::builder().max_bins(1).build().is_err());
-        assert!(GbmParams::builder().max_bins(u16::MAX as usize + 1).build().is_err());
-        assert!(GbmParams::builder().learning_rate(0.0).build().is_err());
-        let err = GbmParams::builder().max_bins(1 << 20).build().expect_err("too many bins");
-        assert_eq!(err.exit_code(), 64, "usage errors exit with sysexits EX_USAGE");
-        let p = GbmParams::builder()
-            .base(GbmParams::default())
-            .n_trees(40)
-            .max_depth(3)
-            .learning_rate(0.2)
-            .lambda(0.5)
-            .subsample(0.9)
-            .colsample(0.8)
-            .min_child_weight(2.0)
-            .max_bins(128)
-            .seed(7)
-            .early_stopping_rounds(Some(5))
-            .loss(Loss::AbsoluteError)
-            .build()
-            .expect("valid params");
-        assert_eq!(p.n_trees, 40);
-        assert_eq!(p.max_bins, 128);
-        assert_eq!(p.loss, Loss::AbsoluteError);
+    fn validate_names_the_knob_out_of_range() {
+        let d = GbmParams::default();
+        for (p, knob) in [
+            (GbmParams { n_trees: 0, ..d }, "n_trees"),
+            (GbmParams { max_depth: 0, ..d }, "max_depth"),
+            (GbmParams { subsample: 0.0, ..d }, "subsample"),
+            (GbmParams { subsample: 1.5, ..d }, "subsample"),
+            (GbmParams { subsample: f64::NAN, ..d }, "subsample"),
+            (GbmParams { colsample: -0.2, ..d }, "colsample"),
+            (GbmParams { max_bins: 1, ..d }, "max_bins"),
+            (GbmParams { max_bins: u16::MAX as usize + 1, ..d }, "max_bins"),
+            (GbmParams { max_bins: 1 << 20, ..d }, "max_bins"),
+            (GbmParams { learning_rate: 0.0, ..d }, "learning_rate"),
+            (GbmParams { min_child_weight: f64::NAN, ..d }, "min_child_weight"),
+            (GbmParams { lambda: -1.0, ..d }, "lambda"),
+            (GbmParams { lambda: f64::NAN, ..d }, "lambda"),
+        ] {
+            let err = p.validate().expect_err(knob);
+            assert!(err.to_string().starts_with(knob), "{knob}: {err}");
+            assert_eq!(err.exit_code(), 64, "usage errors exit with sysexits EX_USAGE");
+        }
+        assert!(d.validate().is_ok());
+        assert!(GbmParams { max_depth: 4, lambda: 0.5, ..d }.validate().is_ok());
+    }
+
+    #[test]
+    fn a_valid_set_is_fitted_as_given() {
+        let p = GbmParams {
+            n_trees: 40,
+            max_depth: 3,
+            learning_rate: 0.2,
+            lambda: 0.5,
+            subsample: 0.9,
+            colsample: 0.8,
+            min_child_weight: 2.0,
+            max_bins: 128,
+            seed: 7,
+            early_stopping_rounds: Some(5),
+            loss: Loss::AbsoluteError,
+        };
+        p.validate().expect("valid params");
+        // `fit` checks the set; it never clamps or rewrites it.
+        let model = fit(&friedman(200, 16, 0.0), p);
+        assert_eq!(model.params().n_trees, 40);
+        assert_eq!(model.params().max_bins, 128);
+        assert_eq!(model.params().loss, Loss::AbsoluteError);
+        assert_eq!(*model.params(), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "learning_rate must be finite and positive (got 0)")]
+    fn fit_panics_on_a_zero_learning_rate() {
+        fit(&friedman(100, 15, 0.0), GbmParams { learning_rate: 0.0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_depth must be at least 1 (got 0)")]
+    fn fit_panics_on_a_zero_depth() {
+        fit(&friedman(100, 15, 0.0), GbmParams { max_depth: 0, ..Default::default() });
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda must be finite and non-negative (got NaN)")]
+    fn fit_panics_on_a_nan_lambda() {
+        fit(&friedman(100, 15, 0.0), GbmParams { lambda: f64::NAN, ..Default::default() });
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   (gradient/hessian) split gains, the building block of
 //! * [`gbm`] — gradient-boosted trees with shrinkage, λ-regularization,
 //!   row/column subsampling and early stopping: the XGBoost stand-in whose
-//!   four tuned knobs match the paper's sweep.
+//!   four tuned knobs match the paper's sweep. [`GbmParams`] is a plain
+//!   struct (a literal plus `..Default::default()`); [`Trainer::fit`]
+//!   checks every knob's range on every fit and panics naming the one out
+//!   of range.
 //! * [`nn`] — multilayer perceptrons with hand-rolled backprop, Adam,
 //!   dropout, weight decay, and an optional heteroscedastic head (mean +
 //!   variance) for uncertainty quantification.

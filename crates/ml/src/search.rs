@@ -34,8 +34,9 @@ pub struct GridPoint {
 ///
 /// Returns all distinct points sorted by validation error (best first);
 /// identical configurations produced by overlapping axes are evaluated
-/// once. Fails with a usage error when an axis value is out of range
-/// (zero trees/depth, subsample or colsample outside (0, 1]).
+/// once. Fails with a usage error naming the knob when a candidate is out
+/// of range (zero trees/depth, subsample or colsample outside (0, 1], or
+/// a bad value in `base`).
 pub fn grid_search(
     train: &PreparedDataset,
     val: &Dataset,
@@ -50,13 +51,9 @@ pub fn grid_search(
         for &d in depths {
             for &s in subsamples {
                 for &c in colsamples {
-                    let params = GbmParams::builder()
-                        .base(base)
-                        .n_trees(t)
-                        .max_depth(d)
-                        .subsample(s)
-                        .colsample(c)
-                        .build()?;
+                    let params =
+                        GbmParams { n_trees: t, max_depth: d, subsample: s, colsample: c, ..base };
+                    params.validate()?;
                     if !combos.contains(&params) {
                         combos.push(params);
                     }
@@ -151,6 +148,10 @@ mod tests {
             grid_search(&p, &val, &[5], &[2], &[1.5], &[1.0], GbmParams::default()).is_err(),
             "subsample > 1 must be rejected"
         );
+        let err = grid_search(&p, &val, &[5], &[2, 0], &[1.0], &[1.0], GbmParams::default())
+            .expect_err("zero depth");
+        assert_eq!(err.exit_code(), 64);
+        assert_eq!(err.to_string(), "max_depth must be at least 1 (got 0)");
     }
 
     #[test]

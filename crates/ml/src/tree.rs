@@ -10,13 +10,13 @@
 //! former per-node `vec![0.0; n_bins]` pair was the dominant tree cost.
 
 use crate::prepared::PreparedDataset;
-use iotax_obs::{Error, Result};
 use std::cell::RefCell;
 
 /// Maximum number of histogram bins per feature.
 pub(crate) const DEFAULT_MAX_BINS: usize = 256;
 
-/// Parameters controlling a single tree.
+/// Parameters controlling a single tree, which `Trainer::fit` fills from
+/// the checked `GbmParams`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TreeParams {
     /// Maximum depth (root = depth 0).
@@ -25,67 +25,6 @@ pub(crate) struct TreeParams {
     pub(crate) min_child_weight: f64,
     /// L2 regularization λ on leaf values.
     pub(crate) lambda: f64,
-}
-
-impl Default for TreeParams {
-    fn default() -> Self {
-        Self { max_depth: 6, min_child_weight: 1.0, lambda: 1.0 }
-    }
-}
-
-impl TreeParams {
-    /// Validated builder, starting from the defaults.
-    pub(crate) fn builder() -> TreeParamsBuilder {
-        TreeParamsBuilder { p: Self::default() }
-    }
-}
-
-/// Builder for [`TreeParams`] that rejects degenerate values with a usage
-/// error (sysexits 64) instead of silently clamping them at fit time.
-#[derive(Debug, Clone)]
-pub(crate) struct TreeParamsBuilder {
-    p: TreeParams,
-}
-
-impl TreeParamsBuilder {
-    /// Maximum depth (must be at least 1; a depth-0 stump is a constant).
-    pub(crate) fn max_depth(mut self, v: usize) -> Self {
-        self.p.max_depth = v;
-        self
-    }
-
-    /// Minimum hessian weight per child.
-    pub(crate) fn min_child_weight(mut self, v: f64) -> Self {
-        self.p.min_child_weight = v;
-        self
-    }
-
-    /// L2 regularization λ on leaf values.
-    pub(crate) fn lambda(mut self, v: f64) -> Self {
-        self.p.lambda = v;
-        self
-    }
-
-    /// Validate and produce the parameters.
-    pub(crate) fn build(self) -> Result<TreeParams> {
-        let p = self.p;
-        if p.max_depth == 0 {
-            return Err(Error::usage("max_depth must be at least 1 (got 0)"));
-        }
-        if !(p.min_child_weight.is_finite() && p.min_child_weight >= 0.0) {
-            return Err(Error::usage(format!(
-                "min_child_weight must be finite and non-negative (got {})",
-                p.min_child_weight
-            )));
-        }
-        if !(p.lambda.is_finite() && p.lambda >= 0.0) {
-            return Err(Error::usage(format!(
-                "lambda must be finite and non-negative (got {})",
-                p.lambda
-            )));
-        }
-        Ok(p)
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -498,6 +437,13 @@ mod tests {
     use super::*;
     use crate::data::Dataset;
 
+    /// `GbmParams::default()`'s tree knobs.
+    impl Default for TreeParams {
+        fn default() -> Self {
+            Self { max_depth: 6, min_child_weight: 1.0, lambda: 1.0 }
+        }
+    }
+
     fn step_dataset(n: usize) -> Dataset {
         // y = 1 if x0 > 0.5 else 0 — one split suffices.
         let mut x = Vec::new();
@@ -623,14 +569,5 @@ mod tests {
             let coded = tree.predict_coded(&binned.codes, binned.n_rows, r);
             assert_eq!(raw.to_bits(), coded.to_bits(), "row {r}");
         }
-    }
-
-    #[test]
-    fn builder_rejects_zero_depth() {
-        let err = TreeParams::builder().max_depth(0).build().expect_err("zero depth");
-        assert_eq!(err.exit_code(), 64);
-        assert!(TreeParams::builder().max_depth(4).lambda(0.5).build().is_ok());
-        assert!(TreeParams::builder().min_child_weight(f64::NAN).build().is_err());
-        assert!(TreeParams::builder().lambda(-1.0).build().is_err());
     }
 }

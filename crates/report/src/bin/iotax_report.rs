@@ -250,15 +250,20 @@ fn run(out: &mut impl Write) -> Result<i32, Error> {
                     other => return Err(Error::usage(format!("unknown flag {other}\n{USAGE}"))),
                 }
             }
-            // Accept the ledger directory (conventional) or the blackbox
-            // directory itself.
-            let bb = run_dir.join(iotax_obs::BLACKBOX_DIR);
-            let dir = if bb.is_dir() { bb } else { run_dir };
-            let scan = iotax_obs::store::scan_store(&dir)?;
-            if scan.records.is_empty() && scan.damage.is_empty() {
+            // Flight events live only in DIR/blackbox: a run that neither
+            // crashed nor failed leaves none, and a `--store` sharing the
+            // ledger directory holds run records, not events. A missing
+            // DIR fails in the scan.
+            let dir = run_dir.join(iotax_obs::BLACKBOX_DIR);
+            let scan = if run_dir.is_dir() && !dir.exists() {
+                None
+            } else {
+                Some(iotax_obs::store::scan_store(&dir)?)
+            };
+            let Some(scan) = scan.filter(|s| !s.records.is_empty() || !s.damage.is_empty()) else {
                 writeln!(out, "black box: empty ({})", dir.display()).map_err(Error::stdout)?;
                 return Ok(0);
-            }
+            };
             let mut undecodable = 0usize;
             let mut events: Vec<FlightEvent> = Vec::new();
             for record in &scan.records {

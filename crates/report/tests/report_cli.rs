@@ -257,3 +257,22 @@ fn watch_ends_on_a_crashed_run_and_names_its_black_box() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn blackbox_of_a_healthy_run_sharing_its_store_is_empty() {
+    // What `--ledger X --store X` leaves after a run that exits 0: its
+    // run.json and the same record in a segment of the store, but no
+    // blackbox/. The run record is not a flight event.
+    let dir = tmp("blackbox-shared-store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = synthetic_run(5_000, 42);
+    write_run(&dir, &run);
+    let text = serde_json::to_string_pretty(&run).expect("encode");
+    SegmentStore::open(&dir).expect("open store").append(text.as_bytes()).expect("append");
+
+    let out = report(&["blackbox", dir.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.starts_with("black box: empty"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -34,17 +34,10 @@ fn main() -> iotax::Result<()> {
     let depths = [2, 4, 6, 9, 12];
     println!("validation median error (%) over n_trees × depth:");
     // Bin the training fold once; all 25 grid candidates train against the
-    // shared context. The validated builder rejects out-of-range knobs up
-    // front instead of silently clamping them mid-sweep.
-    let base = GbmParams::builder()
-        .learning_rate(0.1)
-        .lambda(1.0)
-        .min_child_weight(1.0)
-        .max_bins(256)
-        .seed(0)
-        .early_stopping_rounds(None)
-        .loss(iotax::ml::gbm::Loss::SquaredError)
-        .build()?;
+    // shared context. `grid_search` checks each candidate before any fit
+    // and returns a usage error naming an out-of-range knob, so a bad axis
+    // fails up front instead of mid-sweep.
+    let base = GbmParams { learning_rate: 0.1, max_bins: 256, ..GbmParams::default() };
     let prepared = PreparedDataset::fit(&train, base.max_bins);
     let points = grid_search(&prepared, &val, &trees, &depths, &[1.0], &[1.0], base)?;
 
