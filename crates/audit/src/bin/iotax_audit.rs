@@ -2,28 +2,22 @@
 //!
 //! ```sh
 //! iotax-audit --workspace                          # audit crates/*
-//! iotax-audit --workspace --baseline audit-baseline.json
 //! iotax-audit --workspace --format jsonl
-//! iotax-audit --workspace --write-baseline audit-baseline.json
 //! iotax-audit --workspace --ledger runs/audit-1    # write a run ledger
 //! iotax-audit --list-lints
 //! ```
 //!
-//! Exit codes: 0 clean (and `--help`), 1 new findings, 64 usage,
+//! Exit codes: 0 clean (and `--help`), 1 findings, 64 usage,
 //! 65 config parse, 74 I/O.
 //!
 //! The observability flags (`--ledger`, `--store`) are shared with the
-//! other workspace bins; see `iotax_cli::obsargs`. A ledger run records the effective `audit.toml`
-//! digest and a `"audit"` section with the finding counts, so
-//! `iotax-report diff` can show lint drift between two audits.
+//! other workspace bins; see `iotax_obs::ObsArgs`. A ledger run records
+//! the effective `audit.toml` digest and a `"audit"` section with the
+//! finding counts, so `iotax-report diff` can show lint drift between two
+//! audits.
 
-use iotax_audit::flow::FLOW_LINTS;
-use iotax_audit::{
-    audit_workspace, explain, render_text, write_jsonl, AuditConfig, Baseline, DATAFLOW_LINTS,
-    LINTS,
-};
-use iotax_cli::{ObsArgs, ObsSession, OBS_USAGE};
-use iotax_obs::{digest_bytes, Error, ErrorKind};
+use iotax_audit::{audit_workspace, render_text, write_jsonl, AuditConfig, LINTS};
+use iotax_obs::{digest_bytes, Error, ErrorKind, ObsArgs, ObsSession, OBS_USAGE};
 use serde::Serialize;
 use std::io::Write;
 use std::path::PathBuf;
@@ -32,8 +26,6 @@ struct Args {
     workspace: bool,
     root: PathBuf,
     config: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     format: Format,
     jsonl_out: Option<PathBuf>,
     obs: ObsArgs,
@@ -55,16 +47,14 @@ enum Format {
 #[derive(Serialize)]
 struct AuditSection {
     fresh: u64,
-    baselined: u64,
     suppressed: u64,
 }
 
 fn usage() -> String {
     format!(
         "usage: iotax-audit (--workspace | --list-lints | --explain LINT) \
-         [--root DIR] [--config PATH] [--baseline PATH] [--write-baseline PATH] \
-         [--format text|jsonl|github] [--jsonl-out PATH] {OBS_USAGE} \
-         [--include-tests]"
+         [--root DIR] [--config PATH] [--format text|jsonl|github] \
+         [--jsonl-out PATH] {OBS_USAGE} [--include-tests]"
     )
 }
 
@@ -73,8 +63,6 @@ fn parse_args() -> Result<Args, Error> {
         workspace: false,
         root: PathBuf::from("."),
         config: None,
-        baseline: None,
-        write_baseline: None,
         format: Format::Text,
         jsonl_out: None,
         obs: ObsArgs::default(),
@@ -90,10 +78,6 @@ fn parse_args() -> Result<Args, Error> {
             "--workspace" => args.workspace = true,
             "--root" => args.root = PathBuf::from(value("--root")?),
             "--config" => args.config = Some(PathBuf::from(value("--config")?)),
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(value("--write-baseline")?))
-            }
             "--format" => {
                 args.format = match value("--format")?.as_str() {
                     "text" => Format::Text,
@@ -128,43 +112,36 @@ fn parse_args() -> Result<Args, Error> {
     Ok(args)
 }
 
+/// The `--config` file, else `ROOT/audit.toml` if it exists, else the
+/// default config; `--include-tests` applies to all three.
 fn load_config(args: &Args) -> Result<(AuditConfig, Option<PathBuf>), Error> {
-    let known = iotax_audit::known_lint_names();
-    let path = match &args.config {
-        Some(p) => p.clone(),
-        None => {
-            let default = args.root.join("audit.toml");
-            if !default.is_file() {
-                let mut cfg = AuditConfig::default();
-                cfg.include_tests |= args.include_tests;
-                return Ok((cfg, None));
-            }
-            default
+    let default = args.root.join("audit.toml");
+    let path = args.config.clone().or_else(|| default.is_file().then_some(default));
+    let mut cfg = match &path {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| {
+                Error::new(ErrorKind::Io, format!("reading {}: {e}", path.display()))
+            })?;
+            let known = iotax_audit::known_lint_names();
+            AuditConfig::from_toml(&text, &path.display().to_string(), &known)?
         }
+        None => AuditConfig::default(),
     };
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| Error::new(ErrorKind::Io, format!("reading {}: {e}", path.display())))?;
-    let mut cfg = AuditConfig::from_toml(&text, &path.display().to_string(), &known)?;
-    cfg.include_tests |= args.include_tests;
-    Ok((cfg, Some(path)))
+    cfg.include_tests = args.include_tests;
+    Ok((cfg, path))
 }
 
 /// Runs the audit (or lists or explains lints), writing its report to
 /// `out`.
 fn run(args: &Args, session: &mut ObsSession, out: &mut impl Write) -> Result<i32, Error> {
     if args.list_lints {
-        let meta = [
-            ("bad-suppression", "suppression without reason or naming an unknown lint (always on)"),
-            ("unused-suppression", "suppression that matched no finding (always on)"),
-        ];
-        let lints = LINTS.iter().chain(FLOW_LINTS).chain(DATAFLOW_LINTS);
-        for (name, summary) in lints.map(|l| (l.name, l.summary)).chain(meta) {
-            writeln!(out, "{name:<28} {summary}").map_err(Error::stdout)?;
+        for l in LINTS {
+            writeln!(out, "{:<28} {}", l.name, l.summary).map_err(Error::stdout)?;
         }
         return Ok(0);
     }
     if let Some(name) = &args.explain {
-        let Some(text) = explain::render(name) else {
+        let Some(text) = iotax_audit::explain(name) else {
             return Err(Error::usage(format!(
                 "unknown lint `{name}` (known: {})",
                 iotax_audit::known_lint_names().join(", ")
@@ -186,55 +163,32 @@ fn run(args: &Args, session: &mut ObsSession, out: &mut impl Write) -> Result<i3
         audit_workspace(&args.root, &cfg)?
     };
 
-    if let Some(path) = &args.write_baseline {
-        Baseline::from_findings(&report.findings).save(path)?;
-        eprintln!(
-            "iotax-audit: wrote baseline with {} fingerprint(s) to {}",
-            report.findings.len(),
-            path.display()
-        );
-        return Ok(0);
-    }
-
-    let (fresh, baselined) = match &args.baseline {
-        Some(path) => Baseline::load(path)?.partition(report.findings),
-        None => (report.findings, 0),
-    };
+    let findings = &report.findings;
     if let Some(ledger) = session.ledger_mut() {
         ledger.add_section(
             "audit",
-            &AuditSection {
-                fresh: fresh.len() as u64,
-                baselined: baselined as u64,
-                suppressed: report.suppressed as u64,
-            },
+            &AuditSection { fresh: findings.len() as u64, suppressed: report.suppressed as u64 },
         );
     }
 
     if let Some(path) = &args.jsonl_out {
         let mut f = std::fs::File::create(path)
             .map_err(|e| Error::new(ErrorKind::Io, format!("creating {}: {e}", path.display())))?;
-        write_jsonl(&mut f, &fresh, baselined, report.suppressed)
+        write_jsonl(&mut f, findings, report.suppressed)
             .map_err(|e| Error::new(ErrorKind::Io, format!("writing {}: {e}", path.display())))?;
     }
 
     match args.format {
         Format::Text => {
-            for f in &fresh {
+            for f in findings {
                 writeln!(out, "{}\n", render_text(f)).map_err(Error::stdout)?;
             }
-            eprintln!(
-                "iotax-audit: {} new finding(s), {} baselined, {} suppressed",
-                fresh.len(),
-                baselined,
-                report.suppressed
-            );
         }
         Format::Jsonl => {
-            write_jsonl(out, &fresh, baselined, report.suppressed).map_err(Error::stdout)?;
+            write_jsonl(out, findings, report.suppressed).map_err(Error::stdout)?;
         }
         Format::Github => {
-            for f in &fresh {
+            for f in findings {
                 writeln!(
                     out,
                     "::warning file={},line={},col={},title={}::{}",
@@ -246,16 +200,17 @@ fn run(args: &Args, session: &mut ObsSession, out: &mut impl Write) -> Result<i3
                 )
                 .map_err(Error::stdout)?;
             }
-            eprintln!(
-                "iotax-audit: {} new finding(s), {} baselined, {} suppressed",
-                fresh.len(),
-                baselined,
-                report.suppressed
-            );
         }
     }
+    if args.format != Format::Jsonl {
+        eprintln!(
+            "iotax-audit: {} new finding(s), {} suppressed",
+            findings.len(),
+            report.suppressed
+        );
+    }
 
-    Ok(if fresh.is_empty() { 0 } else { 1 })
+    Ok(if findings.is_empty() { 0 } else { 1 })
 }
 
 /// Escape a GitHub workflow-command *message* (the part after `::`).

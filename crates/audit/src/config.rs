@@ -1,16 +1,12 @@
 //! `audit.toml`: per-crate lint configuration.
 //!
 //! The workspace vendors no TOML crate, so this module parses the small
-//! subset the config needs: `[section]` headers, `key = value` pairs with
-//! boolean and string-array values, and `#` comments.
-//! Anything outside that subset is a hard [`iotax_obs::ErrorKind::Parse`]
-//! error — a silently misread lint config is worse than a loud one.
+//! subset the config needs: `[section]` headers, `key = true|false`
+//! pairs, and `#` comments. Anything outside that subset — an unknown
+//! section, key or value — is a hard [`iotax_obs::ErrorKind::Parse`]
+//! error: a silently misread lint config is worse than a loud one.
 //!
 //! ```toml
-//! [workspace]
-//! include-tests = false
-//! exclude-dirs = ["fixtures"]
-//!
 //! [default]
 //! nondeterministic-time = true
 //!
@@ -21,24 +17,14 @@
 use iotax_obs::{Error, ErrorKind, Result};
 use std::collections::BTreeMap;
 
-/// One parsed value.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TomlValue {
-    /// `true` / `false`.
-    Bool(bool),
-    /// `["a", "b"]`.
-    StrArray(Vec<String>),
-}
-
 /// Parsed config file: section name → key → value. Section names keep
 /// their dotted form (`crate.iotax-darshan`) verbatim.
-pub(crate) type Sections = BTreeMap<String, BTreeMap<String, TomlValue>>;
+pub(crate) type Sections = BTreeMap<String, BTreeMap<String, bool>>;
 
 /// Parse the TOML subset. `origin` names the file in error messages.
 pub(crate) fn parse_toml_subset(text: &str, origin: &str) -> Result<Sections> {
     let mut sections: Sections = BTreeMap::new();
-    let mut current = String::from("");
-    sections.entry(current.clone()).or_default();
+    let mut current: Option<String> = None;
     for (no, raw) in text.lines().enumerate() {
         let line = strip_comment(raw).trim();
         if line.is_empty() {
@@ -51,15 +37,27 @@ pub(crate) fn parse_toml_subset(text: &str, origin: &str) -> Result<Sections> {
             let Some(name) = rest.strip_suffix(']') else {
                 return Err(err("unterminated section header"));
             };
-            current = name.trim().to_owned();
-            sections.entry(current.clone()).or_default();
+            let name = name.trim();
+            // Checked before any key, so a retired section fails as one.
+            if name != "default" && !name.starts_with("crate.") {
+                return Err(err("unknown section"));
+            }
+            sections.entry(name.to_owned()).or_default();
+            current = Some(name.to_owned());
             continue;
         }
+        let Some(section) = &current else {
+            return Err(err("key before any section header"));
+        };
         let Some((key, value)) = line.split_once('=') else {
             return Err(err("expected `key = value`"));
         };
-        let value = parse_value(value.trim()).ok_or_else(|| err("unsupported value"))?;
-        sections.entry(current.clone()).or_default().insert(key.trim().to_owned(), value);
+        let value = match value.trim() {
+            "true" => true,
+            "false" => false,
+            _ => return Err(err("unsupported value")),
+        };
+        sections.entry(section.clone()).or_default().insert(key.trim().to_owned(), value);
     }
     Ok(sections)
 }
@@ -75,30 +73,6 @@ fn strip_comment(line: &str) -> &str {
         }
     }
     line
-}
-
-fn parse_value(v: &str) -> Option<TomlValue> {
-    match v {
-        "true" => return Some(TomlValue::Bool(true)),
-        "false" => return Some(TomlValue::Bool(false)),
-        _ => {}
-    }
-    if let Some(inner) = v.strip_prefix('[').and_then(|r| r.strip_suffix(']')) {
-        let inner = inner.trim();
-        if inner.is_empty() {
-            return Some(TomlValue::StrArray(Vec::new()));
-        }
-        let mut items = Vec::new();
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue; // trailing comma
-            }
-            items.push(part.strip_prefix('"')?.strip_suffix('"')?.to_owned());
-        }
-        return Some(TomlValue::StrArray(items));
-    }
-    None
 }
 
 /// Effective lint settings for one crate.
@@ -119,27 +93,15 @@ impl CrateConfig {
 }
 
 /// The whole audit configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditConfig {
-    /// Also lint `tests/` directories and `#[cfg(test)]` items.
+    /// Also lint `tests/` directories and `#[cfg(test)]` items
+    /// (`--include-tests`; `audit.toml` has no key for it).
     pub include_tests: bool,
-    /// Directory names skipped anywhere in the tree (e.g. lint fixtures).
-    pub exclude_dirs: Vec<String>,
     /// `[default]` settings.
     default: CrateConfig,
     /// `[crate.NAME]` overrides.
     per_crate: BTreeMap<String, CrateConfig>,
-}
-
-impl Default for AuditConfig {
-    fn default() -> Self {
-        Self {
-            include_tests: false,
-            exclude_dirs: vec!["fixtures".to_owned()],
-            default: CrateConfig::default(),
-            per_crate: BTreeMap::new(),
-        }
-    }
 }
 
 impl AuditConfig {
@@ -149,39 +111,11 @@ impl AuditConfig {
         let sections = parse_toml_subset(text, origin)?;
         let mut cfg = AuditConfig::default();
         for (section, keys) in &sections {
-            if section.is_empty() && keys.is_empty() {
-                continue;
-            }
-            match section.as_str() {
-                "workspace" => {
-                    for (k, v) in keys {
-                        match (k.as_str(), v) {
-                            ("include-tests", TomlValue::Bool(b)) => cfg.include_tests = *b,
-                            ("exclude-dirs", TomlValue::StrArray(a)) => {
-                                cfg.exclude_dirs = a.clone()
-                            }
-                            _ => {
-                                return Err(Error::new(
-                                    ErrorKind::Parse,
-                                    format!("{origin}: unknown [workspace] key `{k}`"),
-                                ))
-                            }
-                        }
-                    }
-                }
-                "default" => apply_crate_keys(&mut cfg.default, keys, origin, known_lints)?,
-                other => {
-                    let Some(name) = other.strip_prefix("crate.") else {
-                        return Err(Error::new(
-                            ErrorKind::Parse,
-                            format!("{origin}: unknown section [{other}]"),
-                        ));
-                    };
-                    let mut crate_cfg = cfg.per_crate.remove(name).unwrap_or_default();
-                    apply_crate_keys(&mut crate_cfg, keys, origin, known_lints)?;
-                    cfg.per_crate.insert(name.to_owned(), crate_cfg);
-                }
-            }
+            let target = match section.strip_prefix("crate.") {
+                Some(name) => cfg.per_crate.entry(name.to_owned()).or_default(),
+                None => &mut cfg.default,
+            };
+            apply_crate_keys(target, keys, origin, known_lints)?;
         }
         Ok(cfg)
     }
@@ -202,19 +136,19 @@ impl AuditConfig {
 
 fn apply_crate_keys(
     cfg: &mut CrateConfig,
-    keys: &BTreeMap<String, TomlValue>,
+    keys: &BTreeMap<String, bool>,
     origin: &str,
     known_lints: &[&str],
 ) -> Result<()> {
     // `check-indexing` defaults true wherever a crate section appears.
     cfg.check_indexing = true;
-    for (k, v) in keys {
-        match (k.as_str(), v) {
-            ("check-indexing", TomlValue::Bool(b)) => cfg.check_indexing = *b,
-            (lint, TomlValue::Bool(b)) if known_lints.contains(&lint) => {
-                cfg.lints.insert(lint.to_owned(), *b);
+    for (k, &v) in keys {
+        match k.as_str() {
+            "check-indexing" => cfg.check_indexing = v,
+            lint if known_lints.contains(&lint) => {
+                cfg.lints.insert(lint.to_owned(), v);
             }
-            (lint, _) => {
+            lint => {
                 return Err(Error::new(
                     ErrorKind::Parse,
                     format!(
@@ -239,19 +173,14 @@ mod tests {
     fn parses_sections_values_and_comments() {
         let text = r#"
             # top comment
-            [workspace]
-            include-tests = false
-            exclude-dirs = ["fixtures", "golden"]  # inline comment
-
             [default]
-            nondeterministic-time = true
+            nondeterministic-time = true  # inline comment
 
             [crate.iotax-core]
             unchecked-cast = true
         "#;
         let cfg = AuditConfig::from_toml(text, "audit.toml", LINTS).unwrap();
-        assert!(!cfg.include_tests);
-        assert_eq!(cfg.exclude_dirs, vec!["fixtures", "golden"]);
+        assert!(!cfg.include_tests, "only --include-tests sets it");
         let core = cfg.for_crate("iotax-core");
         assert!(core.enabled("unchecked-cast"));
         assert!(core.enabled("nondeterministic-time"), "default inherited");
@@ -264,16 +193,27 @@ mod tests {
         let err = AuditConfig::from_toml("[default]\npanick = true", "a.toml", LINTS).unwrap_err();
         assert_eq!(err.kind(), iotax_obs::ErrorKind::Parse);
         assert!(err.context().contains("panick"));
-        // Unknown sections and keys are as loud as unknown lints.
-        for bad in ["[schema.ingest-report]\nreaders = []", "[workspace]\ncache = true"] {
+        // Unknown sections are as loud as unknown lints; the retired
+        // `[workspace]` section is one.
+        let retired = "[workspace]\ninclude-tests = false\nexclude-dirs = [\"fixtures\"]";
+        for bad in ["[schema.ingest-report]\nreaders = true", retired] {
             let err = AuditConfig::from_toml(bad, "a.toml", LINTS).unwrap_err();
             assert_eq!(err.kind(), iotax_obs::ErrorKind::Parse, "{bad}");
+            assert!(err.context().contains("unknown section"), "{bad}: {err}");
         }
     }
 
     #[test]
     fn malformed_lines_are_loud() {
-        for bad in ["[unclosed", "just words", "k = {}", "k = 3", "k = \"s\""] {
+        for bad in [
+            "[unclosed",
+            "k = true", // a key before any section
+            "[default]\njust words",
+            "[default]\nk = {}",
+            "[default]\nk = 3",
+            "[default]\nk = \"s\"",
+            "[default]\nk = [\"a\"]",
+        ] {
             let err = parse_toml_subset(bad, "a.toml").unwrap_err();
             assert_eq!(err.kind(), iotax_obs::ErrorKind::Parse, "{bad}");
         }

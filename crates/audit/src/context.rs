@@ -1,7 +1,8 @@
-//! Per-file analysis context: the code token stream plus the structural
-//! facts every lint needs — which tokens sit inside `#[cfg(test)]` items,
-//! what item (module/function) a token belongs to, and which suppression
-//! comments the file carries.
+//! Per-file analysis context: the code and comment token streams of one
+//! `lex` call, plus the structural facts every lint needs — which tokens
+//! sit inside `#[cfg(test)]` items and which suppression comments the
+//! file carries. Which item a token belongs to is the item parser's
+//! answer ([`crate::items::FileItems::path_at`]).
 
 use crate::lexer::{lex, Tok, TokKind};
 
@@ -27,15 +28,13 @@ pub struct Suppression {
 pub struct FileCx<'a> {
     /// The raw source.
     pub src: &'a str,
-    /// Code tokens only — comments stripped (they live in `suppressions`
-    /// and are otherwise irrelevant to lints).
+    /// Code tokens only — the lints never see comments.
     pub code: Vec<Tok>,
+    /// Comment tokens, in file order: the source of `suppressions` and of
+    /// the doc-comment words that keep a public API alive.
+    pub(crate) comments: Vec<Tok>,
     /// For `code[i]`, true when the token is inside a `#[cfg(test)]` item.
     in_test: Vec<bool>,
-    /// For `code[i]`, the innermost named item path (`mod_a::fn_b`).
-    item_of: Vec<u32>,
-    /// Interned item paths; `item_of` indexes this.
-    items: Vec<String>,
     /// Suppression comments, in file order.
     pub suppressions: Vec<Suppression>,
 }
@@ -43,16 +42,12 @@ pub struct FileCx<'a> {
 impl<'a> FileCx<'a> {
     /// Lex and analyze one file.
     pub fn new(src: &'a str) -> Self {
-        let all = lex(src);
-        let code: Vec<Tok> = all
-            .iter()
-            .copied()
-            .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-            .collect();
+        let (comments, code): (Vec<Tok>, Vec<Tok>) = lex(src)
+            .into_iter()
+            .partition(|t| matches!(t.kind, TokKind::LineComment | TokKind::BlockComment));
         let in_test = mark_test_regions(src, &code);
-        let (items, item_of) = track_items(src, &code);
-        let suppressions = parse_suppressions(src, &all, &code);
-        Self { src, code, in_test, item_of, items, suppressions }
+        let suppressions = parse_suppressions(src, &comments, &code);
+        Self { src, code, comments, in_test, suppressions }
     }
 
     /// Is code token `i` inside a `#[cfg(test)]` item?
@@ -60,9 +55,9 @@ impl<'a> FileCx<'a> {
         self.in_test.get(i).copied().unwrap_or(false)
     }
 
-    /// Item path (`mod::fn`) containing code token `i`; empty at top level.
-    pub fn item(&self, i: usize) -> &str {
-        self.item_of.get(i).and_then(|&id| self.items.get(id as usize)).map_or("", String::as_str)
+    /// The bodies of the doc comments (`///`, `//!`, `/**`, `/*!`).
+    pub(crate) fn doc_comments(&self) -> impl Iterator<Item = &str> {
+        self.comments.iter().map(|t| t.text(self.src)).filter(|body| is_doc(body))
     }
 
     /// Text of code token `i`.
@@ -172,96 +167,18 @@ fn item_end(src: &str, code: &[Tok], from: usize) -> usize {
     code.len()
 }
 
-/// Per-token innermost item path. A simple brace-depth walk: `mod X {`,
-/// `fn X …{`, `impl X … {`, `trait X {` push their name at the brace they
-/// open; the matching close pops it.
-fn track_items(src: &str, code: &[Tok]) -> (Vec<String>, Vec<u32>) {
-    let mut items: Vec<String> = vec![String::new()];
-    let mut item_of = vec![0u32; code.len()];
-    // Stack of (brace_depth_at_open, item_id).
-    let mut stack: Vec<(i32, u32)> = Vec::new();
-    let mut depth = 0i32;
-    // Name captured from the most recent item keyword, waiting for its `{`.
-    let mut pending: Option<String> = None;
-    let mut i = 0usize;
-    while i < code.len() {
-        let t = code[i].text(src);
-        match t {
-            "mod" | "fn" | "trait" | "struct" | "enum" if code[i].kind == TokKind::Ident => {
-                if let Some(name) = code.get(i + 1).map(|n| n.text(src)) {
-                    if code.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident) {
-                        pending = Some(name.to_owned());
-                    }
-                }
-            }
-            "impl" if code[i].kind == TokKind::Ident => {
-                // `impl Foo {` / `impl Trait for Foo {`: use the last
-                // ident before the opening brace as the name.
-                let mut j = i + 1;
-                let mut last = String::new();
-                let mut angle = 0i32;
-                while j < code.len() {
-                    let tj = code[j].text(src);
-                    match tj {
-                        "<" => angle += 1,
-                        ">" => angle -= 1,
-                        "{" if angle <= 0 => break,
-                        ";" => break,
-                        _ => {
-                            if code[j].kind == TokKind::Ident && tj != "for" && tj != "where" {
-                                last = tj.to_owned();
-                            }
-                        }
-                    }
-                    j += 1;
-                }
-                if !last.is_empty() {
-                    pending = Some(last);
-                }
-            }
-            "{" => {
-                depth += 1;
-                if let Some(name) = pending.take() {
-                    let parent = stack.last().map_or(0, |&(_, id)| id);
-                    let path = if items[parent as usize].is_empty() {
-                        name
-                    } else {
-                        format!("{}::{}", items[parent as usize], name)
-                    };
-                    let id = items.len() as u32;
-                    items.push(path);
-                    stack.push((depth, id));
-                }
-            }
-            "}" => {
-                if stack.last().is_some_and(|&(d, _)| d == depth) {
-                    stack.pop();
-                }
-                depth -= 1;
-            }
-            ";" => {
-                // `fn f();` in a trait, `struct X;` — the pending name
-                // never opens a brace.
-                pending = None;
-            }
-            _ => {}
-        }
-        item_of[i] = stack.last().map_or(0, |&(_, id)| id);
-        i += 1;
-    }
-    (items, item_of)
+/// Is this comment body a doc comment?
+fn is_doc(body: &str) -> bool {
+    ["///", "//!", "/**", "/*!"].iter().any(|p| body.starts_with(p))
 }
 
 /// Pull `audit:allow(...)` suppressions out of comment tokens.
-fn parse_suppressions(src: &str, all: &[Tok], code: &[Tok]) -> Vec<Suppression> {
+fn parse_suppressions(src: &str, comments: &[Tok], code: &[Tok]) -> Vec<Suppression> {
     let mut out = Vec::new();
-    for t in all {
-        if !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
-            continue;
-        }
+    for t in comments {
         let body = t.text(src);
         // Doc comments document the syntax; only plain comments suppress.
-        if ["///", "//!", "/**", "/*!"].iter().any(|p| body.starts_with(p)) {
+        if is_doc(body) {
             continue;
         }
         let Some(at) = body.find("audit:allow") else { continue };

@@ -31,31 +31,9 @@
 use crate::config::AuditConfig;
 use crate::flow::{const_init_idents, first_arg_idents, raw};
 use crate::lexer::TokKind;
-use crate::lints::{LintSpec, RawFinding};
+use crate::lints::RawFinding;
 use crate::symbols::{FileAnalysis, FileRole};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The dataflow lints, in reporting order (extends
-/// [`crate::lints::LINTS`] and [`crate::flow::FLOW_LINTS`] for config
-/// validation and `--list-lints`).
-pub const DATAFLOW_LINTS: &[LintSpec] = &[
-    LintSpec {
-        name: "untrusted-length-allocation",
-        summary: "wire-derived integer sizes an allocation or read with no intervening cap guard",
-    },
-    LintSpec {
-        name: "unordered-float-reduction",
-        summary: "hash-ordered float reduction breaks bit-identical metric replay",
-    },
-    LintSpec {
-        name: "lock-order-cycle",
-        summary: "locks acquired in conflicting orders across functions (deadlock precondition)",
-    },
-    LintSpec {
-        name: "unbounded-corpus-materialization",
-        summary: "corpus-scale stream is materialized in memory with no cardinality bound",
-    },
-];
 
 /// Built-in taint sources: callables whose integer result is attacker- or
 /// file-controlled (the little-endian readers and varint decoders every

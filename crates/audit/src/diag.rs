@@ -1,8 +1,7 @@
-//! Findings: the diagnostic record every lint produces, its stable
-//! fingerprint, and the text / JSON-lines renderers.
+//! Findings: the diagnostic record every lint produces, and the text /
+//! JSON-lines renderers.
 
 use serde::Serialize;
-use std::hash::{Hash, Hasher};
 use std::io;
 
 /// One lint finding.
@@ -23,30 +22,6 @@ pub struct Finding {
     pub item: String,
     /// What is wrong and what to do instead.
     pub message: String,
-    /// Stable identity for baselines: independent of line numbers, so a
-    /// finding keeps its fingerprint when unrelated edits move it.
-    pub fingerprint: String,
-}
-
-/// Compute the stable fingerprint for a finding-in-the-making.
-///
-/// Identity is `(crate, file, lint, item, message, k)` where `k`
-/// disambiguates repeated identical findings in the same item; line and
-/// column are deliberately excluded so baselines survive reformatting.
-pub fn fingerprint(
-    krate: &str,
-    file: &str,
-    lint: &str,
-    item: &str,
-    message: &str,
-    occurrence: usize,
-) -> String {
-    let mut h = iotax_stats::Fnv1aHasher::new();
-    for part in [krate, file, lint, item, message] {
-        part.hash(&mut h);
-    }
-    occurrence.hash(&mut h);
-    format!("{:016x}", h.finish())
 }
 
 /// Render one finding in the compiler-style text format.
@@ -60,7 +35,6 @@ pub fn render_text(f: &Finding) -> String {
 pub fn write_jsonl<W: io::Write>(
     w: &mut W,
     findings: &[Finding],
-    baselined: usize,
     suppressed: usize,
 ) -> io::Result<()> {
     for f in findings {
@@ -70,7 +44,6 @@ pub fn write_jsonl<W: io::Write>(
     let summary = serde::Value::Object(vec![
         ("record".to_owned(), serde::Value::Str("summary".to_owned())),
         ("new_findings".to_owned(), serde::Value::UInt(findings.len() as u64)),
-        ("baselined".to_owned(), serde::Value::UInt(baselined as u64)),
         ("suppressed".to_owned(), serde::Value::UInt(suppressed as u64)),
     ]);
     let line = serde_json::to_string(&summary).map_err(io::Error::other)?;
@@ -93,14 +66,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fingerprint_ignores_lines_but_not_occurrence() {
-        let a = fingerprint("c", "f.rs", "l", "m::f", "msg", 0);
-        let b = fingerprint("c", "f.rs", "l", "m::f", "msg", 1);
-        assert_ne!(a, b);
-        assert_eq!(a, fingerprint("c", "f.rs", "l", "m::f", "msg", 0));
-    }
-
-    #[test]
     fn jsonl_has_discriminators_and_summary() {
         let f = Finding {
             lint: "panic-in-parser".into(),
@@ -110,10 +75,9 @@ mod tests {
             col: 5,
             item: "parse_log".into(),
             message: "`.unwrap()` can panic".into(),
-            fingerprint: "abc".into(),
         };
         let mut buf = Vec::new();
-        write_jsonl(&mut buf, &[f], 2, 3).unwrap();
+        write_jsonl(&mut buf, &[f], 3).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -121,7 +85,6 @@ mod tests {
             lines[0].contains("\"record\":\"finding\"")
                 || lines[0].contains("\"record\": \"finding\"")
         );
-        assert!(lines[1].contains("summary"));
-        assert!(lines[1].contains("\"baselined\""));
+        assert_eq!(lines[1], r#"{"record":"summary","new_findings":1,"suppressed":3}"#);
     }
 }

@@ -1,6 +1,6 @@
 //! The lint driver: walks workspace crates, runs the configured lints on
-//! every source file, applies suppressions, and emits [`Finding`]s with
-//! stable fingerprints.
+//! every source file, applies suppressions, and emits [`Finding`]s, each
+//! naming the innermost item around it.
 //!
 //! # Pipeline
 //!
@@ -15,9 +15,10 @@
 //!    checked for cycles ([`dataflow`]);
 //! 4. **`audit.lint`**: the per-file passes run, their findings merge
 //!    with the workspace findings, and every file is finalized: suppressed,
-//!    checked by the meta-lints, and fingerprinted.
+//!    checked by the meta-lints, and named.
 //!
-//! Two meta-lints are always on and cannot be disabled:
+//! A reasoned waiver is the one way to accept a finding. Two meta-lints
+//! police the waivers; they are always on and cannot be disabled:
 //!
 //! * `bad-suppression` — an `audit:allow` comment with no `-- reason`, or
 //!   naming a lint that does not exist. Unreviewable waivers are findings.
@@ -25,14 +26,15 @@
 //!   Stale waivers rot into false documentation, so they must be removed.
 
 use crate::config::{AuditConfig, CrateConfig};
-use crate::context::FileCx;
+use crate::context::{FileCx, Suppression};
 use crate::dataflow;
-use crate::diag::{fingerprint, Finding};
+use crate::diag::Finding;
 use crate::flow;
+use crate::items::{parse_items, FileItems};
 use crate::lints::{self, LintOptions, RawFinding, LINTS};
 use crate::symbols::{analyze_file, FileAnalysis, FileRole, SourceSpec};
 use iotax_obs::{Error, ErrorKind, Result};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Result of auditing one file.
@@ -65,10 +67,11 @@ pub fn audit_source(
     include_tests: bool,
 ) -> FileReport {
     let cx = FileCx::new(src);
+    let items = parse_items(&cx);
     let opts = lint_options(cfg, include_tests);
     let mut raw = token_lints(&cx, cfg, &opts);
     raw.sort_by_key(|f| (f.line, f.col));
-    let (findings, suppressed) = finalize(krate, file, &cx, &raw);
+    let (findings, suppressed) = finalize(krate, file, &cx.suppressions, &items, &raw);
     FileReport { findings, suppressed }
 }
 
@@ -88,16 +91,15 @@ fn token_lints(cx: &FileCx<'_>, cfg: &CrateConfig, opts: &LintOptions) -> Vec<Ra
 }
 
 /// Apply suppressions and meta-lints to a file's position-sorted
-/// findings, then assemble [`Finding`]s with occurrence-indexed
-/// fingerprints.
+/// findings, then assemble [`Finding`]s named by the items around them.
 fn finalize(
     krate: &str,
     file: &str,
-    cx: &FileCx<'_>,
+    suppressions: &[Suppression],
+    items: &FileItems,
     sites: &[RawFinding],
 ) -> (Vec<Finding>, usize) {
     // Apply suppressions. Index i tracks how many findings each used.
-    let suppressions = &cx.suppressions;
     let known: Vec<&str> = lints::known_lint_names();
     let mut used = vec![0usize; suppressions.len()];
     let mut survivors: Vec<&RawFinding> = Vec::new();
@@ -160,27 +162,20 @@ fn finalize(
         }
     }
 
-    // Assemble findings with occurrence-indexed fingerprints. Occurrence
-    // counters are keyed on the fingerprint identity so identical findings
-    // in one item stay distinct and stable.
-    let mut occurrence: BTreeMap<(&str, &str, &str), usize> = BTreeMap::new();
-    let mut findings: Vec<Finding> = Vec::new();
-    for f in survivors.iter().copied().chain(meta.iter()) {
-        let item = cx.item(f.tok);
-        let k = occurrence.entry((f.lint, item, &f.message)).or_insert(0);
-        let fp = fingerprint(krate, file, f.lint, item, &f.message, *k);
-        *k += 1;
-        findings.push(Finding {
+    let mut findings: Vec<Finding> = survivors
+        .iter()
+        .copied()
+        .chain(meta.iter())
+        .map(|f| Finding {
             lint: f.lint.to_owned(),
             krate: krate.to_owned(),
             file: file.to_owned(),
             line: f.line,
             col: f.col,
-            item: item.to_owned(),
+            item: items.path_at(f.tok).to_owned(),
             message: f.message.clone(),
-            fingerprint: fp,
-        });
-    }
+        })
+        .collect();
     findings.sort_by_key(|f| (f.line, f.col, f.lint.clone()));
     (findings, suppressed)
 }
@@ -263,7 +258,7 @@ pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
         }
     }
 
-    // Per-file passes, then finalize: merge, suppress, fingerprint.
+    // Per-file passes, then finalize: merge, suppress, name.
     let _span = iotax_obs::span!("audit.lint");
     let sites: Vec<Vec<RawFinding>> =
         files.iter().map(|f| file_sites(f, cfg, &wire_sum, &corpus_sum)).collect();
@@ -271,7 +266,8 @@ pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
     for ((f, mut merged), mut ws) in files.iter().zip(sites).zip(workspace) {
         merged.append(&mut ws);
         merged.sort_by_key(|a| (a.line, a.col)); // stable
-        let (findings, suppressed) = finalize(&f.spec.krate, &f.spec.file, &f.cx, &merged);
+        let (findings, suppressed) =
+            finalize(&f.spec.krate, &f.spec.file, &f.cx.suppressions, &f.items, &merged);
         report.findings.extend(findings);
         report.suppressed += suppressed;
     }
@@ -297,7 +293,6 @@ fn collect_package_specs(
     root: &Path,
     dir: &Path,
     krate: &str,
-    cfg: &AuditConfig,
     specs: &mut Vec<SourceSpec>,
 ) -> Result<()> {
     for sub in ["src", "benches", "examples", "tests"] {
@@ -306,7 +301,7 @@ fn collect_package_specs(
             continue;
         }
         let mut files = Vec::new();
-        collect_rs_files(&base, &cfg.exclude_dirs, &mut files)?;
+        collect_rs_files(&base, &mut files)?;
         files.sort();
         for path in files {
             let src = std::fs::read_to_string(&path).map_err(|e| {
@@ -341,13 +336,13 @@ pub fn audit_workspace(root: &Path, cfg: &AuditConfig) -> Result<AuditReport> {
     let mut specs: Vec<SourceSpec> = Vec::new();
     for dir in dirs {
         let name = crate_name(&dir)?;
-        collect_package_specs(root, &dir, &name, cfg, &mut specs)?;
+        collect_package_specs(root, &dir, &name, &mut specs)?;
     }
     // The root facade package (examples, quickstart docs, integration
     // tests) is part of the workspace surface too.
     if root.join("Cargo.toml").is_file() && root.join("src").is_dir() {
         let name = crate_name(root)?;
-        collect_package_specs(root, root, &name, cfg, &mut specs)?;
+        collect_package_specs(root, root, &name, &mut specs)?;
     }
     specs.sort_by(|a, b| a.file.cmp(&b.file));
     Ok(audit_sources(specs, cfg))
@@ -379,8 +374,12 @@ fn crate_name(dir: &Path) -> Result<String> {
     Err(Error::new(ErrorKind::Parse, format!("{}: no [package] name found", manifest.display())))
 }
 
-/// Recursively collect `.rs` files, skipping excluded directory names.
-fn collect_rs_files(dir: &Path, exclude: &[String], out: &mut Vec<PathBuf>) -> Result<()> {
+/// Directory name skipped anywhere in the tree: the lint fixtures, whose
+/// code is deliberately bad.
+const FIXTURES_DIR: &str = "fixtures";
+
+/// Recursively collect `.rs` files, skipping [`FIXTURES_DIR`].
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<()> {
     let entries = std::fs::read_dir(dir)
         .map_err(|e| Error::new(ErrorKind::Io, format!("reading {}: {e}", dir.display())))?;
     for entry in entries {
@@ -390,10 +389,9 @@ fn collect_rs_files(dir: &Path, exclude: &[String], out: &mut Vec<PathBuf>) -> R
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if exclude.iter().any(|d| d == name.as_ref()) {
-                continue;
+            if name != FIXTURES_DIR {
+                collect_rs_files(&path, out)?;
             }
-            collect_rs_files(&path, exclude, out)?;
         } else if name.ends_with(".rs") {
             out.push(path);
         }
@@ -402,7 +400,7 @@ fn collect_rs_files(dir: &Path, exclude: &[String], out: &mut Vec<PathBuf>) -> R
 }
 
 /// Workspace-relative path with forward slashes (stable across hosts, so
-/// fingerprints match between CI and laptops).
+/// reports match between CI and laptops).
 fn rel_display(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
@@ -468,30 +466,17 @@ mod tests {
     }
 
     #[test]
-    fn identical_findings_get_distinct_fingerprints() {
-        let src = "fn f() { a.unwrap(); a.unwrap(); }\n";
-        let r = audit_source("c", "f.rs", src, &cfg(&["panic-in-parser"]), false);
-        assert_eq!(r.findings.len(), 2);
-        assert_ne!(r.findings[0].fingerprint, r.findings[1].fingerprint);
-    }
-
-    #[test]
-    fn fingerprints_survive_line_shifts() {
-        let a = audit_source(
-            "c",
-            "f.rs",
-            "fn f() { x.unwrap(); }\n",
-            &cfg(&["panic-in-parser"]),
-            false,
-        );
-        let b = audit_source(
-            "c",
-            "f.rs",
-            "\n\n\nfn f() { x.unwrap(); }\n",
-            &cfg(&["panic-in-parser"]),
-            false,
-        );
-        assert_eq!(a.findings[0].fingerprint, b.findings[0].fingerprint);
-        assert_ne!(a.findings[0].line, b.findings[0].line);
+    fn findings_name_the_innermost_item_around_them() {
+        let cases = [
+            ("fn kept(xs: &[u8]) -> impl Iterator<Item = &u8> { xs.unwrap() }", "kept"),
+            ("impl E { fn new(c: impl Into<String>) -> Self { c.unwrap() } }", "E::new"),
+            ("impl R { fn push(&mut self, s: &[[f64; 3]]) { s.unwrap(); } }", "R::push"),
+            ("struct S { bytes: [u8; N.unwrap()] }", "S"),
+        ];
+        for (src, want) in cases {
+            let r = audit_source("c", "f.rs", src, &cfg(&["panic-in-parser"]), false);
+            assert_eq!(r.findings.len(), 1, "{src}: {:?}", r.findings);
+            assert_eq!(r.findings[0].item, want, "{src}");
+        }
     }
 }

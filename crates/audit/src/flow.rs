@@ -20,22 +20,9 @@
 use crate::config::AuditConfig;
 use crate::items::{Item, ItemKind, Vis};
 use crate::lexer::TokKind;
-use crate::lints::{LintSpec, RawFinding};
+use crate::lints::RawFinding;
 use crate::symbols::{FileAnalysis, FileRole};
 use std::collections::BTreeSet;
-
-/// The flow analyses, in reporting order (extends [`crate::lints::LINTS`]
-/// for config validation and `--list-lints`).
-pub const FLOW_LINTS: &[LintSpec] = &[
-    LintSpec {
-        name: "seed-provenance",
-        summary: "RNG seed does not trace back to a parameter or run seed (ambient/literal)",
-    },
-    LintSpec {
-        name: "dead-public-api",
-        summary: "pub item in a library crate with zero workspace references outside it",
-    },
-];
 
 // ---------------------------------------------------------------------------
 // seed-provenance

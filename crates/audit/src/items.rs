@@ -72,8 +72,8 @@ pub struct Item {
     pub kind: ItemKind,
     /// Name (for [`ItemKind::Impl`], the self type's last identifier).
     pub name: String,
-    /// Full path within the file (`mod_a::fn_b`), matching the
-    /// [`FileCx::item`] convention.
+    /// Full path within the file (`mod_a::fn_b`); a finding inside the
+    /// item's body names it ([`FileItems::path_at`]).
     pub path: String,
     /// Visibility.
     pub vis: Vis,
@@ -83,8 +83,9 @@ pub struct Item {
     pub col: u32,
     /// Code-token index of the name token (for span attribution).
     pub tok: usize,
-    /// Code-token range of the `{ … }` body, exclusive of both braces.
-    /// `None` for `;`-terminated items.
+    /// Code-token range of the `{ … }` body (a struct's fields, an
+    /// enum's variants), exclusive of both braces. `None` for
+    /// `;`-terminated and tuple items.
     pub body: Option<(usize, usize)>,
     /// Parameter names of a fn (`self` included verbatim).
     pub params: Vec<String>,
@@ -107,32 +108,30 @@ pub struct FileItems {
 }
 
 impl FileItems {
+    /// Index of the innermost item that `keep` accepts and whose body
+    /// holds code token `tok`. In the preorder list a nested body starts
+    /// after the bodies around it, so the innermost has the largest start.
+    fn innermost(&self, tok: usize, keep: impl Fn(&Item) -> bool) -> Option<usize> {
+        self.items
+            .iter()
+            .enumerate()
+            .filter(|(_, item)| keep(item))
+            .filter_map(|(i, item)| item.body.map(|(lo, hi)| (i, lo, hi)))
+            .filter(|&(_, lo, hi)| lo <= tok && tok < hi)
+            .max_by_key(|&(_, lo, _)| lo)
+            .map(|(i, _, _)| i)
+    }
+
     /// Index of the innermost `Fn` item whose body contains code token
     /// `tok`, if any.
     pub(crate) fn enclosing_fn(&self, tok: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, item) in self.items.iter().enumerate() {
-            if item.kind != ItemKind::Fn {
-                continue;
-            }
-            if let Some((lo, hi)) = item.body {
-                if lo <= tok && tok < hi {
-                    // Innermost wins: a later preorder item with a
-                    // containing body is nested deeper.
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            let (blo, _) = self.items[b].body.unwrap_or((0, usize::MAX));
-                            lo >= blo
-                        }
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-        }
-        best
+        self.innermost(tok, |item| item.kind == ItemKind::Fn)
+    }
+
+    /// Path of the innermost item whose body holds code token `tok` — the
+    /// `item` a finding there names; empty outside every body.
+    pub(crate) fn path_at(&self, tok: usize) -> &str {
+        self.innermost(tok, |_| true).map_or("", |i| self.items[i].path.as_str())
     }
 }
 
@@ -236,6 +235,18 @@ impl<'a, 'b> Parser<'a, 'b> {
             }
             *i += 1;
         }
+    }
+
+    /// With `*i` on a `{`, skip past its matching `}` without recursion
+    /// and return the body's range; `None` when no `{` is there.
+    fn skip_body(&mut self, i: &mut usize, end: usize) -> Option<(usize, usize)> {
+        if !self.is_punct(*i, "{") {
+            return None;
+        }
+        *i += 1;
+        let body_lo = *i;
+        self.skip_balanced(i, end);
+        Some((body_lo, i.saturating_sub(1)))
     }
 
     /// Skip one `#[…]` attribute starting at `*i` (on the `#`).
@@ -350,13 +361,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                 while *i < end && !self.is_punct(*i, "{") && !self.is_punct(*i, ";") {
                     *i += 1;
                 }
-                let mut body = None;
-                if self.is_punct(*i, "{") {
-                    *i += 1;
-                    let body_lo = *i;
-                    self.skip_balanced(i, end);
-                    body = Some((body_lo, i.saturating_sub(1)));
-                }
+                let body = self.skip_body(i, end);
                 self.push(Item {
                     kind: ItemKind::Macro,
                     name,
@@ -654,10 +659,8 @@ impl<'a, 'b> Parser<'a, 'b> {
             }
             *i += 1;
         }
-        if self.is_punct(*i, "{") {
-            *i += 1;
-            self.skip_balanced(i, end);
-        } else if self.is_punct(*i, ";") {
+        let body = self.skip_body(i, end);
+        if body.is_none() && self.is_punct(*i, ";") {
             *i += 1;
         }
         self.push(Item {
@@ -668,7 +671,7 @@ impl<'a, 'b> Parser<'a, 'b> {
             line,
             col,
             tok,
-            body: None,
+            body,
             params: Vec::new(),
             trait_impl: false,
             parent,
@@ -796,6 +799,7 @@ mod tests {
             fi.items.iter().map(|x| (x.kind, x.name.as_str())).collect();
         let want = vec![(ItemKind::Struct, "S"), (ItemKind::Enum, "E"), (ItemKind::Fn, "after")];
         assert_eq!(kinds, want);
+        assert!(fi.items[0].body.is_some() && fi.items[1].body.is_some(), "bodies recorded");
     }
 
     #[test]
@@ -807,6 +811,8 @@ mod tests {
             (0..cx.code.len()).find(|&j| cx.ident_at(j, "target")).expect("target token");
         let encl = fi.enclosing_fn(target_tok).expect("enclosing fn");
         assert_eq!(fi.items[encl].name, "inner");
+        assert_eq!(fi.path_at(target_tok), "outer::inner");
+        assert_eq!(fi.path_at(0), "", "the `fn` keyword sits outside every body");
     }
 
     #[test]

@@ -27,38 +27,35 @@
 //!    pattern this workspace actually writes, and false positives have a
 //!    first-class escape: reasoned suppressions.
 //! 3. **Reviewable waivers.** `// audit:allow(lint) -- reason` is the
-//!    only way to silence a finding, the reason is mandatory, and unused
+//!    only way to accept a finding, the reason is mandatory, and unused
 //!    or malformed waivers are themselves findings.
-//! 4. **CI-stable.** Fingerprints ignore line numbers, so a `--baseline`
-//!    file survives reformatting; exit codes are fixed contract.
+//! 4. **CI-stable.** Findings come out in one canonical order (path,
+//!    position, lint), whatever the walk or input order; exit codes are
+//!    fixed contract.
 //!
 //! Exit codes (sysexits, matching `iotax_obs::ErrorKind`):
 //!
 //! | code | meaning |
 //! |------|---------|
-//! | 0 | clean (or all findings baselined) |
-//! | 1 | new findings |
+//! | 0 | clean |
+//! | 1 | findings |
 //! | 64 | usage error |
-//! | 65 | config / baseline parse error |
+//! | 65 | config parse error |
 //! | 74 | I/O error |
 
-pub mod baseline;
 pub mod config;
 pub mod context;
 pub mod dataflow;
 pub mod diag;
 pub mod driver;
-pub mod explain;
 pub mod flow;
 pub mod items;
 pub mod lexer;
 pub mod lints;
 pub mod symbols;
 
-pub use baseline::Baseline;
 pub use config::{AuditConfig, CrateConfig};
 pub use context::FileCx;
-pub use dataflow::DATAFLOW_LINTS;
 pub use diag::{render_text, write_jsonl, Finding};
 pub use driver::{audit_source, audit_workspace, AuditReport, FileReport};
-pub use lints::{known_lint_names, LintSpec, LINTS};
+pub use lints::{explain, known_lint_names, LintSpec, LINTS};

@@ -37,59 +37,194 @@ pub(crate) struct RawFinding {
     pub message: String,
 }
 
-/// Static description of one lint.
+/// One lint's entry in the catalogue: its name and the texts
+/// `--list-lints` and `--explain` print.
 // audit:allow(dead-public-api) -- element type of the public LINTS table, which the iotax-audit bin lists
 pub struct LintSpec {
     /// Lint name as written in config and suppressions.
     pub name: &'static str,
     /// One-line description for `--list-lints`.
     pub summary: &'static str,
+    /// Why the pattern is a hazard in this workspace specifically.
+    rationale: &'static str,
+    /// A minimal violating snippet.
+    bad: &'static str,
+    /// The sanctioned fix idiom.
+    good: &'static str,
 }
 
-/// All domain lints, in reporting order. The two meta-lints
-/// (`bad-suppression`, `unused-suppression`) are always on and live in
-/// the driver.
+/// The one lint catalogue, in reporting order: the seven token lints
+/// (this module), the two flow lints ([`crate::flow`]), the four dataflow
+/// lints ([`crate::dataflow`]), then the two meta-lints
+/// (`bad-suppression`, `unused-suppression`), which are always on and live
+/// in [`crate::driver`].
 pub const LINTS: &[LintSpec] = &[
     LintSpec {
         name: "nondeterministic-time",
         summary: "Instant::now/SystemTime::now outside iotax-obs breaks replay determinism",
+        rationale: "Instant::now/SystemTime::now outside iotax-obs makes stage output depend on \
+                    the wall clock, so a replayed run cannot reproduce its trace byte-for-byte. \
+                    All timing flows through obs spans, which the replay harness can stub.",
+        bad: "let t0 = Instant::now();\nrecord.elapsed_us = t0.elapsed().as_micros();",
+        good: "let _span = iotax_obs::span!(\"stage.fit\"); // timing lives in the span sink",
     },
     LintSpec {
         name: "ambient-randomness",
         summary: "RNG not derived from seed substreams breaks bit-for-bit reproducibility",
+        rationale: "thread_rng/from_entropy seed from the OS, so two runs with the same --seed \
+                    diverge. Every RNG must derive from the run seed through substreams.",
+        bad: "let mut rng = rand::thread_rng();",
+        good: "let mut rng = substream(run_seed, STREAM_FIT);",
     },
     LintSpec {
         name: "unordered-iteration",
         summary: "HashMap/HashSet iteration feeding bytes or statistics is order-nondeterministic",
+        rationale: "HashMap/HashSet iteration order changes every process (randomized hasher), \
+                    so bytes or statistics derived from it differ run to run and break the \
+                    byte-determinism contract on serialized traces.",
+        bad: "for (name, stat) in &by_feature { writeln!(out, \"{name} {stat}\")?; }",
+        good: "let mut rows: Vec<_> = by_feature.iter().collect();\n\
+               rows.sort_by_key(|(name, _)| *name);\n\
+               for (name, stat) in rows { writeln!(out, \"{name} {stat}\")?; }",
     },
     LintSpec {
         name: "panic-in-parser",
         summary: "unwrap/expect/panic!/indexing in parser code paths violates totality",
+        rationale: "unwrap/expect/panic in parsing code turns malformed telemetry into a crash; \
+                    the salvage pipeline requires parsers to be total and return Err so bad \
+                    records quarantine instead of killing the run.",
+        bad: "let count = header.records.unwrap();",
+        good: "let count = header.records.ok_or_else(|| Error::parse(\"missing record count\"))?;",
     },
     LintSpec {
         name: "unchecked-cast",
         summary: "lossy `as` cast on counter/offset math can truncate silently",
+        rationale: "`as` silently truncates (u64 → u32 drops high bits, f64 → usize saturates \
+                    differently per platform), corrupting counters parsed from logs. Fallible \
+                    conversions make the truncation a handled error.",
+        bad: "let n = record_count as u32;",
+        good: "let n = u32::try_from(record_count).map_err(|_| Error::parse(\"count overflow\"))?;",
     },
     LintSpec {
         name: "swallowed-result",
         summary: "`let _ =` or trailing `.ok()` silently discards a Result",
+        rationale: "`.ok()` / `let _ =` on a Result hides I/O and parse failures, so a stage \
+                    reports success while its output is missing or partial — the exact silent \
+                    absorption of error sources the taxonomy exists to expose.",
+        bad: "std::fs::write(&path, bytes).ok();",
+        good: "std::fs::write(&path, bytes).map_err(|e| Error::io(\"writing report\", e))?;",
     },
     LintSpec {
         name: "unsynced-durable-write",
         summary: "file written then renamed into place with no fsync between; a crash can publish a torn file",
+        rationale: "A rename or create-then-write without fsync leaves the durability to the \
+                    kernel's writeback timing: after a crash the file may be empty or torn even \
+                    though the write returned Ok. Durable paths fsync the file and its parent \
+                    directory.",
+        bad: "std::fs::rename(&tmp, &path)?;",
+        good: "std::fs::rename(&tmp, &path)?;\nfsync_dir(path.parent().unwrap())?;",
+    },
+    LintSpec {
+        name: "seed-provenance",
+        summary: "RNG seed does not trace back to a parameter or run seed (ambient/literal)",
+        rationale: "An RNG seeded from the wall clock or a buried literal cannot be replayed or \
+                    varied from the command line. Every seed must trace (through let-chains) to \
+                    a function parameter or config field fed by the run seed.",
+        bad: "let rng = substream(42, STREAM_FIT);",
+        good: "pub fn fit(seed: u64, …) {\n    let rng = substream(seed, STREAM_FIT);",
+    },
+    LintSpec {
+        name: "dead-public-api",
+        summary: "pub item in a library crate with zero workspace references outside it",
+        rationale: "`pub` in a library crate is a promise that somebody outside consumes the \
+                    item; unreferenced pub surface accretes, hides real API, and silently \
+                    bit-rots because nothing exercises it.",
+        bad: "pub fn helper_nobody_calls() {}",
+        good: "pub(crate) fn helper() {} // or delete it, or waive with a reasoned audit:allow",
+    },
+    LintSpec {
+        name: "untrusted-length-allocation",
+        summary: "wire-derived integer sizes an allocation or read with no intervening cap guard",
+        rationale: "A length decoded from the wire (varint, u32_le, …) that reaches \
+                    with_capacity/vec![_; n]/reserve/take un-capped lets a forged record drive \
+                    an allocation of arbitrary size — one corrupt segment can OOM the whole \
+                    analysis. Every wire length must be bounded before it sizes anything.",
+        bad: "let n = r.varint()? as usize;\nlet mut buf = Vec::with_capacity(n);",
+        good: "let n = (r.varint()? as usize).min(MAX_RECORD_LEN);\n\
+               let mut buf = Vec::with_capacity(n);",
+    },
+    LintSpec {
+        name: "unordered-float-reduction",
+        summary: "hash-ordered float reduction breaks bit-identical metric replay",
+        rationale: "Float addition is not associative, so a sum/fold/reduce over a hash \
+                    container's iteration order groups differently per process, which \
+                    violates the f64::to_bits-exact equivalence contract the perf gate \
+                    enforces. Reduce over a fixed order: sort the entries or use a BTreeMap.",
+        bad: "let total: f64 = scores_by_job.values().sum(); // HashMap order",
+        good: "let total: f64 = scores_by_job.values().sum(); // BTreeMap: key order",
+    },
+    LintSpec {
+        name: "lock-order-cycle",
+        summary: "locks acquired in conflicting orders across functions (deadlock precondition)",
+        rationale: "Two locks acquired in opposite orders on different paths is the classic \
+                    deadlock precondition: each thread holds one and waits for the other. The \
+                    workspace lock graph must stay acyclic — one global acquisition order.",
+        bad: "fn ingest(&self) { let _a = self.index.lock(); let _b = self.store.lock(); }\n\
+              fn query(&self)  { let _b = self.store.lock(); let _a = self.index.lock(); }",
+        good: "fn query(&self) { let _a = self.index.lock(); let _b = self.store.lock(); }\n\
+               // same order everywhere: index before store",
+    },
+    LintSpec {
+        name: "unbounded-corpus-materialization",
+        summary: "corpus-scale stream is materialized in memory with no cardinality bound",
+        rationale: "The paper's Cori corpus is ~1.1M jobs. A collect/to_vec/read_to_end — or a \
+                    push-per-job into a container that outlives the loop — over a corpus-scale \
+                    stream holds the whole corpus in memory at once, which the planned \
+                    out-of-core pipeline cannot afford. Every site flagged here is an entry on \
+                    the streaming-refactor work-list; suppressions must carry an `out-of-core:` \
+                    plan.",
+        bad: "let rows: Vec<Row> = ds.jobs().map(featurize).collect();",
+        good: "let mut acc = StreamingMoments::default();\n\
+               for job in ds.jobs().take(budget) { acc.push(featurize(job)); }",
+    },
+    LintSpec {
+        name: "bad-suppression",
+        summary: "suppression without reason or naming an unknown lint (always on)",
+        rationale: "An audit:allow with no `-- reason`, or naming a lint that does not exist, \
+                    is an unreviewable waiver: nobody can judge later whether it still applies.",
+        bad: "x.unwrap() // audit:allow(panic-in-parser)",
+        good: "x.unwrap() // audit:allow(panic-in-parser) -- index bounds checked on line above",
+    },
+    LintSpec {
+        name: "unused-suppression",
+        summary: "suppression that matched no finding (always on)",
+        rationale: "A suppression that matches no finding is stale documentation: it claims a \
+                    hazard exists where none does, and it will silently mask a future finding \
+                    at that line. Dead waivers must be deleted.",
+        bad: "// audit:allow(unchecked-cast) -- fits in u32   (but the cast was removed)",
+        good: "(delete the comment)",
     },
 ];
 
 /// Names of all lints, for config validation (includes the meta-lints so
 /// they can be listed in suppressions without tripping validation).
 pub fn known_lint_names() -> Vec<&'static str> {
-    LINTS
-        .iter()
-        .chain(crate::flow::FLOW_LINTS)
-        .chain(crate::dataflow::DATAFLOW_LINTS)
-        .map(|l| l.name)
-        .chain(["bad-suppression", "unused-suppression"])
-        .collect()
+    LINTS.iter().map(|l| l.name).collect()
+}
+
+/// `--explain LINT`: the rationale, a violating snippet and the fix idiom,
+/// rendered for the terminal; `None` for unknown names.
+pub fn explain(name: &str) -> Option<String> {
+    let l = LINTS.iter().find(|l| l.name == name)?;
+    let indent =
+        |s: &str| s.lines().map(|line| format!("    {line}")).collect::<Vec<_>>().join("\n");
+    Some(format!(
+        "{}\n\n{}\n\nviolating:\n{}\n\nfix:\n{}\n",
+        l.name,
+        l.rationale,
+        indent(l.bad),
+        indent(l.good)
+    ))
 }
 
 /// Options threaded from [`crate::config::CrateConfig`] into the lints.
@@ -581,6 +716,19 @@ mod tests {
         let cx = FileCx::new(src);
         let opts = LintOptions { include_tests: false, check_indexing: true };
         run_lint(lint, &cx, &opts)
+    }
+
+    #[test]
+    fn explain_includes_all_sections() {
+        let text = explain("untrusted-length-allocation").unwrap();
+        assert!(text.contains("violating:"));
+        assert!(text.contains("fix:"));
+        assert!(text.contains("with_capacity"));
+    }
+
+    #[test]
+    fn unknown_lint_explains_nothing() {
+        assert!(explain("no-such-lint").is_none());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::context::FileCx;
 use crate::items::{parse_items, FileItems};
-use crate::lexer::{lex, TokKind};
+use crate::lexer::TokKind;
 use std::collections::BTreeSet;
 
 /// What kind of target a source file belongs to. Determines whether its
@@ -124,17 +124,7 @@ pub fn analyze_file(spec: &SourceSpec) -> FileAnalysis<'_> {
     }
     // Doc comments keep an API alive: the facade quickstart and module
     // examples are real consumers. Plain comments are not.
-    for t in lex(&spec.src) {
-        if !matches!(
-            t.kind,
-            crate::lexer::TokKind::LineComment | crate::lexer::TokKind::BlockComment
-        ) {
-            continue;
-        }
-        let body = t.text(&spec.src);
-        if !["///", "//!", "/**", "/*!"].iter().any(|p| body.starts_with(p)) {
-            continue;
-        }
+    for body in cx.doc_comments() {
         for word in body.split(|c: char| !c.is_alphanumeric() && c != '_') {
             if !word.is_empty() && !word.starts_with(|c: char| c.is_ascii_digit()) {
                 mentions.insert(word.to_owned());

@@ -14,8 +14,12 @@ fn help_prints_usage_to_stdout_and_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage:"));
 
-    let out = Command::new(EXE).arg("--no-such-flag").output().expect("spawning iotax-audit");
-    assert_eq!(out.status.code(), Some(64), "unknown flags stay usage errors");
+    // The retired baseline flags are unknown flags like any other.
+    for args in [&["--no-such-flag"][..], &["--baseline", "x"], &["--write-baseline", "x"]] {
+        let out = Command::new(EXE).args(args).output().expect("spawning iotax-audit");
+        assert_eq!(out.status.code(), Some(64), "{args:?}: unknown flags stay usage errors");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"), "{args:?}");
+    }
 }
 
 #[test]

@@ -369,7 +369,7 @@ fn mixed_corpus() -> Vec<SourceSpec> {
 
 fn render(r: &AuditReport) -> String {
     let mut buf = Vec::new();
-    write_jsonl(&mut buf, &r.findings, 0, r.suppressed).expect("write to Vec");
+    write_jsonl(&mut buf, &r.findings, r.suppressed).expect("write to Vec");
     String::from_utf8(buf).expect("jsonl is utf-8")
 }
 

@@ -1,6 +1,6 @@
-//! Pins the machine-readable diagnostic format. CI parses this JSONL and
-//! baselines store the fingerprints, so any drift in field names, ordering,
-//! or fingerprint derivation is a breaking change that must show up here.
+//! Pins the machine-readable diagnostic format. CI parses this JSONL, so
+//! any drift in field names, ordering, or item naming is a breaking change
+//! that must show up here.
 
 use iotax_audit::{audit_source, write_jsonl, CrateConfig};
 
@@ -13,7 +13,7 @@ fn jsonl_output_matches_golden() {
     let report =
         audit_source("fixture", "tests/fixtures/panic_in_parser_violating.rs", src, &cfg, false);
     let mut buf = Vec::new();
-    write_jsonl(&mut buf, &report.findings, 0, report.suppressed).expect("write to Vec");
+    write_jsonl(&mut buf, &report.findings, report.suppressed).expect("write to Vec");
     let got = String::from_utf8(buf).expect("jsonl is utf-8");
     let want = include_str!("golden/panic_in_parser.jsonl");
     assert_eq!(got, want, "JSONL diagnostic format drifted from the pinned golden file");

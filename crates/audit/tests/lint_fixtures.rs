@@ -1,7 +1,7 @@
 //! Per-lint fixture tests: every lint must fire on its violating fixture,
 //! fall silent (with the suppression counted) on its suppressed fixture,
 //! and stay quiet on its clean fixture. The fixtures live under
-//! `tests/fixtures/` — a directory the workspace config excludes, so the
+//! `tests/fixtures/` — a directory the workspace walk skips, so the
 //! deliberately bad code never shows up in a real audit run.
 
 use iotax_audit::{audit_source, CrateConfig, FileReport};
@@ -143,19 +143,14 @@ fn unknown_lint_in_suppression_is_flagged() {
 }
 
 #[test]
-fn findings_are_ordered_and_fingerprinted() {
+fn findings_are_in_source_order() {
     let report =
         audit_fixture("panic-in-parser", include_str!("fixtures/panic_in_parser_violating.rs"));
-    let mut lines: Vec<(u32, u32)> = report.findings.iter().map(|f| (f.line, f.col)).collect();
+    let lines: Vec<(u32, u32)> = report.findings.iter().map(|f| (f.line, f.col)).collect();
     let sorted = {
         let mut s = lines.clone();
         s.sort_unstable();
         s
     };
     assert_eq!(lines, sorted, "findings must be in source order");
-    lines.dedup();
-    let mut fps: Vec<&str> = report.findings.iter().map(|f| f.fingerprint.as_str()).collect();
-    fps.sort_unstable();
-    fps.dedup();
-    assert_eq!(fps.len(), report.findings.len(), "fingerprints must be unique per finding");
 }

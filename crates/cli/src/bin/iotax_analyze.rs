@@ -33,14 +33,13 @@
 //! the ledger still written.
 
 use iotax_cli::{
-    ingest_trace, trace_duplicate_sets, trace_to_dataset, IngestOptions, IngestReport, ObsArgs,
-    ObsSession, OBS_USAGE,
+    ingest_trace, trace_duplicate_sets, trace_to_dataset, IngestOptions, IngestReport,
 };
 use iotax_core::{
     app_modeling_bound, concurrent_noise_floor, empirical_coverage, interval_from_floor,
     TaxonomyRun, ThroughputInterval,
 };
-use iotax_obs::{digest_bytes, Error};
+use iotax_obs::{digest_bytes, Error, ObsArgs, ObsSession, OBS_USAGE};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 

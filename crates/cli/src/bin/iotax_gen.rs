@@ -23,10 +23,10 @@
 //! so a clean run encodes every log once and parses none.
 //!
 //! The observability flags (`--ledger`, `--store`) are shared with
-//! `iotax-analyze` and `iotax-audit`; see `iotax_cli::obsargs`.
+//! `iotax-analyze` and `iotax-audit`; see `iotax_obs::ObsArgs`.
 
-use iotax_cli::{export_trace, export_trace_with_faults, ObsArgs, ObsSession, OBS_USAGE};
-use iotax_obs::{digest_bytes, Error};
+use iotax_cli::{export_trace, export_trace_with_faults};
+use iotax_obs::{digest_bytes, Error, ObsArgs, ObsSession, OBS_USAGE};
 use iotax_sim::{FaultPlan, Platform, SimConfig};
 use std::io::Write;
 use std::path::PathBuf;

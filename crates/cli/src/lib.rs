@@ -25,13 +25,13 @@
 //! ```
 
 pub mod ingest;
-pub mod obsargs;
 
 pub use ingest::{
     ingest_trace, ingest_trace_with_reader, inject_faults, simulated_transient_reader,
     IngestOptions, IngestReport, QuarantinedFile, SalvageNote,
 };
-pub use obsargs::{ObsArgs, ObsSession, OBS_USAGE};
+// `perfbench-trace`, outside the workspace, imports `iotax_cli::ObsArgs`.
+pub use iotax_obs::{ObsArgs, ObsSession, OBS_USAGE};
 
 use iotax_darshan::format::write_log;
 use iotax_darshan::record::{FileRecord, JobLog, ModuleData, ModuleId};

@@ -239,7 +239,7 @@ impl Ledger {
     /// An empty ledger with no sink directory yet: pair with
     /// [`set_store`](Ledger::set_store) (store-only runs have no run
     /// directory to create up front).
-    pub fn create_detached(tool: &str, tool_version: &str, args: Vec<String>) -> Self {
+    pub(crate) fn create_detached(tool: &str, tool_version: &str, args: Vec<String>) -> Self {
         let started_unix_ms =
             SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64);
         let mut seed = format!("{tool}\u{1f}{started_unix_ms}\u{1f}{}", std::process::id());
@@ -272,7 +272,7 @@ impl Ledger {
 
     /// Additionally (or solely) appends the finished run to the durable
     /// segment-log store at `dir` — the `--store` sink.
-    pub fn set_store(&mut self, dir: impl Into<PathBuf>) {
+    pub(crate) fn set_store(&mut self, dir: impl Into<PathBuf>) {
         self.store = Some(dir.into());
     }
 
@@ -309,6 +309,7 @@ impl Ledger {
     }
 
     /// Records one workspace crate version baked into the binary.
+    // audit:allow(dead-public-api) -- the root package's run.json wire-format pin (tests/run_ledger_golden.rs) records a crate version through it; it installs the global sink, so it cannot share this crate's unit-test binary
     pub fn add_crate_version(&mut self, name: &str, version: &str) {
         self.manifest.crate_versions.push((name.to_owned(), version.to_owned()));
     }

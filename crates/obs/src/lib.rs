@@ -23,6 +23,9 @@
 //! * **Durable store** ([`store`]) — an append-only, CRC-checked
 //!   segment log that [`Ledger::finish`] can append finished runs to
 //!   (`--store`), with torn-write recovery and quarantine reporting.
+//! * **Shared flags** ([`ObsArgs`], [`ObsSession`]) — the one parser of
+//!   `--ledger` / `--store` that every workspace bin folds into its flag
+//!   loop, and the session that writes `run.json` on every exit path.
 //!
 //! ```
 //! use iotax_obs::{counter, MemorySink};
@@ -45,6 +48,7 @@ pub mod alloc;
 mod error;
 mod ledger;
 mod metrics;
+mod obsargs;
 mod recorder;
 mod sink;
 mod span;
@@ -57,9 +61,10 @@ pub use metrics::{
     register_counter, register_gauge, register_histogram, Counter, CounterSnapshot, Gauge,
     GaugeSnapshot, Histogram, HistogramSummary,
 };
+pub use obsargs::{ObsArgs, ObsSession, OBS_USAGE};
 pub use recorder::{
-    flush_blackbox, install_recorder, record_event, start_heartbeat, uptime_us, FlightEvent,
-    Heartbeat, HeartbeatLine, BLACKBOX_DIR, HEARTBEAT_FILE,
+    install_recorder, record_event, uptime_us, FlightEvent, HeartbeatLine, BLACKBOX_DIR,
+    HEARTBEAT_FILE,
 };
 pub use sink::{flush_metrics, restore_sink, set_sink, MemorySink, NoopSink, Sink};
 pub use span::{

@@ -2,15 +2,16 @@
 //!
 //! `iotax-gen`, `iotax-analyze`, and `iotax-audit` all accept
 //! `--ledger DIR` (write a self-contained run directory, see
-//! [`iotax_obs::Ledger`]; a reused directory loses the earlier run's
+//! [`Ledger`](crate::Ledger); a reused directory loses the earlier run's
 //! `run.json`, heartbeat stream and black box) and `--store DIR` (append
 //! the finished run to the durable CRC-checked segment-log store, see
-//! [`iotax_obs::store`]). Each binary folds [`ObsArgs::accept`] into its
+//! [`store`](crate::store)). Each binary folds [`ObsArgs::accept`] into its
 //! flag loop instead of keeping its own copy of the parsing, then
 //! [`ObsArgs::install`]s the ledger once and [`ObsSession::finish`]es on
 //! every exit path so `run.json` carries the real exit status.
 
-use iotax_obs::{Heartbeat, Ledger, Result, BLACKBOX_DIR, HEARTBEAT_FILE};
+use crate::recorder::{flush_blackbox, start_heartbeat, Heartbeat};
+use crate::{Ledger, Result, BLACKBOX_DIR, HEARTBEAT_FILE};
 use std::path::PathBuf;
 
 /// Usage-string fragment for the shared flags.
@@ -82,7 +83,7 @@ impl ObsArgs {
                 ledger.add_crate_version(name, env!("CARGO_PKG_VERSION"));
             }
             // audit:allow(swallowed-result) -- the displaced default NoopSink is dropped by design
-            let _ = iotax_obs::set_sink(ledger.sink());
+            let _ = crate::set_sink(ledger.sink());
             Some(ledger)
         } else {
             None
@@ -94,9 +95,9 @@ impl ObsArgs {
         // in the run ledger.
         let heartbeat = match (&self.ledger, &ledger) {
             (Some(dir), Some(ledger)) => {
-                iotax_obs::install_heap_accounting();
-                iotax_obs::install_recorder(dir.join(BLACKBOX_DIR), ledger.run_id(), None);
-                Some(iotax_obs::start_heartbeat(dir.join(HEARTBEAT_FILE), HEARTBEAT_PERIOD_MS))
+                crate::install_heap_accounting();
+                crate::install_recorder(dir.join(BLACKBOX_DIR), ledger.run_id(), None);
+                Some(start_heartbeat(dir.join(HEARTBEAT_FILE), HEARTBEAT_PERIOD_MS))
             }
             _ => None,
         };
@@ -129,7 +130,7 @@ impl ObsSession {
     /// the flight recorder's ring is then flushed as a black box. It comes
     /// after `run.json`, so a black box with no `run.json` beside it means
     /// a run that died unfinished and nothing else (see
-    /// [`iotax_obs::run_crashed`]).
+    /// [`run_crashed`](crate::run_crashed)).
     ///
     /// Returns `exit_status` unchanged — observability teardown failures
     /// are reported to stderr but can never mask the run's own outcome,
@@ -147,7 +148,7 @@ impl ObsSession {
             }
         }
         if exit_status != 0 {
-            if let Some(path) = iotax_obs::flush_blackbox(&format!("fatal exit {exit_status}")) {
+            if let Some(path) = flush_blackbox(&format!("fatal exit {exit_status}")) {
                 eprintln!("flight recorder: black box written to {}", path.display());
             }
         }
@@ -158,7 +159,7 @@ impl ObsSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotax_obs::Error;
+    use crate::Error;
 
     #[test]
     fn accept_consumes_only_shared_flags() {

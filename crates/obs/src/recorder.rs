@@ -307,7 +307,7 @@ fn capture_counter_deltas(recorder: &Recorder) {
 /// ring order. Returns the directory written, or `None` when no recorder
 /// is installed or the flush failed (failures are reported to stderr,
 /// never raised — this runs inside the panic hook).
-pub fn flush_blackbox(reason: &str) -> Option<PathBuf> {
+pub(crate) fn flush_blackbox(reason: &str) -> Option<PathBuf> {
     let mut written: Option<PathBuf> = None;
     with_recorder(|r| {
         // try_lock: if the panicking thread died inside a ring push, the
@@ -373,7 +373,7 @@ pub struct HeartbeatLine {
 
 /// Handle to the background heartbeat writer; stops (and joins) the
 /// thread on [`Heartbeat::stop`] or drop.
-pub struct Heartbeat {
+pub(crate) struct Heartbeat {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -402,7 +402,7 @@ impl Drop for Heartbeat {
 /// [`HeartbeatLine`] to `path` and folds counter movement into the
 /// flight-recorder ring. Write failures are silently dropped — the
 /// heartbeat is best-effort liveness, not ledger data.
-pub fn start_heartbeat(path: PathBuf, period_ms: u64) -> Heartbeat {
+pub(crate) fn start_heartbeat(path: PathBuf, period_ms: u64) -> Heartbeat {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let handle = std::thread::Builder::new()
