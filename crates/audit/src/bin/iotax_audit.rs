@@ -8,15 +8,14 @@
 //! ```
 //!
 //! Exit codes: 0 clean (and `--help`), 1 findings, 64 usage,
-//! 65 config parse, 74 I/O.
+//! 65 a crate manifest without a package name, 74 I/O.
 //!
 //! The observability flags (`--ledger`, `--store`) are shared with the
 //! other workspace bins; see `iotax_obs::ObsArgs`. A ledger run records
-//! the effective `audit.toml` digest and a `"audit"` section with the
-//! finding counts, so `iotax-report diff` can show lint drift between two
-//! audits.
+//! a `"audit"` section with the finding counts, so `iotax-report diff` can
+//! show lint drift between two audits.
 
-use iotax_audit::{audit_workspace, render_text, write_jsonl, AuditConfig, LINTS};
+use iotax_audit::{audit_workspace, render_text, write_jsonl, LINTS};
 use iotax_obs::{digest_bytes, Error, ErrorKind, ObsArgs, ObsSession, OBS_USAGE};
 use serde::Serialize;
 use std::io::Write;
@@ -25,7 +24,6 @@ use std::path::PathBuf;
 struct Args {
     workspace: bool,
     root: PathBuf,
-    config: Option<PathBuf>,
     format: Format,
     jsonl_out: Option<PathBuf>,
     obs: ObsArgs,
@@ -53,7 +51,7 @@ struct AuditSection {
 fn usage() -> String {
     format!(
         "usage: iotax-audit (--workspace | --list-lints | --explain LINT) \
-         [--root DIR] [--config PATH] [--format text|jsonl|github] \
+         [--root DIR] [--format text|jsonl|github] \
          [--jsonl-out PATH] {OBS_USAGE} [--include-tests]"
     )
 }
@@ -62,7 +60,6 @@ fn parse_args() -> Result<Args, Error> {
     let mut args = Args {
         workspace: false,
         root: PathBuf::from("."),
-        config: None,
         format: Format::Text,
         jsonl_out: None,
         obs: ObsArgs::default(),
@@ -77,7 +74,6 @@ fn parse_args() -> Result<Args, Error> {
         match flag.as_str() {
             "--workspace" => args.workspace = true,
             "--root" => args.root = PathBuf::from(value("--root")?),
-            "--config" => args.config = Some(PathBuf::from(value("--config")?)),
             "--format" => {
                 args.format = match value("--format")?.as_str() {
                     "text" => Format::Text,
@@ -112,25 +108,6 @@ fn parse_args() -> Result<Args, Error> {
     Ok(args)
 }
 
-/// The `--config` file, else `ROOT/audit.toml` if it exists, else the
-/// default config; `--include-tests` applies to all three.
-fn load_config(args: &Args) -> Result<(AuditConfig, Option<PathBuf>), Error> {
-    let default = args.root.join("audit.toml");
-    let path = args.config.clone().or_else(|| default.is_file().then_some(default));
-    let mut cfg = match &path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| {
-                Error::new(ErrorKind::Io, format!("reading {}: {e}", path.display()))
-            })?;
-            let known = iotax_audit::known_lint_names();
-            AuditConfig::from_toml(&text, &path.display().to_string(), &known)?
-        }
-        None => AuditConfig::default(),
-    };
-    cfg.include_tests = args.include_tests;
-    Ok((cfg, path))
-}
-
 /// Runs the audit (or lists or explains lints), writing its report to
 /// `out`.
 fn run(args: &Args, session: &mut ObsSession, out: &mut impl Write) -> Result<i32, Error> {
@@ -151,16 +128,12 @@ fn run(args: &Args, session: &mut ObsSession, out: &mut impl Write) -> Result<i3
         return Ok(0);
     }
 
-    let (cfg, cfg_path) = load_config(args)?;
     if let Some(ledger) = session.ledger_mut() {
-        match &cfg_path {
-            Some(path) => ledger.add_input(path),
-            None => ledger.set_config_digest(digest_bytes(b"default")),
-        }
+        ledger.set_config_digest(digest_bytes(b"default"));
     }
     let report = {
         let _span = iotax_obs::span!("audit");
-        audit_workspace(&args.root, &cfg)?
+        audit_workspace(&args.root, args.include_tests)?
     };
 
     let findings = &report.findings;

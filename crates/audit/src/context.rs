@@ -80,12 +80,6 @@ impl<'a> FileCx<'a> {
     pub(crate) fn punct_at(&self, i: usize, ch: &str) -> bool {
         self.kind(i) == TokKind::Punct && self.text(i) == ch
     }
-
-    /// Match a sequence of token texts starting at `i` (idents and puncts
-    /// both compared by text).
-    pub(crate) fn seq_at(&self, i: usize, texts: &[&str]) -> bool {
-        texts.iter().enumerate().all(|(k, t)| self.text(i + k) == *t)
-    }
 }
 
 /// Mark code tokens covered by a `#[cfg(test)]` attribute's item (or by a

@@ -8,7 +8,7 @@ use std::io;
 #[derive(Debug, Clone, PartialEq, Serialize)]
 // audit:allow(dead-public-api) -- element type of AuditReport's public `findings` field; the iotax-audit bin renders them
 pub struct Finding {
-    /// Lint name (`panic-in-parser`, …).
+    /// Lint name (`swallowed-result`, …).
     pub lint: String,
     /// Crate the file belongs to (`iotax-darshan`).
     pub krate: String,
@@ -68,13 +68,13 @@ mod tests {
     #[test]
     fn jsonl_has_discriminators_and_summary() {
         let f = Finding {
-            lint: "panic-in-parser".into(),
+            lint: "swallowed-result".into(),
             krate: "iotax-darshan".into(),
             file: "crates/darshan/src/format.rs".into(),
             line: 10,
             col: 5,
             item: "parse_log".into(),
-            message: "`.unwrap()` can panic".into(),
+            message: "`let _ =` silently discards a Result".into(),
         };
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &[f], 3).unwrap();

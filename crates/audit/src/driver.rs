@@ -1,5 +1,5 @@
-//! The lint driver: walks workspace crates, runs the configured lints on
-//! every source file, applies suppressions, and emits [`Finding`]s, each
+//! The lint driver: walks workspace crates, runs every lint on every
+//! source file, applies suppressions, and emits [`Finding`]s, each
 //! naming the innermost item around it.
 //!
 //! # Pipeline
@@ -25,13 +25,12 @@
 //! * `unused-suppression` — an `audit:allow` that suppressed nothing.
 //!   Stale waivers rot into false documentation, so they must be removed.
 
-use crate::config::{AuditConfig, CrateConfig};
 use crate::context::{FileCx, Suppression};
 use crate::dataflow;
 use crate::diag::Finding;
 use crate::flow;
 use crate::items::{parse_items, FileItems};
-use crate::lints::{self, LintOptions, RawFinding, LINTS};
+use crate::lints::{self, RawFinding};
 use crate::symbols::{analyze_file, FileAnalysis, FileRole, SourceSpec};
 use iotax_obs::{Error, ErrorKind, Result};
 use std::collections::BTreeSet;
@@ -59,35 +58,13 @@ pub struct AuditReport {
 /// Audit one in-memory source file with the token lints only: no
 /// filesystem and no cross-file passes.
 // audit:allow(dead-public-api) -- the single-file seam tests/lint_fixtures.rs and tests/prop.rs drive
-pub fn audit_source(
-    krate: &str,
-    file: &str,
-    src: &str,
-    cfg: &CrateConfig,
-    include_tests: bool,
-) -> FileReport {
+pub fn audit_source(krate: &str, file: &str, src: &str, include_tests: bool) -> FileReport {
     let cx = FileCx::new(src);
     let items = parse_items(&cx);
-    let opts = lint_options(cfg, include_tests);
-    let mut raw = token_lints(&cx, cfg, &opts);
+    let mut raw = lints::token_lints(&cx, include_tests);
     raw.sort_by_key(|f| (f.line, f.col));
     let (findings, suppressed) = finalize(krate, file, &cx.suppressions, &items, &raw);
     FileReport { findings, suppressed }
-}
-
-fn lint_options(cfg: &CrateConfig, include_tests: bool) -> LintOptions {
-    LintOptions { include_tests, check_indexing: cfg.check_indexing }
-}
-
-/// Run every enabled token lint on one file.
-fn token_lints(cx: &FileCx<'_>, cfg: &CrateConfig, opts: &LintOptions) -> Vec<RawFinding> {
-    let mut raw: Vec<RawFinding> = Vec::new();
-    for spec in LINTS {
-        if cfg.enabled(spec.name) {
-            raw.extend(lints::run_lint(spec.name, cx, opts));
-        }
-    }
-    raw
 }
 
 /// Apply suppressions and meta-lints to a file's position-sorted
@@ -185,35 +162,25 @@ fn finalize(
 /// Returns position-sorted findings.
 fn file_sites(
     f: &FileAnalysis<'_>,
-    cfg: &AuditConfig,
+    include_tests: bool,
     wire_sum: &BTreeSet<String>,
     corpus_sum: &BTreeSet<String>,
 ) -> Vec<RawFinding> {
-    let cc = cfg.for_crate(&f.spec.krate);
-    let opts = lint_options(&cc, cfg.include_tests);
-    let mut raw = if f.spec.role == FileRole::Test && !cfg.include_tests {
+    let mut raw = if f.spec.role == FileRole::Test && !include_tests {
         Vec::new()
     } else {
-        token_lints(&f.cx, &cc, &opts)
+        lints::token_lints(&f.cx, include_tests)
     };
     if f.spec.role != FileRole::Test {
         // Per-site flow + dataflow analyses skip test targets entirely.
-        if cc.enabled("seed-provenance") {
-            raw.extend(flow::seed_provenance(f));
-        }
-        if cc.enabled("untrusted-length-allocation") {
-            raw.extend(dataflow::untrusted_length_allocation(f, &dataflow::wire_vocab(), wire_sum));
-        }
-        if cc.enabled("unordered-float-reduction") {
-            raw.extend(dataflow::unordered_float_reduction(f));
-        }
-        if cc.enabled("unbounded-corpus-materialization") {
-            raw.extend(dataflow::unbounded_corpus_materialization(
-                f,
-                &dataflow::corpus_vocab(),
-                corpus_sum,
-            ));
-        }
+        raw.extend(flow::seed_provenance(f));
+        raw.extend(dataflow::untrusted_length_allocation(f, &dataflow::wire_vocab(), wire_sum));
+        raw.extend(dataflow::unordered_float_reduction(f));
+        raw.extend(dataflow::unbounded_corpus_materialization(
+            f,
+            &dataflow::corpus_vocab(),
+            corpus_sum,
+        ));
     }
     raw.sort_by_key(|r| (r.line, r.col));
     raw
@@ -225,9 +192,9 @@ fn file_sites(
 /// the phases.
 ///
 /// Test-target files (`tests/…`) always join the corpus, but token lints
-/// skip them unless `cfg.include_tests` is set.
+/// skip them unless `include_tests` is set.
 // audit:allow(dead-public-api) -- the in-memory corpus seam tests/flow_fixtures.rs drives
-pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
+pub fn audit_sources(specs: Vec<SourceSpec>, include_tests: bool) -> AuditReport {
     let (files, wire_sum, corpus_sum) = {
         let _span = iotax_obs::span!("audit.parse");
         iotax_obs::counter!("audit.files").incr(specs.len() as u64);
@@ -247,13 +214,13 @@ pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
     let mut workspace: Vec<Vec<RawFinding>> = files.iter().map(|_| Vec::new()).collect();
     {
         let _span = iotax_obs::span!("audit.flow");
-        for (fi, s) in flow::dead_public_api(&files, cfg) {
+        for (fi, s) in flow::dead_public_api(&files) {
             workspace[fi].push(s);
         }
     }
     {
         let _span = iotax_obs::span!("audit.dataflow");
-        for (fi, s) in dataflow::lock_order_cycle(&files, cfg) {
+        for (fi, s) in dataflow::lock_order_cycle(&files) {
             workspace[fi].push(s);
         }
     }
@@ -261,7 +228,7 @@ pub fn audit_sources(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> AuditReport {
     // Per-file passes, then finalize: merge, suppress, name.
     let _span = iotax_obs::span!("audit.lint");
     let sites: Vec<Vec<RawFinding>> =
-        files.iter().map(|f| file_sites(f, cfg, &wire_sum, &corpus_sum)).collect();
+        files.iter().map(|f| file_sites(f, include_tests, &wire_sum, &corpus_sum)).collect();
     let mut report = AuditReport::default();
     for ((f, mut merged), mut ws) in files.iter().zip(sites).zip(workspace) {
         merged.append(&mut ws);
@@ -318,7 +285,7 @@ fn collect_package_specs(
 /// Audit the whole workspace: every crate under `<root>/crates/` plus the
 /// root facade package. Vendored crates are outside the audit's
 /// jurisdiction by construction.
-pub fn audit_workspace(root: &Path, cfg: &AuditConfig) -> Result<AuditReport> {
+pub fn audit_workspace(root: &Path, include_tests: bool) -> Result<AuditReport> {
     let crates_dir = root.join("crates");
     let entries = std::fs::read_dir(&crates_dir)
         .map_err(|e| Error::new(ErrorKind::Io, format!("reading {}: {e}", crates_dir.display())))?;
@@ -345,7 +312,7 @@ pub fn audit_workspace(root: &Path, cfg: &AuditConfig) -> Result<AuditReport> {
         collect_package_specs(root, root, &name, &mut specs)?;
     }
     specs.sort_by(|a, b| a.file.cmp(&b.file));
-    Ok(audit_sources(specs, cfg))
+    Ok(audit_sources(specs, include_tests))
 }
 
 /// Read the `name = "…"` from a crate's `[package]` section. Full TOML is
@@ -410,26 +377,22 @@ fn rel_display(root: &Path, path: &Path) -> String {
 mod tests {
     use super::*;
 
-    fn cfg(lints: &[&str]) -> CrateConfig {
-        let mut c = CrateConfig { check_indexing: true, ..CrateConfig::default() };
-        for l in lints {
-            c.lints.insert((*l).to_owned(), true);
-        }
-        c
+    fn audit(src: &str) -> FileReport {
+        audit_source("c", "f.rs", src, false)
     }
 
     #[test]
     fn trailing_suppression_with_reason_is_clean() {
-        let src = "fn f() { x.unwrap(); } // audit:allow(panic-in-parser) -- test seam\n";
-        let r = audit_source("c", "f.rs", src, &cfg(&["panic-in-parser"]), false);
+        let src = "fn f() { x.ok(); } // audit:allow(swallowed-result) -- test seam\n";
+        let r = audit(src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed, 1);
     }
 
     #[test]
     fn suppression_without_reason_is_flagged() {
-        let src = "fn f() { x.unwrap(); } // audit:allow(panic-in-parser)\n";
-        let r = audit_source("c", "f.rs", src, &cfg(&["panic-in-parser"]), false);
+        let src = "fn f() { x.ok(); } // audit:allow(swallowed-result)\n";
+        let r = audit(src);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].lint, "bad-suppression");
         assert_eq!(r.suppressed, 1, "still suppresses, but loudly");
@@ -437,15 +400,15 @@ mod tests {
 
     #[test]
     fn standalone_suppression_covers_next_line() {
-        let src = "fn f() {\n    // audit:allow(panic-in-parser) -- caller checked bounds\n    x.unwrap();\n}\n";
-        let r = audit_source("c", "f.rs", src, &cfg(&["panic-in-parser"]), false);
+        let src = "fn f() {\n    // audit:allow(swallowed-result) -- best-effort cleanup\n    x.ok();\n}\n";
+        let r = audit(src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
 
     #[test]
     fn unused_suppression_is_flagged() {
-        let src = "// audit:allow(panic-in-parser) -- stale\nfn f() { g(); }\n";
-        let r = audit_source("c", "f.rs", src, &cfg(&["panic-in-parser"]), false);
+        let src = "// audit:allow(swallowed-result) -- stale\nfn f() { g(); }\n";
+        let r = audit(src);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].lint, "unused-suppression");
     }
@@ -453,14 +416,14 @@ mod tests {
     #[test]
     fn unknown_lint_in_suppression_is_flagged() {
         let src = "fn f() { g(); } // audit:allow(no-such-lint) -- why\n";
-        let r = audit_source("c", "f.rs", src, &cfg(&[]), false);
+        let r = audit(src);
         assert!(r.findings.iter().any(|f| f.lint == "bad-suppression"));
     }
 
     #[test]
     fn file_level_suppression_covers_everything() {
-        let src = "// audit:allow-file(panic-in-parser) -- generated parser tables\nfn f() { a.unwrap(); }\nfn g() { b.unwrap(); }\n";
-        let r = audit_source("c", "f.rs", src, &cfg(&["panic-in-parser"]), false);
+        let src = "// audit:allow-file(swallowed-result) -- best-effort cleanup\nfn f() { a.ok(); }\nfn g() { b.ok(); }\n";
+        let r = audit(src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed, 2);
     }
@@ -468,13 +431,13 @@ mod tests {
     #[test]
     fn findings_name_the_innermost_item_around_them() {
         let cases = [
-            ("fn kept(xs: &[u8]) -> impl Iterator<Item = &u8> { xs.unwrap() }", "kept"),
-            ("impl E { fn new(c: impl Into<String>) -> Self { c.unwrap() } }", "E::new"),
-            ("impl R { fn push(&mut self, s: &[[f64; 3]]) { s.unwrap(); } }", "R::push"),
-            ("struct S { bytes: [u8; N.unwrap()] }", "S"),
+            ("fn kept(xs: &[u8]) -> impl Iterator<Item = &u8> { g().ok(); xs.iter() }", "kept"),
+            ("impl E { fn new(c: impl Into<String>) -> Self { c.ok(); E } }", "E::new"),
+            ("impl R { fn push(&mut self, s: &[[f64; 3]]) { s.ok(); } }", "R::push"),
+            ("struct S { bytes: [u8; { N.ok(); 1 }] }", "S"),
         ];
         for (src, want) in cases {
-            let r = audit_source("c", "f.rs", src, &cfg(&["panic-in-parser"]), false);
+            let r = audit(src);
             assert_eq!(r.findings.len(), 1, "{src}: {:?}", r.findings);
             assert_eq!(r.findings[0].item, want, "{src}");
         }

@@ -17,7 +17,6 @@
 //! `seed-provenance` is a per-file pass; `dead-public-api` is a workspace
 //! pass over every file's analysis.
 
-use crate::config::AuditConfig;
 use crate::items::{Item, ItemKind, Vis};
 use crate::lexer::TokKind;
 use crate::lints::RawFinding;
@@ -270,14 +269,11 @@ const IMPLICIT_NAMES: &[&str] = &[
 
 /// Flaggable `pub` items of library files that no file outside their
 /// crate mentions, as findings indexed by file.
-pub(crate) fn dead_public_api(
-    files: &[FileAnalysis<'_>],
-    cfg: &AuditConfig,
-) -> Vec<(usize, RawFinding)> {
+pub(crate) fn dead_public_api(files: &[FileAnalysis<'_>]) -> Vec<(usize, RawFinding)> {
     let mut out = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         let krate = &f.spec.krate;
-        if f.spec.role != FileRole::Lib || !cfg.for_crate(krate).enabled("dead-public-api") {
+        if f.spec.role != FileRole::Lib {
             continue;
         }
         for it in &f.items.items {
@@ -393,7 +389,6 @@ pub(crate) fn raw(
 #[cfg(test)]
 mod tests {
     use super::referenced_outside;
-    use crate::config::AuditConfig;
     use crate::diag::Finding;
     use crate::driver::audit_sources;
     use crate::symbols::{analyze_file, FileAnalysis, FileRole, SourceSpec};
@@ -407,13 +402,8 @@ mod tests {
         }
     }
 
-    fn cfg_all() -> AuditConfig {
-        let toml = "[default]\nseed-provenance = true\ndead-public-api = true\n";
-        AuditConfig::from_toml(toml, "test", &crate::lints::known_lint_names()).unwrap()
-    }
-
-    fn run(specs: Vec<SourceSpec>, cfg: &AuditConfig) -> Vec<Finding> {
-        audit_sources(specs, cfg).findings
+    fn run(specs: Vec<SourceSpec>) -> Vec<Finding> {
+        audit_sources(specs, false).findings
     }
 
     #[test]
@@ -458,7 +448,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "pub fn run(seed: u64) { let rng = substream(seed ^ 0xFA, 7); }",
         );
-        let found = run(vec![clean], &cfg_all());
+        let found = run(vec![clean]);
         assert!(found.iter().all(|f| f.lint != "seed-provenance"), "{found:?}");
 
         let dirty = spec(
@@ -467,7 +457,7 @@ mod tests {
             "pub fn run() { let t = SystemTime::now(); let s = hashof(t); \
              let rng = substream(s, 7); }",
         );
-        let found = run(vec![dirty], &cfg_all());
+        let found = run(vec![dirty]);
         assert!(
             found
                 .iter()
@@ -481,7 +471,7 @@ mod tests {
     fn literal_seed_is_flagged_unresolved_is_not() {
         let lit =
             spec("iotax-x", "crates/x/src/lib.rs", "pub fn run() { let r = substream(42, 1); }");
-        let seeds: Vec<String> = run(vec![lit], &cfg_all())
+        let seeds: Vec<String> = run(vec![lit])
             .into_iter()
             .filter(|f| f.lint == "seed-provenance")
             .map(|f| f.lint)
@@ -494,7 +484,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "pub fn run(cfg: &Config) { let r = substream(cfg.seed, 1); }",
         );
-        assert!(run(vec![field], &cfg_all()).iter().all(|f| f.lint != "seed-provenance"));
+        assert!(run(vec![field]).iter().all(|f| f.lint != "seed-provenance"));
 
         // A free fn result is unresolvable → conservative pass.
         let unknown = spec(
@@ -502,7 +492,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "pub fn run() { let r = substream(derive_seed(), 1); }",
         );
-        assert!(run(vec![unknown], &cfg_all()).iter().all(|f| f.lint != "seed-provenance"));
+        assert!(run(vec![unknown]).iter().all(|f| f.lint != "seed-provenance"));
     }
 
     #[test]
@@ -513,7 +503,7 @@ mod tests {
             "pub fn used() {}\npub fn unused_helper() {}\npub(crate) fn internal() {}",
         );
         let user = spec("iotax-y", "crates/y/src/lib.rs", "fn f() { used(); }");
-        let found = run(vec![lib, user], &cfg_all());
+        let found = run(vec![lib, user]);
         let dead: Vec<&str> = found
             .iter()
             .filter(|f| f.lint == "dead-public-api")

@@ -84,8 +84,9 @@ pub struct Item {
     /// Code-token index of the name token (for span attribution).
     pub tok: usize,
     /// Code-token range of the `{ … }` body (a struct's fields, an
-    /// enum's variants), exclusive of both braces. `None` for
-    /// `;`-terminated and tuple items.
+    /// enum's variants), exclusive of both braces; a body that never
+    /// closes runs to the end of input. `None` for `;`-terminated and
+    /// tuple items.
     pub body: Option<(usize, usize)>,
     /// Parameter names of a fn (`self` included verbatim).
     pub params: Vec<String>,
@@ -168,7 +169,8 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     /// Parse the region `[*i, end)` as a block body at `depth`.
-    /// Consumes the matching `}` when one closes this block.
+    /// Consumes the matching `}` when one closes this block, and says
+    /// whether one did.
     fn block(
         &mut self,
         i: &mut usize,
@@ -176,7 +178,7 @@ impl<'a, 'b> Parser<'a, 'b> {
         depth: u32,
         parent: Option<usize>,
         in_trait_impl: bool,
-    ) {
+    ) -> bool {
         self.max_depth = self.max_depth.max(depth);
         while *i < end {
             let t = self.text(*i);
@@ -189,7 +191,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                 }
                 (TokKind::Punct, "}") => {
                     *i += 1;
-                    return;
+                    return true;
                 }
                 (
                     TokKind::Ident,
@@ -199,10 +201,12 @@ impl<'a, 'b> Parser<'a, 'b> {
                 _ => *i += 1,
             }
         }
+        false
     }
 
     /// Enter a nested block: recurse when under the depth cap, otherwise
-    /// skip it iteratively so the call stack stays bounded.
+    /// skip it iteratively so the call stack stays bounded. Says whether
+    /// a `}` closed it.
     fn enter(
         &mut self,
         i: &mut usize,
@@ -210,18 +214,18 @@ impl<'a, 'b> Parser<'a, 'b> {
         depth: u32,
         parent: Option<usize>,
         in_trait_impl: bool,
-    ) {
+    ) -> bool {
         if depth < MAX_DEPTH {
-            self.block(i, end, depth + 1, parent, in_trait_impl);
+            self.block(i, end, depth + 1, parent, in_trait_impl)
         } else {
             self.max_depth = MAX_DEPTH;
-            self.skip_balanced(i, end);
+            self.skip_balanced(i, end)
         }
     }
 
     /// With `*i` just past an opening `{`, advance past its matching `}`
-    /// without recursion.
-    fn skip_balanced(&mut self, i: &mut usize, end: usize) {
+    /// without recursion, and say whether there was one.
+    fn skip_balanced(&mut self, i: &mut usize, end: usize) -> bool {
         let mut depth = 1i64;
         while *i < end {
             if self.is_punct(*i, "{") {
@@ -230,11 +234,12 @@ impl<'a, 'b> Parser<'a, 'b> {
                 depth -= 1;
                 if depth == 0 {
                     *i += 1;
-                    return;
+                    return true;
                 }
             }
             *i += 1;
         }
+        false
     }
 
     /// With `*i` on a `{`, skip past its matching `}` without recursion
@@ -245,8 +250,8 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
         *i += 1;
         let body_lo = *i;
-        self.skip_balanced(i, end);
-        Some((body_lo, i.saturating_sub(1)))
+        let closed = self.skip_balanced(i, end);
+        Some(body_range(body_lo, *i, closed))
     }
 
     /// Skip one `#[…]` attribute starting at `*i` (on the `#`).
@@ -269,7 +274,6 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     /// Parse one item header starting at `*i` (on `pub` or the keyword).
-    #[allow(clippy::too_many_lines)]
     fn item(
         &mut self,
         i: &mut usize,
@@ -533,8 +537,8 @@ impl<'a, 'b> Parser<'a, 'b> {
         if self.is_punct(*i, "{") {
             *i += 1;
             let body_lo = *i;
-            self.enter(i, end, depth, Some(id), in_trait_impl);
-            self.items[id].body = Some((body_lo, i.saturating_sub(1)));
+            let closed = self.enter(i, end, depth, Some(id), in_trait_impl);
+            self.items[id].body = Some(body_range(body_lo, *i, closed));
         } else if self.is_punct(*i, ";") {
             *i += 1;
         }
@@ -727,12 +731,19 @@ impl<'a, 'b> Parser<'a, 'b> {
         if self.is_punct(*i, "{") {
             *i += 1;
             let body_lo = *i;
-            self.enter(i, end, depth, Some(id), is_trait_impl);
-            self.items[id].body = Some((body_lo, i.saturating_sub(1)));
+            let closed = self.enter(i, end, depth, Some(id), is_trait_impl);
+            self.items[id].body = Some(body_range(body_lo, *i, closed));
         } else if self.is_punct(*i, ";") {
             *i += 1;
         }
     }
+}
+
+/// The range of a body that opened at `lo`, with the parser now at `i`
+/// past it: up to its closing `}`, or to the end of input when the body
+/// never closed, so `lo <= hi` either way.
+fn body_range(lo: usize, i: usize, closed: bool) -> (usize, usize) {
+    (lo, i - usize::from(closed))
 }
 
 #[cfg(test)]
@@ -847,6 +858,16 @@ mod tests {
         let m = fi.items.iter().find(|x| x.kind == ItemKind::Macro).expect("macro parsed");
         let (lo, hi) = m.body.expect("macro body range recorded");
         assert!(lo < hi);
+    }
+
+    #[test]
+    fn unclosed_bodies_run_to_the_end_of_input() {
+        for src in ["fn f() {", "impl X {", "struct S {", "fn f() { g(); {"] {
+            let cx = FileCx::new(src);
+            let body = parse_items(&cx).items[0].body;
+            assert_eq!(body.map(|(_, hi)| hi), Some(cx.code.len()), "{src}");
+            assert!(body.is_some_and(|(lo, hi)| lo <= hi), "{src}: {body:?}");
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A small Rust lexer: just enough syntax awareness to lint safely.
 //!
-//! The lints in this crate match token *sequences* (`Instant :: now`,
-//! `. unwrap (`, `ident [`), so the one thing the lexer must get right is
-//! never mistaking comment or string-literal content for code — a doc
-//! comment mentioning `unwrap()` must not trip `panic-in-parser`. It
+//! The lints in this crate match token *sequences* (`let _ =`,
+//! `. ok ( ) ;`, `ident . iter (`), so the one thing the lexer must get
+//! right is never mistaking comment or string-literal content for code — a
+//! doc comment mentioning `.ok();` must not trip `swallowed-result`. It
 //! therefore handles the full literal surface of the language (line and
 //! nested block comments, plain/raw/byte strings with arbitrary `#`
 //! fences, char literals vs. lifetimes, numeric literals with radix
@@ -59,25 +59,6 @@ impl Tok {
     /// The token's text within `src`.
     pub fn text<'a>(&self, src: &'a str) -> &'a str {
         src.get(self.lo..self.hi).unwrap_or("")
-    }
-
-    /// For [`TokKind::Int`]: the literal's numeric value, if it fits u128.
-    /// Handles `0x`/`0o`/`0b` prefixes, `_` separators, and type suffixes.
-    pub(crate) fn int_value(&self, src: &str) -> Option<u128> {
-        if self.kind != TokKind::Int {
-            return None;
-        }
-        let text: String = self.text(src).chars().filter(|&c| c != '_').collect();
-        let (radix, digits) = match text.as_bytes() {
-            [b'0', b'x' | b'X', rest @ ..] => (16, rest),
-            [b'0', b'o' | b'O', rest @ ..] => (8, rest),
-            [b'0', b'b' | b'B', rest @ ..] => (2, rest),
-            rest => (10, rest),
-        };
-        // Strip a type suffix (`u8`, `usize`, `i64`, …).
-        let digits = std::str::from_utf8(digits).ok()?;
-        let end = digits.find(|c: char| !c.is_digit(radix)).unwrap_or(digits.len());
-        u128::from_str_radix(digits.get(..end)?, radix).ok()
     }
 }
 
@@ -418,11 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn numbers_lex_with_values() {
+    fn numbers_lex_as_ints_and_floats() {
         let src = "0xFF 0b1010 255 1_000 2u8 1.5 1e9 0..10";
         let toks = lex(src);
-        let ints: Vec<u128> = toks.iter().filter_map(|t| t.int_value(src)).collect();
-        assert_eq!(ints, vec![255, 10, 255, 1000, 2, 0, 10]);
+        let ints: Vec<&str> =
+            toks.iter().filter(|t| t.kind == TokKind::Int).map(|t| t.text(src)).collect();
+        assert_eq!(ints, ["0xFF", "0b1010", "255", "1_000", "2u8", "0", "10"]);
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Float).count(), 2);
     }
 

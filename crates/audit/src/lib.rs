@@ -4,17 +4,21 @@
 //! serialized traces, seed-reproducibility of simulations, totality of
 //! the Darshan parsers, durability of the run store — are properties of
 //! *code*, but until now they were only enforced by *tests*, which sample
-//! a handful of seeds and inputs. This crate closes that gap: a small,
-//! dependency-free Rust lexer plus seven token-level lints that check the
-//! properties on every line of every crate, on every commit — and, on top
-//! of the lexer, an item parser, a workspace symbol table, and two
-//! cross-file flow analyses ([`flow`]) that check the properties that
-//! live at crate seams: seed provenance and dead public API. A
-//! statement-level def-use engine ([`dataflow`]) runs the same taint
-//! machinery under two vocabularies — wire-derived lengths and
-//! corpus-scale cardinality — for its four allocation, float-ordering,
-//! lock-order, and capacity lints. Every run analyzes each file once, in
-//! one uncached pass ([`driver`]).
+//! a handful of seeds and inputs. Where types decide a contract (wall-clock
+//! reads, directly seeded RNGs, panics and indexing in parsers, truncating
+//! casts), clippy checks it: the root `clippy.toml` and the crates'
+//! `[lints.clippy]` tables. This crate checks the rest, on every line of
+//! every crate, on every commit: a small, dependency-free Rust lexer plus
+//! three token-level lints ([`lints`]) — and, on top of the lexer, an item
+//! parser, a workspace symbol table, and two cross-file flow analyses
+//! ([`flow`]) that check the properties that live at crate seams: seed
+//! provenance and dead public API. A statement-level def-use engine
+//! ([`dataflow`]) runs the same taint machinery under two vocabularies —
+//! wire-derived lengths and corpus-scale cardinality — for its four
+//! allocation, float-ordering, lock-order, and capacity lints. Every lint
+//! is on in every crate, so the audit keeps no configuration; its one
+//! setting is `--include-tests`. Every run analyzes each file once, in one
+//! uncached pass ([`driver`]).
 //!
 //! Design constraints, in order:
 //!
@@ -40,10 +44,9 @@
 //! | 0 | clean |
 //! | 1 | findings |
 //! | 64 | usage error |
-//! | 65 | config parse error |
+//! | 65 | a crate manifest without a package name |
 //! | 74 | I/O error |
 
-pub mod config;
 pub mod context;
 pub mod dataflow;
 pub mod diag;
@@ -54,7 +57,6 @@ pub mod lexer;
 pub mod lints;
 pub mod symbols;
 
-pub use config::{AuditConfig, CrateConfig};
 pub use context::FileCx;
 pub use diag::{render_text, write_jsonl, Finding};
 pub use driver::{audit_source, audit_workspace, AuditReport, FileReport};

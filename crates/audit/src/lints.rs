@@ -1,4 +1,4 @@
-//! The seven token lints.
+//! The lint catalogue and the three token lints.
 //!
 //! Each lint turns one of the taxonomy pipeline's *dynamic* guarantees
 //! (proptests, the pinned-seed chaos gate) into a *static* check that
@@ -6,18 +6,17 @@
 //!
 //! | lint | guarantee it defends |
 //! |------|----------------------|
-//! | `nondeterministic-time`  | byte-determinism: wall-clock reads stay inside `iotax-obs` |
-//! | `ambient-randomness`     | seed-reproducibility: all RNGs derive from seed substreams |
 //! | `unordered-iteration`    | byte-determinism: hash-order never reaches serialized bytes or statistics |
-//! | `panic-in-parser`        | totality: parsers return errors, never panic |
-//! | `unchecked-cast`         | counter/offset integrity: no silent truncation |
 //! | `swallowed-result`       | no silent data loss: every `Result` is handled or loudly waived |
 //! | `unsynced-durable-write` | crash durability: written bytes are fsynced before the publishing rename |
 //!
 //! Lints are token-sequence matchers over [`FileCx`] — deliberately
-//! simple and predictable. Where a pattern is provably safe (a masked
-//! cast, an iteration whose order is erased by a sort), the code carries
-//! an inline `// audit:allow(lint) -- reason` with the proof.
+//! simple and predictable — and run on every crate. Where a pattern is
+//! provably safe (an iteration whose order is erased by a sort), the code
+//! carries an inline `// audit:allow(lint) -- reason` with the proof.
+//! The contracts that types decide (wall-clock reads, directly seeded
+//! RNGs, panics and indexing in parsers, truncating casts) are clippy's:
+//! see the `[lints.clippy]` tables and the root `clippy.toml`.
 
 use crate::context::FileCx;
 use crate::lexer::TokKind;
@@ -41,7 +40,7 @@ pub(crate) struct RawFinding {
 /// `--list-lints` and `--explain` print.
 // audit:allow(dead-public-api) -- element type of the public LINTS table, which the iotax-audit bin lists
 pub struct LintSpec {
-    /// Lint name as written in config and suppressions.
+    /// Lint name as written in suppressions.
     pub name: &'static str,
     /// One-line description for `--list-lints`.
     pub summary: &'static str,
@@ -53,29 +52,12 @@ pub struct LintSpec {
     good: &'static str,
 }
 
-/// The one lint catalogue, in reporting order: the seven token lints
+/// The one lint catalogue, in reporting order: the three token lints
 /// (this module), the two flow lints ([`crate::flow`]), the four dataflow
 /// lints ([`crate::dataflow`]), then the two meta-lints
 /// (`bad-suppression`, `unused-suppression`), which are always on and live
 /// in [`crate::driver`].
 pub const LINTS: &[LintSpec] = &[
-    LintSpec {
-        name: "nondeterministic-time",
-        summary: "Instant::now/SystemTime::now outside iotax-obs breaks replay determinism",
-        rationale: "Instant::now/SystemTime::now outside iotax-obs makes stage output depend on \
-                    the wall clock, so a replayed run cannot reproduce its trace byte-for-byte. \
-                    All timing flows through obs spans, which the replay harness can stub.",
-        bad: "let t0 = Instant::now();\nrecord.elapsed_us = t0.elapsed().as_micros();",
-        good: "let _span = iotax_obs::span!(\"stage.fit\"); // timing lives in the span sink",
-    },
-    LintSpec {
-        name: "ambient-randomness",
-        summary: "RNG not derived from seed substreams breaks bit-for-bit reproducibility",
-        rationale: "thread_rng/from_entropy seed from the OS, so two runs with the same --seed \
-                    diverge. Every RNG must derive from the run seed through substreams.",
-        bad: "let mut rng = rand::thread_rng();",
-        good: "let mut rng = substream(run_seed, STREAM_FIT);",
-    },
     LintSpec {
         name: "unordered-iteration",
         summary: "HashMap/HashSet iteration feeding bytes or statistics is order-nondeterministic",
@@ -86,24 +68,6 @@ pub const LINTS: &[LintSpec] = &[
         good: "let mut rows: Vec<_> = by_feature.iter().collect();\n\
                rows.sort_by_key(|(name, _)| *name);\n\
                for (name, stat) in rows { writeln!(out, \"{name} {stat}\")?; }",
-    },
-    LintSpec {
-        name: "panic-in-parser",
-        summary: "unwrap/expect/panic!/indexing in parser code paths violates totality",
-        rationale: "unwrap/expect/panic in parsing code turns malformed telemetry into a crash; \
-                    the salvage pipeline requires parsers to be total and return Err so bad \
-                    records quarantine instead of killing the run.",
-        bad: "let count = header.records.unwrap();",
-        good: "let count = header.records.ok_or_else(|| Error::parse(\"missing record count\"))?;",
-    },
-    LintSpec {
-        name: "unchecked-cast",
-        summary: "lossy `as` cast on counter/offset math can truncate silently",
-        rationale: "`as` silently truncates (u64 → u32 drops high bits, f64 → usize saturates \
-                    differently per platform), corrupting counters parsed from logs. Fallible \
-                    conversions make the truncation a handled error.",
-        bad: "let n = record_count as u32;",
-        good: "let n = u32::try_from(record_count).map_err(|_| Error::parse(\"count overflow\"))?;",
     },
     LintSpec {
         name: "swallowed-result",
@@ -192,8 +156,8 @@ pub const LINTS: &[LintSpec] = &[
         summary: "suppression without reason or naming an unknown lint (always on)",
         rationale: "An audit:allow with no `-- reason`, or naming a lint that does not exist, \
                     is an unreviewable waiver: nobody can judge later whether it still applies.",
-        bad: "x.unwrap() // audit:allow(panic-in-parser)",
-        good: "x.unwrap() // audit:allow(panic-in-parser) -- index bounds checked on line above",
+        bad: "let _ = fs::remove_file(&tmp); // audit:allow(swallowed-result)",
+        good: "let _ = fs::remove_file(&tmp); // audit:allow(swallowed-result) -- best-effort cleanup",
     },
     LintSpec {
         name: "unused-suppression",
@@ -201,13 +165,13 @@ pub const LINTS: &[LintSpec] = &[
         rationale: "A suppression that matches no finding is stale documentation: it claims a \
                     hazard exists where none does, and it will silently mask a future finding \
                     at that line. Dead waivers must be deleted.",
-        bad: "// audit:allow(unchecked-cast) -- fits in u32   (but the cast was removed)",
+        bad: "// audit:allow(swallowed-result) -- best-effort   (but the `let _ =` was removed)",
         good: "(delete the comment)",
     },
 ];
 
-/// Names of all lints, for config validation (includes the meta-lints so
-/// they can be listed in suppressions without tripping validation).
+/// Names of all lints, for suppression validation (includes the
+/// meta-lints so they can be listed in suppressions too).
 pub fn known_lint_names() -> Vec<&'static str> {
     LINTS.iter().map(|l| l.name).collect()
 }
@@ -227,110 +191,22 @@ pub fn explain(name: &str) -> Option<String> {
     ))
 }
 
-/// Options threaded from [`crate::config::CrateConfig`] into the lints.
-pub(crate) struct LintOptions {
-    /// Lint `#[cfg(test)]` regions too.
-    pub include_tests: bool,
-    /// `panic-in-parser` also flags direct indexing.
-    pub check_indexing: bool,
+/// Run the three token lints over one file, skipping `#[cfg(test)]`
+/// items unless `include_tests`.
+pub(crate) fn token_lints(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
+    let mut out = unordered_iteration(cx, include_tests);
+    out.extend(swallowed_result(cx, include_tests));
+    out.extend(unsynced_durable_write(cx, include_tests));
+    out
 }
 
-/// Run one lint over a file. Returns raw findings; the driver applies
-/// test-region filtering via `opts.include_tests` is already honored here.
-pub(crate) fn run_lint(name: &str, cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
-    match name {
-        "nondeterministic-time" => nondeterministic_time(cx, opts),
-        "ambient-randomness" => ambient_randomness(cx, opts),
-        "unordered-iteration" => unordered_iteration(cx, opts),
-        "panic-in-parser" => panic_in_parser(cx, opts),
-        "unchecked-cast" => unchecked_cast(cx, opts),
-        "swallowed-result" => swallowed_result(cx, opts),
-        "unsynced-durable-write" => unsynced_durable_write(cx, opts),
-        _ => Vec::new(),
-    }
-}
-
-fn skip(cx: &FileCx<'_>, i: usize, opts: &LintOptions) -> bool {
-    !opts.include_tests && cx.is_test(i)
+fn skip(cx: &FileCx<'_>, i: usize, include_tests: bool) -> bool {
+    !include_tests && cx.is_test(i)
 }
 
 fn finding(cx: &FileCx<'_>, lint: &'static str, i: usize, message: String) -> RawFinding {
     let t = cx.code.get(i).copied();
     RawFinding { lint, line: t.map_or(0, |t| t.line), col: t.map_or(0, |t| t.col), tok: i, message }
-}
-
-// ---------------------------------------------------------------------------
-// nondeterministic-time
-// ---------------------------------------------------------------------------
-
-fn nondeterministic_time(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if skip(cx, i, opts) {
-            continue;
-        }
-        for source in ["Instant", "SystemTime"] {
-            if cx.ident_at(i, source) && cx.seq_at(i + 1, &["::", "now"]) {
-                out.push(finding(
-                    cx,
-                    "nondeterministic-time",
-                    i,
-                    format!(
-                        "`{source}::now()` reads the wall clock; route timing through \
-                         iotax-obs spans so replays stay deterministic"
-                    ),
-                ));
-            }
-        }
-        if cx.ident_at(i, "UNIX_EPOCH") {
-            out.push(finding(
-                cx,
-                "nondeterministic-time",
-                i,
-                "`UNIX_EPOCH` arithmetic reads the wall clock; route timing through \
-                 iotax-obs spans so replays stay deterministic"
-                    .to_owned(),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// ambient-randomness
-// ---------------------------------------------------------------------------
-
-fn ambient_randomness(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if skip(cx, i, opts) || cx.kind(i) != TokKind::Ident {
-            continue;
-        }
-        let (what, why) = match cx.text(i) {
-            "thread_rng" | "rng" if cx.punct_at(i + 1, "(") && cx.punct_at(i - 1, "::") => {
-                ("an ambient thread RNG", "is seeded from the OS")
-            }
-            "thread_rng" if cx.punct_at(i + 1, "(") => {
-                ("an ambient thread RNG", "is seeded from the OS")
-            }
-            "from_entropy" | "from_os_rng" | "OsRng" => ("OS entropy", "differs on every run"),
-            "seed_from_u64" => (
-                "a directly seeded RNG",
-                "bypasses the substream derivation, so parallel scheduling can reorder draws",
-            ),
-            _ => continue,
-        };
-        out.push(finding(
-            cx,
-            "ambient-randomness",
-            i,
-            format!(
-                "{what} {why}; derive RNGs with `iotax_stats::rng::substream(seed, stream)` \
-                 so every draw is a pure function of the experiment seed"
-            ),
-        ));
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +226,7 @@ const ORDERED_SINKS: &[&str] = &[
     "drain",
 ];
 
-fn unordered_iteration(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
+fn unordered_iteration(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
     // Pass 1: names bound to HashMap/HashSet in `let` statements or
     // `name: HashMap<…>` parameter/field positions.
     let mut hash_names: Vec<String> = Vec::new();
@@ -393,7 +269,7 @@ fn unordered_iteration(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
     // Pass 2: flag order-sensitive consumption of those names.
     let mut out = Vec::new();
     for i in 0..cx.code.len() {
-        if skip(cx, i, opts) || cx.kind(i) != TokKind::Ident {
+        if skip(cx, i, include_tests) || cx.kind(i) != TokKind::Ident {
             continue;
         }
         let name = cx.text(i);
@@ -444,151 +320,13 @@ fn unordered_iteration(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
 }
 
 // ---------------------------------------------------------------------------
-// panic-in-parser
-// ---------------------------------------------------------------------------
-
-/// Keywords that legitimately precede `[` without being an indexed value.
-const NOT_INDEXABLE: &[&str] = &[
-    "let", "mut", "in", "return", "if", "else", "match", "as", "move", "ref", "where", "dyn",
-    "impl", "fn", "for", "while", "loop", "break", "continue", "const", "static", "type", "pub",
-    "use", "mod", "crate", "self", "super", "unsafe", "box", "yield",
-];
-
-fn panic_in_parser(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if skip(cx, i, opts) {
-            continue;
-        }
-        // `.unwrap()` / `.expect(`.
-        if cx.punct_at(i, ".") {
-            let m = cx.text(i + 1);
-            if matches!(m, "unwrap" | "expect") && cx.punct_at(i + 2, "(") {
-                out.push(finding(
-                    cx,
-                    "panic-in-parser",
-                    i + 1,
-                    format!(
-                        "`.{m}()` can panic on attacker-shaped input; return a typed \
-                         error (`ParseError` / `iotax::Error`) instead"
-                    ),
-                ));
-            }
-            continue;
-        }
-        // `panic!` family.
-        if cx.kind(i) == TokKind::Ident
-            && matches!(cx.text(i), "panic" | "unreachable" | "todo" | "unimplemented")
-            && cx.punct_at(i + 1, "!")
-        {
-            out.push(finding(
-                cx,
-                "panic-in-parser",
-                i,
-                format!(
-                    "`{}!` aborts the pipeline; parser code paths must degrade to a \
-                     typed error",
-                    cx.text(i)
-                ),
-            ));
-            continue;
-        }
-        // Direct indexing `expr[…]`: `[` directly after an ident, `)` or
-        // `]` — never after keywords, `#`, `=`, type positions, etc.
-        if opts.check_indexing && cx.punct_at(i, "[") && i > 0 {
-            let prev_ok = match cx.kind(i - 1) {
-                TokKind::Ident => !NOT_INDEXABLE.contains(&cx.text(i - 1)),
-                TokKind::Punct => matches!(cx.text(i - 1), ")" | "]"),
-                _ => false,
-            };
-            if prev_ok {
-                out.push(finding(
-                    cx,
-                    "panic-in-parser",
-                    i,
-                    "direct indexing panics when out of bounds; use `.get()` and map \
-                     the miss to a typed error"
-                        .to_owned(),
-                ));
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// unchecked-cast
-// ---------------------------------------------------------------------------
-
-/// Target types a cast can silently truncate into. 64-bit targets are
-/// exempt: the workspace's counter/offset math is at most 64 bits wide.
-/// `usize`/`isize` are treated as 32-bit so the code stays correct on
-/// 32-bit hosts.
-fn cast_target_max(ty: &str) -> Option<u128> {
-    Some(match ty {
-        "u8" => u8::MAX as u128,
-        "u16" => u16::MAX as u128,
-        "u32" => u32::MAX as u128,
-        "i8" => i8::MAX as u128,
-        "i16" => i16::MAX as u128,
-        "i32" => i32::MAX as u128,
-        "usize" => u32::MAX as u128,
-        "isize" => i32::MAX as u128,
-        _ => return None,
-    })
-}
-
-fn unchecked_cast(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if skip(cx, i, opts) || !cx.ident_at(i, "as") {
-            continue;
-        }
-        let ty = cx.text(i + 1);
-        let Some(max) = cast_target_max(ty) else { continue };
-        // Exemption 1: literal source that provably fits: `255 as u8`.
-        if cx.kind(i.saturating_sub(1)) == TokKind::Int {
-            let fits =
-                cx.code.get(i - 1).and_then(|t| t.int_value(cx.src)).is_some_and(|v| v <= max);
-            if fits {
-                continue;
-            }
-        }
-        // Exemption 2: masked source that provably fits:
-        // `(expr & 0x7F) as u8` — tokens `& LIT ) as ty`.
-        if i >= 3
-            && cx.punct_at(i - 1, ")")
-            && cx.kind(i - 2) == TokKind::Int
-            && cx.punct_at(i - 3, "&")
-        {
-            let fits =
-                cx.code.get(i - 2).and_then(|t| t.int_value(cx.src)).is_some_and(|v| v <= max);
-            if fits {
-                continue;
-            }
-        }
-        out.push(finding(
-            cx,
-            "unchecked-cast",
-            i,
-            format!(
-                "`as {ty}` silently truncates out-of-range values; use \
-                 `{ty}::try_from` with a typed error, widen the intermediate type, \
-                 or mask the value to a provably fitting range"
-            ),
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // swallowed-result
 // ---------------------------------------------------------------------------
 
-fn swallowed_result(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
+fn swallowed_result(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
     let mut out = Vec::new();
     for i in 0..cx.code.len() {
-        if skip(cx, i, opts) {
+        if skip(cx, i, include_tests) {
             continue;
         }
         // `let _ = …;` (exact wildcard, not `_name`).
@@ -656,10 +394,10 @@ const SYNC_CALLS: &[&str] = &["sync_all", "sync_data", "fsync", "fsync_dir"];
 /// flag any `rename(…)` that follows a file create/write with no
 /// `sync_all`/`sync_data` in between. Functions that only move files
 /// (no write) are fine, as is syncing and then renaming.
-fn unsynced_durable_write(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding> {
+fn unsynced_durable_write(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
     let mut out = Vec::new();
     for i in 0..cx.code.len() {
-        if !cx.ident_at(i, "fn") || skip(cx, i, opts) {
+        if !cx.ident_at(i, "fn") || skip(cx, i, include_tests) {
             continue;
         }
         // Find the body `{ … }`; a `;` first means a bodyless trait fn.
@@ -712,10 +450,9 @@ fn unsynced_durable_write(cx: &FileCx<'_>, opts: &LintOptions) -> Vec<RawFinding
 mod tests {
     use super::*;
 
+    /// The `lint` findings among the token lints' findings on `src`.
     fn run(lint: &str, src: &str) -> Vec<RawFinding> {
-        let cx = FileCx::new(src);
-        let opts = LintOptions { include_tests: false, check_indexing: true };
-        run_lint(lint, &cx, &opts)
+        token_lints(&FileCx::new(src), false).into_iter().filter(|f| f.lint == lint).collect()
     }
 
     #[test]
@@ -732,43 +469,17 @@ mod tests {
     }
 
     #[test]
-    fn time_lint_fires_on_instant_now_only_in_code() {
-        let hits = run("nondeterministic-time", "fn f() { let t = Instant::now(); }");
-        assert_eq!(hits.len(), 1);
-        assert!(run("nondeterministic-time", "// Instant::now() in a comment").is_empty());
-        assert!(run("nondeterministic-time", "fn f() { let i = Instant::other(); }").is_empty());
-    }
-
-    #[test]
     fn cfg_test_regions_are_skipped() {
         let src = r#"
             #[cfg(test)]
             mod tests {
-                fn f() { x.unwrap(); }
+                fn f() { x.ok(); }
             }
-            fn g() { y.unwrap(); }
+            fn g() { y.ok(); }
         "#;
-        let hits = run("panic-in-parser", src);
+        let hits = run("swallowed-result", src);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 6);
-    }
-
-    #[test]
-    fn cast_mask_and_literal_exemptions() {
-        assert_eq!(run("unchecked-cast", "fn f(v: u64) { let b = v as u8; }").len(), 1);
-        assert!(run("unchecked-cast", "fn f(v: u64) { let b = (v & 0x7F) as u8; }").is_empty());
-        assert!(run("unchecked-cast", "fn f() { let b = 255 as u8; }").is_empty());
-        assert_eq!(run("unchecked-cast", "fn f(v: u64) { let b = (v & 0x1FF) as u8; }").len(), 1);
-        assert!(run("unchecked-cast", "fn f(v: u32) { let b = v as u64; }").is_empty());
-    }
-
-    #[test]
-    fn indexing_detection_avoids_types_and_attrs() {
-        assert_eq!(run("panic-in-parser", "fn f(d: &[u8]) { let x = d[0]; }").len(), 1);
-        assert!(run("panic-in-parser", "fn f(d: &[u8]) -> [u8; 2] { [0, 0] }").is_empty());
-        assert!(run("panic-in-parser", "#[derive(Debug)] struct S;").is_empty());
-        assert!(run("panic-in-parser", "fn f() { let v = vec![1]; }").is_empty());
-        assert_eq!(run("panic-in-parser", "fn f(m: &M) { m.x()[0]; }").len(), 1);
     }
 
     #[test]
@@ -817,15 +528,5 @@ mod tests {
         // Pure moves (no write in the function) are not publishes.
         let mv = "fn quarantine(a: &Path, b: &Path) { let _r = fs::rename(a, b); }";
         assert!(run("unsynced-durable-write", mv).is_empty());
-    }
-
-    #[test]
-    fn ambient_randomness_symbols() {
-        assert_eq!(run("ambient-randomness", "fn f() { let r = thread_rng(); }").len(), 1);
-        assert_eq!(
-            run("ambient-randomness", "fn f() { let r = StdRng::seed_from_u64(7); }").len(),
-            1
-        );
-        assert!(run("ambient-randomness", "fn f() { let r = substream(seed, 2); }").is_empty());
     }
 }

@@ -14,8 +14,14 @@ fn help_prints_usage_to_stdout_and_exits_zero() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage:"));
 
-    // The retired baseline flags are unknown flags like any other.
-    for args in [&["--no-such-flag"][..], &["--baseline", "x"], &["--write-baseline", "x"]] {
+    // The retired baseline and config flags are unknown flags like any
+    // other.
+    for args in [
+        &["--no-such-flag"][..],
+        &["--baseline", "x"],
+        &["--write-baseline", "x"],
+        &["--config", "x"],
+    ] {
         let out = Command::new(EXE).args(args).output().expect("spawning iotax-audit");
         assert_eq!(out.status.code(), Some(64), "{args:?}: unknown flags stay usage errors");
         assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"), "{args:?}");
@@ -48,9 +54,8 @@ fn a_closed_stdout_ends_the_audit_with_exit_74_not_a_panic() {
     }
     std::fs::create_dir_all(root.join("crates/demo/src")).expect("creating the workspace");
     for (file, text) in [
-        ("audit.toml", "[default]\nswallowed-result = true\n"),
         ("crates/demo/Cargo.toml", "[package]\nname = \"demo\"\n"),
-        ("crates/demo/src/lib.rs", "pub fn tidy() { let _ = std::fs::remove_file(\"x\"); }\n"),
+        ("crates/demo/src/lib.rs", "fn tidy() { let _ = std::fs::remove_file(\"x\"); }\n"),
     ] {
         std::fs::write(root.join(file), text).expect("writing the workspace");
     }

@@ -9,13 +9,20 @@
 //! engine: item parsing, the symbol table, and suppression handling
 //! across files.
 
-use iotax_audit::driver::{audit_sources as audit, AuditReport};
-use iotax_audit::symbols::{FileRole, SourceSpec};
-use iotax_audit::{write_jsonl, AuditConfig};
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
 
-fn cfg(toml: &str) -> AuditConfig {
-    AuditConfig::from_toml(toml, "fixture.toml", &iotax_audit::known_lint_names())
-        .expect("fixture config parses")
+use iotax_audit::driver::{audit_sources, AuditReport};
+use iotax_audit::symbols::{FileRole, SourceSpec};
+use iotax_audit::write_jsonl;
+
+/// Audit `specs` with every lint on, and keep only `lint`'s findings.
+fn audit(specs: Vec<SourceSpec>, lint: &str) -> AuditReport {
+    let mut report = audit_sources(specs, false);
+    report.findings.retain(|f| f.lint == lint);
+    report
 }
 
 fn spec(krate: &str, file: &str, role: FileRole, src: &str) -> SourceSpec {
@@ -26,7 +33,7 @@ fn spec(krate: &str, file: &str, role: FileRole, src: &str) -> SourceSpec {
 // seed-provenance
 // ---------------------------------------------------------------------------
 
-const SEED_TOML: &str = "[default]\nseed-provenance = true\n";
+const SEED: &str = "seed-provenance";
 
 fn seed_corpus(src: &str) -> Vec<SourceSpec> {
     vec![spec("fixture-sim", "crates/fixture-sim/src/gen.rs", FileRole::Lib, src)]
@@ -34,8 +41,7 @@ fn seed_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn seed_provenance_catches_literal_and_ambient_seeds() {
-    let r =
-        audit(seed_corpus(include_str!("fixtures/seed_provenance_violating.rs")), &cfg(SEED_TOML));
+    let r = audit(seed_corpus(include_str!("fixtures/seed_provenance_violating.rs")), SEED);
     assert!(
         r.findings.iter().all(|f| f.lint == "seed-provenance"),
         "unexpected extra lint fired: {:?}",
@@ -57,15 +63,14 @@ fn seed_provenance_catches_literal_and_ambient_seeds() {
 
 #[test]
 fn seed_provenance_suppressed_corpus_is_quiet_and_counted() {
-    let r =
-        audit(seed_corpus(include_str!("fixtures/seed_provenance_suppressed.rs")), &cfg(SEED_TOML));
+    let r = audit(seed_corpus(include_str!("fixtures/seed_provenance_suppressed.rs")), SEED);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 2);
 }
 
 #[test]
 fn seed_provenance_parameter_seeded_rngs_pass() {
-    let r = audit(seed_corpus(include_str!("fixtures/seed_provenance_clean.rs")), &cfg(SEED_TOML));
+    let r = audit(seed_corpus(include_str!("fixtures/seed_provenance_clean.rs")), SEED);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
 }
@@ -74,7 +79,7 @@ fn seed_provenance_parameter_seeded_rngs_pass() {
 // dead-public-api
 // ---------------------------------------------------------------------------
 
-const DEAD_TOML: &str = "[default]\ndead-public-api = true\n";
+const DEAD: &str = "dead-public-api";
 
 fn dead_corpus(lib_src: &str, consumer_src: &str) -> Vec<SourceSpec> {
     vec![
@@ -90,7 +95,7 @@ fn dead_public_api_catches_unreferenced_pub_item() {
             include_str!("fixtures/dead_public_api_violating.rs"),
             include_str!("fixtures/dead_public_api_consumer_quiet.rs"),
         ),
-        &cfg(DEAD_TOML),
+        DEAD,
     );
     assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     assert_eq!(r.findings[0].lint, "dead-public-api");
@@ -104,7 +109,7 @@ fn dead_public_api_suppressed_corpus_is_quiet_and_counted() {
             include_str!("fixtures/dead_public_api_suppressed.rs"),
             include_str!("fixtures/dead_public_api_consumer_quiet.rs"),
         ),
-        &cfg(DEAD_TOML),
+        DEAD,
     );
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 1);
@@ -117,7 +122,7 @@ fn dead_public_api_cross_crate_consumer_keeps_item_alive() {
             include_str!("fixtures/dead_public_api_violating.rs"),
             include_str!("fixtures/dead_public_api_consumer_using.rs"),
         ),
-        &cfg(DEAD_TOML),
+        DEAD,
     );
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
@@ -141,7 +146,7 @@ fn dead_public_api_test_references_do_not_keep_items_alive() {
             include_str!("fixtures/dead_public_api_consumer_using.rs"),
         ),
     ];
-    let r = audit(specs.clone(), &cfg(DEAD_TOML));
+    let r = audit(specs.clone(), DEAD);
     assert_eq!(r.findings.len(), 1, "test-only consumers must not count: {:?}", r.findings);
 }
 
@@ -149,7 +154,7 @@ fn dead_public_api_test_references_do_not_keep_items_alive() {
 // untrusted-length-allocation
 // ---------------------------------------------------------------------------
 
-const ULA_TOML: &str = "[default]\nuntrusted-length-allocation = true\n";
+const ULA: &str = "untrusted-length-allocation";
 
 fn ula_corpus(src: &str) -> Vec<SourceSpec> {
     vec![spec("fixture-wire", "crates/fixture-wire/src/parse.rs", FileRole::Lib, src)]
@@ -157,10 +162,8 @@ fn ula_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn untrusted_length_allocation_catches_uncapped_wire_lengths() {
-    let r = audit(
-        ula_corpus(include_str!("fixtures/untrusted_length_allocation_violating.rs")),
-        &cfg(ULA_TOML),
-    );
+    let r =
+        audit(ula_corpus(include_str!("fixtures/untrusted_length_allocation_violating.rs")), ULA);
     // One tainted `.take(n)`, one tainted `with_capacity(n)`: both caught,
     // each naming the wire source it traced to.
     assert!(r.findings.iter().all(|f| f.lint == "untrusted-length-allocation"), "{:?}", r.findings);
@@ -171,20 +174,15 @@ fn untrusted_length_allocation_catches_uncapped_wire_lengths() {
 
 #[test]
 fn untrusted_length_allocation_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit(
-        ula_corpus(include_str!("fixtures/untrusted_length_allocation_suppressed.rs")),
-        &cfg(ULA_TOML),
-    );
+    let r =
+        audit(ula_corpus(include_str!("fixtures/untrusted_length_allocation_suppressed.rs")), ULA);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 2);
 }
 
 #[test]
 fn untrusted_length_allocation_capped_lengths_pass() {
-    let r = audit(
-        ula_corpus(include_str!("fixtures/untrusted_length_allocation_clean.rs")),
-        &cfg(ULA_TOML),
-    );
+    let r = audit(ula_corpus(include_str!("fixtures/untrusted_length_allocation_clean.rs")), ULA);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
 }
@@ -193,7 +191,7 @@ fn untrusted_length_allocation_capped_lengths_pass() {
 // unordered-float-reduction
 // ---------------------------------------------------------------------------
 
-const UFR_TOML: &str = "[default]\nunordered-float-reduction = true\n";
+const UFR: &str = "unordered-float-reduction";
 
 fn ufr_corpus(src: &str) -> Vec<SourceSpec> {
     vec![spec("fixture-metrics", "crates/fixture-metrics/src/agg.rs", FileRole::Lib, src)]
@@ -201,10 +199,7 @@ fn ufr_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn unordered_float_reduction_catches_hash_ordered_sums() {
-    let r = audit(
-        ufr_corpus(include_str!("fixtures/unordered_float_reduction_violating.rs")),
-        &cfg(UFR_TOML),
-    );
+    let r = audit(ufr_corpus(include_str!("fixtures/unordered_float_reduction_violating.rs")), UFR);
     assert!(r.findings.iter().all(|f| f.lint == "unordered-float-reduction"), "{:?}", r.findings);
     assert!(r.findings.iter().any(|f| f.message.contains("hash container")), "{:?}", r.findings);
     assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
@@ -212,20 +207,15 @@ fn unordered_float_reduction_catches_hash_ordered_sums() {
 
 #[test]
 fn unordered_float_reduction_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit(
-        ufr_corpus(include_str!("fixtures/unordered_float_reduction_suppressed.rs")),
-        &cfg(UFR_TOML),
-    );
+    let r =
+        audit(ufr_corpus(include_str!("fixtures/unordered_float_reduction_suppressed.rs")), UFR);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 1);
 }
 
 #[test]
 fn unordered_float_reduction_sequential_and_btreemap_reductions_pass() {
-    let r = audit(
-        ufr_corpus(include_str!("fixtures/unordered_float_reduction_clean.rs")),
-        &cfg(UFR_TOML),
-    );
+    let r = audit(ufr_corpus(include_str!("fixtures/unordered_float_reduction_clean.rs")), UFR);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
 }
@@ -234,7 +224,7 @@ fn unordered_float_reduction_sequential_and_btreemap_reductions_pass() {
 // lock-order-cycle
 // ---------------------------------------------------------------------------
 
-const LOC_TOML: &str = "[default]\nlock-order-cycle = true\n";
+const LOC: &str = "lock-order-cycle";
 
 fn loc_corpus(src: &str) -> Vec<SourceSpec> {
     vec![spec("fixture-locks", "crates/fixture-locks/src/registry.rs", FileRole::Lib, src)]
@@ -242,8 +232,7 @@ fn loc_corpus(src: &str) -> Vec<SourceSpec> {
 
 #[test]
 fn lock_order_cycle_catches_opposite_acquisition_orders() {
-    let r =
-        audit(loc_corpus(include_str!("fixtures/lock_order_cycle_violating.rs")), &cfg(LOC_TOML));
+    let r = audit(loc_corpus(include_str!("fixtures/lock_order_cycle_violating.rs")), LOC);
     // One cycle set → exactly one finding, naming both locks.
     assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
     assert_eq!(r.findings[0].lint, "lock-order-cycle");
@@ -253,15 +242,14 @@ fn lock_order_cycle_catches_opposite_acquisition_orders() {
 
 #[test]
 fn lock_order_cycle_suppressed_corpus_is_quiet_and_counted() {
-    let r =
-        audit(loc_corpus(include_str!("fixtures/lock_order_cycle_suppressed.rs")), &cfg(LOC_TOML));
+    let r = audit(loc_corpus(include_str!("fixtures/lock_order_cycle_suppressed.rs")), LOC);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 1);
 }
 
 #[test]
 fn lock_order_cycle_consistent_order_passes() {
-    let r = audit(loc_corpus(include_str!("fixtures/lock_order_cycle_clean.rs")), &cfg(LOC_TOML));
+    let r = audit(loc_corpus(include_str!("fixtures/lock_order_cycle_clean.rs")), LOC);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
 }
@@ -270,7 +258,7 @@ fn lock_order_cycle_consistent_order_passes() {
 // unbounded-corpus-materialization (corpus-cardinality taint)
 // ---------------------------------------------------------------------------
 
-const UCM_TOML: &str = "[default]\nunbounded-corpus-materialization = true\n";
+const UCM: &str = "unbounded-corpus-materialization";
 
 fn capacity_corpus(src: &str) -> Vec<SourceSpec> {
     vec![spec("fixture-ml", "crates/fixture-ml/src/data.rs", FileRole::Lib, src)]
@@ -280,7 +268,7 @@ fn capacity_corpus(src: &str) -> Vec<SourceSpec> {
 fn unbounded_corpus_materialization_catches_collect_and_growing_container() {
     let r = audit(
         capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_violating.rs")),
-        &cfg(UCM_TOML),
+        UCM,
     );
     assert!(
         r.findings.iter().all(|f| f.lint == "unbounded-corpus-materialization"),
@@ -299,7 +287,7 @@ fn unbounded_corpus_materialization_catches_collect_and_growing_container() {
 fn unbounded_corpus_materialization_suppressed_corpus_is_quiet_and_counted() {
     let r = audit(
         capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_suppressed.rs")),
-        &cfg(UCM_TOML),
+        UCM,
     );
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 2);
@@ -309,7 +297,7 @@ fn unbounded_corpus_materialization_suppressed_corpus_is_quiet_and_counted() {
 fn unbounded_corpus_materialization_bounded_streams_pass() {
     let r = audit(
         capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_clean.rs")),
-        &cfg(UCM_TOML),
+        UCM,
     );
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 0);
@@ -320,10 +308,7 @@ fn unbounded_corpus_materialization_bounded_streams_pass() {
 // and parallel scheduling
 // ---------------------------------------------------------------------------
 
-const ALL_TOML: &str = "[default]\nseed-provenance = true\ndead-public-api = \
-                        true\nuntrusted-length-allocation = true\nunordered-float-reduction = \
-                        true\nlock-order-cycle = true\nunbounded-corpus-materialization = \
-                        true\n";
+const FLOW_AND_DATAFLOW: &[&str] = &[SEED, DEAD, ULA, UFR, LOC, UCM];
 
 /// A corpus that makes every flow and dataflow analysis fire at least once.
 fn mixed_corpus() -> Vec<SourceSpec> {
@@ -376,21 +361,25 @@ fn render(r: &AuditReport) -> String {
 #[test]
 fn report_is_byte_identical_regardless_of_corpus_order() {
     let mut specs = mixed_corpus();
-    let forward = render(&audit(specs.clone(), &cfg(ALL_TOML)));
+    let forward = render(&audit_sources(specs.clone(), false));
     specs.reverse();
-    let backward = render(&audit(specs.clone(), &cfg(ALL_TOML)));
+    let backward = render(&audit_sources(specs.clone(), false));
     assert_eq!(forward, backward, "diagnostic order must not depend on input order");
     // And across repeated runs: nothing run-dependent may leak into the
     // report's order.
     specs.reverse();
     for _ in 0..3 {
-        assert_eq!(forward, render(&audit(specs.clone(), &cfg(ALL_TOML))));
+        assert_eq!(forward, render(&audit_sources(specs.clone(), false)));
     }
 }
 
 #[test]
 fn mixed_corpus_jsonl_matches_golden() {
-    let got = render(&audit(mixed_corpus(), &cfg(ALL_TOML)));
+    // The golden pins the flow and dataflow lints' findings; the token
+    // lints have their own fixtures.
+    let mut report = audit_sources(mixed_corpus(), false);
+    report.findings.retain(|f| FLOW_AND_DATAFLOW.contains(&f.lint.as_str()));
+    let got = render(&report);
     let want = include_str!("golden/flow_overview.jsonl");
     if got != want {
         // Drop the new output next to the golden so an intentional format

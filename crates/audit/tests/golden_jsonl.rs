@@ -2,26 +2,23 @@
 //! any drift in field names, ordering, or item naming is a breaking change
 //! that must show up here.
 
-use iotax_audit::{audit_source, write_jsonl, CrateConfig};
+use iotax_audit::{audit_source, write_jsonl};
 
 #[test]
 fn jsonl_output_matches_golden() {
-    let src = include_str!("fixtures/panic_in_parser_violating.rs");
-    let mut cfg = CrateConfig::default();
-    cfg.lints.insert("panic-in-parser".to_owned(), true);
-    cfg.check_indexing = true;
+    let src = include_str!("fixtures/swallowed_result_violating.rs");
     let report =
-        audit_source("fixture", "tests/fixtures/panic_in_parser_violating.rs", src, &cfg, false);
+        audit_source("fixture", "tests/fixtures/swallowed_result_violating.rs", src, false);
     let mut buf = Vec::new();
     write_jsonl(&mut buf, &report.findings, report.suppressed).expect("write to Vec");
     let got = String::from_utf8(buf).expect("jsonl is utf-8");
-    let want = include_str!("golden/panic_in_parser.jsonl");
+    let want = include_str!("golden/swallowed_result.jsonl");
     assert_eq!(got, want, "JSONL diagnostic format drifted from the pinned golden file");
 }
 
 #[test]
 fn every_jsonl_line_is_valid_json_with_a_record_tag() {
-    for line in include_str!("golden/panic_in_parser.jsonl").lines() {
+    for line in include_str!("golden/swallowed_result.jsonl").lines() {
         let v: serde::Value = serde_json::from_str(line).expect("valid JSON line");
         match v {
             serde::Value::Object(fields) => {

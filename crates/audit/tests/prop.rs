@@ -3,11 +3,11 @@
 //! produce an out-of-bounds or empty span, and always terminate — on any
 //! byte soup, not just valid Rust.
 
+use iotax_audit::audit_source;
 use iotax_audit::driver::audit_sources;
 use iotax_audit::items::{parse_items, MAX_DEPTH};
 use iotax_audit::symbols::{analyze_file, FileRole, SourceSpec};
 use iotax_audit::FileCx;
-use iotax_audit::{audit_source, AuditConfig, CrateConfig};
 use proptest::prelude::*;
 
 /// Item-declaration openers prepended to byte soup: the parser enters its
@@ -25,19 +25,10 @@ const MAGIC_PREFIXES: &[&str] = &[
     "pub mod inner { pub trait Q {",
 ];
 
-fn full_config() -> CrateConfig {
-    let mut cfg = CrateConfig::default();
-    for lint in iotax_audit::LINTS {
-        cfg.lints.insert(lint.name.to_owned(), true);
-    }
-    cfg.check_indexing = true;
-    cfg
-}
-
-/// Run the full audit pipeline over one in-memory source file with every
-/// dataflow lint (wire, concurrency, and capacity) enabled; returns the
-/// finding count. The engine — including the workspace lock-order graph —
-/// must terminate without panicking on arbitrary byte soup.
+/// Run the full audit pipeline, every lint on, over one in-memory source
+/// file; returns the finding count. The engine — including the workspace
+/// lock-order graph — must terminate without panicking on arbitrary byte
+/// soup.
 fn dataflow_findings(src: &str) -> usize {
     let spec = SourceSpec {
         krate: "iotax-prop".to_owned(),
@@ -45,12 +36,7 @@ fn dataflow_findings(src: &str) -> usize {
         role: FileRole::Lib,
         src: src.to_owned(),
     };
-    let toml = "[default]\nuntrusted-length-allocation = true\n\
-                unordered-float-reduction = true\nlock-order-cycle = true\n\
-                unbounded-corpus-materialization = true\n";
-    let cfg = AuditConfig::from_toml(toml, "dataflow-seam", &iotax_audit::known_lint_names())
-        .expect("static lint config");
-    audit_sources(vec![spec], &cfg).findings.len()
+    audit_sources(vec![spec], false).findings.len()
 }
 
 #[test]
@@ -85,7 +71,7 @@ proptest! {
     #[test]
     fn audit_source_is_total_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let src = String::from_utf8_lossy(&bytes);
-        let _ = audit_source("fuzz", "fuzz.rs", &src, &full_config(), true);
+        let _ = audit_source("fuzz", "fuzz.rs", &src, true);
     }
 
     /// Mostly-Rust-shaped text (identifiers, punctuation, quotes, comment
@@ -97,7 +83,7 @@ proptest! {
         for t in &cx.code {
             prop_assert!(src.get(t.lo..t.hi).is_some(), "span must land on char boundaries");
         }
-        let _ = audit_source("fuzz", "fuzz.rs", &src, &full_config(), true);
+        let _ = audit_source("fuzz", "fuzz.rs", &src, true);
     }
 
     /// Lexing is deterministic: the same input yields the same tokens.
@@ -141,6 +127,11 @@ proptest! {
             let cx = FileCx::new(&src);
             let items = parse_items(&cx);
             prop_assert!(items.max_depth <= MAX_DEPTH);
+            for it in &items.items {
+                if let Some((lo, hi)) = it.body {
+                    prop_assert!(lo <= hi && hi <= cx.code.len(), "body span out of bounds");
+                }
+            }
         }
     }
 

@@ -3,25 +3,22 @@
 //! invariant CI enforces via `iotax-audit --workspace`, whose exit 0 means
 //! zero findings.
 
-use iotax_audit::{audit_workspace, AuditConfig};
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
+use iotax_audit::audit_workspace;
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().expect("workspace root")
 }
 
-fn workspace_config(root: &Path) -> AuditConfig {
-    let path = root.join("audit.toml");
-    let text = std::fs::read_to_string(&path).expect("read audit.toml");
-    AuditConfig::from_toml(&text, "audit.toml", &iotax_audit::known_lint_names())
-        .expect("audit.toml parses")
-}
-
 #[test]
-fn workspace_is_clean_under_its_own_config() {
+fn workspace_is_clean() {
     let root = workspace_root();
-    let cfg = workspace_config(&root);
-    let report = audit_workspace(&root, &cfg).expect("workspace walks");
+    let report = audit_workspace(&root, false).expect("workspace walks");
     let rendered: Vec<String> = report.findings.iter().map(iotax_audit::render_text).collect();
     assert!(
         report.findings.is_empty(),

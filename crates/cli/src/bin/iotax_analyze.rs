@@ -54,9 +54,9 @@ fn usage() -> String {
 /// the `IOTAX_PANIC_AT_STAGE` environment variable names `stage`. The
 /// blackbox e2e test and the CI blackbox job use it to kill a ledger run
 /// mid-stage and then assert the black box survived.
+#[expect(clippy::panic, reason = "test-only crash injection, reachable solely via the env var")]
 fn crash_hook(stage: &str) {
     if std::env::var("IOTAX_PANIC_AT_STAGE").is_ok_and(|v| v == stage) {
-        // audit:allow(panic-in-parser) -- test-only crash injection, reachable solely via the env var
         panic!("injected crash at stage {stage}");
     }
 }

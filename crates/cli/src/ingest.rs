@@ -909,7 +909,7 @@ mod tests {
             .map(|f| f.job_id)
             .collect();
         if !transient.is_empty() {
-            assert!(report.transient_recovered as usize >= transient.len());
+            assert!(report.transient_recovered >= transient.len() as u64);
             for id in &transient {
                 assert!(!quarantined.contains(id), "transient job {id} wrongly quarantined");
             }
@@ -1177,7 +1177,8 @@ mod tests {
     #[test]
     fn reader_reads_empty_and_oversized_logs_through_one_buffer() {
         let dir = temp_dir("reader");
-        let big: Vec<u8> = (0..3 * FIRST_SCRATCH + 7).map(|i| (i * 31 % 251) as u8).collect();
+        let big: Vec<u8> =
+            (0..3 * FIRST_SCRATCH + 7).map(|i| u8::try_from(i * 31 % 251).unwrap()).collect();
         let (empty, large, small) = (dir.join("empty"), dir.join("large"), dir.join("small"));
         std::fs::write(&empty, b"").expect("write");
         std::fs::write(&large, &big).expect("write");

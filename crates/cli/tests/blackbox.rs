@@ -9,6 +9,12 @@
 //! a crash. A reused ledger directory must hold only the latest run's
 //! record, heartbeat and black box.
 
+#![expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use iotax_obs::FlightEvent;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};

@@ -13,6 +13,11 @@
 //! the fixture (the pinned invocation is spelled out below) and call the
 //! change out in review — this file is the tripwire, not the judge.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use iotax_report::RunDiff;
 use std::path::{Path, PathBuf};
 use std::process::Command;

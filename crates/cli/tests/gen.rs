@@ -2,6 +2,11 @@
 //! is reused, how it reports a log it cannot write, and the names of the
 //! histograms in its run ledger.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use iotax_cli::ingest::load_fault_manifest;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};

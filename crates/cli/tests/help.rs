@@ -5,6 +5,12 @@
 //! true`) is an I/O error, exit 74, not a panic, and so is an ingest
 //! report that cannot be written.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "test helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 

@@ -8,6 +8,11 @@
 //! histograms are process-global and cumulative, so in-process repeats
 //! would double-count and the comparison would be vacuous.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers outside #[test] functions fail the test by panicking, as the tests do"
+)]
+
 use iotax_report::RunDiff;
 use std::path::{Path, PathBuf};
 use std::process::Command;

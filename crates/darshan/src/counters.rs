@@ -17,7 +17,7 @@ macro_rules! counters {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[repr(usize)]
-        #[allow(missing_docs, non_camel_case_types)] // variant names mirror Darshan counter names
+        #[allow(missing_docs, non_camel_case_types, reason = "variant names mirror Darshan counter names")]
         pub enum $enum_name {
             $($variant),+
         }
@@ -31,7 +31,6 @@ macro_rules! counters {
             /// Storage index of this counter in a record's counter array.
             #[inline]
             pub const fn index(self) -> usize {
-                // audit:allow(unchecked-cast) -- unit-enum discriminant, 0..counter_count
                 self as usize
             }
 
@@ -39,14 +38,6 @@ macro_rules! counters {
             pub const fn name(self) -> &'static str {
                 match self {
                     $($enum_name::$variant => stringify!($variant)),+
-                }
-            }
-
-            /// Look a counter up by name.
-            pub fn from_name(name: &str) -> Option<Self> {
-                match name {
-                    $(stringify!($variant) => Some($enum_name::$variant),)+
-                    _ => None,
                 }
             }
         }
@@ -207,17 +198,6 @@ mod tests {
         for (i, c) in MPIIO_COUNTERS.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for c in POSIX_COUNTERS {
-            assert_eq!(PosixCounter::from_name(c.name()), Some(c));
-        }
-        for c in MPIIO_COUNTERS {
-            assert_eq!(MpiioCounter::from_name(c.name()), Some(c));
-        }
-        assert_eq!(PosixCounter::from_name("NotACounter"), None);
     }
 
     #[test]

@@ -48,11 +48,11 @@ fn aggregate_into(module: &ModuleData, out: &mut [f64], aggs: &[Agg]) {
 }
 
 /// Names of the 48 POSIX job-level features, in feature order.
+#[expect(clippy::indexing_slicing, reason = "const-eval loop bounded by the array length")]
 pub static POSIX_FEATURE_NAMES: [&str; POSIX_COUNTER_COUNT] = {
     let mut names = [""; POSIX_COUNTER_COUNT];
     let mut i = 0;
     while i < POSIX_COUNTER_COUNT {
-        // audit:allow(panic-in-parser) -- const-eval loop bounded by the array length
         names[i] = POSIX_COUNTERS[i].name();
         i += 1;
     }
@@ -60,11 +60,11 @@ pub static POSIX_FEATURE_NAMES: [&str; POSIX_COUNTER_COUNT] = {
 };
 
 /// Names of the 48 MPI-IO job-level features, in feature order.
+#[expect(clippy::indexing_slicing, reason = "const-eval loop bounded by the array length")]
 pub static MPIIO_FEATURE_NAMES: [&str; MPIIO_COUNTER_COUNT] = {
     let mut names = [""; MPIIO_COUNTER_COUNT];
     let mut i = 0;
     while i < MPIIO_COUNTER_COUNT {
-        // audit:allow(panic-in-parser) -- const-eval loop bounded by the array length
         names[i] = MPIIO_COUNTERS[i].name();
         i += 1;
     }

@@ -711,6 +711,10 @@ mod tests {
 /// The salvage parser adds its own guarantees: neither parser ever panics
 /// on arbitrary bytes, and on clean logs lenient == strict exactly.
 #[cfg(test)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "cut points are fractions in [0, 1) of a log's length"
+)]
 mod prop {
     use super::{layout, parse_log, write_log, ParseError};
     use crate::record::{FileRecord, JobLog, ModuleData, ModuleId};

@@ -38,7 +38,6 @@ impl ModuleId {
 
     /// The on-disk module tag byte (inverse of [`ModuleId::from_u8`]).
     pub fn tag(self) -> u8 {
-        // audit:allow(unchecked-cast) -- unit-enum discriminants are 1 and 2 by declaration
         self as u8
     }
 }

@@ -128,26 +128,6 @@ pub enum Anomaly {
     },
 }
 
-impl Anomaly {
-    /// Short stable label for counters and reports.
-    pub fn class(&self) -> &'static str {
-        match self {
-            Anomaly::TruncatedRecord { .. } => "truncated_record",
-            Anomaly::TruncatedModule { .. } => "truncated_module",
-            Anomaly::ChecksumMismatch { .. } => "checksum_mismatch",
-            Anomaly::MissingChecksum { .. } => "missing_checksum",
-            Anomaly::TrailingBytes { .. } => "trailing_bytes",
-            Anomaly::NonFiniteCounter { .. } => "non_finite_counter",
-            Anomaly::BadModuleTag { .. } => "bad_module_tag",
-            Anomaly::Resynced { .. } => "resynced",
-            Anomaly::DuplicateModule { .. } => "duplicate_module",
-            Anomaly::DuplicateRecordId { .. } => "duplicate_record_id",
-            Anomaly::BadExe { .. } => "bad_exe",
-            Anomaly::ImplausibleModuleCount { .. } => "implausible_module_count",
-        }
-    }
-}
-
 impl std::fmt::Display for Anomaly {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -642,10 +622,7 @@ mod tests {
     #[test]
     fn anomaly_classes_and_display_are_stable() {
         let a = Anomaly::TruncatedRecord { module: ModuleId::Posix, index: 3, offset: 812 };
-        assert_eq!(a.class(), "truncated_record");
         assert!(a.to_string().contains("812"));
-        let c = Anomaly::ChecksumMismatch { expected: 1, actual: 2 };
-        assert_eq!(c.class(), "checksum_mismatch");
     }
 
     #[test]

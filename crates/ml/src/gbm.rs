@@ -240,8 +240,8 @@ impl<'a> Trainer<'a> {
                 // but the L1-optimal leaf value is the median residual of
                 // the rows that land in it (LightGBM's regression_l1 does
                 // the same).
-                let mut leaf_residuals: std::collections::HashMap<usize, Vec<f64>> =
-                    std::collections::HashMap::new();
+                let mut leaf_residuals: std::collections::BTreeMap<usize, Vec<f64>> =
+                    std::collections::BTreeMap::new();
                 for &r in rows.iter() {
                     let r = r as usize;
                     let leaf = tree.leaf_index_coded(&train.codes, n_rows, r);

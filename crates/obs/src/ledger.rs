@@ -239,6 +239,7 @@ impl Ledger {
     /// An empty ledger with no sink directory yet: pair with
     /// [`set_store`](Ledger::set_store) (store-only runs have no run
     /// directory to create up front).
+    #[expect(clippy::disallowed_methods, reason = "iotax-obs is the one sanctioned clock reader")]
     pub(crate) fn create_detached(tool: &str, tool_version: &str, args: Vec<String>) -> Self {
         let started_unix_ms =
             SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64);

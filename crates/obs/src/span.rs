@@ -16,6 +16,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Monotonic microseconds since the process first touched the obs layer.
+#[expect(clippy::disallowed_methods, reason = "iotax-obs is the one sanctioned clock reader")]
 pub(crate) fn now_us() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
@@ -174,6 +175,10 @@ impl SpanGuard {
                 crate::recorder::record_span("span_open", &name, &path, 0);
                 crate::recorder::publish_stack(thread_ordinal(), path);
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "iotax-obs is the one sanctioned clock reader"
+            )]
             stack.frames.push(Frame {
                 name,
                 start: Instant::now(),

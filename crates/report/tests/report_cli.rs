@@ -1,6 +1,11 @@
 //! End-to-end tests of the `iotax-report` binary against synthetic run
 //! ledgers written to disk, exactly as `--ledger` would leave them.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a wall-clock deadline bounds the wait for a child process; no test output depends on it"
+)]
+
 use iotax_obs::store::SegmentStore;
 use iotax_obs::{CounterSnapshot, FlightEvent, HeartbeatLine, RunFile, RunManifest, SpanRecord};
 use std::path::{Path, PathBuf};

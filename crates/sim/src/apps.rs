@@ -79,6 +79,10 @@ pub(crate) struct Workload {
 pub(crate) fn generate_population<R: Rng + ?Sized>(rng: &mut R, cfg: &SimConfig) -> AppPopulation {
     let arch_weights: Vec<f64> = ARCHETYPES.iter().map(|a| a.weight).collect();
     let arch_dist = Categorical::new(&arch_weights);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a fraction of the i64 horizon; `as` rounds toward zero, which the pinned traces encode"
+    )]
     let novel_start = (cfg.horizon_seconds as f64 * (1.0 - cfg.novel_era_fraction)) as i64;
     let mut apps = Vec::with_capacity(cfg.n_apps);
     for app_id in 0..u32::try_from(cfg.n_apps).unwrap_or(u32::MAX) {
@@ -131,6 +135,10 @@ pub(crate) fn generate_workload<R: Rng + ?Sized>(
     let all_weights: Vec<f64> = apps.iter().map(|a| a.popularity).collect();
     let base_dist = Categorical::new(&base_weights);
     let all_dist = Categorical::new(&all_weights);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a fraction of the i64 horizon; `as` rounds toward zero, which the pinned traces encode"
+    )]
     let novel_start = (cfg.horizon_seconds as f64 * (1.0 - cfg.novel_era_fraction)) as i64;
 
     // Uniform arrivals over the horizon (a Poisson process conditioned on
@@ -278,6 +286,10 @@ mod tests {
         let mut rng = rng_from_seed(5);
         let pop = generate_population(&mut rng, &cfg);
         let wl = generate_workload(&mut rng, &cfg, &pop);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the same cast as generate_population's"
+        )]
         let novel_start = (cfg.horizon_seconds as f64 * (1.0 - cfg.novel_era_fraction)) as i64;
         for s in &wl.submissions {
             if pop.apps[s.app_idx].is_novel_era {

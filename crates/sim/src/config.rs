@@ -145,6 +145,10 @@ impl SimConfig {
     /// workload *density* (jobs per unit time — what drives contention)
     /// stays at the preset's production level.
     pub fn with_jobs(mut self, n_jobs: usize) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`as` saturates and rounds toward zero, which the pinned traces encode"
+        )]
         let scaled = (self.horizon_seconds as f64 * n_jobs as f64 / self.n_jobs as f64) as i64;
         // Floor of 30 days: below that the minimum weather structure
         // (epochs, incidents) would dominate every litmus estimate.

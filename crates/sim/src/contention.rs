@@ -111,6 +111,10 @@ impl LoadGrid {
         let per_ost_write = rate * (1.0 - cfg.read_fraction) / stripe.osts.len() as f64;
         let meta_rate = cfg.total_meta_ops() / duration;
         let (a, b) = self.bucket_range(start, end);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the load grid stores f32 by design; its rounding is part of the pinned traces"
+        )]
         for bucket in a..=b {
             let frac = self.overlap_frac(bucket, start, end.max(start + 1));
             for &ost in &stripe.osts {

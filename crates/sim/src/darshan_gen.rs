@@ -32,7 +32,6 @@ fn file_hash(config_fingerprint: u64, file_index: u64) -> u64 {
 /// Generate the POSIX module records for a config.
 fn posix_module(cfg: &JobConfig, peak_bandwidth: f64, fingerprint: u64) -> ModuleData {
     let mut module = ModuleData::new(ModuleId::Posix);
-    // audit:allow(unchecked-cast) -- u32 to usize is lossless on every supported target
     let n_records = (cfg.n_files as usize).clamp(1, MAX_FILE_RECORDS);
     let files_per_record = cfg.n_files as f64 / n_records as f64;
 
@@ -85,6 +84,10 @@ fn posix_module(cfg: &JobConfig, peak_bandwidth: f64, fingerprint: u64) -> Modul
 
         // Access-size histograms: the dominant transfer size, split 80/20
         // with the next-smaller bin (real apps are not perfectly uniform).
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a transfer size in bytes; `as` saturates, and size_bin only buckets it"
+        )]
         let bin = size_bin(cfg.transfer_size as u64);
         let read_base = P::PosixSizeRead0_100.index();
         let write_base = P::PosixSizeWrite0_100.index();
@@ -115,7 +118,6 @@ fn posix_module(cfg: &JobConfig, peak_bandwidth: f64, fingerprint: u64) -> Modul
 /// higher level (all MPI-IO requests are also visible at POSIX level, §V).
 fn mpiio_module(cfg: &JobConfig, peak_bandwidth: f64, fingerprint: u64) -> ModuleData {
     let mut module = ModuleData::new(ModuleId::Mpiio);
-    // audit:allow(unchecked-cast) -- u32 to usize is lossless on every supported target
     let n_records = (cfg.n_files as usize).clamp(1, MAX_FILE_RECORDS);
     let collective = cfg.shared; // N-1 apps use collective I/O
     let bytes_read_total = cfg.volume_bytes * cfg.read_fraction;
@@ -154,6 +156,10 @@ fn mpiio_module(cfg: &JobConfig, peak_bandwidth: f64, fingerprint: u64) -> Modul
         c[M::MpiioMaxReadTimeSize.index()] = agg_size.min(bytes_read_total);
         c[M::MpiioMaxWriteTimeSize.index()] = agg_size.min(bytes_written_total);
 
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a transfer size in bytes; `as` saturates, and size_bin only buckets it"
+        )]
         let bin = size_bin(agg_size as u64);
         c[M::MpiioSizeReadAgg0_100.index() + bin] += reads;
         c[M::MpiioSizeWriteAgg0_100.index() + bin] += writes;
@@ -177,7 +183,7 @@ fn mpiio_module(cfg: &JobConfig, peak_bandwidth: f64, fingerprint: u64) -> Modul
 /// `fingerprint` identifies the *config* (not the job), so duplicate jobs
 /// get identical record ids and counters; start/end/job-id are the only
 /// per-instance fields.
-#[allow(clippy::too_many_arguments)] // mirrors the log header fields
+#[allow(clippy::too_many_arguments, reason = "mirrors the log header fields")]
 pub(crate) fn generate_job_log(
     job_id: u64,
     uid: u32,

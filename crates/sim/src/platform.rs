@@ -298,8 +298,11 @@ impl Platform {
 /// Look up a dense id (`job_id`, `config_id`) as a vector index.
 /// These ids are `enumerate()` positions round-tripped through `u64`,
 /// so the cast back to `usize` cannot lose bits.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "ids are enumerate() indices round-tripped through u64"
+)]
 fn dense_idx(id: u64) -> usize {
-    // audit:allow(unchecked-cast) -- ids are enumerate() indices round-tripped through u64
     id as usize
 }
 
@@ -309,6 +312,10 @@ fn job_nodes(jc: &JobConfig, cfg: &SimConfig) -> u32 {
 
 /// Runtime: compute plus nominal I/O, clamped to scheduler limits.
 /// Deterministic per config, so duplicate jobs request identical walltimes.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`as` saturates and the clamp bounds it; the rounding is part of the pinned traces"
+)]
 fn job_runtime(jc: &JobConfig, cfg: &SimConfig) -> i64 {
     let io = jc.nominal_io_seconds(cfg.peak_bandwidth);
     ((jc.compute_seconds + io) as i64).clamp(60, 86_400)
@@ -418,6 +425,10 @@ mod tests {
     #[test]
     fn novel_jobs_cluster_late() {
         let ds = Platform::new(SimConfig::theta().with_jobs(5_000).with_seed(5)).generate();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the same cast as generate_population's"
+        )]
         let novel_start =
             (ds.config.horizon_seconds as f64 * (1.0 - ds.config.novel_era_fraction)) as i64;
         let novel: Vec<_> = ds.jobs.iter().filter(|j| j.truth.is_novel_era).collect();

@@ -72,6 +72,10 @@ impl Weather {
         let level_dist = Uniform::new(0.85, 1.10);
         let mut epochs = Vec::with_capacity(n_epochs);
         for i in 0..n_epochs {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a fraction of the i64 horizon; `as` rounds toward zero, which the pinned traces encode"
+            )]
             let start = (horizon as f64 * i as f64 / n_epochs as f64) as i64;
             epochs.push(Epoch { start, level: level_dist.sample(rng) });
         }
@@ -85,6 +89,10 @@ impl Weather {
         let dur_dist = LogNormal::new((8.0 * 3600.0f64).ln(), 1.1);
         let sev_dist = Uniform::new(0.35, 0.9);
         let start_dist = Uniform::new(0.0, horizon as f64);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "samples within the i64 horizon and a clamped duration; `as` rounds toward zero, which the pinned traces encode"
+        )]
         let mut incidents: Vec<Incident> = (0..n_incidents)
             .map(|_| Incident {
                 start: start_dist.sample(rng) as i64,
@@ -102,8 +110,9 @@ impl Weather {
         }
     }
 
-    /// A flat weather model (factor ≡ 1) for ablations and tests.
-    pub fn flat(horizon: i64) -> Self {
+    /// A flat weather model (factor ≡ 1), the tests' calm baseline.
+    #[cfg(test)]
+    pub(crate) fn flat(horizon: i64) -> Self {
         Self {
             epochs: vec![Epoch { start: 0, level: 1.0 }],
             incidents: Vec::new(),

@@ -3,20 +3,26 @@
 //! Rust's float→int `as` casts already saturate (and send NaN to zero),
 //! but a bare `as` at a call site cannot be told apart from an accidental
 //! truncation. These helpers give the saturating intent a name, so the
-//! workspace `unchecked-cast` lint surface shrinks to a single reviewed
-//! site per shape and every caller documents what it wants.
+//! workspace `clippy::cast_possible_truncation` surface shrinks to a single
+//! reviewed site per shape and every caller documents what it wants.
 
 /// Saturating `f64` → `usize`: NaN and negatives → 0, overflow → `MAX`.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float `as` int saturates by definition; sanctioned site"
+)]
 pub fn f64_to_usize(v: f64) -> usize {
-    // audit:allow(unchecked-cast) -- float `as` int saturates by definition; sanctioned site
     v as usize
 }
 
 /// Saturating `f64` → `u32`: NaN and negatives → 0, overflow → `MAX`.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "float `as` int saturates by definition; sanctioned site"
+)]
 pub fn f64_to_u32(v: f64) -> u32 {
-    // audit:allow(unchecked-cast) -- float `as` int saturates by definition; sanctioned site
     v as u32
 }
 

@@ -125,7 +125,7 @@ mod tests {
     fn output_is_in_input_order_at_every_thread_count() {
         for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 15 * CHUNK + 41] {
             let items: Vec<u64> = (0..len as u64).collect();
-            let want: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * x)).collect();
+            let want: Vec<(usize, u64)> = (0..len).zip(items.iter().map(|&x| x * x)).collect();
             for threads in 0..=9 {
                 let got: Vec<_> =
                     map_in_order(&items, threads, &|_: &mut (), i, &x| (i, x * x)).collect();

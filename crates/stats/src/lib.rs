@@ -17,8 +17,7 @@
 //!   categorical sampling with pdf/cdf/quantile where defined.
 //! * [`describe`] — descriptive statistics: mean, Bessel-corrected variance,
 //!   medians, arbitrary quantiles, MAD.
-//! * [`online`] — Welford online moments with parallel-friendly merge.
-//! * [`histogram`] — linear- and log-spaced histograms.
+//! * [`online`] — Welford online moments.
 //! * [`ks`] — the one-sample Kolmogorov–Smirnov test.
 //! * [`fit`] — moment/MLE fitting for Normal and Student-t (EM with a
 //!   profiled degrees-of-freedom search).
@@ -40,7 +39,6 @@ pub mod dist;
 pub mod fanout;
 pub mod fit;
 pub mod hashing;
-pub mod histogram;
 pub mod ks;
 pub mod online;
 pub mod rng;
@@ -53,6 +51,5 @@ pub use describe::{mean, median, quantile, variance_biased};
 pub use dist::{Categorical, LogNormal, Normal, Pareto, StudentT, Uniform};
 pub use fit::{fit_normal, fit_student_t, StudentTFit};
 pub use hashing::Fnv1aHasher;
-pub use histogram::Histogram;
 pub use online::Welford;
 pub use rng::{rng_from_seed, substream};

@@ -2,13 +2,11 @@
 //!
 //! The LMT simulator ingests one sample per server per 5-second tick over
 //! multi-year timelines — far too much to buffer. Welford's algorithm keeps
-//! running mean/variance in O(1) space, and `merge` makes it a monoid, so
-//! per-chunk accumulators merged in a fixed order stay deterministic.
+//! running mean/variance in O(1) space.
 
 /// Welford online mean/variance accumulator.
 ///
-/// Numerically stable single-pass estimator; `merge` combines two
-/// accumulators exactly (Chan et al. parallel variant).
+/// Numerically stable single-pass estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
     n: u64,
@@ -43,22 +41,6 @@ impl Welford {
         for &x in xs {
             self.push(x);
         }
-    }
-
-    /// Combine with another accumulator; result is as if all observations
-    /// had been pushed into one.
-    pub fn merge(&self, other: &Self) -> Self {
-        if self.n == 0 {
-            return *other;
-        }
-        if other.n == 0 {
-            return *self;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        Self { n, mean, m2, min: self.min.min(other.min), max: self.max.max(other.max) }
     }
 
     /// Number of observations.
@@ -123,31 +105,6 @@ mod tests {
         assert!((w.variance() - describe::variance_corrected(&xs)).abs() < 1e-8);
         assert_eq!(w.min(), describe::min(&xs));
         assert_eq!(w.max(), describe::max(&xs));
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..512).map(|i| (i as f64).sqrt()).collect();
-        let (a, b) = xs.split_at(100);
-        let mut wa = Welford::new();
-        wa.extend(a);
-        let mut wb = Welford::new();
-        wb.extend(b);
-        let merged = wa.merge(&wb);
-        let mut seq = Welford::new();
-        seq.extend(&xs);
-        assert_eq!(merged.count(), seq.count());
-        assert!((merged.mean() - seq.mean()).abs() < 1e-10);
-        assert!((merged.variance() - seq.variance()).abs() < 1e-8);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut w = Welford::new();
-        w.extend(&[1.0, 2.0, 3.0]);
-        let e = Welford::new();
-        assert_eq!(w.merge(&e), w);
-        assert_eq!(e.merge(&w), w);
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::describe::{
     mad, mean, median, quantile, quantile_sorted, variance_biased, variance_corrected,
 };
 use crate::dist::{ContinuousDist, LogNormal, Normal, Pareto, StudentT};
-use crate::histogram::Histogram;
 use crate::online::Welford;
 use crate::special::{beta_inc, erfc, gamma_p, inv_norm_cdf, ln_gamma};
 use proptest::prelude::*;
@@ -64,30 +63,6 @@ proptest! {
         prop_assert!((w.mean() - mean(&xs)).abs() < 1e-6);
         let scale = variance_corrected(&xs).max(1.0);
         prop_assert!((w.variance() - variance_corrected(&xs)).abs() < 1e-6 * scale);
-    }
-
-    #[test]
-    fn welford_merge_is_associative_enough(xs in finite_vec(3), split in 1usize..100) {
-        let k = split % (xs.len() - 1) + 1;
-        let (a, b) = xs.split_at(k);
-        let mut wa = Welford::new();
-        wa.extend(a);
-        let mut wb = Welford::new();
-        wb.extend(b);
-        let merged = wa.merge(&wb);
-        let mut seq = Welford::new();
-        seq.extend(&xs);
-        prop_assert_eq!(merged.count(), seq.count());
-        prop_assert!((merged.mean() - seq.mean()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn histogram_conserves_counts(xs in finite_vec(1)) {
-        let mut h = Histogram::linear(-1e6, 1e6, 64);
-        for &x in &xs {
-            h.record(x);
-        }
-        prop_assert_eq!(h.total(), xs.len() as u64);
     }
 
     #[test]

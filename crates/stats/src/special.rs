@@ -7,7 +7,7 @@
 //! ranges the taxonomy uses, which is far below the statistical noise of any
 //! litmus test.
 
-#![allow(clippy::excessive_precision)] // tabulated Lanczos/Chebyshev coefficients
+#![allow(clippy::excessive_precision, reason = "tabulated Lanczos/Chebyshev coefficients")]
 
 /// Natural logarithm of the gamma function, `ln Γ(x)`, for `x > 0`.
 ///
