@@ -112,8 +112,9 @@ fn parse_args() -> Result<Args, Error> {
 /// `out`.
 fn run(args: &Args, session: &mut ObsSession, out: &mut impl Write) -> Result<i32, Error> {
     if args.list_lints {
+        let width = LINTS.iter().map(|l| l.name.len()).max().unwrap_or(0);
         for l in LINTS {
-            writeln!(out, "{:<28} {}", l.name, l.summary).map_err(Error::stdout)?;
+            writeln!(out, "{:<width$}  {}", l.name, l.summary).map_err(Error::stdout)?;
         }
         return Ok(0);
     }

@@ -1,20 +1,17 @@
-//! Audit v3/v4: the intra-procedural dataflow/taint engine and the four
-//! lints built on it — three concurrency-safety checks (v3) and one
-//! corpus-cardinality capacity check (v4).
+//! The intra-procedural dataflow/taint engine and the three lints built
+//! on it: two safety checks and one corpus-cardinality capacity check.
 //!
 //! Where [`crate::flow`] resolves *provenance* (does this seed trace to a
 //! parameter?), this module resolves *trust* and *scale*: statement-level
 //! def-use chains over the token stream decide whether a value that sizes
-//! an allocation was derived from the wire, whether a float reduction's
-//! grouping depends on hash order, whether two locks are
-//! ever taken in opposite orders — and, with a second taint vocabulary,
+//! an allocation was derived from the wire, whether two locks are ever
+//! taken in opposite orders — and, with a second taint vocabulary,
 //! whether a value whose *cardinality* scales with the job corpus is ever
 //! materialized without a bound.
 //!
 //! | lint | hazard it guards |
 //! |------|------------------|
 //! | `untrusted-length-allocation` | a parse-derived integer reaches `with_capacity` / `vec![_; n]` / `reserve` / `take(n)` with no cap between source and sink |
-//! | `unordered-float-reduction`   | hash-container iteration feeding a float `sum`/`fold`/`reduce` or accumulator — breaks the `f64::to_bits`-exact equivalence contract |
 //! | `lock-order-cycle`            | the workspace lock-acquisition graph contains a cycle, the classic deadlock precondition |
 //! | `unbounded-corpus-materialization` | a corpus-scale stream reaches `collect`/`to_vec`/`read_to_end`/`extend`, or a per-job loop pushes into a container that outlives it |
 //!
@@ -26,11 +23,11 @@
 //! analyses' conservatism. Both vocabularies are built in.
 //!
 //! `lock-order-cycle` is a workspace pass over every file's analysis; the
-//! other three lints are per-file passes.
+//! other two lints are per-file passes.
 
-use crate::flow::{const_init_idents, first_arg_idents, raw};
+use crate::flow::{const_init_idents, first_arg_idents};
 use crate::lexer::TokKind;
-use crate::lints::RawFinding;
+use crate::lints::{raw, RawFinding};
 use crate::symbols::{FileAnalysis, FileRole};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -81,22 +78,19 @@ pub(crate) fn corpus_vocab() -> TaintVocab {
 // def-use chains
 // ---------------------------------------------------------------------------
 
-/// The most recent definition of `name` before `site`: the RHS of the
-/// last `let [mut] name = …;` or bare reassignment `name = …;` between
-/// `lo` and `site` in token space.
-pub(crate) struct Def {
-    /// Identifiers appearing on the RHS (empty: a pure-literal binding).
-    pub idents: Vec<String>,
-    /// The RHS contained a float literal or an `f32`/`f64` mention.
-    pub has_float: bool,
-}
-
-/// Scan `[lo, site)` for the last definition of `name`. Handles both
-/// `let` bindings and bare reassignments, so `let mut n = src(); n =
-/// n.min(CAP);` resolves to the sanitized RHS, not the tainted one.
-pub(crate) fn last_def(f: &FileAnalysis<'_>, name: &str, lo: usize, site: usize) -> Option<Def> {
+/// Scan `[lo, site)` for the last definition of `name` — the last
+/// `let [mut] name = …;` or bare reassignment `name = …;` — and return
+/// the identifiers on its RHS (empty: a pure-literal binding). Handles
+/// both forms, so `let mut n = src(); n = n.min(CAP);` resolves to the
+/// sanitized RHS, not the tainted one.
+pub(crate) fn last_def(
+    f: &FileAnalysis<'_>,
+    name: &str,
+    lo: usize,
+    site: usize,
+) -> Option<Vec<String>> {
     let cx = &f.cx;
-    let mut found: Option<Def> = None;
+    let mut found = None;
     let mut j = lo;
     while j + 2 < site {
         let rhs_at = if cx.ident_at(j, "let") {
@@ -126,7 +120,6 @@ pub(crate) fn last_def(f: &FileAnalysis<'_>, name: &str, lo: usize, site: usize)
         };
         if let Some(start) = rhs_at {
             let mut idents = Vec::new();
-            let mut has_float = false;
             let mut depth = 0i64;
             let mut k = start;
             while k < cx.code.len() {
@@ -134,20 +127,12 @@ pub(crate) fn last_def(f: &FileAnalysis<'_>, name: &str, lo: usize, site: usize)
                     "(" | "[" | "{" => depth += 1,
                     ")" | "]" | "}" => depth -= 1,
                     ";" if depth <= 0 => break,
-                    t => match cx.kind(k) {
-                        TokKind::Ident => {
-                            if t == "f64" || t == "f32" {
-                                has_float = true;
-                            }
-                            idents.push(t.to_owned());
-                        }
-                        TokKind::Float => has_float = true,
-                        _ => {}
-                    },
+                    t if cx.kind(k) == TokKind::Ident => idents.push(t.to_owned()),
+                    _ => {}
                 }
                 k += 1;
             }
-            found = Some(Def { idents, has_float });
+            found = Some(idents);
         }
         j += 1;
     }
@@ -222,13 +207,10 @@ fn trace_taint(
         if guarded(f, &name, body_lo, site) {
             continue; // a cap comparison dominates the sink
         }
-        let rhs = match last_def(f, &name, body_lo, site) {
-            Some(def) => def.idents,
-            None => match const_init_idents(f, &name) {
-                Some(rhs) => rhs,
-                // Fields, params, cross-file consts: unresolvable → pass.
-                None => continue,
-            },
+        // Fields, params, cross-file consts: unresolvable → pass.
+        let Some(rhs) = last_def(f, &name, body_lo, site).or_else(|| const_init_idents(f, &name))
+        else {
+            continue;
         };
         match step(&rhs, vocab, summaries) {
             Step::Clean => {}
@@ -546,207 +528,6 @@ fn match_brace(f: &FileAnalysis<'_>, open: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// unordered-float-reduction
-// ---------------------------------------------------------------------------
-
-/// Reductions whose grouping is evaluation-order-dependent for floats.
-const REDUCERS: &[&str] = &["sum", "product", "fold", "reduce"];
-
-/// Hash-container iteration entry points whose order varies per process.
-const HASH_ITER: &[&str] = &["iter", "into_iter", "values", "into_values", "keys", "drain"];
-
-pub(crate) fn unordered_float_reduction(f: &FileAnalysis<'_>) -> Vec<RawFinding> {
-    let cx = &f.cx;
-    let hash_names = hash_bound_names(f);
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if cx.is_test(i) || cx.kind(i) != TokKind::Ident {
-            continue;
-        }
-        let name = cx.text(i);
-        // Arm 1: `map.iter()…sum()` — hash order feeds the fold directly.
-        if hash_names.iter().any(|n| n == name)
-            && cx.punct_at(i + 1, ".")
-            && HASH_ITER.contains(&cx.text(i + 2))
-            && cx.punct_at(i + 3, "(")
-        {
-            if let Some(red) = chain_float_reduction(f, i + 2) {
-                out.push(raw(
-                    cx,
-                    "unordered-float-reduction",
-                    red,
-                    format!(
-                        "float reduction `.{}(…)` consumes hash container `{name}` in \
-                         iteration order, which differs every process; sort the entries \
-                         (or use a BTreeMap) before reducing",
-                        cx.text(red)
-                    ),
-                ));
-            }
-            continue;
-        }
-        // Arm 2: `for … in &map { acc += v; }` with a float accumulator.
-        if name == "for" {
-            if let Some((hash, acc)) = for_loop_float_accumulation(f, i, &hash_names) {
-                out.push(raw(
-                    cx,
-                    "unordered-float-reduction",
-                    i,
-                    format!(
-                        "loop over hash container `{hash}` accumulates into float `{acc}` \
-                         in iteration order, which differs every process; sort the \
-                         entries (or use a BTreeMap) before accumulating"
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Names bound to `HashMap`/`HashSet` in this file (let bindings and
-/// `name: HashMap<…>` parameter/field positions) — the same heuristic the
-/// token-level `unordered-iteration` lint uses.
-fn hash_bound_names(f: &FileAnalysis<'_>) -> Vec<String> {
-    let cx = &f.cx;
-    let mut names = Vec::new();
-    for i in 0..cx.code.len() {
-        if !(cx.ident_at(i, "HashMap") || cx.ident_at(i, "HashSet")) {
-            continue;
-        }
-        let lo = i.saturating_sub(16);
-        for j in (lo..i).rev() {
-            if matches!(cx.text(j), ";" | "{" | "}") {
-                break;
-            }
-            if cx.ident_at(j, "let") {
-                let name_at = if cx.ident_at(j + 1, "mut") { j + 2 } else { j + 1 };
-                if cx.kind(name_at) == TokKind::Ident {
-                    names.push(cx.text(name_at).to_owned());
-                }
-                break;
-            }
-        }
-        if cx.punct_at(i.saturating_sub(1), ":") && cx.kind(i.saturating_sub(2)) == TokKind::Ident {
-            names.push(cx.text(i - 2).to_owned());
-        } else if cx.punct_at(i.saturating_sub(1), "&") || cx.ident_at(i.saturating_sub(1), "mut") {
-            // `name: &'a mut HashMap<…>` — walk back over the reference.
-            let mut j = i.saturating_sub(1);
-            while j > 0
-                && (cx.punct_at(j, "&") || cx.ident_at(j, "mut") || cx.kind(j) == TokKind::Lifetime)
-            {
-                j -= 1;
-            }
-            if cx.punct_at(j, ":") && cx.kind(j.saturating_sub(1)) == TokKind::Ident {
-                names.push(cx.text(j - 1).to_owned());
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
-/// Starting at chain token `entry` (a hash container's `.iter`-like method
-/// name), scan forward to the statement end. Returns the token of the first
-/// `.sum`/`.product`/`.fold`/`.reduce` at the *chain's own* bracket depth
-/// — closure-nested reductions are skipped — provided float evidence
-/// (a float literal or an `f32`/`f64` mention) appears anywhere in the
-/// statement.
-fn chain_float_reduction(f: &FileAnalysis<'_>, entry: usize) -> Option<usize> {
-    let cx = &f.cx;
-    let mut depth = 0i64;
-    let mut candidate = None;
-    let mut has_float = false;
-    let mut j = entry + 1;
-    while j < cx.code.len() {
-        match cx.text(j) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth < 0 {
-                    break; // chain ends inside an enclosing expression
-                }
-            }
-            ";" | "," if depth == 0 => break,
-            t => match cx.kind(j) {
-                TokKind::Float => has_float = true,
-                TokKind::Ident => {
-                    if t == "f64" || t == "f32" {
-                        has_float = true;
-                    }
-                    if depth == 0
-                        && candidate.is_none()
-                        && REDUCERS.contains(&t)
-                        && cx.punct_at(j - 1, ".")
-                    {
-                        candidate = Some(j);
-                    }
-                }
-                _ => {}
-            },
-        }
-        j += 1;
-    }
-    candidate.filter(|_| has_float)
-}
-
-/// `for … in … hash { … acc += … }` where `acc`'s last definition is a
-/// float (literal or `f32`/`f64`-typed RHS). Returns (hash name, acc).
-fn for_loop_float_accumulation(
-    f: &FileAnalysis<'_>,
-    for_tok: usize,
-    hash_names: &[String],
-) -> Option<(String, String)> {
-    let cx = &f.cx;
-    // Header: tokens between `for` and the loop `{`, which must mention
-    // `in` and a hash-bound name.
-    let mut open = None;
-    let mut hash = None;
-    let mut saw_in = false;
-    let mut j = for_tok + 1;
-    while j < cx.code.len() && j < for_tok + 24 {
-        if cx.punct_at(j, "{") {
-            open = Some(j);
-            break;
-        }
-        if cx.ident_at(j, "in") {
-            saw_in = true;
-        } else if saw_in && hash_names.iter().any(|n| cx.ident_at(j, n)) {
-            hash = Some(cx.text(j).to_owned());
-        }
-        j += 1;
-    }
-    let (open, hash) = (open?, hash?);
-    // Body: find `acc += …` (lexed `+` `=`) and check acc's definition.
-    let body_lo =
-        f.items.enclosing_fn(for_tok).and_then(|i| f.items.items[i].body).map_or(0, |b| b.0);
-    let mut depth = 0i64;
-    let mut k = open;
-    while k < cx.code.len() {
-        match cx.text(k) {
-            "{" | "(" | "[" => depth += 1,
-            "}" | ")" | "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            "+" if cx.punct_at(k + 1, "=") && k > 0 && cx.kind(k - 1) == TokKind::Ident => {
-                let acc = cx.text(k - 1);
-                let is_float = last_def(f, acc, body_lo, for_tok).is_some_and(|d| d.has_float);
-                if is_float {
-                    return Some((hash, acc.to_owned()));
-                }
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    None
-}
-
-// ---------------------------------------------------------------------------
 // lock-order-cycle
 // ---------------------------------------------------------------------------
 
@@ -1040,15 +821,11 @@ mod tests {
         found.iter().map(|f| f.lint.as_str()).collect()
     }
 
-    /// The four dataflow lints' findings on one library file.
+    /// The three dataflow lints' findings on one library file.
     fn run_one(src: &str) -> Vec<Finding> {
         let specs = vec![spec("iotax-x", "crates/x/src/lib.rs", src)];
-        let dataflow = [
-            "untrusted-length-allocation",
-            "unordered-float-reduction",
-            "lock-order-cycle",
-            "unbounded-corpus-materialization",
-        ];
+        let dataflow =
+            ["untrusted-length-allocation", "lock-order-cycle", "unbounded-corpus-materialization"];
         let found = audit_sources(specs, false).findings;
         found.into_iter().filter(|f| dataflow.contains(&f.lint.as_str())).collect()
     }
@@ -1141,35 +918,6 @@ mod tests {
              }",
         );
         assert!(found.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn hash_iteration_feeding_float_fold_is_flagged() {
-        let chain = run_one(
-            "pub fn mean(scores: &HashMap<String, f64>) -> f64 {\n\
-                 scores.values().sum::<f64>() / scores.len() as f64\n\
-             }",
-        );
-        assert_eq!(lints_of(&chain), vec!["unordered-float-reduction"], "{chain:?}");
-
-        let looped = run_one(
-            "pub fn mean(scores: &HashMap<String, f64>) -> f64 {\n\
-                 let mut total = 0.0;\n\
-                 for (_k, v) in &scores { total += v; }\n\
-                 total\n\
-             }",
-        );
-        assert_eq!(lints_of(&looped), vec!["unordered-float-reduction"], "{looped:?}");
-
-        // Integer counting over a hash map is exact in any order.
-        let ints = run_one(
-            "pub fn count(seen: &HashMap<String, u64>) -> u64 {\n\
-                 let mut total = 0;\n\
-                 for (_k, v) in &seen { total += v; }\n\
-                 total\n\
-             }",
-        );
-        assert!(ints.is_empty(), "{ints:?}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::io;
 #[derive(Debug, Clone, PartialEq, Serialize)]
 // audit:allow(dead-public-api) -- element type of AuditReport's public `findings` field; the iotax-audit bin renders them
 pub struct Finding {
-    /// Lint name (`swallowed-result`, …).
+    /// Lint name (`unsynced-durable-write`, …).
     pub lint: String,
     /// Crate the file belongs to (`iotax-darshan`).
     pub krate: String,
@@ -68,13 +68,13 @@ mod tests {
     #[test]
     fn jsonl_has_discriminators_and_summary() {
         let f = Finding {
-            lint: "swallowed-result".into(),
-            krate: "iotax-darshan".into(),
-            file: "crates/darshan/src/format.rs".into(),
+            lint: "unsynced-durable-write".into(),
+            krate: "iotax-obs".into(),
+            file: "crates/obs/src/store.rs".into(),
             line: 10,
             col: 5,
-            item: "parse_log".into(),
-            message: "`let _ =` silently discards a Result".into(),
+            item: "write_atomic".into(),
+            message: "this rename publishes bytes that were never fsynced".into(),
         };
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &[f], 3).unwrap();

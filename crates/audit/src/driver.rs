@@ -55,13 +55,13 @@ pub struct AuditReport {
     pub suppressed: usize,
 }
 
-/// Audit one in-memory source file with the token lints only: no
+/// Audit one in-memory source file with the token lint only: no
 /// filesystem and no cross-file passes.
 // audit:allow(dead-public-api) -- the single-file seam tests/lint_fixtures.rs and tests/prop.rs drive
 pub fn audit_source(krate: &str, file: &str, src: &str, include_tests: bool) -> FileReport {
     let cx = FileCx::new(src);
     let items = parse_items(&cx);
-    let mut raw = lints::token_lints(&cx, include_tests);
+    let mut raw = lints::unsynced_durable_write(&cx, include_tests);
     raw.sort_by_key(|f| (f.line, f.col));
     let (findings, suppressed) = finalize(krate, file, &cx.suppressions, &items, &raw);
     FileReport { findings, suppressed }
@@ -157,8 +157,8 @@ fn finalize(
     (findings, suppressed)
 }
 
-/// Every per-file lint pass over one analysis, in canonical order:
-/// token lints, then the flow passes, then the dataflow/taint passes.
+/// Every per-file lint pass over one analysis, in canonical order: the
+/// token lint, then the flow pass, then the dataflow/taint passes.
 /// Returns position-sorted findings.
 fn file_sites(
     f: &FileAnalysis<'_>,
@@ -169,13 +169,12 @@ fn file_sites(
     let mut raw = if f.spec.role == FileRole::Test && !include_tests {
         Vec::new()
     } else {
-        lints::token_lints(&f.cx, include_tests)
+        lints::unsynced_durable_write(&f.cx, include_tests)
     };
     if f.spec.role != FileRole::Test {
         // Per-site flow + dataflow analyses skip test targets entirely.
         raw.extend(flow::seed_provenance(f));
         raw.extend(dataflow::untrusted_length_allocation(f, &dataflow::wire_vocab(), wire_sum));
-        raw.extend(dataflow::unordered_float_reduction(f));
         raw.extend(dataflow::unbounded_corpus_materialization(
             f,
             &dataflow::corpus_vocab(),
@@ -191,8 +190,8 @@ fn file_sites(
 /// This is the engine behind [`audit_workspace`]; see the module docs for
 /// the phases.
 ///
-/// Test-target files (`tests/…`) always join the corpus, but token lints
-/// skip them unless `include_tests` is set.
+/// Test-target files (`tests/…`) always join the corpus, but the token
+/// lint skips them unless `include_tests` is set.
 // audit:allow(dead-public-api) -- the in-memory corpus seam tests/flow_fixtures.rs drives
 pub fn audit_sources(specs: Vec<SourceSpec>, include_tests: bool) -> AuditReport {
     let (files, wire_sum, corpus_sum) = {
@@ -254,7 +253,7 @@ fn sort_report(findings: &mut [Finding]) {
 }
 
 /// Load every source file of the package rooted at `dir` into `specs`.
-/// Test targets always load; the token lints decide per file whether to
+/// Test targets always load; the token lint decides per file whether to
 /// skip them.
 fn collect_package_specs(
     root: &Path,
@@ -381,18 +380,19 @@ mod tests {
         audit_source("c", "f.rs", src, false)
     }
 
+    /// A write published by a rename with no fsync between.
+    const TORN: &str = "fn f() { write(); rename(); }";
+
     #[test]
     fn trailing_suppression_with_reason_is_clean() {
-        let src = "fn f() { x.ok(); } // audit:allow(swallowed-result) -- test seam\n";
-        let r = audit(src);
+        let r = audit(&format!("{TORN} // audit:allow(unsynced-durable-write) -- test seam\n"));
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed, 1);
     }
 
     #[test]
     fn suppression_without_reason_is_flagged() {
-        let src = "fn f() { x.ok(); } // audit:allow(swallowed-result)\n";
-        let r = audit(src);
+        let r = audit(&format!("{TORN} // audit:allow(unsynced-durable-write)\n"));
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].lint, "bad-suppression");
         assert_eq!(r.suppressed, 1, "still suppresses, but loudly");
@@ -400,14 +400,14 @@ mod tests {
 
     #[test]
     fn standalone_suppression_covers_next_line() {
-        let src = "fn f() {\n    // audit:allow(swallowed-result) -- best-effort cleanup\n    x.ok();\n}\n";
+        let src = "fn f() {\n    write();\n    // audit:allow(unsynced-durable-write) -- rebuildable cache\n    rename();\n}\n";
         let r = audit(src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
 
     #[test]
     fn unused_suppression_is_flagged() {
-        let src = "// audit:allow(swallowed-result) -- stale\nfn f() { g(); }\n";
+        let src = "// audit:allow(unsynced-durable-write) -- stale\nfn f() { g(); }\n";
         let r = audit(src);
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].lint, "unused-suppression");
@@ -415,15 +415,24 @@ mod tests {
 
     #[test]
     fn unknown_lint_in_suppression_is_flagged() {
-        let src = "fn f() { g(); } // audit:allow(no-such-lint) -- why\n";
-        let r = audit(src);
-        assert!(r.findings.iter().any(|f| f.lint == "bad-suppression"));
+        // The retired lints are unknown too: their contracts are clippy's.
+        for lint in
+            ["no-such-lint", "swallowed-result", "unordered-iteration", "unordered-float-reduction"]
+        {
+            let r = audit(&format!("fn f() {{ g(); }} // audit:allow({lint}) -- why\n"));
+            let lints: Vec<&str> = r.findings.iter().map(|f| f.lint.as_str()).collect();
+            assert_eq!(lints, ["bad-suppression"], "{lint}");
+            assert!(r.findings[0].message.contains(lint), "{lint}: {:?}", r.findings);
+        }
     }
 
     #[test]
     fn file_level_suppression_covers_everything() {
-        let src = "// audit:allow-file(swallowed-result) -- best-effort cleanup\nfn f() { a.ok(); }\nfn g() { b.ok(); }\n";
-        let r = audit(src);
+        let src = format!(
+            "// audit:allow-file(unsynced-durable-write) -- rebuildable cache\n{TORN}\n{}\n",
+            TORN.replace("f()", "g()")
+        );
+        let r = audit(&src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed, 2);
     }
@@ -431,13 +440,17 @@ mod tests {
     #[test]
     fn findings_name_the_innermost_item_around_them() {
         let cases = [
-            ("fn kept(xs: &[u8]) -> impl Iterator<Item = &u8> { g().ok(); xs.iter() }", "kept"),
-            ("impl E { fn new(c: impl Into<String>) -> Self { c.ok(); E } }", "E::new"),
-            ("impl R { fn push(&mut self, s: &[[f64; 3]]) { s.ok(); } }", "R::push"),
-            ("struct S { bytes: [u8; { N.ok(); 1 }] }", "S"),
+            (
+                "fn kept(xs: &[u8]) -> impl Iterator<Item = &u8> { write(); rename(); xs.iter() }",
+                "kept",
+            ),
+            ("impl E { fn new(c: impl Into<String>) -> Self { write(); rename(); E } }", "E::new"),
+            ("impl R { fn push(&mut self, s: &[[f64; 3]]) { {TORN} } }", "R::push::f"),
+            ("struct S { bytes: [u8; { {TORN} 1 }] }", "S"),
         ];
         for (src, want) in cases {
-            let r = audit(src);
+            let src = src.replace("{TORN}", TORN);
+            let r = audit(&src);
             assert_eq!(r.findings.len(), 1, "{src}: {:?}", r.findings);
             assert_eq!(r.findings[0].item, want, "{src}");
         }

@@ -1,6 +1,6 @@
 //! The two cross-file flow analyses.
 //!
-//! Where the token lints in [`crate::lints`] check one token window in
+//! Where the token lint in [`crate::lints`] checks one token window in
 //! one file, these passes reason about the bugs that live at the *seams*
 //! between crates:
 //!
@@ -12,14 +12,14 @@
 //! Both are conservative by construction: unresolvable provenance,
 //! ambiguous names, and unknown call targets are passes, not findings.
 //! The suppression machinery (`// audit:allow(lint) -- reason`) applies
-//! to these findings exactly as it does to token lints.
+//! to these findings exactly as it does to the token lint.
 //!
 //! `seed-provenance` is a per-file pass; `dead-public-api` is a workspace
 //! pass over every file's analysis.
 
 use crate::items::{Item, ItemKind, Vis};
 use crate::lexer::TokKind;
-use crate::lints::RawFinding;
+use crate::lints::{raw, RawFinding};
 use crate::symbols::{FileAnalysis, FileRole};
 use std::collections::BTreeSet;
 
@@ -374,16 +374,6 @@ fn kind_noun(kind: ItemKind) -> &'static str {
         ItemKind::Mod => "mod",
         ItemKind::Impl => "impl",
     }
-}
-
-pub(crate) fn raw(
-    cx: &crate::context::FileCx<'_>,
-    lint: &'static str,
-    tok: usize,
-    message: String,
-) -> RawFinding {
-    let t = cx.code.get(tok).copied();
-    RawFinding { lint, line: t.map_or(0, |t| t.line), col: t.map_or(0, |t| t.col), tok, message }
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! A small Rust lexer: just enough syntax awareness to lint safely.
 //!
-//! The lints in this crate match token *sequences* (`let _ =`,
-//! `. ok ( ) ;`, `ident . iter (`), so the one thing the lexer must get
-//! right is never mistaking comment or string-literal content for code — a
-//! doc comment mentioning `.ok();` must not trip `swallowed-result`. It
+//! The lints in this crate match token *sequences* (`fs :: rename (`,
+//! `r . varint (`, `. lock (`), so the one thing the lexer must get right
+//! is never mistaking comment or string-literal content for code — a doc
+//! comment mentioning `rename(` must not trip `unsynced-durable-write`. It
 //! therefore handles the full literal surface of the language (line and
 //! nested block comments, plain/raw/byte strings with arbitrary `#`
 //! fences, char literals vs. lifetimes, numeric literals with radix
@@ -19,7 +19,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 // audit:allow(dead-public-api) -- return type of FileCx::kind; FileCx is the lexer seam tests/prop.rs drives
 pub enum TokKind {
-    /// Identifier or keyword (`unwrap`, `as`, `fn`, `HashMap`).
+    /// Identifier or keyword (`unwrap`, `as`, `fn`, `Mutex`).
     Ident,
     /// Lifetime (`'a`) — distinguished from char literals.
     Lifetime,

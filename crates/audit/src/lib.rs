@@ -6,19 +6,19 @@
 //! *code*, but until now they were only enforced by *tests*, which sample
 //! a handful of seeds and inputs. Where types decide a contract (wall-clock
 //! reads, directly seeded RNGs, panics and indexing in parsers, truncating
-//! casts), clippy checks it: the root `clippy.toml` and the crates'
-//! `[lints.clippy]` tables. This crate checks the rest, on every line of
-//! every crate, on every commit: a small, dependency-free Rust lexer plus
-//! three token-level lints ([`lints`]) — and, on top of the lexer, an item
-//! parser, a workspace symbol table, and two cross-file flow analyses
-//! ([`flow`]) that check the properties that live at crate seams: seed
-//! provenance and dead public API. A statement-level def-use engine
-//! ([`dataflow`]) runs the same taint machinery under two vocabularies —
-//! wire-derived lengths and corpus-scale cardinality — for its four
-//! allocation, float-ordering, lock-order, and capacity lints. Every lint
-//! is on in every crate, so the audit keeps no configuration; its one
-//! setting is `--include-tests`. Every run analyzes each file once, in one
-//! uncached pass ([`driver`]).
+//! casts, discarded `Result`s, hash-ordered containers), clippy checks it:
+//! the root `clippy.toml` and the crates' `[lints.clippy]` tables. This
+//! crate checks the rest, on every line of every crate, on every commit: a
+//! small, dependency-free Rust lexer plus one token-level lint ([`lints`])
+//! — and, on top of the lexer, an item parser, a workspace symbol table,
+//! and two cross-file flow analyses ([`flow`]) that check the properties
+//! that live at crate seams: seed provenance and dead public API. A
+//! statement-level def-use engine ([`dataflow`]) runs the same taint
+//! machinery under two vocabularies — wire-derived lengths and corpus-scale
+//! cardinality — for its three allocation, lock-order, and capacity lints.
+//! Every lint is on in every crate, so the audit keeps no configuration;
+//! its one setting is `--include-tests`. Every run analyzes each file once,
+//! in one uncached pass ([`driver`]).
 //!
 //! Design constraints, in order:
 //!

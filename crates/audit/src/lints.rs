@@ -1,22 +1,18 @@
-//! The lint catalogue and the three token lints.
+//! The lint catalogue and the one token lint.
 //!
 //! Each lint turns one of the taxonomy pipeline's *dynamic* guarantees
 //! (proptests, the pinned-seed chaos gate) into a *static* check that
-//! holds for every future change, not just the seeds the tests pin:
+//! holds for every future change, not just the seeds the tests pin. The
+//! token lint here, `unsynced-durable-write`, defends crash durability:
+//! written bytes are fsynced before the publishing rename.
 //!
-//! | lint | guarantee it defends |
-//! |------|----------------------|
-//! | `unordered-iteration`    | byte-determinism: hash-order never reaches serialized bytes or statistics |
-//! | `swallowed-result`       | no silent data loss: every `Result` is handled or loudly waived |
-//! | `unsynced-durable-write` | crash durability: written bytes are fsynced before the publishing rename |
-//!
-//! Lints are token-sequence matchers over [`FileCx`] — deliberately
-//! simple and predictable — and run on every crate. Where a pattern is
-//! provably safe (an iteration whose order is erased by a sort), the code
-//! carries an inline `// audit:allow(lint) -- reason` with the proof.
-//! The contracts that types decide (wall-clock reads, directly seeded
-//! RNGs, panics and indexing in parsers, truncating casts) are clippy's:
-//! see the `[lints.clippy]` tables and the root `clippy.toml`.
+//! It is a token-sequence matcher over [`FileCx`] — deliberately simple
+//! and predictable — and runs on every crate. Where a pattern is provably
+//! safe, the code carries an inline `// audit:allow(lint) -- reason` with
+//! the proof. The contracts that types decide (wall-clock reads, directly
+//! seeded RNGs, panics and indexing in parsers, truncating casts,
+//! discarded `Result`s, hash-ordered containers) are clippy's: see the
+//! `[lints.clippy]` tables and the root `clippy.toml`.
 
 use crate::context::FileCx;
 use crate::lexer::TokKind;
@@ -36,6 +32,12 @@ pub(crate) struct RawFinding {
     pub message: String,
 }
 
+/// The finding of `lint` at code token `tok`.
+pub(crate) fn raw(cx: &FileCx<'_>, lint: &'static str, tok: usize, message: String) -> RawFinding {
+    let t = cx.code.get(tok).copied();
+    RawFinding { lint, line: t.map_or(0, |t| t.line), col: t.map_or(0, |t| t.col), tok, message }
+}
+
 /// One lint's entry in the catalogue: its name and the texts
 /// `--list-lints` and `--explain` print.
 // audit:allow(dead-public-api) -- element type of the public LINTS table, which the iotax-audit bin lists
@@ -52,32 +54,12 @@ pub struct LintSpec {
     good: &'static str,
 }
 
-/// The one lint catalogue, in reporting order: the three token lints
-/// (this module), the two flow lints ([`crate::flow`]), the four dataflow
+/// The one lint catalogue, in reporting order: the token lint (this
+/// module), the two flow lints ([`crate::flow`]), the three dataflow
 /// lints ([`crate::dataflow`]), then the two meta-lints
 /// (`bad-suppression`, `unused-suppression`), which are always on and live
 /// in [`crate::driver`].
 pub const LINTS: &[LintSpec] = &[
-    LintSpec {
-        name: "unordered-iteration",
-        summary: "HashMap/HashSet iteration feeding bytes or statistics is order-nondeterministic",
-        rationale: "HashMap/HashSet iteration order changes every process (randomized hasher), \
-                    so bytes or statistics derived from it differ run to run and break the \
-                    byte-determinism contract on serialized traces.",
-        bad: "for (name, stat) in &by_feature { writeln!(out, \"{name} {stat}\")?; }",
-        good: "let mut rows: Vec<_> = by_feature.iter().collect();\n\
-               rows.sort_by_key(|(name, _)| *name);\n\
-               for (name, stat) in rows { writeln!(out, \"{name} {stat}\")?; }",
-    },
-    LintSpec {
-        name: "swallowed-result",
-        summary: "`let _ =` or trailing `.ok()` silently discards a Result",
-        rationale: "`.ok()` / `let _ =` on a Result hides I/O and parse failures, so a stage \
-                    reports success while its output is missing or partial — the exact silent \
-                    absorption of error sources the taxonomy exists to expose.",
-        bad: "std::fs::write(&path, bytes).ok();",
-        good: "std::fs::write(&path, bytes).map_err(|e| Error::io(\"writing report\", e))?;",
-    },
     LintSpec {
         name: "unsynced-durable-write",
         summary: "file written then renamed into place with no fsync between; a crash can publish a torn file",
@@ -118,16 +100,6 @@ pub const LINTS: &[LintSpec] = &[
                let mut buf = Vec::with_capacity(n);",
     },
     LintSpec {
-        name: "unordered-float-reduction",
-        summary: "hash-ordered float reduction breaks bit-identical metric replay",
-        rationale: "Float addition is not associative, so a sum/fold/reduce over a hash \
-                    container's iteration order groups differently per process, which \
-                    violates the f64::to_bits-exact equivalence contract the perf gate \
-                    enforces. Reduce over a fixed order: sort the entries or use a BTreeMap.",
-        bad: "let total: f64 = scores_by_job.values().sum(); // HashMap order",
-        good: "let total: f64 = scores_by_job.values().sum(); // BTreeMap: key order",
-    },
-    LintSpec {
         name: "lock-order-cycle",
         summary: "locks acquired in conflicting orders across functions (deadlock precondition)",
         rationale: "Two locks acquired in opposite orders on different paths is the classic \
@@ -156,8 +128,8 @@ pub const LINTS: &[LintSpec] = &[
         summary: "suppression without reason or naming an unknown lint (always on)",
         rationale: "An audit:allow with no `-- reason`, or naming a lint that does not exist, \
                     is an unreviewable waiver: nobody can judge later whether it still applies.",
-        bad: "let _ = fs::remove_file(&tmp); // audit:allow(swallowed-result)",
-        good: "let _ = fs::remove_file(&tmp); // audit:allow(swallowed-result) -- best-effort cleanup",
+        bad: "fs::rename(&tmp, &path)?; // audit:allow(unsynced-durable-write)",
+        good: "fs::rename(&tmp, &path)?; // audit:allow(unsynced-durable-write) -- rebuildable cache",
     },
     LintSpec {
         name: "unused-suppression",
@@ -165,7 +137,7 @@ pub const LINTS: &[LintSpec] = &[
         rationale: "A suppression that matches no finding is stale documentation: it claims a \
                     hazard exists where none does, and it will silently mask a future finding \
                     at that line. Dead waivers must be deleted.",
-        bad: "// audit:allow(swallowed-result) -- best-effort   (but the `let _ =` was removed)",
+        bad: "// audit:allow(unsynced-durable-write) -- rebuildable cache   (but the rename was removed)",
         good: "(delete the comment)",
     },
 ];
@@ -191,192 +163,6 @@ pub fn explain(name: &str) -> Option<String> {
     ))
 }
 
-/// Run the three token lints over one file, skipping `#[cfg(test)]`
-/// items unless `include_tests`.
-pub(crate) fn token_lints(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
-    let mut out = unordered_iteration(cx, include_tests);
-    out.extend(swallowed_result(cx, include_tests));
-    out.extend(unsynced_durable_write(cx, include_tests));
-    out
-}
-
-fn skip(cx: &FileCx<'_>, i: usize, include_tests: bool) -> bool {
-    !include_tests && cx.is_test(i)
-}
-
-fn finding(cx: &FileCx<'_>, lint: &'static str, i: usize, message: String) -> RawFinding {
-    let t = cx.code.get(i).copied();
-    RawFinding { lint, line: t.map_or(0, |t| t.line), col: t.map_or(0, |t| t.col), tok: i, message }
-}
-
-// ---------------------------------------------------------------------------
-// unordered-iteration
-// ---------------------------------------------------------------------------
-
-/// Iteration-order-sensitive methods on hash containers.
-const ORDERED_SINKS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "values",
-    "values_mut",
-    "into_keys",
-    "into_values",
-    "drain",
-];
-
-fn unordered_iteration(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
-    // Pass 1: names bound to HashMap/HashSet in `let` statements or
-    // `name: HashMap<…>` parameter/field positions.
-    let mut hash_names: Vec<String> = Vec::new();
-    for i in 0..cx.code.len() {
-        if !(cx.ident_at(i, "HashMap") || cx.ident_at(i, "HashSet")) {
-            continue;
-        }
-        // Walk back to the statement head looking for `let [mut] name`.
-        let lo = i.saturating_sub(16);
-        for j in (lo..i).rev() {
-            if matches!(cx.text(j), ";" | "{" | "}") {
-                break;
-            }
-            if cx.ident_at(j, "let") {
-                let name_at = if cx.ident_at(j + 1, "mut") { j + 2 } else { j + 1 };
-                if cx.kind(name_at) == TokKind::Ident {
-                    hash_names.push(cx.text(name_at).to_owned());
-                }
-                break;
-            }
-        }
-        // `name : [& mut] HashMap` parameter form.
-        if cx.punct_at(i.saturating_sub(1), ":") && cx.kind(i.saturating_sub(2)) == TokKind::Ident {
-            hash_names.push(cx.text(i - 2).to_owned());
-        } else if cx.punct_at(i.saturating_sub(1), "&") || cx.ident_at(i.saturating_sub(1), "mut") {
-            let mut j = i.saturating_sub(1);
-            while j > 0
-                && (cx.punct_at(j, "&") || cx.ident_at(j, "mut") || cx.kind(j) == TokKind::Lifetime)
-            {
-                j -= 1;
-            }
-            if cx.punct_at(j, ":") && cx.kind(j.saturating_sub(1)) == TokKind::Ident {
-                hash_names.push(cx.text(j - 1).to_owned());
-            }
-        }
-    }
-    hash_names.sort();
-    hash_names.dedup();
-
-    // Pass 2: flag order-sensitive consumption of those names.
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if skip(cx, i, include_tests) || cx.kind(i) != TokKind::Ident {
-            continue;
-        }
-        let name = cx.text(i);
-        if !hash_names.iter().any(|n| n == name) {
-            continue;
-        }
-        // `name.iter()` / `.keys()` / `.into_values()` / `.drain()` …
-        if cx.punct_at(i + 1, ".")
-            && ORDERED_SINKS.contains(&cx.text(i + 2))
-            && cx.punct_at(i + 3, "(")
-        {
-            out.push(finding(
-                cx,
-                "unordered-iteration",
-                i,
-                format!(
-                    "iterating hash container `{name}` (`.{}()`) yields a different order \
-                     every run; sort the result, use a BTreeMap, or prove the order is \
-                     erased downstream",
-                    cx.text(i + 2)
-                ),
-            ));
-            continue;
-        }
-        // `for x in [&[mut]] name {` — iteration by loop header.
-        let mut j = i;
-        let mut saw_in = false;
-        while j > 0 && !matches!(cx.text(j), ";" | "{" | "}") {
-            if cx.ident_at(j, "in") {
-                saw_in = true;
-            }
-            if cx.ident_at(j, "for") && saw_in && cx.punct_at(i + 1, "{") {
-                out.push(finding(
-                    cx,
-                    "unordered-iteration",
-                    i,
-                    format!(
-                        "looping over hash container `{name}` yields a different order \
-                         every run; sort first or use a BTreeMap"
-                    ),
-                ));
-                break;
-            }
-            j -= 1;
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// swallowed-result
-// ---------------------------------------------------------------------------
-
-fn swallowed_result(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
-    let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if skip(cx, i, include_tests) {
-            continue;
-        }
-        // `let _ = …;` (exact wildcard, not `_name`).
-        if cx.ident_at(i, "let") && cx.ident_at(i + 1, "_") && cx.punct_at(i + 2, "=") {
-            out.push(finding(
-                cx,
-                "swallowed-result",
-                i,
-                "`let _ =` silently discards a Result; handle the error, propagate it \
-                 with `?`, or waive it with a reasoned suppression"
-                    .to_owned(),
-            ));
-            continue;
-        }
-        // Statement-position `….ok();` — a Result reduced to Option and
-        // dropped. Bound forms (`let x = r.ok();`) are fine.
-        if cx.punct_at(i, ".")
-            && cx.ident_at(i + 1, "ok")
-            && cx.punct_at(i + 2, "(")
-            && cx.punct_at(i + 3, ")")
-            && cx.punct_at(i + 4, ";")
-        {
-            let mut bound = false;
-            let mut j = i;
-            while j > 0 {
-                j -= 1;
-                match cx.text(j) {
-                    ";" | "{" | "}" => break,
-                    "=" | "let" | "return" | "=>" => {
-                        bound = true;
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            if !bound {
-                out.push(finding(
-                    cx,
-                    "swallowed-result",
-                    i + 1,
-                    "trailing `.ok()` swallows the error; handle it, propagate it, or \
-                     waive it with a reasoned suppression"
-                        .to_owned(),
-                ));
-            }
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // unsynced-durable-write
 // ---------------------------------------------------------------------------
@@ -393,11 +179,12 @@ const SYNC_CALLS: &[&str] = &["sync_all", "sync_data", "fsync", "fsync_dir"];
 /// can install an empty or torn file after a crash. Within one function,
 /// flag any `rename(…)` that follows a file create/write with no
 /// `sync_all`/`sync_data` in between. Functions that only move files
-/// (no write) are fine, as is syncing and then renaming.
-fn unsynced_durable_write(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
+/// (no write) are fine, as is syncing and then renaming. `#[cfg(test)]`
+/// items are skipped unless `include_tests`.
+pub(crate) fn unsynced_durable_write(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
     let mut out = Vec::new();
     for i in 0..cx.code.len() {
-        if !cx.ident_at(i, "fn") || skip(cx, i, include_tests) {
+        if !cx.ident_at(i, "fn") || (!include_tests && cx.is_test(i)) {
             continue;
         }
         // Find the body `{ … }`; a `;` first means a bodyless trait fn.
@@ -428,7 +215,7 @@ fn unsynced_durable_write(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFindin
                 } else if SYNC_CALLS.contains(&name) {
                     wrote = false;
                 } else if name == "rename" && wrote {
-                    out.push(finding(
+                    out.push(raw(
                         cx,
                         "unsynced-durable-write",
                         j,
@@ -450,9 +237,8 @@ fn unsynced_durable_write(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFindin
 mod tests {
     use super::*;
 
-    /// The `lint` findings among the token lints' findings on `src`.
-    fn run(lint: &str, src: &str) -> Vec<RawFinding> {
-        token_lints(&FileCx::new(src), false).into_iter().filter(|f| f.lint == lint).collect()
+    fn run(src: &str) -> Vec<RawFinding> {
+        unsynced_durable_write(&FileCx::new(src), false)
     }
 
     #[test]
@@ -473,37 +259,13 @@ mod tests {
         let src = r#"
             #[cfg(test)]
             mod tests {
-                fn f() { x.ok(); }
+                fn f() { fs::write(&tmp, b).unwrap(); fs::rename(&tmp, d).unwrap(); }
             }
-            fn g() { y.ok(); }
+            fn g() { fs::write(&tmp, b).unwrap(); fs::rename(&tmp, d).unwrap(); }
         "#;
-        let hits = run("swallowed-result", src);
+        let hits = run(src);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].line, 6);
-    }
-
-    #[test]
-    fn swallowed_result_statement_vs_bound() {
-        assert_eq!(run("swallowed-result", "fn f() { let _ = g(); }").len(), 1);
-        assert!(run("swallowed-result", "fn f() { let _g = g(); }").is_empty());
-        assert_eq!(run("swallowed-result", "fn f() { g().ok(); }").len(), 1);
-        assert!(run("swallowed-result", "fn f() { let v = g().ok(); }").is_empty());
-        assert!(run("swallowed-result", "fn f() -> bool { g().ok().is_some() }").is_empty());
-    }
-
-    #[test]
-    fn unordered_iteration_tracks_bindings() {
-        let src = r#"
-            fn f() {
-                let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-                let sets: Vec<_> = groups.into_values().collect();
-                let v = vec![1];
-                let s: Vec<_> = v.iter().collect();
-            }
-        "#;
-        let hits = run("unordered-iteration", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("groups"));
     }
 
     #[test]
@@ -513,20 +275,20 @@ mod tests {
             f.write_all(bytes)?;
             fs::rename(&tmp, d)
         }";
-        assert_eq!(run("unsynced-durable-write", torn).len(), 1);
+        assert_eq!(run(torn).len(), 1);
         let synced = "fn publish(d: &Path) -> io::Result<()> {
             let mut f = File::create(&tmp)?;
             f.write_all(bytes)?;
             f.sync_all()?;
             fs::rename(&tmp, d)
         }";
-        assert!(run("unsynced-durable-write", synced).is_empty());
+        assert!(run(synced).is_empty());
         // A sync AFTER the rename is too late.
         let late = "fn publish(d: &Path) { fs::write(&tmp, b).unwrap();
             fs::rename(&tmp, d).unwrap(); f.sync_all().unwrap(); }";
-        assert_eq!(run("unsynced-durable-write", late).len(), 1);
+        assert_eq!(run(late).len(), 1);
         // Pure moves (no write in the function) are not publishes.
         let mv = "fn quarantine(a: &Path, b: &Path) { let _r = fs::rename(a, b); }";
-        assert!(run("unsynced-durable-write", mv).is_empty());
+        assert!(run(mv).is_empty());
     }
 }

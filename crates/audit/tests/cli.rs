@@ -46,6 +46,22 @@ fn clean_workspace_jsonl_run_prints_one_summary_line() {
 }
 
 #[test]
+fn list_lints_starts_every_summary_in_one_column() {
+    let out = Command::new(EXE).arg("--list-lints").output().expect("spawning iotax-audit");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let columns: Vec<usize> = stdout
+        .lines()
+        .map(|line| {
+            let name_end = line.find(' ').unwrap_or(line.len());
+            name_end + line[name_end..].find(|c| c != ' ').unwrap_or(0)
+        })
+        .collect();
+    assert_eq!(columns.len(), iotax_audit::LINTS.len(), "{stdout}");
+    assert!(columns.iter().all(|&c| c == columns[0]), "{columns:?}\n{stdout}");
+}
+
+#[test]
 fn a_closed_stdout_ends_the_audit_with_exit_74_not_a_panic() {
     // A one-crate workspace with one text finding.
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("audit-closed-stdout");
@@ -55,7 +71,10 @@ fn a_closed_stdout_ends_the_audit_with_exit_74_not_a_panic() {
     std::fs::create_dir_all(root.join("crates/demo/src")).expect("creating the workspace");
     for (file, text) in [
         ("crates/demo/Cargo.toml", "[package]\nname = \"demo\"\n"),
-        ("crates/demo/src/lib.rs", "fn tidy() { let _ = std::fs::remove_file(\"x\"); }\n"),
+        (
+            "crates/demo/src/lib.rs",
+            "fn publish() -> std::io::Result<()> { std::fs::write(\"x.tmp\", \"x\")?; std::fs::rename(\"x.tmp\", \"x\") }\n",
+        ),
     ] {
         std::fs::write(root.join(file), text).expect("writing the workspace");
     }
@@ -65,7 +84,7 @@ fn a_closed_stdout_ends_the_audit_with_exit_74_not_a_panic() {
     for args in [
         &["--help"][..],
         &["--list-lints"],
-        &["--explain", "unordered-float-reduction"],
+        &["--explain", "lock-order-cycle"],
         &["--workspace", "--root", root_arg, "--ledger", ledger],
     ] {
         // A stdout whose read end is already closed.

@@ -188,39 +188,6 @@ fn untrusted_length_allocation_capped_lengths_pass() {
 }
 
 // ---------------------------------------------------------------------------
-// unordered-float-reduction
-// ---------------------------------------------------------------------------
-
-const UFR: &str = "unordered-float-reduction";
-
-fn ufr_corpus(src: &str) -> Vec<SourceSpec> {
-    vec![spec("fixture-metrics", "crates/fixture-metrics/src/agg.rs", FileRole::Lib, src)]
-}
-
-#[test]
-fn unordered_float_reduction_catches_hash_ordered_sums() {
-    let r = audit(ufr_corpus(include_str!("fixtures/unordered_float_reduction_violating.rs")), UFR);
-    assert!(r.findings.iter().all(|f| f.lint == "unordered-float-reduction"), "{:?}", r.findings);
-    assert!(r.findings.iter().any(|f| f.message.contains("hash container")), "{:?}", r.findings);
-    assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-}
-
-#[test]
-fn unordered_float_reduction_suppressed_corpus_is_quiet_and_counted() {
-    let r =
-        audit(ufr_corpus(include_str!("fixtures/unordered_float_reduction_suppressed.rs")), UFR);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 1);
-}
-
-#[test]
-fn unordered_float_reduction_sequential_and_btreemap_reductions_pass() {
-    let r = audit(ufr_corpus(include_str!("fixtures/unordered_float_reduction_clean.rs")), UFR);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 0);
-}
-
-// ---------------------------------------------------------------------------
 // lock-order-cycle
 // ---------------------------------------------------------------------------
 
@@ -308,7 +275,7 @@ fn unbounded_corpus_materialization_bounded_streams_pass() {
 // and parallel scheduling
 // ---------------------------------------------------------------------------
 
-const FLOW_AND_DATAFLOW: &[&str] = &[SEED, DEAD, ULA, UFR, LOC, UCM];
+const FLOW_AND_DATAFLOW: &[&str] = &[SEED, DEAD, ULA, LOC, UCM];
 
 /// A corpus that makes every flow and dataflow analysis fire at least once.
 fn mixed_corpus() -> Vec<SourceSpec> {
@@ -330,12 +297,6 @@ fn mixed_corpus() -> Vec<SourceSpec> {
             "crates/fixture-wire/src/parse.rs",
             FileRole::Lib,
             include_str!("fixtures/untrusted_length_allocation_violating.rs"),
-        ),
-        spec(
-            "fixture-metrics",
-            "crates/fixture-metrics/src/agg.rs",
-            FileRole::Lib,
-            include_str!("fixtures/unordered_float_reduction_violating.rs"),
         ),
         spec(
             "fixture-locks",

@@ -11,27 +11,12 @@ fn audit_fixture(src: &str) -> FileReport {
 }
 
 /// One (lint, violating, suppressed, clean) quadruple per token lint.
-/// Every lint runs on every fixture; each case asserts only its own.
-const CASES: &[(&str, &str, &str, &str)] = &[
-    (
-        "unordered-iteration",
-        include_str!("fixtures/unordered_iteration_violating.rs"),
-        include_str!("fixtures/unordered_iteration_suppressed.rs"),
-        include_str!("fixtures/unordered_iteration_clean.rs"),
-    ),
-    (
-        "swallowed-result",
-        include_str!("fixtures/swallowed_result_violating.rs"),
-        include_str!("fixtures/swallowed_result_suppressed.rs"),
-        include_str!("fixtures/swallowed_result_clean.rs"),
-    ),
-    (
-        "unsynced-durable-write",
-        include_str!("fixtures/unsynced_durable_write_violating.rs"),
-        include_str!("fixtures/unsynced_durable_write_suppressed.rs"),
-        include_str!("fixtures/unsynced_durable_write_clean.rs"),
-    ),
-];
+const CASES: &[(&str, &str, &str, &str)] = &[(
+    "unsynced-durable-write",
+    include_str!("fixtures/unsynced_durable_write_violating.rs"),
+    include_str!("fixtures/unsynced_durable_write_suppressed.rs"),
+    include_str!("fixtures/unsynced_durable_write_clean.rs"),
+)];
 
 /// The findings of `lint` in `report`.
 fn of<'r>(report: &'r FileReport, lint: &str) -> Vec<&'r iotax_audit::Finding> {
@@ -85,7 +70,7 @@ fn suppression_without_reason_is_flagged_but_still_suppresses() {
         report.findings
     );
     assert!(
-        !report.findings.iter().any(|f| f.lint == "swallowed-result"),
+        !report.findings.iter().any(|f| f.lint == "unsynced-durable-write"),
         "a reasonless suppression still suppresses (loudly): {:?}",
         report.findings
     );
@@ -109,7 +94,7 @@ fn unknown_lint_in_suppression_is_flagged() {
 
 #[test]
 fn findings_are_in_source_order() {
-    let report = audit_fixture(include_str!("fixtures/swallowed_result_violating.rs"));
+    let report = audit_fixture(include_str!("fixtures/unsynced_durable_write_violating.rs"));
     assert_eq!(report.findings.len(), 2, "{:?}", report.findings);
     let lines: Vec<(u32, u32)> = report.findings.iter().map(|f| (f.line, f.col)).collect();
     let sorted = {

@@ -90,7 +90,10 @@ fn run() -> Result<i32, String> {
     iotax_obs::install_recorder(&blackbox, "bench-obs-overhead", None);
     iotax_obs::install_heap_accounting();
     let hot_us = min_of_trials(trials, jobs);
-    // audit:allow(swallowed-result) -- best-effort cleanup of the bench's own temp blackbox dir; a leftover dir cannot affect the measurement already taken
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort cleanup of the bench's own temp blackbox dir; a leftover dir cannot affect the measurement already taken"
+    )]
     let _ = std::fs::remove_dir_all(&blackbox);
 
     let overhead_pct = if cold_us == 0 {

@@ -35,7 +35,7 @@ use iotax_darshan::salvage::parse_log_lenient;
 use iotax_obs::{Error, ErrorKind, Result};
 use iotax_sim::{FaultManifest, FaultPlan};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::ffi::OsString;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
@@ -392,7 +392,7 @@ pub(crate) fn log_path(logs: &Path, job_id: u64) -> PathBuf {
     use std::fmt::Write as _;
     let mut path = OsString::with_capacity(logs.as_os_str().len() + 32);
     path.push(logs);
-    // audit:allow(swallowed-result) -- formatting into an OsString cannot fail
+    #[expect(clippy::let_underscore_must_use, reason = "formatting into an OsString cannot fail")]
     let _ = write!(path, "{}{job_id}.drn", std::path::MAIN_SEPARATOR);
     PathBuf::from(path)
 }
@@ -532,7 +532,7 @@ fn ingest_on(
 
     // Phase 3: the merge, in manifest order.
     let mut jobs = Vec::with_capacity(lines.len());
-    let mut moved = HashSet::new();
+    let mut moved = BTreeSet::new();
     let mut buf = Vec::new();
     for (i, (line, outcome)) in lines.iter().zip(outcomes).enumerate() {
         // Skipped rows lie past the first strict failure, where this loop
@@ -735,6 +735,10 @@ pub fn simulated_transient_reader(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
 mod tests {
     use super::*;
     use crate::export_trace;
@@ -1235,7 +1239,7 @@ mod tests {
         let dir = exported_trace("rows", 2_000, 301);
         inject_faults(&dir, &FaultPlan::new(20_220_914, 0.20)).expect("inject");
         let (jobs, report) = ingest_trace(&dir, &IngestOptions::default()).expect("ingest");
-        let salvaged: HashSet<u64> = report.salvage_notes.iter().map(|n| n.job_id).collect();
+        let salvaged: BTreeSet<u64> = report.salvage_notes.iter().map(|n| n.job_id).collect();
         assert!(!salvaged.is_empty() && jobs.len() > salvaged.len());
         for job in &jobs {
             let bytes = std::fs::read(log_of(&dir, job.job_id)).expect("read log");

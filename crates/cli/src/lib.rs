@@ -287,6 +287,10 @@ pub fn trace_duplicate_sets(jobs: &[TraceJob]) -> iotax_core::DuplicateSets {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
 mod tests {
     use super::*;
     use iotax_core::{app_modeling_bound, concurrent_noise_floor, find_duplicate_sets};

@@ -8,7 +8,7 @@
 )]
 
 use iotax_cli::ingest::load_fault_manifest;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -33,7 +33,7 @@ fn gen_ok(out: &Path, args: &[&str]) {
 }
 
 /// The job ids of the trace's manifest rows.
-fn manifest_ids(trace: &Path) -> HashSet<u64> {
+fn manifest_ids(trace: &Path) -> BTreeSet<u64> {
     let text = std::fs::read_to_string(trace.join("manifest.csv")).expect("reading manifest");
     let ids =
         text.lines().skip(1).map(|line| line.split(',').next().and_then(|id| id.parse().ok()));
@@ -90,7 +90,7 @@ fn every_histogram_of_a_gen_run_has_a_name_of_its_own() {
     gen_ok(&dir.join("trace"), &args);
     let run = iotax_obs::load_run(&ledger).expect("reading run.json");
     let names: Vec<&str> = run.histograms.iter().map(|h| h.name.as_str()).collect();
-    let unique: HashSet<&str> = names.iter().copied().collect();
+    let unique: BTreeSet<&str> = names.iter().copied().collect();
     assert_eq!(unique.len(), names.len(), "{names:?}");
     // The encoder's and the parser's byte counts, each under its own name.
     assert!(unique.contains("darshan.encoded_log_bytes") && unique.contains("darshan.log_bytes"));

@@ -122,7 +122,10 @@ pub fn render_recommendations(recs: &[Recommendation]) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     for (i, r) in recs.iter().enumerate() {
-        // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = writeln!(s, "{}. [{:>4.1} %] {}: {}", i + 1, r.share * 100.0, r.class, r.action);
     }
     s

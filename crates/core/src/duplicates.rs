@@ -104,7 +104,7 @@ pub fn group_signatures(signatures: impl IntoIterator<Item = u64>) -> DuplicateS
 mod tests {
     use super::*;
     use iotax_sim::{Platform, SimConfig};
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn recovered_sets_match_hidden_config_ids() {
@@ -117,7 +117,7 @@ mod tests {
             assert!(set.iter().all(|&i| ds.jobs[i].config_id == first));
         }
         // …and every hidden duplicate group is detected as one set.
-        let mut by_config: HashMap<u64, usize> = HashMap::new();
+        let mut by_config: BTreeMap<u64, usize> = BTreeMap::new();
         for j in &ds.jobs {
             *by_config.entry(j.config_id).or_default() += 1;
         }
@@ -128,7 +128,7 @@ mod tests {
     /// The hash-map grouping the sort replaced: sets in first-member
     /// order, members ascending.
     fn hash_map_grouping(signatures: &[u64]) -> Vec<Vec<usize>> {
-        let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut groups: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         for (i, &s) in signatures.iter().enumerate() {
             groups.entry(s).or_default().push(i);
         }

@@ -81,7 +81,7 @@ pub fn ood_litmus(train: &Dataset, test: &Dataset, cfg: &OodConfig) -> OodLitmus
     let errors = abs_log10_errors(&test.y, &means);
     let eu_stds: Vec<f64> = predictions.iter().map(|p| p.epistemic_std()).collect();
     let au_stds: Vec<f64> = predictions.iter().map(|p| p.aleatory_std()).collect();
-    let eu_threshold = cfg.eu_threshold_override.unwrap_or_else(|| eu_shoulder(&eu_stds, &errors));
+    let eu_threshold = cfg.eu_threshold_override.unwrap_or_else(|| eu_shoulder(&eu_stds));
     let is_ood = classify_ood(&predictions, eu_threshold);
     let n_ood = is_ood.iter().filter(|&&o| o).count();
     let share = ood_error_share(&errors, &is_ood);

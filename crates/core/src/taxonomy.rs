@@ -642,7 +642,10 @@ impl TaxonomyReport {
     /// Render a human-readable report (the textual Fig. 7).
     pub fn render_text(&self) -> String {
         let mut s = String::new();
-        // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = self.render_text_into(&mut s);
         s
     }

@@ -715,6 +715,10 @@ mod tests {
     clippy::cast_possible_truncation,
     reason = "cut points are fractions in [0, 1) of a log's length"
 )]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "the totality properties call the parsers only to show they return"
+)]
 mod prop {
     use super::{layout, parse_log, write_log, ParseError};
     use crate::record::{FileRecord, JobLog, ModuleData, ModuleId};

@@ -26,7 +26,7 @@
 use crate::format::{ParseError, Reader, MAGIC, VERSION};
 use crate::record::{FileRecord, JobLog, ModuleData, ModuleId};
 use iotax_obs::store::crc32;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// How far past a corrupted module tag the resync scan will look for the
 /// next parseable module section.
@@ -227,7 +227,7 @@ fn parse_module_lenient(r: &mut Reader<'_>, anomalies: &mut Vec<Anomaly>) -> Opt
     let plausible = record_count.min(max_possible.max(1));
     let mut data = ModuleData::new(module);
     data.records.reserve(plausible.min(1 << 16));
-    let mut seen_hashes: HashSet<u64> = HashSet::new();
+    let mut seen_hashes: BTreeSet<u64> = BTreeSet::new();
     for index in 0..record_count {
         let record_start = r.pos;
         let parsed: Result<FileRecord, ParseError> = (|| {

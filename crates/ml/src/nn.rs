@@ -361,7 +361,10 @@ impl Mlp {
 /// `gw`/`gb` and returns the sample loss. Free function (not a method) so
 /// `fit` can call it while `self` is still under construction. All
 /// intermediate state lives in the caller's [`Workspace`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a free function, so `fit` can call it while `self` is under construction"
+)]
 fn backward_sample(
     layers: &[Layer],
     params: &MlpParams,

@@ -267,7 +267,10 @@ impl RegressionTree {
 /// `work_g` (and `work_h` when hessians are not all 1.0) are the node's
 /// gradients gathered in `rows` order, so the per-feature pass reads them
 /// sequentially.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the node's rows, gradients and sums are separate borrows"
+)]
 fn best_split(
     binned: &PreparedDataset,
     rows: &[u32],
@@ -324,7 +327,10 @@ fn best_split(
                     // doubles as the zero-restore pass: each bin is cleared
                     // right after it is read, and the separate restore walk
                     // disappears.
-                    #[allow(clippy::needless_range_loop)] // occ[w] is written back, not just read
+                    #[expect(
+                        clippy::needless_range_loop,
+                        reason = "occ[w] is written back, not just read"
+                    )]
                     'scan: for w in 0..n_words {
                         let mut bits = occ[w];
                         occ[w] = 0;

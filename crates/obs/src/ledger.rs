@@ -2,9 +2,9 @@
 //! invocation.
 //!
 //! Every `iotax-gen` / `iotax-analyze` / `iotax-audit` run started with
-//! `--ledger <dir>` writes `<dir>/run.json`: a [`RunManifest`] (tool,
-//! args, config digest, seeds, input digests, crate versions, wall time,
-//! exit status), the full flat span stream (reassemble with
+//! `--ledger <dir>` writes `<dir>/run.json`: a [`RunManifest`] (tool and
+//! version, args, config digest, seeds, input digests, wall time, exit
+//! status), the full flat span stream (reassemble with
 //! [`assemble_span_tree`]), final counter values, and p50/p95/p99
 //! histogram digests. Tool-specific payloads (taxonomy stage health,
 //! audit finding counts, …) ride along as named [`RunFile::sections`]
@@ -93,8 +93,6 @@ pub struct RunManifest {
     pub seeds: Vec<(String, u64)>,
     /// Digests of the input files the run consumed.
     pub inputs: Vec<InputDigest>,
-    /// `(crate, version)` pairs for the workspace crates in the binary.
-    pub crate_versions: Vec<(String, String)>,
 }
 
 /// The complete persisted state of one run: `run.json`.
@@ -265,7 +263,6 @@ impl Ledger {
                 config_digest: String::new(),
                 seeds: Vec::new(),
                 inputs: Vec::new(),
-                crate_versions: Vec::new(),
             },
             sections: Vec::new(),
         }
@@ -307,12 +304,6 @@ impl Ledger {
             digest: "missing:unreadable".to_owned(),
         });
         self.manifest.inputs.push(entry);
-    }
-
-    /// Records one workspace crate version baked into the binary.
-    // audit:allow(dead-public-api) -- the root package's run.json wire-format pin (tests/run_ledger_golden.rs) records a crate version through it; it installs the global sink, so it cannot share this crate's unit-test binary
-    pub fn add_crate_version(&mut self, name: &str, version: &str) {
-        self.manifest.crate_versions.push((name.to_owned(), version.to_owned()));
     }
 
     /// Attaches a tool-specific payload under `name`.
@@ -363,6 +354,10 @@ impl Ledger {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unused_result_ok,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
 mod tests {
     use super::*;
 
@@ -394,7 +389,6 @@ mod tests {
             Ledger::create(&dir, "iotax-test", "0.0.0", vec!["--flag".to_owned()]).expect("create");
         ledger.set_config_digest(digest_bytes(b"cfg"));
         ledger.add_seed("seed", 42);
-        ledger.add_crate_version("iotax-obs", "0.1.0");
         ledger.add_section("notes", &vec![("k".to_owned(), 1.5f64)]);
         let previous = crate::set_sink(ledger.sink());
         {

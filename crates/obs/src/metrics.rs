@@ -363,7 +363,7 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count, 7);
-        let by_bits: std::collections::HashMap<u32, u64> = snap.buckets.iter().copied().collect();
+        let by_bits: std::collections::BTreeMap<u32, u64> = snap.buckets.iter().copied().collect();
         assert_eq!(by_bits[&0], 1); // 0
         assert_eq!(by_bits[&1], 1); // 1
         assert_eq!(by_bits[&2], 2); // 2, 3

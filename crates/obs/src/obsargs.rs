@@ -21,21 +21,6 @@ pub const OBS_USAGE: &str = "[--ledger DIR] [--store DIR]";
 /// so one line a second is plenty for `iotax-report watch`.
 const HEARTBEAT_PERIOD_MS: u64 = 1000;
 
-/// The iotax workspace crates linked into every binary; recorded in run
-/// manifests. All workspace crates share one version.
-const WORKSPACE_CRATES: &[&str] = &[
-    "iotax-obs",
-    "iotax-stats",
-    "iotax-darshan",
-    "iotax-sched",
-    "iotax-lmt",
-    "iotax-sim",
-    "iotax-ml",
-    "iotax-uq",
-    "iotax-core",
-    "iotax-cli",
-];
-
 /// Parsed values of the shared observability flags.
 #[derive(Debug, Default)]
 pub struct ObsArgs {
@@ -79,10 +64,6 @@ impl ObsArgs {
             if let Some(store) = &self.store {
                 ledger.set_store(store);
             }
-            for name in WORKSPACE_CRATES {
-                ledger.add_crate_version(name, env!("CARGO_PKG_VERSION"));
-            }
-            // audit:allow(swallowed-result) -- the displaced default NoopSink is dropped by design
             let _ = crate::set_sink(ledger.sink());
             Some(ledger)
         } else {

@@ -387,7 +387,11 @@ impl Heartbeat {
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.handle.take() {
-            let _ = handle.join(); // audit:allow(swallowed-result) -- heartbeat thread never panics; nothing to propagate at shutdown
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "heartbeat thread never panics; nothing to propagate at shutdown"
+            )]
+            let _ = handle.join();
         }
     }
 }
@@ -429,8 +433,10 @@ fn heartbeat_loop(path: &Path, period_ms: u64, stop: &AtomicBool) {
         };
         let Ok(text) = serde_json::to_string(&line) else { continue };
         if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
-            let _ = writeln!(file, "{text}"); // audit:allow(swallowed-result) -- best-effort liveness stream
-            let _ = file.flush(); // audit:allow(swallowed-result) -- best-effort liveness stream
+            #[expect(clippy::let_underscore_must_use, reason = "best-effort liveness stream")]
+            let _ = writeln!(file, "{text}");
+            #[expect(clippy::let_underscore_must_use, reason = "best-effort liveness stream")]
+            let _ = file.flush();
         }
         // Sleep in short slices so stop() never waits a full period.
         let mut slept = 0;
@@ -446,6 +452,10 @@ fn heartbeat_loop(path: &Path, period_ms: u64, stop: &AtomicBool) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
 mod tests {
     use super::*;
     use crate::store::scan_store;

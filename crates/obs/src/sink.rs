@@ -36,7 +36,6 @@ pub fn set_sink(sink: Arc<dyn Sink>) -> Arc<dyn Sink> {
 /// Reinstalls a sink previously returned by [`set_sink`].
 // audit:allow(dead-public-api) -- perfbench-trace, outside the workspace, reinstalls its sinks through this
 pub fn restore_sink(sink: Arc<dyn Sink>) {
-    // audit:allow(swallowed-result) -- the displaced sink is dropped by design
     let _ = set_sink(sink);
 }
 

@@ -794,7 +794,10 @@ pub(crate) fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<()> 
                 .map_err(|e| Error::io(format!("renaming into {}", path.display()), e))
         });
     if result.is_err() {
-        // audit:allow(swallowed-result) -- best-effort cleanup of the tmp file; the write error is what matters
+        #[expect(
+            clippy::unused_result_ok,
+            reason = "best-effort cleanup of the tmp file; the write error is what matters"
+        )]
         std::fs::remove_file(&tmp).ok();
         return result;
     }
@@ -1156,6 +1159,10 @@ impl StoreFaultPlan {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unused_result_ok,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
 mod tests {
     use super::*;
 

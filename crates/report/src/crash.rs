@@ -141,7 +141,7 @@ pub fn run_crash_matrix(dir: &Path, seed: u64, records: usize) -> Result<CrashMa
 /// Renders the matrix as a pass/fail table.
 pub fn render_crash_matrix(matrix: &CrashMatrix) -> String {
     let mut out = String::new();
-    // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String is infallible")]
     let _ = render_crash_matrix_into(&mut out, matrix);
     out
 }
@@ -184,6 +184,10 @@ fn render_crash_matrix_into(out: &mut String, matrix: &CrashMatrix) -> std::fmt:
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unused_result_ok,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
 mod tests {
     use super::*;
     use std::path::PathBuf;

@@ -258,7 +258,7 @@ pub fn diff_runs(a: &RunFile, b: &RunFile) -> RunDiff {
 /// then the largest timing movements.
 pub fn render_diff(d: &RunDiff) -> String {
     let mut out = String::new();
-    // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String is infallible")]
     let _ = render_diff_into(&mut out, d);
     out
 }

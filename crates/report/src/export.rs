@@ -66,7 +66,10 @@ pub fn to_folded(run: &RunFile) -> String {
     }
     let mut out = String::new();
     for (path, us) in &folded {
-        // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "fmt::Write into a String is infallible"
+        )]
         let _ = writeln!(out, "{path} {us}");
     }
     out

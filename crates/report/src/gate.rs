@@ -149,7 +149,7 @@ pub fn evaluate_gate(run: &RunFile, baseline: &RunFile, max_regress: f64) -> Gat
 /// Renders the verdict, one line per check, failures first.
 pub fn render_gate(outcome: &GateOutcome) -> String {
     let mut out = String::new();
-    // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String is infallible")]
     let _ = render_gate_into(&mut out, outcome);
     out
 }

@@ -157,7 +157,6 @@ pub(crate) mod testutil {
                 config_digest: "fnv1a:0000000000000000".into(),
                 seeds: vec![("seed".into(), 42)],
                 inputs: Vec::new(),
-                crate_versions: Vec::new(),
             },
             spans,
             counters: Vec::new(),

@@ -90,7 +90,7 @@ pub fn scan_ledger_store(dir: &Path) -> Result<(StoreReport, StoreScan)> {
 /// segment summaries, then damage details.
 pub fn render_scan(report: &StoreReport) -> String {
     let mut out = String::new();
-    // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String is infallible")]
     let _ = render_scan_into(&mut out, report);
     out
 }
@@ -200,6 +200,10 @@ fn select_from_store(dir: &Path, selector: &str) -> Result<RunFile> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unused_result_ok,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
 mod tests {
     use super::*;
     use iotax_obs::store::SegmentStore;

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 /// stage payloads when the run carried them.
 pub fn render_show(run: &RunFile) -> String {
     let mut out = String::new();
-    // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String is infallible")]
     let _ = render_show_into(&mut out, run);
     out
 }

@@ -108,7 +108,7 @@ pub fn trajectory(runs: &[RunFile], metric: &str, last: usize) -> Trajectory {
 /// Renders the trajectory summary plus the per-run tail.
 pub fn render_trajectory(t: &Trajectory) -> String {
     let mut out = String::new();
-    // audit:allow(swallowed-result) -- fmt::Write into a String is infallible
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write into a String is infallible")]
     let _ = render_trajectory_into(&mut out, t);
     out
 }

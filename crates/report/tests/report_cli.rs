@@ -5,6 +5,10 @@
     clippy::disallowed_methods,
     reason = "a wall-clock deadline bounds the wait for a child process; no test output depends on it"
 )]
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
 
 use iotax_obs::store::SegmentStore;
 use iotax_obs::{CounterSnapshot, FlightEvent, HeartbeatLine, RunFile, RunManifest, SpanRecord};
@@ -37,7 +41,6 @@ fn synthetic_run(scale_us: u64, jobs: u64) -> RunFile {
             config_digest: "fnv1a:00000000000000aa".to_owned(),
             seeds: vec![("seed".to_owned(), 301)],
             inputs: Vec::new(),
-            crate_versions: Vec::new(),
         },
         spans: vec![
             span("ingest", "analyze/ingest", 1, 2, 1, 0, 3 * scale_us),

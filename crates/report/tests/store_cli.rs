@@ -32,7 +32,6 @@ fn synthetic_run(run_id: &str, scale_us: u64, jobs: u64) -> RunFile {
             config_digest: "fnv1a:00000000000000aa".to_owned(),
             seeds: vec![("seed".to_owned(), 301)],
             inputs: Vec::new(),
-            crate_versions: Vec::new(),
         },
         spans: vec![
             span("ingest", "analyze/ingest", 1, 2, 1, 0, 3 * scale_us),

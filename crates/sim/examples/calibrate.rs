@@ -7,7 +7,7 @@
 //! cargo run --release -p iotax-sim --example calibrate
 //! ```
 use iotax_sim::{Platform, SimConfig};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 fn stats(name: &str, xs: &[f64]) {
     let mut s = xs.to_vec();
@@ -26,13 +26,11 @@ fn stats(name: &str, xs: &[f64]) {
 fn probe(label: &str, cfg: SimConfig) {
     let ds = Platform::new(cfg).generate();
     let n = ds.jobs.len() as f64;
-    let mut sets: HashMap<u64, usize> = HashMap::new();
+    let mut sets: BTreeMap<u64, usize> = BTreeMap::new();
     for j in &ds.jobs {
         *sets.entry(j.config_id).or_default() += 1;
     }
-    // audit:allow(unordered-iteration) -- sum over values is order-independent
     let dups: usize = sets.values().filter(|&&c| c >= 2).sum();
-    // audit:allow(unordered-iteration) -- count over values is order-independent
     let nsets = sets.values().filter(|&&c| c >= 2).count();
     println!(
         "== {label}: {} jobs, dup frac {:.3} over {} sets",

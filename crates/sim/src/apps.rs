@@ -198,7 +198,7 @@ fn sample_geometric<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> usize {
 mod tests {
     use super::*;
     use iotax_stats::rng_from_seed;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn small_cfg() -> SimConfig {
         SimConfig::theta().with_jobs(5_000).with_seed(3)
@@ -258,7 +258,7 @@ mod tests {
     }
 
     fn duplicate_fraction(wl: &Workload) -> f64 {
-        let mut counts: HashMap<u64, usize> = HashMap::new();
+        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for s in &wl.submissions {
             *counts.entry(s.config_id).or_default() += 1;
         }

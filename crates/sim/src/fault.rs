@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn all_fault_kinds_are_reachable() {
         let plan = FaultPlan::new(5, 1.0);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for job_id in 0..500 {
             if let Some(k) = plan.fault_for(job_id) {
                 seen.insert(format!("{k:?}"));

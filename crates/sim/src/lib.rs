@@ -23,9 +23,11 @@
 //!
 //! Jobs flow through the real substrates: the workload generator submits
 //! requests to the `iotax-sched` scheduler (placements and queue waits are
-//! causal), Darshan logs are *serialized and re-parsed* through the
-//! `iotax-darshan` binary format, and LMT telemetry is recorded from the
-//! actual per-OST load the jobs deposit ([`telemetry`]).
+//! causal), each job's features are read straight off the `iotax-darshan`
+//! log generated for it with no encode-and-parse round trip, since the
+//! binary format carries such a log exactly ([`platform`]), and LMT
+//! telemetry is recorded from the actual per-OST load the jobs deposit
+//! ([`telemetry`]).
 //!
 //! Crucially, [`platform::SimJob`] carries the **hidden ground truth** — the
 //! four log-space components above plus novelty flags — which the

@@ -324,7 +324,7 @@ fn job_runtime(jc: &JobConfig, cfg: &SimConfig) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn small() -> SimDataset {
         Platform::new(SimConfig::theta().with_jobs(2_000).with_seed(11)).generate()
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn duplicates_share_observables_but_not_throughput() {
         let ds = small();
-        let mut by_config: HashMap<u64, Vec<&SimJob>> = HashMap::new();
+        let mut by_config: BTreeMap<u64, Vec<&SimJob>> = BTreeMap::new();
         for j in &ds.jobs {
             by_config.entry(j.config_id).or_default().push(j);
         }

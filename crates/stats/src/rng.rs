@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn splitmix_is_a_bijection_spot_check() {
         // Distinct inputs map to distinct outputs on a sample.
-        let outs: std::collections::HashSet<u64> = (0..10_000u64).map(splitmix64).collect();
+        let outs: std::collections::BTreeSet<u64> = (0..10_000u64).map(splitmix64).collect();
         assert_eq!(outs.len(), 10_000);
     }
 

@@ -124,20 +124,16 @@ pub fn classify_ood(preds: &[UqPrediction], eu_std_threshold: f64) -> Vec<bool> 
 /// epistemic uncertainty (Fig. 5): the EU value where the marginal error
 /// explained per unit EU drops fastest.
 ///
-/// `eu_stds` and `errors` are parallel per-sample arrays. Returns the EU
-/// threshold; falls back to the 99th percentile when the curve is flat.
-pub fn eu_shoulder(eu_stds: &[f64], errors: &[f64]) -> f64 {
-    assert_eq!(eu_stds.len(), errors.len());
+/// `eu_stds` holds one epistemic std per sample. Returns the EU
+/// threshold; falls back to the 98th percentile when the EU tail is too
+/// fat for the robust cut.
+pub fn eu_shoulder(eu_stds: &[f64]) -> f64 {
     assert!(!eu_stds.is_empty());
     // In-distribution jobs form a dense EU plateau; OoD jobs sit in a far
     // tail. A robust location/scale rule finds the edge of the plateau:
     // threshold = median + 4 × (1.4826 × MAD), a robust-sigma
     // outlier cut, clamped so it never flags more than 10 % of samples
-    // (the paper's shoulder flags well under 1 %). `errors` documents the
-    // curve being thresholded and keeps the signature open for
-    // error-weighted refinements.
-    // audit:allow(swallowed-result) -- signature placeholder; see the contract note above
-    let _ = errors;
+    // (the paper's shoulder flags well under 1 %).
     let mut sorted: Vec<f64> = eu_stds.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let med = iotax_stats::describe::quantile_sorted(&sorted, 0.5);
@@ -236,12 +232,10 @@ mod tests {
 
     #[test]
     fn shoulder_separates_heavy_tail() {
-        // 95 low-EU samples with small errors + 5 high-EU with huge errors.
+        // 95 low-EU samples + 5 in a far high-EU tail.
         let mut eu = vec![0.01; 95];
-        let mut err = vec![1.0; 95];
         eu.extend(vec![0.5; 5]);
-        err.extend(vec![100.0; 5]);
-        let thr = eu_shoulder(&eu, &err);
+        let thr = eu_shoulder(&eu);
         assert!((0.01..0.5).contains(&thr), "threshold {thr}");
         let flags: Vec<bool> = eu.iter().map(|&e| e > thr).collect();
         assert_eq!(flags.iter().filter(|&&f| f).count(), 5);

@@ -11,13 +11,18 @@
 //! * the full five-stage taxonomy completes on the salvaged trace with at
 //!   most `Degraded` stage status — never an error, never a panic.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "best-effort cleanup of the tests' temp dirs; a leftover dir fails no test"
+)]
+
 use iotax_cli::{
     export_trace, ingest_trace, ingest_trace_with_reader, inject_faults,
     simulated_transient_reader, IngestOptions,
 };
 use iotax_core::TaxonomyRun;
 use iotax_sim::{FaultKind, FaultPlan, Platform, SimConfig};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// Pinned chaos parameters — CI runs the binaries with the same values.
@@ -82,7 +87,7 @@ fn chaos_20pct_corruption_salvages_quarantines_and_degrades_gracefully() {
 
     // 2. Salvage recall ≥ 90 % of records before each truncation point,
     //    scored against the ground truth.
-    let notes: HashMap<u64, u64> =
+    let notes: BTreeMap<u64, u64> =
         report.salvage_notes.iter().map(|s| (s.job_id, s.records_recovered)).collect();
     let mut recoverable = 0u64;
     let mut recovered = 0u64;

@@ -152,14 +152,14 @@ fn novel_jobs_are_structurally_different() {
         // keyed by the executable-name prefix the archetype stamps.
         let arch_of =
             |exe: &str| exe.rsplit_once('_').map(|(p, _)| p.to_owned()).unwrap_or_default();
-        let mut by_arch: std::collections::HashMap<String, Vec<f64>> =
-            std::collections::HashMap::new();
+        let mut by_arch: std::collections::BTreeMap<String, Vec<f64>> =
+            std::collections::BTreeMap::new();
         for j in &ds.jobs {
             if !j.truth.is_rare && !j.truth.is_novel_era {
                 by_arch.entry(arch_of(&j.exe)).or_default().push(j.truth.log10_app);
             }
         }
-        let centers: std::collections::HashMap<String, f64> =
+        let centers: std::collections::BTreeMap<String, f64> =
             by_arch.iter().map(|(k, v)| (k.clone(), median(v))).collect();
         for j in &ds.jobs {
             let Some(&center) = centers.get(&arch_of(&j.exe)) else { continue };

@@ -2,6 +2,11 @@
 //! ledger must come back from `run.json` as a well-formed span tree — the
 //! same record `iotax-analyze --ledger` writes for operators.
 
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "best-effort cleanup of the test's temp dir; a leftover dir fails no test"
+)]
+
 use iotax::obs::{assemble_span_tree, load_run, Ledger};
 use iotax::sim::{Platform, SimConfig};
 

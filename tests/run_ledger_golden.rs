@@ -70,7 +70,6 @@ fn run_json_matches_golden() {
     ledger.set_config_digest(iotax_obs::digest_bytes(b"golden-config"));
     ledger.add_seed("seed", 42);
     ledger.add_input(&input);
-    ledger.add_crate_version("iotax-obs", "0.1.0");
     ledger.add_section("notes", &vec![("accuracy".to_owned(), 0.5f64)]);
 
     let previous = iotax_obs::set_sink(ledger.sink());
