@@ -811,6 +811,9 @@ mod tests {
         let want = vec![(ItemKind::Struct, "S"), (ItemKind::Enum, "E"), (ItemKind::Fn, "after")];
         assert_eq!(kinds, want);
         assert!(fi.items[0].body.is_some() && fi.items[1].body.is_some(), "bodies recorded");
+        let cx = FileCx::new(src);
+        let two = (0..cx.code.len()).find(|&j| cx.text(j) == "2").expect("array length");
+        assert_eq!(fi.path_at(two), "S", "a token in a struct body is named by the struct");
     }
 
     #[test]

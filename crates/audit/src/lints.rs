@@ -15,6 +15,7 @@
 //! `[lints.clippy]` tables and the root `clippy.toml`.
 
 use crate::context::FileCx;
+use crate::items::{FileItems, ItemKind};
 use crate::lexer::TokKind;
 
 /// A raw finding before crate/file attribution.
@@ -179,36 +180,42 @@ const SYNC_CALLS: &[&str] = &["sync_all", "sync_data", "fsync", "fsync_dir"];
 /// can install an empty or torn file after a crash. Within one function,
 /// flag any `rename(…)` that follows a file create/write with no
 /// `sync_all`/`sync_data` in between. Functions that only move files
-/// (no write) are fine, as is syncing and then renaming. `#[cfg(test)]`
+/// (no write) are fine, as is syncing and then renaming. Each fn's body
+/// comes from the item parser and is walked once, without the bodies of
+/// the fns nested in it, which are walked on their own. `#[cfg(test)]`
 /// items are skipped unless `include_tests`.
-pub(crate) fn unsynced_durable_write(cx: &FileCx<'_>, include_tests: bool) -> Vec<RawFinding> {
+pub(crate) fn unsynced_durable_write(
+    cx: &FileCx<'_>,
+    items: &FileItems,
+    include_tests: bool,
+) -> Vec<RawFinding> {
+    // (walked, body start, body end) of every fn with a body, in body
+    // order: the item list is preorder, so a nested body starts after the
+    // bodies around it.
+    let fns: Vec<(bool, usize, usize)> = items
+        .items
+        .iter()
+        .filter(|item| item.kind == ItemKind::Fn)
+        .filter_map(|item| {
+            let walked = include_tests || !cx.is_test(item.tok);
+            item.body.map(|(lo, hi)| (walked, lo, hi))
+        })
+        .collect();
     let mut out = Vec::new();
-    for i in 0..cx.code.len() {
-        if !cx.ident_at(i, "fn") || (!include_tests && cx.is_test(i)) {
-            continue;
-        }
-        // Find the body `{ … }`; a `;` first means a bodyless trait fn.
-        let mut j = i + 2;
-        while j < cx.code.len() && !cx.punct_at(j, "{") {
-            if cx.punct_at(j, ";") {
-                break;
-            }
-            j += 1;
-        }
-        if !cx.punct_at(j, "{") {
-            continue;
-        }
-        let mut depth = 0i32;
+    for &(_, lo, hi) in fns.iter().filter(|f| f.0) {
         let mut wrote = false; // an unsynced durable write happened earlier
-        while j < cx.code.len() {
-            if cx.punct_at(j, "{") {
-                depth += 1;
-            } else if cx.punct_at(j, "}") {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            } else if cx.kind(j) == TokKind::Ident && cx.punct_at(j + 1, "(") {
+        let mut j = lo;
+        while j < hi {
+            if let Some(&(_, _, end)) = fns
+                .binary_search_by_key(&j, |f| f.1)
+                .ok()
+                .and_then(|k| fns.get(k))
+                .filter(|_| j > lo)
+            {
+                j = end;
+                continue;
+            }
+            if cx.kind(j) == TokKind::Ident && cx.punct_at(j + 1, "(") {
                 let name = cx.text(j);
                 if DURABLE_WRITES.contains(&name) {
                     wrote = true;
@@ -238,7 +245,8 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<RawFinding> {
-        unsynced_durable_write(&FileCx::new(src), false)
+        let cx = FileCx::new(src);
+        unsynced_durable_write(&cx, &crate::items::parse_items(&cx), false)
     }
 
     #[test]
@@ -290,5 +298,29 @@ mod tests {
         // Pure moves (no write in the function) are not publishes.
         let mv = "fn quarantine(a: &Path, b: &Path) { let _r = fs::rename(a, b); }";
         assert!(run(mv).is_empty());
+    }
+
+    #[test]
+    fn a_semicolon_in_the_signature_does_not_hide_the_body() {
+        let src = "fn push(s: &[[f64; 3]]) { fs::write(&tmp, b).ok(); fs::rename(&tmp, d).ok(); }";
+        assert_eq!(run(src).len(), 1);
+    }
+
+    #[test]
+    fn a_nested_fn_is_walked_once() {
+        let src = "fn outer() {
+            fn inner() { fs::write(&tmp, b).ok(); fs::rename(&tmp, d).ok(); }
+        }";
+        assert_eq!(run(src).len(), 1);
+        let waived = "fn outer() {
+            fn inner() {
+                fs::write(&tmp, b).ok();
+                // audit:allow(unsynced-durable-write) -- rebuildable cache
+                fs::rename(&tmp, d).ok();
+            }
+        }";
+        let report = crate::driver::audit_source("k", "f.rs", waived, false);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        assert_eq!(report.suppressed, 1);
     }
 }

@@ -1,0 +1,573 @@
+//! The paper's figures and in-text numbers, one function per figure.
+//!
+//! Each figure writes the series it plots into the seed's directory and
+//! returns its claims. A claim's `holds` is the paper's finding as a
+//! comparison (F1a: the best cell within 5 points of the duplicate
+//! bound; F3: MPI-IO test error not 10 % below POSIX's) or, where the
+//! paper gives only numbers, the direction it states for them.
+
+use crate::{Claim, Figure, Seed};
+use iotax_core::golden::{evaluate_feature_set, system_litmus, Effort};
+use iotax_core::litmus::{duplicate_errors, DtBucket};
+use iotax_core::ood::{ood_litmus, OodConfig};
+use iotax_core::{
+    app_modeling_bound, concurrent_noise_floor, dt_bucket_spreads, find_duplicate_sets,
+    TaxonomyReport,
+};
+use iotax_ml::data::Dataset;
+use iotax_ml::gbm::{GbmParams, Loss, Trainer};
+use iotax_ml::metrics::{
+    abs_log10_errors, error_quantile_pct, log10_error_to_pct, median_abs_error_pct,
+};
+use iotax_ml::nas::{best_record, evolve, NasConfig};
+use iotax_ml::prepared::PreparedDataset;
+use iotax_ml::search::grid_search;
+use iotax_ml::Regressor;
+use iotax_obs::{Error, ErrorKind, Result};
+use iotax_sim::archetype::ARCHETYPES;
+use iotax_sim::{FeatureSet, SimDataset};
+use iotax_stats::describe::Summary;
+use std::collections::BTreeMap;
+
+/// Every figure in run order, by `--figure` id.
+pub const FIGURES: &[(&str, Figure)] = &[
+    ("F1a", f1a),
+    ("F1b", f1b),
+    ("F1c", f1c),
+    ("F1d", f1d),
+    ("F2", f2),
+    ("F3", f3),
+    ("F4", f4),
+    ("F5", f5),
+    ("F6", f6),
+    ("F7", f7),
+    ("T1", t1),
+    ("ext-importance", ext_importance),
+    ("ext-l1", ext_l1),
+];
+
+/// The POSIX feature matrix of a trace.
+fn posix(sim: &SimDataset) -> Dataset {
+    let m = sim.feature_matrix(FeatureSet::posix());
+    Dataset::new(m.data, m.n_rows, m.n_cols, m.y, m.names)
+}
+
+/// Every job's log10 throughput and start time, in job order.
+fn throughput_and_start(sim: &SimDataset) -> (Vec<f64>, Vec<i64>) {
+    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    let y: Vec<f64> = sim.jobs.iter().map(|j| j.log10_throughput()).collect();
+    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    let t: Vec<i64> = sim.jobs.iter().map(|j| j.start_time).collect();
+    (y, t)
+}
+
+/// The §VI duplicate bound of a trace, percent.
+fn duplicate_bound_pct(sim: &SimDataset) -> f64 {
+    app_modeling_bound(&throughput_and_start(sim).0, &find_duplicate_sets(&sim.jobs)).median_abs_pct
+}
+
+/// Fig. 1(a): median validation error of the GBM over n_trees × depth,
+/// subsampling fixed at the best of a coarse sweep (the paper's
+/// 8 046-model XGBoost search collapsed to its two plotted axes).
+fn f1a(run: &Seed) -> Result<Vec<Claim>> {
+    let sim = run.theta(20_000);
+    let (train, val, _test) = posix(&sim).split_random(0.70, 0.15, 0xF16A);
+    let bound = duplicate_bound_pct(&sim);
+    let trees = [8, 16, 32, 64, 100, 128, 256];
+    let depths = [2, 4, 6, 9, 12, 15, 18, 21];
+    // One binned context feeds both the coarse sweep and the full heatmap.
+    let prepared = PreparedDataset::fit(&train, GbmParams::default().max_bins);
+    let coarse =
+        grid_search(&prepared, &val, &[64], &[6], &[0.7, 1.0], &[0.7, 1.0], GbmParams::default())
+            .map_err(|e| e.wrap("while sweeping fig1a subsample axes"))?;
+    let sub = coarse[0].params;
+    let points = grid_search(
+        &prepared,
+        &val,
+        &trees,
+        &depths,
+        &[sub.subsample],
+        &[sub.colsample],
+        GbmParams::default(),
+    )
+    .map_err(|e| e.wrap("while filling the fig1a trees x depth heatmap"))?;
+    let cell = |t: usize, d: usize| {
+        points
+            .iter()
+            .find(|p| p.params.n_trees == t && p.params.max_depth == d)
+            .map(|p| log10_error_to_pct(p.val_error))
+            .ok_or_else(|| Error::new(ErrorKind::Internal, format!("grid point {t}x{d} missing")))
+    };
+    let mut rows = Vec::new();
+    for t in trees {
+        for d in depths {
+            rows.push(format!("{t},{d},{:.4}", cell(t, d)?));
+        }
+    }
+    run.write_csv("fig1a_heatmap.csv", "n_trees,depth,val_error_pct", &rows)?;
+    let best = log10_error_to_pct(points[0].val_error);
+    let default = cell(100, 6)?;
+    Ok(vec![
+        Claim::new("F1a.best_near_bound", "best 32x21 = 10.51 %, bound 10.01 %")
+            .measured(best, best < bound + 5.0),
+        Claim::new("F1a.default_worse", "XGBoost default 100x6 is worse")
+            .measured(default, default > best),
+    ])
+}
+
+/// Fig. 1(b): duplicate-set error spread per application class; some
+/// applications are far more sensitive to contention than others.
+fn f1b(run: &Seed) -> Result<Vec<Claim>> {
+    let sim = run.theta(20_000);
+    let dup = find_duplicate_sets(&sim.jobs);
+    let (y, _) = throughput_and_start(&sim);
+    let mut by_class: BTreeMap<&str, (f64, Vec<f64>)> = BTreeMap::new();
+    for set in &dup.sets {
+        let exe = &sim.jobs[set[0]].exe;
+        let class = exe.rsplit_once('_').map(|(p, _)| p).unwrap_or(exe);
+        // Intern against the static archetype names so keys are &'static.
+        let Some(arch) = ARCHETYPES.iter().find(|a| a.name == class) else {
+            continue;
+        };
+        let errors = duplicate_errors(&y, std::slice::from_ref(set));
+        by_class
+            .entry(arch.name)
+            .or_insert((arch.contention_sensitivity, Vec::new()))
+            .1
+            .extend(errors);
+    }
+    let mut rows = Vec::new();
+    let mut spread_by_beta: Vec<(f64, f64)> = Vec::new();
+    for (class, (beta, errors)) in &by_class {
+        let abs: Vec<f64> = errors.iter().map(|e| e.abs()).collect();
+        if abs.len() < 30 {
+            continue;
+        }
+        let s = Summary::of(&abs);
+        rows.push(format!(
+            "{class},{},{:.5},{:.5},{:.5},{:.5},{beta}",
+            s.n, s.p25, s.median, s.p75, s.p95
+        ));
+        spread_by_beta.push((*beta, s.p95));
+    }
+    run.write_csv("fig1b_app_sensitivity.csv", "class,n,p25,median,p75,p95,beta_l", &rows)?;
+    spread_by_beta.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let low: f64 = spread_by_beta.iter().take(3).map(|x| x.1).sum::<f64>() / 3.0;
+    let high: f64 = spread_by_beta.iter().rev().take(3).map(|x| x.1).sum::<f64>() / 3.0;
+    Ok(vec![Claim::new("F1b.sensitive_apps_spread_wider", "sensitive apps spread visibly wider")
+        .measured(high / low, high > low)])
+}
+
+/// Fig. 1(c): |Δ throughput| against Δt over pairs of duplicate jobs,
+/// pairs capped per set so huge benchmark sets do not dominate (the
+/// paper weights for the same reason).
+fn f1c(run: &Seed) -> Result<Vec<Claim>> {
+    let sim = run.cori(20_000);
+    let dup = find_duplicate_sets(&sim.jobs);
+    let (y, t) = throughput_and_start(&sim);
+    let mut rows = Vec::new();
+    let mut zeros = Vec::new();
+    let mut nonzeros = Vec::new();
+    for set in &dup.sets {
+        let pairs =
+            set.iter().enumerate().flat_map(|(i, &a)| set[i + 1..].iter().map(move |&b| (a, b)));
+        for (a, b) in pairs.take(40) {
+            let dt = (t[a] - t[b]).unsigned_abs();
+            let dphi = (y[a] - y[b]).abs();
+            // audit:allow(unbounded-corpus-materialization) -- out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
+            rows.push(format!("{dt},{dphi:.6}"));
+            if dt == 0 {
+                // audit:allow(unbounded-corpus-materialization) -- out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
+                zeros.push(dphi);
+            } else {
+                // audit:allow(unbounded-corpus-materialization) -- out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
+                nonzeros.push(dphi);
+            }
+        }
+    }
+    run.write_csv("fig1c_pairs.csv", "dt_seconds,abs_dlog10", &rows)?;
+    let (z, nz) = (Summary::of(&zeros).median, Summary::of(&nonzeros).median);
+    let z_pct = (10f64.powf(z) - 1.0) * 100.0;
+    Ok(vec![
+        Claim::new("F1c.simultaneous_tighter", "Δt = 0 pairs tighter than later ones")
+            .measured(z, z < nz),
+        Claim::new("F1c.simultaneous_differ_5pct", "≥ 5 % apart even at Δt = 0")
+            .measured(z_pct, z_pct >= 5.0),
+    ])
+}
+
+/// Fig. 1(d): train on the first 70 % of the trace and compare the
+/// error on jobs held out from that period (the green line) with the
+/// error on everything after it (the red line).
+fn f1d(run: &Seed) -> Result<Vec<Claim>> {
+    let sim = run.theta(20_000);
+    let data = posix(&sim);
+    // Within the training era, every 5th job is the in-period test set.
+    let cut = (data.n_rows as f64 * 0.70) as usize;
+    let (heldout_rows, train_rows): (Vec<usize>, Vec<usize>) = (0..cut).partition(|i| i % 5 == 0);
+    let post_rows: Vec<usize> = (cut..data.n_rows).collect();
+    let train = data.subset(&train_rows);
+    let heldout = data.subset(&heldout_rows);
+    let post = data.subset(&post_rows);
+    let params = GbmParams { n_trees: 150, max_depth: 8, ..Default::default() };
+    let model = Trainer::new(&PreparedDataset::fit(&train, params.max_bins)).fit(params);
+    let in_period = median_abs_error_pct(&heldout.y, &model.predict(&heldout));
+    let post_pred = model.predict(&post);
+    let deployed = median_abs_error_pct(&post.y, &post_pred);
+    // Weekly median error over the post period (the paper plots error
+    // against relative time).
+    let errors = abs_log10_errors(&post.y, &post_pred);
+    let week = |k: &usize| sim.jobs[post_rows[*k]].start_time / (7 * 86_400);
+    let positions: Vec<usize> = (0..post_rows.len()).collect();
+    let rows: Vec<String> = positions
+        .chunk_by(|a, b| week(a) == week(b))
+        .map(|days| {
+            let bucket: Vec<f64> = days.iter().map(|&k| errors[k]).collect();
+            format!("{},{:.5}", week(&days[0]) * 7, iotax_stats::median(&bucket))
+        })
+        // audit:allow(unbounded-corpus-materialization) -- out-of-core: one row per week of the trace, not per job
+        .collect();
+    run.write_csv("fig1d_weekly_error.csv", "day,median_abs_log10", &rows)?;
+    Ok(vec![Claim::new("F1d.post_deployment_worse", "error spikes after deployment")
+        .measured(deployed / in_period, deployed > in_period)])
+}
+
+/// Fig. 2: generations of an architecture search approach the
+/// duplicate-bound error limit (10 generations × 30 networks from
+/// 50 000 jobs, 5 × 10 below that).
+fn f2(run: &Seed) -> Result<Vec<Claim>> {
+    let sim = run.cori(8_000);
+    let (train, val, _test) = posix(&sim).split_random(0.70, 0.15, 0xF162);
+    let bound = duplicate_bound_pct(&sim);
+    let (population, generations) = if run.n_jobs(8_000) >= 50_000 { (30, 10) } else { (10, 5) };
+    let history = evolve(
+        &train,
+        &val,
+        NasConfig { population, generations, tournament: 4, seed: 0x2A5, heteroscedastic: false },
+    );
+    let mut rows = Vec::new();
+    let mut best_so_far = f64::INFINITY;
+    let mut improvements = 0u32;
+    for (i, r) in history.iter().enumerate() {
+        if r.val_error < best_so_far {
+            best_so_far = r.val_error;
+            if i >= population {
+                improvements += 1;
+            }
+        }
+        let pct = log10_error_to_pct(r.val_error);
+        rows.push(format!("{},{},{:.4},{:?}", i, r.generation, pct, r.genome.hidden));
+    }
+    run.write_csv("fig2_nas.csv", "eval_index,generation,val_error_pct,hidden", &rows)?;
+    let best = log10_error_to_pct(best_record(&history).val_error);
+    Ok(vec![
+        Claim::new("F2.best_near_bound", "best net 14.3 %, bound 14.15 %")
+            .measured(best, best < bound + 5.0),
+        Claim::new("F2.few_improvements", "~6 strict improvements: NAS helps little")
+            .measured(f64::from(improvements), improvements <= 6),
+    ])
+}
+
+/// Fig. 3: test and train error of models on POSIX, POSIX + MPI-IO and
+/// POSIX + Cobalt features (and POSIX + start time, the timing Cobalt
+/// carries).
+fn f3(run: &Seed) -> Result<Vec<Claim>> {
+    let sim = run.theta(20_000);
+    let params = Effort::Full.baseline_params();
+    let [posix, mpiio, cobalt, start] = [
+        (FeatureSet::posix(), "POSIX"),
+        (FeatureSet::posix_mpiio(), "POSIX+MPI-IO"),
+        (FeatureSet::posix_cobalt(), "POSIX+Cobalt"),
+        (FeatureSet::posix_start_time(), "POSIX+StartTime"),
+    ]
+    .map(|(set, label)| evaluate_feature_set(&sim, set, label, params));
+    let rows: Vec<String> = [&posix, &mpiio, &cobalt, &start]
+        .iter()
+        .map(|r| format!("{},{:.4},{:.4}", r.label, r.test_error_pct, r.train_error_pct))
+        .collect();
+    run.write_csv("fig3_enrichment.csv", "features,test_error_pct,train_error_pct", &rows)?;
+    let timing_gap = (cobalt.test_error_pct - start.test_error_pct).abs();
+    Ok(vec![
+        Claim::new("F3.mpiio_no_gain", "MPI-IO does not cut test error")
+            .measured(mpiio.test_error_pct, mpiio.test_error_pct > posix.test_error_pct * 0.9),
+        Claim::new("F3.cobalt_gain_is_timing", "Cobalt's test gain is its timing").measured(
+            timing_gap,
+            timing_gap < (cobalt.test_error_pct - posix.test_error_pct).abs(),
+        ),
+        Claim::new("F3.cobalt_memorizes", "Cobalt timing lowers train error")
+            .measured(cobalt.train_error_pct, cobalt.train_error_pct < posix.train_error_pct),
+    ])
+}
+
+/// Fig. 4: POSIX only, POSIX + job start time (the §VII golden model)
+/// and POSIX + Lustre (LMT) on both systems.
+fn f4(run: &Seed) -> Result<Vec<Claim>> {
+    let theta = system_litmus(&run.theta(20_000), Effort::Full);
+    let cori = system_litmus(&run.cori(20_000), Effort::Full);
+    let mut rows = Vec::new();
+    for (label, r) in [("theta", &theta), ("cori", &cori)] {
+        rows.push(format!("{label},POSIX,{:.4}", r.baseline.test_error_pct));
+        rows.push(format!("{label},POSIX+StartTime,{:.4}", r.golden.test_error_pct));
+        if let Some(lmt) = &r.lmt_enriched {
+            rows.push(format!("{label},POSIX+LMT,{:.4}", lmt.test_error_pct));
+        }
+    }
+    run.write_csv("fig4_visibility.csv", "system,features,test_error_pct", &rows)?;
+    let (base, golden) = (cori.baseline.test_error_pct, cori.golden.test_error_pct);
+    let lmt = cori.lmt_enriched.as_ref().map_or(f64::NAN, |l| l.test_error_pct);
+    Ok(vec![
+        Claim::new("F4.theta_start_time_gain", "start time cuts Theta's error 30.8 %")
+            .measured(theta.golden_reduction_pct, theta.golden_reduction_pct > 0.0),
+        Claim::new("F4.cori_start_time_gain", "start time cuts Cori's error 40 %")
+            .measured(cori.golden_reduction_pct, cori.golden_reduction_pct > 0.0),
+        Claim::new("F4.cori_lmt_near_golden", "LMT 9.96 % ≈ golden 10.02 %")
+            .measured((lmt - golden).abs(), base - lmt > (base - golden) / 2.0),
+    ])
+}
+
+/// Fig. 5: per-job aleatory (AU) and epistemic (EU) uncertainty from the
+/// deep ensemble, and the AU / EU values below which half of the error
+/// sits.
+fn f5(run: &Seed) -> Result<Vec<Claim>> {
+    let sim = run.theta(12_000);
+    let (train, _val, test) = posix(&sim).split_random(0.70, 0.15, 0xF165);
+    let result =
+        ood_litmus(&train, &test, &OodConfig { ensemble_size: 6, ..OodConfig::quick(0x55) });
+    let means: Vec<f64> = result.predictions.iter().map(|p| p.mean).collect();
+    let errors = abs_log10_errors(&test.y, &means);
+    let rows: Vec<String> = result
+        .predictions
+        .iter()
+        .zip(&errors)
+        .map(|(p, e)| format!("{:.5},{:.5},{:.5}", p.aleatory_std(), p.epistemic_std(), e))
+        .collect();
+    run.write_csv("fig5_au_eu.csv", "aleatory_std,epistemic_std,abs_error", &rows)?;
+    let aus: Vec<f64> = result.predictions.iter().map(|p| p.aleatory_std()).collect();
+    let eus: Vec<f64> = result.predictions.iter().map(|p| p.epistemic_std()).collect();
+    let (eu_half, au_half) = (half_point(&eus, &errors), half_point(&aus, &errors));
+    let au_floor = aus.iter().copied().fold(f64::INFINITY, f64::min);
+    let (au, eu) = (result.median_aleatory_std, result.median_epistemic_std);
+    Ok(vec![
+        Claim::new("F5.au_dominates", "AU ≫ EU").measured(au / eu, au > eu),
+        Claim::new("F5.eu_half_below_au_half", "half the error below EU 0.04, AU 0.25")
+            .measured(eu_half, eu_half < au_half),
+        Claim::new("F5.au_floor", "every job has AU ≳ 0.05").measured(au_floor, au_floor >= 0.05),
+    ])
+}
+
+/// The `keys` value below which half of the cumulative `errors` sits.
+fn half_point(keys: &[f64], errors: &[f64]) -> f64 {
+    let mut idx: Vec<usize> = (0..errors.len()).collect();
+    idx.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+    let total: f64 = errors.iter().sum();
+    let mut cum = 0.0;
+    let half = idx.into_iter().find(|&i| {
+        cum += errors[i];
+        cum >= total / 2.0
+    });
+    half.map_or(f64::NAN, |i| keys[i])
+}
+
+/// Fig. 6: duplicate-pair |Δ log10 φ| per Δt decade, and the §IX
+/// distribution of the Δt = 0 strip.
+fn f6(run: &Seed) -> Result<Vec<Claim>> {
+    let sim = run.theta(20_000);
+    let dup = find_duplicate_sets(&sim.jobs);
+    let (y, t) = throughput_and_start(&sim);
+    // Decade buckets: [0,1), [1,10), ... up to 10^7 seconds (~4 months).
+    let edges: Vec<f64> = [0.0].into_iter().chain((0..=7).map(|k| 10f64.powi(k))).collect();
+    let buckets = dt_bucket_spreads(&y, &t, &dup, &edges, 60);
+    let rows: Vec<String> = buckets
+        .iter()
+        .filter(|b| b.n_pairs > 0)
+        .map(|b| {
+            let s = &b.spread;
+            let (lo, hi, n) = (b.dt_lo, b.dt_hi, b.n_pairs);
+            format!("{lo},{hi},{n},{:.5},{:.5},{:.5},{:.5}", s.p25, s.median, s.p75, s.p95)
+        })
+        // audit:allow(unbounded-corpus-materialization) -- out-of-core: one row per Δt decade, not per job
+        .collect();
+    run.write_csv("fig6_dt_buckets.csv", "dt_lo,dt_hi,pairs,p25,median,p75,p95", &rows)?;
+    let populated = |b: &&DtBucket| b.n_pairs > 10;
+    let first = buckets.iter().find(populated).map_or(f64::NAN, |b| b.spread.median);
+    let last = buckets.iter().rev().find(populated).map_or(f64::NAN, |b| b.spread.median);
+    let floor = concurrent_noise_floor(&y, &t, &dup, &[], 1, 30);
+    let small_sets = floor.as_ref().map_or(f64::NAN, |f| f.small_set_fraction * 100.0);
+    Ok(vec![
+        Claim::new("F6.dt0_tightest", "Δt = 0 bucket inside the later ones")
+            .measured(first, first <= last),
+        Claim::new("F6.dt0_student_t", "Δt = 0 errors are Student-t").measured(
+            floor.as_ref().map_or(f64::NAN, |f| f.t_df),
+            floor.as_ref().is_some_and(|f| f.t_preferred),
+        ),
+        Claim::new("F6.dt0_small_sets", "96 % of simultaneous sets ≤ 6 jobs")
+            .measured(small_sets, small_sets > 50.0),
+    ])
+}
+
+/// Fig. 7: the five-step taxonomy on both systems, the error-attribution
+/// "pie chart" as numbers.
+fn f7(run: &Seed) -> Result<Vec<Claim>> {
+    let [theta, cori] = run.taxonomy();
+    run.write_json("fig7_theta.json", theta)?;
+    run.write_json("fig7_cori.json", cori)?;
+    let (bt, bc) = (&theta.breakdown, &cori.breakdown);
+    let noise_68 = |r: &TaxonomyReport| r.noise.as_ref().map_or(f64::NAN, |n| n.pct_68);
+    let (theta_68, cori_68) = (noise_68(theta), noise_68(cori));
+    Ok(vec![
+        Claim::new("F7.theta_noise_dominant", "contention + noise dominates (Theta)")
+            .measured(bt.noise_share * 100.0, bt.noise_share >= bt.app_share.min(bt.system_share)),
+        Claim::new("F7.cori_noise_dominant", "contention + noise dominates (Cori)")
+            .measured(bc.noise_share * 100.0, bc.noise_share >= bc.app_share.min(bc.system_share)),
+        Claim::new("F7.theta_system_small", "system share is small (Theta)")
+            .measured(bt.system_share * 100.0, bt.system_share < bt.noise_share),
+        Claim::new("F7.cori_system_small", "system share is small (Cori)")
+            .measured(bc.system_share * 100.0, bc.system_share < bc.noise_share),
+        Claim::new("F7.theta_ood_few_pct", "OoD share 2.4 % (Theta)")
+            .measured(bt.ood_share * 100.0, bt.ood_share < 0.10),
+        Claim::new("F7.cori_ood_few_pct", "OoD share 2.1 % (Cori)")
+            .measured(bc.ood_share * 100.0, bc.ood_share < 0.10),
+        Claim::new("F7.theta_unexplained_positive", "32.9 % unexplained (Theta)")
+            .measured(bt.unexplained_share * 100.0, bt.unexplained_share > 0.0),
+        Claim::new("F7.cori_unexplained_positive", "13.5 % unexplained (Cori)")
+            .measured(bc.unexplained_share * 100.0, bc.unexplained_share > 0.0),
+        Claim::new("F7.cori_noisier", "Cori ±7.21 % vs Theta ±5.71 % @68 %")
+            .measured(cori_68 - theta_68, cori_68 > theta_68),
+    ])
+}
+
+/// The paper's in-text numbers: quantity, Theta, Cori.
+const T1_PAPER: [(&str, &str, &str); 6] = [
+    ("duplicates", "19010 (23.5 %) in 3509 sets", "504920 (54 %) in 77390 sets"),
+    ("duplicate bound", "10.01 %", "14.15 %"),
+    ("start-time error drop", "30.8 %", "40 % (16.49 -> 10.02 %)"),
+    ("LMT-enriched error", "-", "9.96 %"),
+    ("OoD attribution", "0.7 % of jobs = 2.4 % of error (3x)", "2.1 % of error"),
+    ("noise @68/95 %", "±5.71 / ±10.56 %", "±7.21 / ±14.99 %"),
+];
+
+/// One system's measurements, in [`T1_PAPER`] order.
+fn t1_measured(report: &TaxonomyReport) -> [String; 6] {
+    let (dup, sys, ood) = (&report.app_bound, &report.system_litmus, &report.ood);
+    [
+        format!(
+            "{} ({:.1} %) in {} sets",
+            dup.n_duplicates,
+            dup.duplicate_fraction * 100.0,
+            dup.n_sets
+        ),
+        format!("{:.2} %", dup.median_abs_pct),
+        format!(
+            "{:.1} % ({:.2} → {:.2} %)",
+            sys.golden_reduction_pct, sys.baseline.test_error_pct, sys.golden.test_error_pct
+        ),
+        sys.lmt_enriched
+            .as_ref()
+            .map_or("—".to_owned(), |l| format!("{:.2} %", l.test_error_pct)),
+        format!(
+            "{:.1} % of jobs = {:.1} % of error ({:.1}x)",
+            ood.ood_fraction * 100.0,
+            ood.ood_error_share * 100.0,
+            ood.error_amplification
+        ),
+        report
+            .noise
+            .as_ref()
+            .map_or("—".to_owned(), |n| format!("±{:.2} / ±{:.2} %", n.pct_68, n.pct_95)),
+    ]
+}
+
+/// Table T1: the paper's in-text numbers beside the measured ones, read
+/// from F7's two reports.
+fn t1(run: &Seed) -> Result<Vec<Claim>> {
+    let [theta, cori] = run.taxonomy();
+    let rows: Vec<String> = T1_PAPER
+        .iter()
+        .zip(t1_measured(theta).iter().zip(&t1_measured(cori)))
+        .map(|((name, paper_t, paper_c), (measured_t, measured_c))| {
+            let cells = [*paper_t, measured_t.as_str(), *paper_c, measured_c.as_str()]
+                .map(|c| c.replace(',', ";"));
+            format!("{name},{}", cells.join(","))
+        })
+        .collect();
+    run.write_csv(
+        "t1_intext.csv",
+        "quantity,paper_theta,measured_theta,paper_cori,measured_cori",
+        &rows,
+    )?;
+    let (dt, dc) = (&theta.app_bound, &cori.app_bound);
+    let amplification = theta.ood.error_amplification;
+    Ok(vec![
+        Claim::new("T1.cori_more_duplicates", "Cori 54 % duplicates, Theta 23.5 %")
+            .measured(dc.duplicate_fraction * 100.0, dc.duplicate_fraction > dt.duplicate_fraction),
+        Claim::new("T1.cori_bound_higher", "Cori bound 14.15 %, Theta 10.01 %")
+            .measured(dc.median_abs_pct, dc.median_abs_pct > dt.median_abs_pct),
+        Claim::new("T1.theta_ood_amplified", "0.7 % of jobs, 2.4 % of error (3x)")
+            .measured(amplification, amplification > 1.0),
+    ])
+}
+
+/// Extension: the gain-based importance of the tuned GBM ranks the POSIX
+/// counters; the companion work (Isakov et al., SC'20) finds a handful
+/// of Darshan counters explain most model behaviour.
+fn ext_importance(run: &Seed) -> Result<Vec<Claim>> {
+    let data = posix(&run.theta(12_000));
+    let (train, val, _test) = data.split_random(0.70, 0.15, 0xE72);
+    let params = GbmParams {
+        n_trees: 150,
+        max_depth: 8,
+        early_stopping_rounds: Some(25),
+        ..Default::default()
+    };
+    let model = Trainer::new(&PreparedDataset::fit(&train, params.max_bins))
+        .with_validation(&val)
+        .fit(params);
+    let mut ranked: Vec<(usize, f64)> = model
+        .feature_importance(data.n_cols)
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, v)| v > 0.0)
+        .collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let rows: Vec<String> = ranked
+        .iter()
+        .take(15)
+        .enumerate()
+        .map(|(rank, &(feat, share))| format!("{},{},{share:.5}", rank + 1, data.names[feat]))
+        .collect();
+    run.write_csv("ext_feature_importance.csv", "rank,feature,gain_share", &rows)?;
+    let top10: f64 = ranked.iter().take(10).map(|&(_, v)| v).sum();
+    Ok(vec![Claim::new("ext-importance.top10_majority", "a handful of counters explain most")
+        .measured(top10, top10 > 0.5)])
+}
+
+/// Extension: the GBM under the paper's Eq. 6 objective (L1 in log
+/// space) against the usual L2. The paper states no direction for this
+/// comparison, so it has no claim.
+fn ext_l1(run: &Seed) -> Result<Vec<Claim>> {
+    let (train, val, test) = posix(&run.theta(12_000)).split_random(0.70, 0.15, 0xE71);
+    // Both objectives train on the same bins: prepare once, fit twice.
+    let prepared = PreparedDataset::fit(&train, GbmParams::default().max_bins);
+    let trainer = Trainer::new(&prepared).with_validation(&val);
+    let mut rows = Vec::new();
+    for (loss, label, trees, lr) in [
+        (Loss::SquaredError, "L2 squared error", 150usize, 0.1),
+        (Loss::AbsoluteError, "L1 |log10 ratio|", 500, 0.25),
+    ] {
+        let model = trainer.fit(GbmParams {
+            n_trees: trees,
+            learning_rate: lr,
+            max_depth: 8,
+            early_stopping_rounds: Some(30),
+            loss,
+            ..Default::default()
+        });
+        let pred = model.predict(&test);
+        let med = median_abs_error_pct(&test.y, &pred);
+        let p75 = error_quantile_pct(&test.y, &pred, 0.75);
+        let p95 = error_quantile_pct(&test.y, &pred, 0.95);
+        rows.push(format!("{label},{med:.4},{p75:.4},{p95:.4}"));
+    }
+    run.write_csv("ext_l1_objective.csv", "objective,median_pct,p75_pct,p95_pct", &rows)?;
+    Ok(Vec::new())
+}

@@ -1,100 +1,115 @@
 //! # iotax-bench
 //!
-//! Reproduction harness: one binary per figure/table of the paper's
-//! evaluation (run them with `cargo run --release -p iotax-bench --bin
-//! fig…`).
+//! Reproduction harness. The `repro` binary runs the paper's figures and
+//! in-text numbers ([`FIGURES`]) over a list of seeds. Each figure is a
+//! function of one seed: it writes the series the paper plots as CSV or
+//! JSON under `target/repro/<seed>/` and returns its [`Claim`]s, the
+//! paper's findings with the measured value behind each and whether it
+//! holds on that seed. `repro` prints every claim's pass rate over the
+//! seeds, writes `target/repro/claims.json`, and gates the pass rates of
+//! the committed seed matrix against floors (`repro --help`).
 //!
-//! Every binary prints the series the corresponding figure plots and
-//! writes a CSV next to it under `target/repro/` so EXPERIMENTS.md can
-//! quote paper-vs-measured numbers. Scale is controlled by `IOTAX_JOBS`
-//! (default per binary) and `IOTAX_SEED` environment variables.
+//! Scale is the `IOTAX_JOBS` environment variable; without it each
+//! figure runs at its own default size (2 000–20 000 jobs). The
+//! `obs_overhead` binary gates the cost of the in-flight observability
+//! layer.
 
+use iotax_core::{Taxonomy, TaxonomyReport};
 use iotax_obs::{Error, Result};
 use iotax_sim::{Platform, SimConfig, SimDataset};
-use std::io::Write;
-use std::path::PathBuf;
+use serde::Serialize;
+use std::cell::OnceCell;
+use std::path::{Path, PathBuf};
 
-/// Read the job-count override from `IOTAX_JOBS`.
-pub fn jobs_from_env(default: usize) -> usize {
-    std::env::var("IOTAX_JOBS").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+mod figures;
+
+pub use figures::FIGURES;
+
+/// One paper finding, measured on one seed.
+#[derive(Debug)]
+pub struct Claim {
+    /// `<figure id>.<finding>`, e.g. `F3.mpiio_no_gain`.
+    pub id: &'static str,
+    /// What the paper reports.
+    pub paper: &'static str,
+    /// The measured value behind the finding (NaN when the seed's trace
+    /// holds too little data to measure it).
+    pub measured: f64,
+    /// Whether the finding holds on this seed.
+    pub holds: bool,
 }
 
-/// Read the seed override from `IOTAX_SEED`.
-pub(crate) fn seed_from_env(default: u64) -> u64 {
-    std::env::var("IOTAX_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-/// Generate a Theta-like dataset at harness scale.
-pub fn theta_dataset(default_jobs: usize) -> SimDataset {
-    let cfg =
-        SimConfig::theta().with_jobs(jobs_from_env(default_jobs)).with_seed(seed_from_env(0xA1CF));
-    eprintln!(
-        "[harness] theta: {} jobs over {:.0} days (seed {:#x})",
-        cfg.n_jobs,
-        cfg.horizon_seconds as f64 / 86_400.0,
-        cfg.seed
-    );
-    Platform::new(cfg).generate()
-}
-
-/// Generate a Cori-like dataset at harness scale.
-pub fn cori_dataset(default_jobs: usize) -> SimDataset {
-    let cfg =
-        SimConfig::cori().with_jobs(jobs_from_env(default_jobs)).with_seed(seed_from_env(0xC0B1));
-    eprintln!(
-        "[harness] cori: {} jobs over {:.0} days (seed {:#x})",
-        cfg.n_jobs,
-        cfg.horizon_seconds as f64 / 86_400.0,
-        cfg.seed
-    );
-    Platform::new(cfg).generate()
-}
-
-/// Directory where harness outputs land (`target/repro/`).
-pub(crate) fn repro_dir() -> Result<PathBuf> {
-    let dir = PathBuf::from("target/repro");
-    std::fs::create_dir_all(&dir).map_err(|e| Error::io("create target/repro", e))?;
-    Ok(dir)
-}
-
-/// Write a CSV file into the repro directory and announce it.
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> Result<()> {
-    let path = repro_dir()?.join(name);
-    let mut f = std::fs::File::create(&path)
-        .map_err(|e| Error::io(format!("create {}", path.display()), e))?;
-    writeln!(f, "{header}").map_err(|e| Error::io(format!("write {}", path.display()), e))?;
-    for row in rows {
-        writeln!(f, "{row}").map_err(|e| Error::io(format!("write {}", path.display()), e))?;
-    }
-    eprintln!("[harness] wrote {} ({} rows)", path.display(), rows.len());
-    Ok(())
-}
-
-/// Write a JSON value into the repro directory.
-pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> Result<()> {
-    let path = repro_dir()?.join(name);
-    let f = std::fs::File::create(&path)
-        .map_err(|e| Error::io(format!("create {}", path.display()), e))?;
-    serde_json::to_writer_pretty(f, value)
-        .map_err(|e| Error::parse(format!("serialize {}", path.display()), e))?;
-    eprintln!("[harness] wrote {}", path.display());
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_defaults_apply() {
-        // Not set in the test environment.
-        assert_eq!(jobs_from_env(123), 123);
-        assert_eq!(seed_from_env(9), 9);
+impl Claim {
+    /// The claim `id` of the paper's finding `paper`, not yet measured.
+    fn new(id: &'static str, paper: &'static str) -> Self {
+        Self { id, paper, measured: f64::NAN, holds: false }
     }
 
-    #[test]
-    fn repro_dir_is_creatable() {
-        let d = repro_dir().expect("target/repro must be creatable");
-        assert!(d.exists());
+    /// The claim with its measured value and whether it holds.
+    fn measured(self, measured: f64, holds: bool) -> Self {
+        Self { measured, holds, ..self }
     }
+}
+
+/// A figure: writes its series for one seed and returns its claims.
+pub type Figure = fn(&Seed) -> Result<Vec<Claim>>;
+
+/// One seed's run: both presets get the seed, and the Fig. 7 taxonomy
+/// reports are computed once and shared by F7 and T1.
+pub struct Seed {
+    seed: u64,
+    n_jobs: Option<usize>,
+    dir: PathBuf,
+    taxonomy: OnceCell<[TaxonomyReport; 2]>,
+}
+
+impl Seed {
+    /// A run of `seed` at `n_jobs` jobs per trace (`None`: each figure's
+    /// default), writing under `target/repro/<seed>/`.
+    pub fn new(seed: u64, n_jobs: Option<usize>) -> Result<Self> {
+        let dir = PathBuf::from("target/repro").join(seed.to_string());
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| Error::io(format!("create {}", dir.display()), e))?;
+        Ok(Self { seed, n_jobs, dir, taxonomy: OnceCell::new() })
+    }
+
+    fn n_jobs(&self, default: usize) -> usize {
+        self.n_jobs.unwrap_or(default)
+    }
+
+    fn theta(&self, default_jobs: usize) -> SimDataset {
+        let cfg = SimConfig::theta().with_jobs(self.n_jobs(default_jobs)).with_seed(self.seed);
+        Platform::new(cfg).generate()
+    }
+
+    fn cori(&self, default_jobs: usize) -> SimDataset {
+        let cfg = SimConfig::cori().with_jobs(self.n_jobs(default_jobs)).with_seed(self.seed);
+        Platform::new(cfg).generate()
+    }
+
+    /// The full taxonomy on Theta and on Cori (12 000 jobs by default).
+    fn taxonomy(&self) -> &[TaxonomyReport; 2] {
+        self.taxonomy.get_or_init(|| {
+            [Taxonomy::full().run(&self.theta(12_000)), Taxonomy::full().run(&self.cori(12_000))]
+        })
+    }
+
+    fn write_csv(&self, name: &str, header: &str, rows: &[String]) -> Result<()> {
+        let body: String = rows.iter().map(|row| format!("{row}\n")).collect();
+        write_file(&self.dir.join(name), &format!("{header}\n{body}"))
+    }
+
+    fn write_json<T: Serialize>(&self, name: &str, value: &T) -> Result<()> {
+        write_file(&self.dir.join(name), &to_json(value)?)
+    }
+}
+
+/// Pretty-printed JSON of `value`.
+pub fn to_json<T: Serialize>(value: &T) -> Result<String> {
+    serde_json::to_string_pretty(value).map_err(|e| Error::parse("serialize to JSON", e))
+}
+
+/// Write `contents` to `path`, replacing the file.
+pub fn write_file(path: &Path, contents: &str) -> Result<()> {
+    std::fs::write(path, contents).map_err(|e| Error::io(format!("write {}", path.display()), e))
 }
