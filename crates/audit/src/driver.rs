@@ -446,6 +446,8 @@ mod tests {
             ),
             ("impl E { fn new(c: impl Into<String>) -> Self { write(); rename(); E } }", "E::new"),
             ("impl R { fn push(&mut self, s: &[[f64; 3]]) { {TORN} } }", "R::push::f"),
+            ("struct S { bytes: [u8; { {TORN} 1 }] }", "S::f"),
+            ("const _: () = { {TORN} };", "_::f"),
         ];
         for (src, want) in cases {
             let src = src.replace("{TORN}", TORN);

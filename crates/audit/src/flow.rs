@@ -350,10 +350,11 @@ fn flaggable_pub_item(f: &FileAnalysis<'_>, item: &Item) -> bool {
             }
         }
     }
-    // Items nested inside fn bodies are locals regardless of `pub`.
+    // Items nested inside a fn body, an initializer or a type's fields
+    // are locals regardless of `pub`.
     let mut p = item.parent;
     while let Some(pi) = p {
-        if f.items.items[pi].kind == ItemKind::Fn {
+        if !matches!(f.items.items[pi].kind, ItemKind::Mod | ItemKind::Impl | ItemKind::Trait) {
             return false;
         }
         p = f.items.items[pi].parent;
@@ -501,5 +502,23 @@ mod tests {
             .collect();
         assert_eq!(dead.len(), 1, "{dead:?}");
         assert!(dead[0].contains("unused_helper"));
+    }
+
+    #[test]
+    fn dead_public_api_spares_items_local_to_a_body() {
+        let lib = spec(
+            "iotax-x",
+            "crates/x/src/lib.rs",
+            "pub fn outer() { pub fn in_fn() {} }\n\
+             pub const C: () = { pub fn in_const() {} };\n\
+             pub struct S { a: [u8; { pub fn in_field() {} 1 }] }",
+        );
+        let user = spec("iotax-y", "crates/y/src/lib.rs", "fn f() { outer(); C; S; }");
+        let dead: Vec<String> = run(vec![lib, user])
+            .into_iter()
+            .filter(|f| f.lint == "dead-public-api")
+            .map(|f| f.message)
+            .collect();
+        assert!(dead.is_empty(), "{dead:?}");
     }
 }

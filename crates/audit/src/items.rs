@@ -296,32 +296,37 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
         let kw = self.text(*i).to_owned();
         match kw.as_str() {
-            "mod" => {
-                let id = self.finish_named(i, end, parent, ItemKind::Mod, vis);
+            "mod" | "struct" | "enum" | "trait" => {
+                let kind = match kw.as_str() {
+                    "mod" => ItemKind::Mod,
+                    "struct" => ItemKind::Struct,
+                    "enum" => ItemKind::Enum,
+                    _ => ItemKind::Trait,
+                };
+                let id = self.finish_named(i, end, parent, kind, vis);
                 self.item_body(i, end, depth, id, in_trait_impl);
             }
-            "fn" => {
+            // `fn(…)` with no name is a fn-pointer type (a field's, a
+            // variant's), not an item.
+            "fn" if !self.is_punct(*i + 1, "(") => {
                 let id = self.finish_fn(i, end, parent, vis, in_trait_impl);
-                self.item_body(i, end, depth, id, in_trait_impl);
-            }
-            "struct" => self.finish_struct(i, end, parent, ItemKind::Struct, vis),
-            "enum" => self.finish_struct(i, end, parent, ItemKind::Enum, vis),
-            "trait" => {
-                let id = self.finish_named(i, end, parent, ItemKind::Trait, vis);
                 self.item_body(i, end, depth, id, in_trait_impl);
             }
             "impl" => self.finish_impl(i, end, depth, parent),
             "use" => self.skip_to_semicolon(i, end),
-            "const" | "static" => {
-                let kind = if kw == "const" { ItemKind::Const } else { ItemKind::Static };
+            "const" | "static" | "type" => {
+                let kind = match kw.as_str() {
+                    "const" => ItemKind::Const,
+                    "static" => ItemKind::Static,
+                    _ => ItemKind::TypeAlias,
+                };
                 *i += 1;
                 if self.is_ident(*i, "mut") {
                     *i += 1;
                 }
                 let (name, line, col, tok) = self.name_at(*i);
                 *i += usize::from(!name.is_empty());
-                self.skip_to_semicolon(i, end);
-                self.push(Item {
+                let id = self.push(Item {
                     kind,
                     name,
                     path: String::new(),
@@ -334,25 +339,7 @@ impl<'a, 'b> Parser<'a, 'b> {
                     trait_impl: false,
                     parent,
                 });
-            }
-            "type" => {
-                *i += 1;
-                let (name, line, col, tok) = self.name_at(*i);
-                *i += usize::from(!name.is_empty());
-                self.skip_to_semicolon(i, end);
-                self.push(Item {
-                    kind: ItemKind::TypeAlias,
-                    name,
-                    path: String::new(),
-                    vis,
-                    line,
-                    col,
-                    tok,
-                    body: None,
-                    params: Vec::new(),
-                    trait_impl: false,
-                    parent,
-                });
+                self.initializer(i, end, depth, id, in_trait_impl);
             }
             "macro_rules" => {
                 // `macro_rules ! name { … }`
@@ -425,9 +412,42 @@ impl<'a, 'b> Parser<'a, 'b> {
         }
     }
 
+    /// Walk to the `;` that ends a `const`, `static` or `type` item,
+    /// parsing each `{ … }` of its type or initializer as a block of item
+    /// `id`'s children, so a fn declared there is an item too. A `;`
+    /// inside `[…]` or `(…)` (`const X: [u8; 2] = …`) does not end it.
+    fn initializer(
+        &mut self,
+        i: &mut usize,
+        end: usize,
+        depth: u32,
+        id: usize,
+        in_trait_impl: bool,
+    ) {
+        let mut nest = 0i64;
+        while *i < end {
+            match self.text(*i) {
+                "{" => {
+                    *i += 1;
+                    self.enter(i, end, depth, Some(id), in_trait_impl);
+                    continue;
+                }
+                "}" => return, // stray close: let the caller see it
+                "[" | "(" => nest += 1,
+                "]" | ")" => nest -= 1,
+                ";" if nest <= 0 => {
+                    *i += 1;
+                    return;
+                }
+                _ => {}
+            }
+            *i += 1;
+        }
+    }
+
     fn skip_to_semicolon(&mut self, i: &mut usize, end: usize) {
-        // The initializer may contain braces (`const X: [u8; 2] = { … }`);
-        // only a `;` at brace depth 0 terminates the item.
+        // A `use` tree may contain braces (`use a::{b, c};`); only a `;`
+        // at brace depth 0 terminates the item.
         let mut depth = 0i64;
         while *i < end {
             match self.text(*i) {
@@ -492,8 +512,8 @@ impl<'a, 'b> Parser<'a, 'b> {
         self.items.len() - 1
     }
 
-    /// `mod`/`trait`: `kw name` up to its `{ body }` or `;`, which
-    /// [`Parser::item_body`] consumes. Returns the pushed item.
+    /// `mod`/`struct`/`enum`/`trait`: `kw name` up to its `{ body }` or
+    /// `;`, which [`Parser::item_body`] consumes. Returns the pushed item.
     fn finish_named(
         &mut self,
         i: &mut usize,
@@ -508,12 +528,29 @@ impl<'a, 'b> Parser<'a, 'b> {
             *i += 1;
         }
         self.skip_generics(i, end);
-        // Scan to `{` or `;` (supertraits, where clauses).
+        // Scan to `{` or `;` (supertraits, where clauses), past a tuple
+        // struct's `( … )`, whose array types hold `;`.
         while *i < end
             && !self.is_punct(*i, "{")
             && !self.is_punct(*i, ";")
             && !self.is_punct(*i, "}")
         {
+            if self.is_punct(*i, "(") {
+                let mut depth = 0i64;
+                while *i < end {
+                    if self.is_punct(*i, "(") {
+                        depth += 1;
+                    } else if self.is_punct(*i, ")") {
+                        depth -= 1;
+                        if depth == 0 {
+                            *i += 1;
+                            break;
+                        }
+                    }
+                    *i += 1;
+                }
+                continue;
+            }
             *i += 1;
         }
         self.push(Item {
@@ -532,7 +569,7 @@ impl<'a, 'b> Parser<'a, 'b> {
     }
 
     /// The `{ body }` (parsed as item `id`'s children) or the `;` that
-    /// ends a `mod`, `trait` or `fn` item.
+    /// ends a `mod`, `struct`, `enum`, `trait` or `fn` item.
     fn item_body(&mut self, i: &mut usize, end: usize, depth: u32, id: usize, in_trait_impl: bool) {
         if self.is_punct(*i, "{") {
             *i += 1;
@@ -620,66 +657,6 @@ impl<'a, 'b> Parser<'a, 'b> {
             trait_impl: in_trait_impl,
             parent,
         })
-    }
-
-    /// `struct Name { fields }` / `enum Name { variants }` and the tuple /
-    /// unit forms.
-    fn finish_struct(
-        &mut self,
-        i: &mut usize,
-        end: usize,
-        parent: Option<usize>,
-        kind: ItemKind,
-        vis: Vis,
-    ) {
-        *i += 1; // keyword
-        let (name, line, col, tok) = self.name_at(*i);
-        if !name.is_empty() {
-            *i += 1;
-        }
-        self.skip_generics(i, end);
-        // Tuple struct: `( … ) ;`. Unit struct: `;`. Where clause may
-        // precede the `{`.
-        while *i < end
-            && !self.is_punct(*i, "{")
-            && !self.is_punct(*i, ";")
-            && !self.is_punct(*i, "}")
-        {
-            if self.is_punct(*i, "(") {
-                let mut depth = 0i64;
-                while *i < end {
-                    if self.is_punct(*i, "(") {
-                        depth += 1;
-                    } else if self.is_punct(*i, ")") {
-                        depth -= 1;
-                        if depth == 0 {
-                            *i += 1;
-                            break;
-                        }
-                    }
-                    *i += 1;
-                }
-                continue;
-            }
-            *i += 1;
-        }
-        let body = self.skip_body(i, end);
-        if body.is_none() && self.is_punct(*i, ";") {
-            *i += 1;
-        }
-        self.push(Item {
-            kind,
-            name,
-            path: String::new(),
-            vis,
-            line,
-            col,
-            tok,
-            body,
-            params: Vec::new(),
-            trait_impl: false,
-            parent,
-        });
     }
 
     /// `impl [Trait for] Type { body }`.
@@ -798,7 +775,7 @@ mod tests {
     }
 
     #[test]
-    fn struct_enum_and_use_bodies_are_skipped_whole() {
+    fn fields_variants_and_use_trees_declare_no_items() {
         let src = r#"
             use a::{b, c::{d, e as f}};
             pub struct S { pub x: Vec<u8>, y: [u8; { 2 }] }
@@ -814,6 +791,28 @@ mod tests {
         let cx = FileCx::new(src);
         let two = (0..cx.code.len()).find(|&j| cx.text(j) == "2").expect("array length");
         assert_eq!(fi.path_at(two), "S", "a token in a struct body is named by the struct");
+    }
+
+    #[test]
+    fn fns_in_initializers_and_fields_are_items() {
+        let src = r#"
+            const _: () = { fn in_const() {} };
+            static S: u8 = { fn in_static() {} 1 };
+            type T = [u8; { fn in_alias() {} 1 }];
+            struct R { f: fn(u8) -> u8, a: [u8; { fn in_field() {} 1 }], b: u8 }
+            enum E { P(unsafe fn()), A = { fn in_variant() {} 1 } }
+        "#;
+        let fi = parse(src);
+        let paths: Vec<&str> =
+            fi.items.iter().filter(|x| x.kind == ItemKind::Fn).map(|x| x.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            ["_::in_const", "S::in_static", "T::in_alias", "R::in_field", "E::in_variant"]
+        );
+        assert!(
+            fi.items.iter().any(|x| x.kind == ItemKind::Enum),
+            "parser recovers after each item"
+        );
     }
 
     #[test]

@@ -181,60 +181,58 @@ const SYNC_CALLS: &[&str] = &["sync_all", "sync_data", "fsync", "fsync_dir"];
 /// flag any `rename(…)` that follows a file create/write with no
 /// `sync_all`/`sync_data` in between. Functions that only move files
 /// (no write) are fine, as is syncing and then renaming. Each fn's body
-/// comes from the item parser and is walked once, without the bodies of
-/// the fns nested in it, which are walked on their own. `#[cfg(test)]`
-/// items are skipped unless `include_tests`.
+/// comes from the item parser, and each token counts for the innermost fn
+/// whose body holds it, so a nested fn is checked on its own and once.
+/// `#[cfg(test)]` items are skipped unless `include_tests`.
 pub(crate) fn unsynced_durable_write(
     cx: &FileCx<'_>,
     items: &FileItems,
     include_tests: bool,
 ) -> Vec<RawFinding> {
-    // (walked, body start, body end) of every fn with a body, in body
+    // (body start, body end, walked) of every fn with a body, in body
     // order: the item list is preorder, so a nested body starts after the
     // bodies around it.
-    let fns: Vec<(bool, usize, usize)> = items
+    let mut fns = items
         .items
         .iter()
         .filter(|item| item.kind == ItemKind::Fn)
         .filter_map(|item| {
             let walked = include_tests || !cx.is_test(item.tok);
-            item.body.map(|(lo, hi)| (walked, lo, hi))
+            item.body.map(|(lo, hi)| (lo, hi, walked))
         })
-        .collect();
+        .peekable();
+    // (body end, walked, wrote) of the fns whose bodies hold the current
+    // token, innermost last; `wrote` says an unsynced durable write
+    // happened earlier in that fn.
+    let mut open: Vec<(usize, bool, bool)> = Vec::new();
     let mut out = Vec::new();
-    for &(_, lo, hi) in fns.iter().filter(|f| f.0) {
-        let mut wrote = false; // an unsynced durable write happened earlier
-        let mut j = lo;
-        while j < hi {
-            if let Some(&(_, _, end)) = fns
-                .binary_search_by_key(&j, |f| f.1)
-                .ok()
-                .and_then(|k| fns.get(k))
-                .filter(|_| j > lo)
-            {
-                j = end;
-                continue;
-            }
-            if cx.kind(j) == TokKind::Ident && cx.punct_at(j + 1, "(") {
-                let name = cx.text(j);
-                if DURABLE_WRITES.contains(&name) {
-                    wrote = true;
-                } else if SYNC_CALLS.contains(&name) {
-                    wrote = false;
-                } else if name == "rename" && wrote {
-                    out.push(raw(
-                        cx,
-                        "unsynced-durable-write",
-                        j,
-                        "this rename publishes bytes that were never fsynced; a crash can \
-                         install an empty or torn file — call `sync_all()`/`sync_data()` on \
-                         the written file (and fsync the parent directory after the rename) \
-                         before publishing"
-                            .to_owned(),
-                    ));
-                }
-            }
-            j += 1;
+    for j in 0..cx.code.len() {
+        while let Some((_, hi, walked)) = fns.next_if(|f| f.0 <= j) {
+            open.push((hi, walked, false));
+        }
+        while open.last().is_some_and(|f| f.0 <= j) {
+            open.pop();
+        }
+        let Some((_, true, wrote)) = open.last_mut() else { continue };
+        if cx.kind(j) != TokKind::Ident || !cx.punct_at(j + 1, "(") {
+            continue;
+        }
+        let name = cx.text(j);
+        if DURABLE_WRITES.contains(&name) {
+            *wrote = true;
+        } else if SYNC_CALLS.contains(&name) {
+            *wrote = false;
+        } else if name == "rename" && *wrote {
+            out.push(raw(
+                cx,
+                "unsynced-durable-write",
+                j,
+                "this rename publishes bytes that were never fsynced; a crash can \
+                 install an empty or torn file — call `sync_all()`/`sync_data()` on \
+                 the written file (and fsync the parent directory after the rename) \
+                 before publishing"
+                    .to_owned(),
+            ));
         }
     }
     out
@@ -312,6 +310,21 @@ mod tests {
             fn inner() { fs::write(&tmp, b).ok(); fs::rename(&tmp, d).ok(); }
         }";
         assert_eq!(run(src).len(), 1);
+        // An empty nested body ends where it starts, and the outer fn's
+        // state runs on past it.
+        let (write, rename) = ("fs::write(&t, b).ok();", "fs::rename(&t, d).ok();");
+        for inner in [
+            "fn inner() {}",
+            "fn assert_send<T: Send>() {}",
+            "impl Drop for G { fn drop(&mut self) {} }",
+        ] {
+            for src in [
+                format!("fn outer() {{ {inner} {write} {rename} }}"),
+                format!("fn outer() {{ {write} {inner} {rename} }}"),
+            ] {
+                assert_eq!(run(&src).len(), 1, "{src}");
+            }
+        }
         let waived = "fn outer() {
             fn inner() {
                 fs::write(&tmp, b).ok();
@@ -322,5 +335,24 @@ mod tests {
         let report = crate::driver::audit_source("k", "f.rs", waived, false);
         assert!(report.findings.is_empty(), "{:?}", report.findings);
         assert_eq!(report.suppressed, 1);
+    }
+
+    #[test]
+    fn fns_the_item_parser_records_are_walked_and_no_others() {
+        let torn = "fn f() { fs::write(&t, b).ok(); fs::rename(&t, d).ok(); }";
+        for (src, want) in [
+            (format!("const _: () = {{ {torn} }};"), 1),
+            (format!("static S: u8 = {{ {torn} 1 }};"), 1),
+            (format!("struct S {{ bytes: [u8; {{ {torn} 1 }}] }}"), 1),
+            (format!("enum E {{ A = {{ {torn} 1 }} }}"), 1),
+            // The parser records no item in a `macro_rules!` body (a token
+            // template) or in the tokens it skips between an item's name
+            // and its body: a tuple struct's fields, a fn's signature.
+            (format!("macro_rules! m {{ () => {{ {torn} }} }}"), 0),
+            (format!("struct T([u8; {{ {torn} 1 }}]);"), 0),
+            (format!("fn g(x: [u8; {{ {torn} 1 }}]) {{}}"), 0),
+        ] {
+            assert_eq!(run(&src).len(), want, "{src}");
+        }
     }
 }

@@ -41,7 +41,16 @@ fn dataflow_findings(src: &str) -> usize {
 
 #[test]
 fn dataflow_is_total_on_degenerate_inputs() {
-    for src in ["", "vec![", "let = = =", "{{{{", "fn f( { .lock(", "\u{0}\u{ff}"] {
+    for src in [
+        "",
+        "vec![",
+        "let = = =",
+        "{{{{",
+        "fn f( { .lock(",
+        "\u{0}\u{ff}",
+        "fn g() { fn{} fn h() {} write(); rename(); }",
+        "const _: () = { struct S { a: [u8; { fn f() {} 1 }] } };",
+    ] {
         let _ = dataflow_findings(src);
     }
 }

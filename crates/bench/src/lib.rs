@@ -10,7 +10,7 @@
 //! the committed seed matrix against floors (`repro --help`).
 //!
 //! Scale is the `IOTAX_JOBS` environment variable; without it each
-//! figure runs at its own default size (2 000–20 000 jobs). The
+//! figure runs at its own default size (8 000–20 000 jobs). The
 //! `obs_overhead` binary gates the cost of the in-flight observability
 //! layer.
 
