@@ -163,8 +163,7 @@ fn finalize(
 fn file_sites(
     f: &FileAnalysis<'_>,
     include_tests: bool,
-    wire_sum: &BTreeSet<String>,
-    corpus_sum: &BTreeSet<String>,
+    summaries: &BTreeSet<String>,
 ) -> Vec<RawFinding> {
     let mut raw = if f.spec.role == FileRole::Test && !include_tests {
         Vec::new()
@@ -174,12 +173,7 @@ fn file_sites(
     if f.spec.role != FileRole::Test {
         // Per-site flow + dataflow analyses skip test targets entirely.
         raw.extend(flow::seed_provenance(f));
-        raw.extend(dataflow::untrusted_length_allocation(f, &dataflow::wire_vocab(), wire_sum));
-        raw.extend(dataflow::unbounded_corpus_materialization(
-            f,
-            &dataflow::corpus_vocab(),
-            corpus_sum,
-        ));
+        raw.extend(dataflow::untrusted_length_allocation(f, summaries));
     }
     raw.sort_by_key(|r| (r.line, r.col));
     raw
@@ -194,19 +188,18 @@ fn file_sites(
 /// lint skips them unless `include_tests` is set.
 // audit:allow(dead-public-api) -- the in-memory corpus seam tests/flow_fixtures.rs drives
 pub fn audit_sources(specs: Vec<SourceSpec>, include_tests: bool) -> AuditReport {
-    let (files, wire_sum, corpus_sum) = {
+    let (files, summaries) = {
         let _span = iotax_obs::span!("audit.parse");
         iotax_obs::counter!("audit.files").incr(specs.len() as u64);
         let files: Vec<FileAnalysis<'_>> = specs.iter().map(analyze_file).collect();
-        // Cross-file taint call summaries: the union every def-use pass
+        // Cross-file taint call summaries: the union the def-use pass
         // consumes. Only non-test targets contribute.
-        let mut wire_sum: BTreeSet<String> = BTreeSet::new();
-        let mut corpus_sum: BTreeSet<String> = BTreeSet::new();
-        for f in files.iter().filter(|f| f.spec.role != FileRole::Test) {
-            wire_sum.extend(dataflow::summary_fns(f, dataflow::wire_vocab().sources));
-            corpus_sum.extend(dataflow::summary_fns(f, dataflow::corpus_vocab().sources));
-        }
-        (files, wire_sum, corpus_sum)
+        let summaries: BTreeSet<String> = files
+            .iter()
+            .filter(|f| f.spec.role != FileRole::Test)
+            .flat_map(dataflow::summary_fns)
+            .collect();
+        (files, summaries)
     };
 
     // Workspace passes: findings indexed by file.
@@ -227,7 +220,7 @@ pub fn audit_sources(specs: Vec<SourceSpec>, include_tests: bool) -> AuditReport
     // Per-file passes, then finalize: merge, suppress, name.
     let _span = iotax_obs::span!("audit.lint");
     let sites: Vec<Vec<RawFinding>> =
-        files.iter().map(|f| file_sites(f, include_tests, &wire_sum, &corpus_sum)).collect();
+        files.iter().map(|f| file_sites(f, include_tests, &summaries)).collect();
     let mut report = AuditReport::default();
     for ((f, mut merged), mut ws) in files.iter().zip(sites).zip(workspace) {
         merged.append(&mut ws);
@@ -415,10 +408,15 @@ mod tests {
 
     #[test]
     fn unknown_lint_in_suppression_is_flagged() {
-        // The retired lints are unknown too: their contracts are clippy's.
-        for lint in
-            ["no-such-lint", "swallowed-result", "unordered-iteration", "unordered-float-reduction"]
-        {
+        // The retired lints are unknown too, so a leftover waiver of one
+        // is exactly one `bad-suppression`.
+        for lint in [
+            "no-such-lint",
+            "swallowed-result",
+            "unordered-iteration",
+            "unordered-float-reduction",
+            "unbounded-corpus-materialization",
+        ] {
             let r = audit(&format!("fn f() {{ g(); }} // audit:allow({lint}) -- why\n"));
             let lints: Vec<&str> = r.findings.iter().map(|f| f.lint.as_str()).collect();
             assert_eq!(lints, ["bad-suppression"], "{lint}");

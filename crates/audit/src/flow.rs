@@ -15,8 +15,12 @@
 //! to these findings exactly as it does to the token lint.
 //!
 //! `seed-provenance` is a per-file pass; `dead-public-api` is a workspace
-//! pass over every file's analysis.
+//! pass over every file's analysis. `seed-provenance` follows a seed's
+//! bindings (`let` and bare reassignment alike) with the dataflow
+//! engine's def-use resolver, [`crate::dataflow::last_def`], under the
+//! same depth bound, so `s = 42;` after `let mut s = seed;` is a literal.
 
+use crate::dataflow::{last_def, MAX_CHAIN_DEPTH};
 use crate::items::{Item, ItemKind, Vis};
 use crate::lexer::TokKind;
 use crate::lints::{raw, RawFinding};
@@ -44,10 +48,6 @@ const AMBIENT_MARKERS: &[&str] = &[
     "OsRng",
     "random",
 ];
-
-/// How deep the `let`-chain resolver follows bindings before giving up
-/// (an unresolved name is a pass, so the bound only limits work).
-const MAX_TAINT_DEPTH: usize = 8;
 
 #[derive(PartialEq)]
 enum SeedVerdict {
@@ -158,12 +158,13 @@ fn classify_seed(
             saw_param = true;
             continue;
         }
-        if depth >= MAX_TAINT_DEPTH {
+        if depth >= MAX_CHAIN_DEPTH {
             saw_unknown = true;
             continue;
         }
-        // A `let name = …;` earlier in the enclosing fn body.
-        if let Some(rhs) = last_let_binding(f, &name, body_lo, site) {
+        // The last `let name = …;` or `name = …;` earlier in the enclosing
+        // fn body.
+        if let Some(rhs) = last_def(f, &name, body_lo, site) {
             if rhs.is_empty() {
                 // RHS with no identifiers: a literal binding.
                 continue;
@@ -187,46 +188,6 @@ fn classify_seed(
     } else {
         SeedVerdict::LiteralOnly
     }
-}
-
-/// RHS identifiers of the last `let [mut] name = …;` between `lo` and
-/// `site` in token space. `Some(vec![])` means a binding was found whose
-/// RHS holds no identifiers (a literal).
-fn last_let_binding(
-    f: &FileAnalysis<'_>,
-    name: &str,
-    lo: usize,
-    site: usize,
-) -> Option<Vec<String>> {
-    let cx = &f.cx;
-    let mut found: Option<Vec<String>> = None;
-    let mut j = lo;
-    while j + 2 < site {
-        if cx.ident_at(j, "let") {
-            let name_at = if cx.ident_at(j + 1, "mut") { j + 2 } else { j + 1 };
-            if cx.ident_at(name_at, name) && cx.punct_at(name_at + 1, "=") {
-                let mut rhs = Vec::new();
-                let mut k = name_at + 2;
-                let mut depth = 0i64;
-                while k < cx.code.len() {
-                    match cx.text(k) {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => depth -= 1,
-                        ";" if depth <= 0 => break,
-                        _ => {
-                            if cx.kind(k) == TokKind::Ident {
-                                rhs.push(cx.text(k).to_owned());
-                            }
-                        }
-                    }
-                    k += 1;
-                }
-                found = Some(rhs);
-            }
-        }
-        j += 1;
-    }
-    found
 }
 
 /// Initializer identifiers of a same-file `const NAME` / `static NAME`.
@@ -468,6 +429,19 @@ mod tests {
             .map(|f| f.lint)
             .collect();
         assert_eq!(seeds, vec!["seed-provenance"]);
+
+        // A seed reassigned to a literal is the literal, whatever it was
+        // bound to first.
+        let reassigned = spec(
+            "iotax-x",
+            "crates/x/src/lib.rs",
+            "pub fn run(seed: u64) { let mut s = seed; s = 42; let r = substream(s, 1); }",
+        );
+        let found = run(vec![reassigned]);
+        assert!(
+            found.iter().any(|f| f.lint == "seed-provenance" && f.message.contains("literal")),
+            "{found:?}"
+        );
 
         // `cfg.seed` resolves `cfg` to a parameter → clean.
         let field = spec(

@@ -13,9 +13,10 @@
 //! — and, on top of the lexer, an item parser, a workspace symbol table,
 //! and two cross-file flow analyses ([`flow`]) that check the properties
 //! that live at crate seams: seed provenance and dead public API. A
-//! statement-level def-use engine ([`dataflow`]) runs the same taint
-//! machinery under two vocabularies — wire-derived lengths and corpus-scale
-//! cardinality — for its three allocation, lock-order, and capacity lints.
+//! statement-level def-use engine ([`dataflow`]) tracks wire-derived
+//! lengths to allocation sinks and orders lock acquisitions, for its two
+//! allocation and lock-order lints; seed provenance resolves bindings
+//! with the same def-use resolver.
 //! Every lint is on in every crate, so the audit keeps no configuration;
 //! its one setting is `--include-tests`. Every run analyzes each file once,
 //! in one uncached pass ([`driver`]).

@@ -222,60 +222,11 @@ fn lock_order_cycle_consistent_order_passes() {
 }
 
 // ---------------------------------------------------------------------------
-// unbounded-corpus-materialization (corpus-cardinality taint)
-// ---------------------------------------------------------------------------
-
-const UCM: &str = "unbounded-corpus-materialization";
-
-fn capacity_corpus(src: &str) -> Vec<SourceSpec> {
-    vec![spec("fixture-ml", "crates/fixture-ml/src/data.rs", FileRole::Lib, src)]
-}
-
-#[test]
-fn unbounded_corpus_materialization_catches_collect_and_growing_container() {
-    let r = audit(
-        capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_violating.rs")),
-        UCM,
-    );
-    assert!(
-        r.findings.iter().all(|f| f.lint == "unbounded-corpus-materialization"),
-        "{:?}",
-        r.findings
-    );
-    // One whole-corpus `.collect()`, one per-job push into an outliving
-    // container: both caught, each naming the corpus source.
-    assert!(r.findings.iter().any(|f| f.message.contains("`.collect(")), "{:?}", r.findings);
-    assert!(r.findings.iter().any(|f| f.message.contains("container `out`")), "{:?}", r.findings);
-    assert!(r.findings.iter().all(|f| f.message.contains("`jobs`")), "{:?}", r.findings);
-    assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
-}
-
-#[test]
-fn unbounded_corpus_materialization_suppressed_corpus_is_quiet_and_counted() {
-    let r = audit(
-        capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_suppressed.rs")),
-        UCM,
-    );
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 2);
-}
-
-#[test]
-fn unbounded_corpus_materialization_bounded_streams_pass() {
-    let r = audit(
-        capacity_corpus(include_str!("fixtures/unbounded_corpus_materialization_clean.rs")),
-        UCM,
-    );
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 0);
-}
-
-// ---------------------------------------------------------------------------
 // Ordering: one canonical diagnostic order, independent of input order
 // and parallel scheduling
 // ---------------------------------------------------------------------------
 
-const FLOW_AND_DATAFLOW: &[&str] = &[SEED, DEAD, ULA, LOC, UCM];
+const FLOW_AND_DATAFLOW: &[&str] = &[SEED, DEAD, ULA, LOC];
 
 /// A corpus that makes every flow and dataflow analysis fire at least once.
 fn mixed_corpus() -> Vec<SourceSpec> {
@@ -303,12 +254,6 @@ fn mixed_corpus() -> Vec<SourceSpec> {
             "crates/fixture-locks/src/registry.rs",
             FileRole::Lib,
             include_str!("fixtures/lock_order_cycle_violating.rs"),
-        ),
-        spec(
-            "fixture-ml",
-            "crates/fixture-ml/src/data.rs",
-            FileRole::Lib,
-            include_str!("fixtures/unbounded_corpus_materialization_violating.rs"),
         ),
     ]
 }

@@ -7,7 +7,7 @@
 //! paper gives only numbers, the direction it states for them.
 
 use crate::{Claim, Figure, Seed};
-use iotax_core::golden::{evaluate_feature_set, system_litmus, Effort};
+use iotax_core::golden::{evaluate_feature_set, Effort};
 use iotax_core::litmus::{duplicate_errors, DtBucket};
 use iotax_core::ood::{ood_litmus, OodConfig};
 use iotax_core::{
@@ -54,9 +54,9 @@ fn posix(sim: &SimDataset) -> Dataset {
 
 /// Every job's log10 throughput and start time, in job order.
 fn throughput_and_start(sim: &SimDataset) -> (Vec<f64>, Vec<i64>) {
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let y: Vec<f64> = sim.jobs.iter().map(|j| j.log10_throughput()).collect();
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let t: Vec<i64> = sim.jobs.iter().map(|j| j.start_time).collect();
     (y, t)
 }
@@ -174,13 +174,13 @@ fn f1c(run: &Seed) -> Result<Vec<Claim>> {
         for (a, b) in pairs.take(40) {
             let dt = (t[a] - t[b]).unsigned_abs();
             let dphi = (y[a] - y[b]).abs();
-            // audit:allow(unbounded-corpus-materialization) -- out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
+            // out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
             rows.push(format!("{dt},{dphi:.6}"));
             if dt == 0 {
-                // audit:allow(unbounded-corpus-materialization) -- out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
+                // out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
                 zeros.push(dphi);
             } else {
-                // audit:allow(unbounded-corpus-materialization) -- out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
+                // out-of-core: figure points are summarized and written in one pass at the end; stream to the CSV writer when real traces land
                 nonzeros.push(dphi);
             }
         }
@@ -225,7 +225,6 @@ fn f1d(run: &Seed) -> Result<Vec<Claim>> {
             let bucket: Vec<f64> = days.iter().map(|&k| errors[k]).collect();
             format!("{},{:.5}", week(&days[0]) * 7, iotax_stats::median(&bucket))
         })
-        // audit:allow(unbounded-corpus-materialization) -- out-of-core: one row per week of the trace, not per job
         .collect();
     run.write_csv("fig1d_weekly_error.csv", "day,median_abs_log10", &rows)?;
     Ok(vec![Claim::new("F1d.post_deployment_worse", "error spikes after deployment")
@@ -300,12 +299,12 @@ fn f3(run: &Seed) -> Result<Vec<Claim>> {
 }
 
 /// Fig. 4: POSIX only, POSIX + job start time (the §VII golden model)
-/// and POSIX + Lustre (LMT) on both systems.
+/// and POSIX + Lustre (LMT) on both systems, read from the system-litmus
+/// stage of F7's two reports.
 fn f4(run: &Seed) -> Result<Vec<Claim>> {
-    let theta = system_litmus(&run.theta(20_000), Effort::Full);
-    let cori = system_litmus(&run.cori(20_000), Effort::Full);
+    let [theta, cori] = run.taxonomy().each_ref().map(|r| &r.system_litmus);
     let mut rows = Vec::new();
-    for (label, r) in [("theta", &theta), ("cori", &cori)] {
+    for (label, r) in [("theta", theta), ("cori", cori)] {
         rows.push(format!("{label},POSIX,{:.4}", r.baseline.test_error_pct));
         rows.push(format!("{label},POSIX+StartTime,{:.4}", r.golden.test_error_pct));
         if let Some(lmt) = &r.lmt_enriched {
@@ -385,7 +384,6 @@ fn f6(run: &Seed) -> Result<Vec<Claim>> {
             let (lo, hi, n) = (b.dt_lo, b.dt_hi, b.n_pairs);
             format!("{lo},{hi},{n},{:.5},{:.5},{:.5},{:.5}", s.p25, s.median, s.p75, s.p95)
         })
-        // audit:allow(unbounded-corpus-materialization) -- out-of-core: one row per Δt decade, not per job
         .collect();
     run.write_csv("fig6_dt_buckets.csv", "dt_lo,dt_hi,pairs,p25,median,p75,p95", &rows)?;
     let populated = |b: &&DtBucket| b.n_pairs > 10;

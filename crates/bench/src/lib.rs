@@ -55,7 +55,7 @@ impl Claim {
 pub type Figure = fn(&Seed) -> Result<Vec<Claim>>;
 
 /// One seed's run: both presets get the seed, and the Fig. 7 taxonomy
-/// reports are computed once and shared by F7 and T1.
+/// reports are computed once and shared by F4, F7 and T1.
 pub struct Seed {
     seed: u64,
     n_jobs: Option<usize>,

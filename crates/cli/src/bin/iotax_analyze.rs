@@ -156,7 +156,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
                 let _span = iotax_obs::span!("analyze.duplicates");
                 trace_duplicate_sets(&jobs)
             };
-            // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+            // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
             let y: Vec<f64> = jobs.iter().map(|j| j.log10_throughput()).collect();
             iotax_obs::event!("analyze.stage", "app_bound: {} duplicate sets", dup.sets.len());
             crash_hook("app_bound");
@@ -164,7 +164,7 @@ fn run(args: &Args, session: &mut ObsSession) -> Result<(), Error> {
                 let _span = iotax_obs::span!("analyze.app_bound");
                 app_modeling_bound(&y, &dup)
             };
-            // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+            // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
             let starts: Vec<i64> = jobs.iter().map(|j| j.start_time).collect();
             iotax_obs::event!("analyze.stage", "noise_floor");
             crash_hook("noise_floor");

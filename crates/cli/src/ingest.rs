@@ -666,7 +666,7 @@ pub fn inject_faults(dir: &Path, plan: &FaultPlan) -> Result<FaultManifest> {
         .map_err(|e| Error::io(format!("reading {}", logs_dir.display()), e))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "drn"))
-        // audit:allow(unbounded-corpus-materialization) -- out-of-core: deterministic ingest needs the sorted listing; switch to an external sorted merge if log dirs outgrow memory
+        // out-of-core: deterministic ingest needs the sorted listing; switch to an external sorted merge if log dirs outgrow memory
         .collect();
     entries.sort();
     for path in entries {

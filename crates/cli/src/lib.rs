@@ -171,7 +171,7 @@ fn write_trace_on(
     for fault in written {
         if let Some(fault) = fault? {
             iotax_obs::counter!("sim.faults_injected").incr(1);
-            // audit:allow(unbounded-corpus-materialization) -- out-of-core: faults.json lists every damaged log in file-name order; spill sorted runs and merge them if traces outgrow memory
+            // out-of-core: faults.json lists every damaged log in file-name order; spill sorted runs and merge them if traces outgrow memory
             faults.push(fault);
         }
     }

@@ -132,26 +132,15 @@ pub struct SystemLitmus {
     pub golden_reduction_pct: f64,
 }
 
-/// Run the system-modeling litmus test.
-pub fn system_litmus(sim: &SimDataset, effort: Effort) -> SystemLitmus {
+/// Run the system-modeling litmus test: the POSIX baseline, the golden
+/// model and, where every job carries LMT, the LMT-enriched model, each
+/// fit on its own feature set's litmus split. The taxonomy's
+/// `core.system_litmus` stage runs it; callers read the result from
+/// [`crate::TaxonomyReport::system_litmus`].
+pub(crate) fn system_litmus(sim: &SimDataset, effort: Effort) -> SystemLitmus {
     let _span = iotax_obs::span!("core.golden.system_litmus");
     let baseline =
         evaluate_feature_set(sim, FeatureSet::posix(), "POSIX", effort.baseline_params());
-    system_litmus_with_baseline(sim, effort, baseline)
-}
-
-/// Run the litmus against an already-measured POSIX baseline instead of
-/// refitting it — the cache hook for callers that have just scored that
-/// exact model. Only sound when the baseline came from the same trace,
-/// the litmus split seed (`sim.config.seed ^ 0x5EED`), and the same
-/// effort level; any other combination silently skews the reduction
-/// percentages (DESIGN.md, "cache invalidation"). [`system_litmus`]
-/// stays the refit-always safe default.
-pub(crate) fn system_litmus_with_baseline(
-    sim: &SimDataset,
-    effort: Effort,
-    baseline: FeatureSetResult,
-) -> SystemLitmus {
     let golden = evaluate_feature_set(
         sim,
         FeatureSet::posix_start_time(),
@@ -206,16 +195,6 @@ mod tests {
             result.baseline.test_error_pct
         );
         assert!(result.golden_reduction_pct > 0.0);
-    }
-
-    #[test]
-    fn reused_baseline_matches_refit_litmus() {
-        // The cache hook with a freshly measured baseline is bit-identical
-        // to the refit-always entry point.
-        let sim = Platform::new(SimConfig::theta().with_jobs(1_200).with_seed(34)).generate();
-        let full = system_litmus(&sim, Effort::Quick);
-        let reused = system_litmus_with_baseline(&sim, Effort::Quick, full.baseline.clone());
-        assert_eq!(full, reused);
     }
 
     #[test]

@@ -38,18 +38,18 @@ fn probe(label: &str, cfg: SimConfig) {
         dups as f64 / n,
         nsets
     );
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let cont: Vec<f64> = ds.jobs.iter().map(|j| -j.truth.log10_contention).collect();
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let noise: Vec<f64> = ds.jobs.iter().map(|j| j.truth.log10_noise.abs()).collect();
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let weather: Vec<f64> = ds.jobs.iter().map(|j| -j.truth.log10_weather).collect();
     stats("  |contention|", &cont);
     stats("  |noise|     ", &noise);
     stats("  weather(-)  ", &weather);
     let contended = cont.iter().filter(|&&c| c > 0.001).count();
     println!("  contended(>0.001): {:.3}", contended as f64 / n);
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let y: Vec<f64> = ds.jobs.iter().map(|j| j.log10_throughput()).collect();
     stats("  log10(y)    ", &y);
 }

@@ -156,7 +156,7 @@ impl FeatureMatrix {
 impl SimDataset {
     /// Materialize the design matrix for a feature set over all jobs.
     pub fn feature_matrix(&self, set: FeatureSet) -> FeatureMatrix {
-        // audit:allow(unbounded-corpus-materialization) -- out-of-core: index permutation for the deterministic split; replace with a streaming reservoir split if corpora outgrow memory
+        // out-of-core: index permutation for the deterministic split; replace with a streaming reservoir split if corpora outgrow memory
         let indices: Vec<usize> = (0..self.jobs.len()).collect();
         self.feature_matrix_for(set, &indices)
     }

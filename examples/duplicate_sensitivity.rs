@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 fn main() {
     let dataset = Platform::new(SimConfig::theta().with_jobs(12_000).with_seed(17)).generate();
     let dup = find_duplicate_sets(&dataset.jobs);
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let y: Vec<f64> = dataset.jobs.iter().map(|j| j.log10_throughput()).collect();
 
     // Group duplicate-set errors by application *class*, recovered from the

@@ -22,7 +22,7 @@ fn main() -> iotax::Result<()> {
 
     // The litmus bound any model should approach.
     let dup = find_duplicate_sets(&sim.jobs);
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let y: Vec<f64> = sim.jobs.iter().map(|j| j.log10_throughput()).collect();
     let bound = app_modeling_bound(&y, &dup);
     println!(

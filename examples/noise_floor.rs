@@ -13,9 +13,9 @@ use iotax::sim::{Platform, SimConfig};
 fn measure(label: &str, config: SimConfig) {
     let dataset = Platform::new(config).generate();
     let dup = find_duplicate_sets(&dataset.jobs);
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let y: Vec<f64> = dataset.jobs.iter().map(|j| j.log10_throughput()).collect();
-    // audit:allow(unbounded-corpus-materialization) -- out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
+    // out-of-core: whole-trace column for quantile/bound math; stream via a mergeable quantile sketch when traces outgrow memory
     let starts: Vec<i64> = dataset.jobs.iter().map(|j| j.start_time).collect();
 
     let floor = concurrent_noise_floor(&y, &starts, &dup, &[], 1, 30)
