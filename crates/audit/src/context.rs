@@ -2,7 +2,7 @@
 //! `lex` call, plus the structural facts every lint needs — which tokens
 //! sit inside `#[cfg(test)]` items and which suppression comments the
 //! file carries. Which item a token belongs to is the item parser's
-//! answer ([`crate::items::FileItems::path_at`]).
+//! answer (`items::FileItems::path_at`).
 
 use crate::lexer::{lex, Tok, TokKind};
 

@@ -6,7 +6,7 @@
 //! statement-level def-use chains over the token stream decide whether a
 //! value that sizes an allocation was derived from the wire, and whether
 //! two locks are ever taken in opposite orders. The def-use resolver,
-//! [`last_def`], also serves `seed-provenance`.
+//! `last_def`, also serves `seed-provenance`.
 //!
 //! | lint | hazard it guards |
 //! |------|------------------|

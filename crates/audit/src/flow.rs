@@ -17,7 +17,7 @@
 //! `seed-provenance` is a per-file pass; `dead-public-api` is a workspace
 //! pass over every file's analysis. `seed-provenance` follows a seed's
 //! bindings (`let` and bare reassignment alike) with the dataflow
-//! engine's def-use resolver, [`crate::dataflow::last_def`], under the
+//! engine's def-use resolver, `dataflow::last_def`, under the
 //! same depth bound, so `s = 42;` after `let mut s = seed;` is a literal.
 
 use crate::dataflow::{last_def, MAX_CHAIN_DEPTH};

@@ -73,7 +73,7 @@ pub struct Item {
     /// Name (for [`ItemKind::Impl`], the self type's last identifier).
     pub name: String,
     /// Full path within the file (`mod_a::fn_b`); a finding inside the
-    /// item's body names it ([`FileItems::path_at`]).
+    /// item's body names it (`FileItems::path_at`).
     pub path: String,
     /// Visibility.
     pub vis: Vis,

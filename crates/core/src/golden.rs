@@ -209,7 +209,7 @@ mod tests {
         // start times fall inside the trained weather timeline.
         let sim = Platform::new(SimConfig::theta().with_jobs(1_000).with_seed(33)).generate();
         let data = split_features(&sim, FeatureSet::posix_start_time());
-        let col = data.train.column("JobStartTime").expect("column");
+        let col = data.train.names.iter().position(|n| n == "JobStartTime").expect("column");
         let max_train = (0..data.train.n_rows)
             .map(|i| data.train.row(i)[col])
             .fold(f64::NEG_INFINITY, f64::max);

@@ -12,7 +12,6 @@
 
 use crate::duplicates::DuplicateSets;
 use iotax_stats::describe::{mean, median, Summary};
-use iotax_stats::dist::ContinuousDist;
 use iotax_stats::fit::{fit_normal, fit_student_t, StudentTFit};
 use iotax_stats::ks::ks_one_sample;
 use serde::{Deserialize, Serialize};

@@ -36,7 +36,7 @@ impl ModuleId {
         }
     }
 
-    /// The on-disk module tag byte (inverse of [`ModuleId::from_u8`]).
+    /// The on-disk module tag byte (inverse of `ModuleId::from_u8`).
     pub fn tag(self) -> u8 {
         self as u8
     }

@@ -20,7 +20,7 @@ pub(crate) const LMT_FEATURE_COUNT: usize = 37;
 /// `LmtFullnessAtStart`.
 pub(crate) static LMT_FEATURE_NAMES: OnceLock<Vec<String>> = OnceLock::new();
 
-/// Accessor for [`LMT_FEATURE_NAMES`]; builds the list on first use.
+/// Accessor for `LMT_FEATURE_NAMES`; builds the list on first use.
 pub fn lmt_feature_names() -> &'static [String] {
     LMT_FEATURE_NAMES.get_or_init(|| {
         let mut names = Vec::with_capacity(LMT_FEATURE_COUNT);

@@ -160,11 +160,6 @@ impl Dataset {
             self.subset(&order[n_train + n_val..]),
         )
     }
-
-    /// Column index by name.
-    pub fn column(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
 }
 
 /// Feature preprocessing: signed log compression followed by

@@ -88,10 +88,10 @@ pub(crate) fn snapshot_counters() -> Vec<CounterSnapshot> {
     snaps
 }
 
-/// A named last-value gauge. Unlike a [`Counter`], a gauge can move both
-/// ways (current heap bytes, live queue depth) or track a running maximum
-/// (peak heap bytes). Construct through the [`gauge!`] macro, which gives
-/// each call site a `&'static` instance.
+/// A named last-value gauge. Unlike a [`Counter`], which only adds, a
+/// gauge holds the value last [`set`](Gauge::set) (a trace's job count).
+/// Construct through the [`gauge!`] macro, which gives each call site a
+/// `&'static` instance.
 ///
 /// Gauges are **informational**: they are snapshotted into ledgers and
 /// heartbeats but deliberately excluded from `iotax-report`'s
@@ -114,18 +114,6 @@ impl Gauge {
     /// Sets the gauge to an absolute value; lock-free.
     pub fn set(&self, value: u64) {
         self.value.store(value, Ordering::Relaxed);
-    }
-
-    /// Adds a signed delta (two's-complement wrapping) and returns the
-    /// new value; lock-free. Safe to call from allocator context: it
-    /// never locks or allocates.
-    pub fn add(&self, delta: i64) -> u64 {
-        self.value.fetch_add(delta as u64, Ordering::Relaxed).wrapping_add(delta as u64)
-    }
-
-    /// Raises the gauge to `value` if it is larger; lock-free.
-    pub fn max(&self, value: u64) {
-        self.value.fetch_max(value, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -419,15 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_add_max_semantics() {
+    fn gauge_set_semantics() {
         let g = crate::gauge!("test.metrics.gauge_semantics");
         g.set(100);
         assert_eq!(g.get(), 100);
-        assert_eq!(g.add(-40), 60);
-        assert_eq!(g.add(15), 75);
-        g.max(50);
-        assert_eq!(g.get(), 75, "max never lowers the value");
-        g.max(200);
+        g.set(40);
+        assert_eq!(g.get(), 40, "set moves the value both ways");
+        g.set(200);
         assert_eq!(g.get(), 200);
         let snaps = snapshot_gauges();
         let mine: Vec<_> =

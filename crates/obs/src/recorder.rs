@@ -171,7 +171,7 @@ fn live_stacks() -> Vec<(u64, String)> {
 
 /// Installs the process-wide flight recorder: events buffer into a ring
 /// of `capacity` (`None` = default) and flush into `dir` (conventionally
-/// `<ledger>/blackbox/`) on panic or explicit [`flush_blackbox`]. The
+/// `<ledger>/blackbox/`) on panic or explicit `flush_blackbox`. The
 /// panic hook is chained in front of the existing hook, once per
 /// process; reinstalling replaces the ring and target directory.
 pub fn install_recorder(dir: impl Into<PathBuf>, run_id: &str, capacity: Option<usize>) {

@@ -56,7 +56,7 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Dense ordinal of the thread that ran the span (main thread = 1).
     pub thread: u64,
-    /// Open time, monotonic microseconds (see [`now_us`]).
+    /// Open time, monotonic microseconds (see `now_us`).
     pub start_us: u64,
     /// Close minus open time, microseconds.
     pub duration_us: u64,

@@ -23,7 +23,8 @@
 //!
 //! * [`scan`] — list a store's runs with per-record integrity status,
 //!   and write `.corrupt` quarantine sidecars for damaged segments.
-//! * [`trajectory`] — a metric's min/p50/p95/max over the last N runs.
+//! * [`trajectory`](mod@trajectory) — a metric's min/p50/p95/max over
+//!   the last N runs.
 //! * [`crash`] — the seeded crash-injection matrix proving detection
 //!   and acked-record durability for every fault kind.
 //!

@@ -3,11 +3,11 @@
 //! A ledger *store* (written by `--store`, see [`iotax_obs::store`]) holds
 //! many runs as CRC-checked records. [`scan_ledger_store`] walks one,
 //! reporting every run with its per-record integrity status plus all
-//! store-level damage, and [`write_quarantine`] persists `.corrupt`
-//! sidecars for damaged segments. [`resolve_run`] lets every other
-//! subcommand accept `STORE@last` / `STORE@<run-id-prefix>` (or a bare
-//! store directory, meaning the newest run) wherever a RUN directory is
-//! accepted today.
+//! store-level damage, and [`iotax_obs::store::write_quarantine`]
+//! persists `.corrupt` sidecars for damaged segments. [`resolve_run`]
+//! lets every other subcommand accept `STORE@last` /
+//! `STORE@<run-id-prefix>` (or a bare store directory, meaning the newest
+//! run) wherever a RUN directory is accepted today.
 
 use iotax_obs::store::{scan_store, Damage, SegmentStatus, StoreScan};
 use iotax_obs::{load_run, Error, ErrorKind, Result, RunFile};

@@ -4,13 +4,13 @@
 //! *application behaviour* — the mapping from access patterns to achievable
 //! throughput. Here that mapping is explicit: each archetype draws a job
 //! configuration (volume, transfer size, process count, file layout,
-//! sequentiality, metadata intensity), and [`ideal_throughput`] computes the
+//! sequentiality, metadata intensity), and `ideal_throughput` computes the
 //! clean-machine throughput as a product of efficiency terms, **every one of
 //! which is a function of quantities visible in the Darshan counters** — so
 //! a sufficiently good model can drive `e_app` to zero, exactly the premise
 //! of the §VI litmus test.
 
-use iotax_stats::dist::{ContinuousDist, LogNormal, Pareto, Uniform};
+use iotax_stats::dist::{LogNormal, Pareto, Uniform};
 use rand::{Rng, RngExt};
 use serde::{Deserialize, Serialize};
 

@@ -1,6 +1,6 @@
 //! Deterministic Darshan log synthesis from a job configuration.
 //!
-//! Two jobs with the same [`JobConfig`] must produce byte-identical counter
+//! Two jobs with the same `JobConfig` must produce byte-identical counter
 //! sets — that is what makes them *duplicates* in the §VI sense ("all their
 //! observable application features are identical"). Everything here is a
 //! pure function of the config; no RNG.

@@ -24,7 +24,7 @@ use iotax_darshan::features::{extract_mpiio_features, extract_posix_features};
 use iotax_darshan::format::ParseError;
 use iotax_lmt::recorder::LmtRecorder;
 use iotax_sched::{JobRequest, Scheduler, SchedulerConfig};
-use iotax_stats::dist::{ContinuousDist, Normal};
+use iotax_stats::dist::Normal;
 use iotax_stats::fanout::{current_num_threads, map_in_order};
 use iotax_stats::rng::{splitmix64, substream};
 use serde::{Deserialize, Serialize};

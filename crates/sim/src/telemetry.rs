@@ -1,6 +1,6 @@
 //! LMT telemetry synthesis from the actual simulated load.
 //!
-//! The recorder is driven by the same [`LoadGrid`] the contention model
+//! The recorder is driven by the same `LoadGrid` the contention model
 //! uses, plus the weather: OSS CPU rises with the utilization of its OSTs
 //! and with service degradations, OST byte rates are the deposited job
 //! traffic, MDS rates follow the metadata load. LMT features therefore

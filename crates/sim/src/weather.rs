@@ -12,7 +12,7 @@
 //! `factor(t)` is what multiplies every job's throughput; the golden model
 //! of the §VII litmus test can learn it from the start-time feature alone.
 
-use iotax_stats::dist::{ContinuousDist, LogNormal, Uniform};
+use iotax_stats::dist::{LogNormal, Uniform};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 

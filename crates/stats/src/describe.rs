@@ -81,16 +81,6 @@ pub fn mad(xs: &[f64]) -> f64 {
     median(&dev)
 }
 
-/// Minimum of a slice, ignoring nothing; `NaN` for an empty slice.
-pub fn min(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NAN, |a, b| if a.is_nan() || b < a { b } else { a })
-}
-
-/// Maximum of a slice; `NaN` for an empty slice.
-pub fn max(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NAN, |a, b| if a.is_nan() || b > a { b } else { a })
-}
-
 /// A compact five-number-plus summary used in experiment reports.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Summary {

@@ -43,8 +43,6 @@ pub struct StudentTFit {
     pub dist: StudentT,
     /// Log-likelihood at the fit.
     pub log_likelihood: f64,
-    /// EM iterations used at the selected degrees of freedom.
-    pub iterations: usize,
 }
 
 fn t_log_likelihood(xs: &[f64], df: f64, loc: f64, scale: f64) -> f64 {
@@ -66,13 +64,11 @@ fn t_log_likelihood(xs: &[f64], df: f64, loc: f64, scale: f64) -> f64 {
 /// E-step: weights w_i = (ν+1)/(ν + ((x-μ)/σ)²); M-step: weighted mean and
 /// weighted scale update. Converges linearly; 100 iterations is plenty for
 /// the litmus tests.
-fn em_fixed_df(xs: &[f64], df: f64) -> (f64, f64, usize) {
+fn em_fixed_df(xs: &[f64], df: f64) -> (f64, f64) {
     let mut loc = mean(xs);
     let mut scale = variance_corrected(xs).sqrt().max(1e-12);
     let n = xs.len() as f64;
-    let mut iters = 0;
-    for it in 0..200 {
-        iters = it + 1;
+    for _ in 0..200 {
         let mut sw = 0.0;
         let mut swx = 0.0;
         for &x in xs {
@@ -97,30 +93,27 @@ fn em_fixed_df(xs: &[f64], df: f64) -> (f64, f64, usize) {
             break;
         }
     }
-    (loc, scale, iters)
+    (loc, scale)
 }
 
 /// Fit a location-scale Student-t by maximum likelihood.
 ///
-/// Golden-section search over `log(df)` in `[log(df_min), log(df_max)]`,
+/// Golden-section search over `log(df)` in `[log(DF_MIN), log(DF_MAX)]`,
 /// solving location/scale by EM at each candidate df. Panics for fewer than
 /// three samples.
 pub fn fit_student_t(xs: &[f64]) -> StudentTFit {
-    fit_student_t_bounded(xs, 1.0, 200.0)
-}
-
-/// [`fit_student_t`] with explicit degrees-of-freedom search bounds.
-pub(crate) fn fit_student_t_bounded(xs: &[f64], df_min: f64, df_max: f64) -> StudentTFit {
+    // Degrees-of-freedom search bounds: from the Cauchy to practically normal.
+    const DF_MIN: f64 = 1.0;
+    const DF_MAX: f64 = 200.0;
     assert!(xs.len() >= 3, "fit_student_t requires at least three samples");
-    assert!(df_min > 0.0 && df_max > df_min);
-    let obj = |ldf: f64| -> (f64, f64, f64, usize) {
+    let obj = |ldf: f64| -> (f64, f64, f64) {
         let df = ldf.exp();
-        let (loc, scale, iters) = em_fixed_df(xs, df);
-        (t_log_likelihood(xs, df, loc, scale), loc, scale, iters)
+        let (loc, scale) = em_fixed_df(xs, df);
+        (t_log_likelihood(xs, df, loc, scale), loc, scale)
     };
     // Golden-section maximization over log(df).
     let gr = (5.0_f64.sqrt() - 1.0) / 2.0;
-    let (mut a, mut b) = (df_min.ln(), df_max.ln());
+    let (mut a, mut b) = (DF_MIN.ln(), DF_MAX.ln());
     let mut c = b - gr * (b - a);
     let mut d = a + gr * (b - a);
     let mut fc = obj(c);
@@ -143,19 +136,14 @@ pub(crate) fn fit_student_t_bounded(xs: &[f64], df_min: f64, df_max: f64) -> Stu
             break;
         }
     }
-    let (ll, loc, scale, iters, ldf) =
-        if fc.0 > fd.0 { (fc.0, fc.1, fc.2, fc.3, c) } else { (fd.0, fd.1, fd.2, fd.3, d) };
-    StudentTFit {
-        dist: StudentT::with_loc_scale(ldf.exp(), loc, scale),
-        log_likelihood: ll,
-        iterations: iters,
-    }
+    let ((ll, loc, scale), ldf) = if fc.0 > fd.0 { (fc, c) } else { (fd, d) };
+    StudentTFit { dist: StudentT::with_loc_scale(ldf.exp(), loc, scale), log_likelihood: ll }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{ContinuousDist, Normal};
+    use crate::dist::Normal;
     use crate::rng::rng_from_seed;
 
     /// AIC comparison of the two fits: `(normal, t, t_preferred)`.
@@ -171,7 +159,8 @@ mod tests {
     #[test]
     fn fit_normal_recovers_parameters() {
         let mut rng = rng_from_seed(31);
-        let xs = Normal::new(5.0, 2.0).sample_n(&mut rng, 50_000);
+        let d = Normal::new(5.0, 2.0);
+        let xs: Vec<f64> = (0..50_000).map(|_| d.sample(&mut rng)).collect();
         let f = fit_normal(&xs);
         assert!((f.mean - 5.0).abs() < 0.05, "mean {}", f.mean);
         assert!((f.std - 2.0).abs() < 0.05, "std {}", f.std);
@@ -180,7 +169,8 @@ mod tests {
     #[test]
     fn fit_t_recovers_low_df() {
         let mut rng = rng_from_seed(32);
-        let xs = StudentT::with_loc_scale(4.0, 1.0, 0.5).sample_n(&mut rng, 30_000);
+        let d = StudentT::with_loc_scale(4.0, 1.0, 0.5);
+        let xs: Vec<f64> = (0..30_000).map(|_| d.sample(&mut rng)).collect();
         let f = fit_student_t(&xs);
         assert!((f.dist.loc - 1.0).abs() < 0.03, "loc {}", f.dist.loc);
         assert!((f.dist.scale - 0.5).abs() < 0.05, "scale {}", f.dist.scale);
@@ -190,7 +180,8 @@ mod tests {
     #[test]
     fn fit_t_on_normal_data_gives_large_df() {
         let mut rng = rng_from_seed(33);
-        let xs = Normal::new(0.0, 1.0).sample_n(&mut rng, 20_000);
+        let d = Normal::new(0.0, 1.0);
+        let xs: Vec<f64> = (0..20_000).map(|_| d.sample(&mut rng)).collect();
         let f = fit_student_t(&xs);
         assert!(f.dist.df > 25.0, "df {}", f.dist.df);
     }
@@ -198,7 +189,8 @@ mod tests {
     #[test]
     fn model_selection_prefers_t_on_t_data() {
         let mut rng = rng_from_seed(34);
-        let xs = StudentT::new(3.0).sample_n(&mut rng, 10_000);
+        let d = StudentT::with_loc_scale(3.0, 0.0, 1.0);
+        let xs: Vec<f64> = (0..10_000).map(|_| d.sample(&mut rng)).collect();
         let (_, _, t_preferred) = normal_vs_t(&xs);
         assert!(t_preferred);
     }
@@ -206,7 +198,8 @@ mod tests {
     #[test]
     fn model_selection_prefers_normal_on_normal_data() {
         let mut rng = rng_from_seed(35);
-        let xs = Normal::new(0.0, 1.0).sample_n(&mut rng, 10_000);
+        let d = Normal::new(0.0, 1.0);
+        let xs: Vec<f64> = (0..10_000).map(|_| d.sample(&mut rng)).collect();
         let (nf, tf, t_preferred) = normal_vs_t(&xs);
         // On truly normal data the t fit degenerates to ~normal; AIC should
         // not pay for the extra parameter.

@@ -54,14 +54,14 @@ pub fn ks_one_sample<F: Fn(f64) -> f64>(xs: &[f64], cdf: F) -> KsResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{ContinuousDist, Normal, StudentT};
+    use crate::dist::{Normal, StudentT};
     use crate::rng::rng_from_seed;
 
     #[test]
     fn normal_sample_passes_against_own_cdf() {
         let mut rng = rng_from_seed(21);
         let d = Normal::new(0.0, 1.0);
-        let xs = d.sample_n(&mut rng, 5000);
+        let xs: Vec<f64> = (0..5000).map(|_| d.sample(&mut rng)).collect();
         let r = ks_one_sample(&xs, |x| d.cdf(x));
         assert!(r.p_value > 0.01, "p = {}", r.p_value);
         assert!(r.statistic < 0.03);
@@ -71,9 +71,9 @@ mod tests {
     fn heavy_tailed_sample_rejects_normal() {
         // t(3) data against a N(0,1) CDF should clearly reject.
         let mut rng = rng_from_seed(22);
-        let t = StudentT::new(3.0);
-        let xs = t.sample_n(&mut rng, 5000);
-        let n = Normal::standard();
+        let t = StudentT::with_loc_scale(3.0, 0.0, 1.0);
+        let xs: Vec<f64> = (0..5000).map(|_| t.sample(&mut rng)).collect();
+        let n = Normal::new(0.0, 1.0);
         let r = ks_one_sample(&xs, |x| n.cdf(x));
         assert!(r.p_value < 0.01, "p = {}", r.p_value);
     }

@@ -7,14 +7,16 @@
 //! duplicate-set error estimates (§VI, §IX), Student-t fits to concurrent
 //! duplicate distributions (§IX), quantile summaries of heavy-tailed error
 //! distributions (§V), and distributional comparisons between feature sets
-//! (§VI-VII). This crate implements everything those tests need from scratch:
+//! (§VI-VII). This crate implements everything those tests and the simulator
+//! need from scratch:
 //!
-//! * `special` (private) — `erfc`, `ln_gamma`, regularized incomplete
-//!   beta/gamma, the numerical bedrock for the distribution CDFs.
+//! * `special` (private) — `erfc` for the normal CDF and `ln_gamma` for the
+//!   Student-t log-likelihood.
 //! * [`hashing`] — stable FNV-1a hashing for duplicate-set signatures
 //!   that must not drift across Rust releases.
-//! * [`dist`] — Normal, LogNormal, Student-t, Uniform, Gamma, Pareto and
-//!   categorical sampling with pdf/cdf/quantile where defined.
+//! * [`dist`] — the simulator's samplers (Normal, LogNormal, Uniform,
+//!   Pareto, categorical), the normal CDF the KS test compares against,
+//!   and the Student-t parameters of the t fit.
 //! * [`describe`] — descriptive statistics: mean, Bessel-corrected variance,
 //!   medians, arbitrary quantiles, MAD.
 //! * [`online`] — Welford online moments.

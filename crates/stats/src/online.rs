@@ -36,13 +36,6 @@ impl Welford {
         }
     }
 
-    /// Absorb every element of a slice.
-    pub fn extend(&mut self, xs: &[f64]) {
-        for &x in xs {
-            self.push(x);
-        }
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -57,15 +50,6 @@ impl Welford {
         }
     }
 
-    /// Bessel-corrected variance; `NaN` for fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population (biased) variance; `NaN` if empty.
     pub fn variance_biased(&self) -> f64 {
         if self.n == 0 {
@@ -73,11 +57,6 @@ impl Welford {
         } else {
             self.m2 / self.n as f64
         }
-    }
-
-    /// Bessel-corrected standard deviation.
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Minimum observed value; `+∞` if empty.
@@ -100,18 +79,20 @@ mod tests {
     fn matches_batch_statistics() {
         let xs: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.37).sin() * 5.0 + 2.0).collect();
         let mut w = Welford::new();
-        w.extend(&xs);
+        for &x in &xs {
+            w.push(x);
+        }
         assert!((w.mean() - describe::mean(&xs)).abs() < 1e-10);
-        assert!((w.variance() - describe::variance_corrected(&xs)).abs() < 1e-8);
-        assert_eq!(w.min(), describe::min(&xs));
-        assert_eq!(w.max(), describe::max(&xs));
+        assert!((w.variance_biased() - describe::variance_biased(&xs)).abs() < 1e-8);
+        assert_eq!(w.min(), xs.iter().copied().fold(f64::INFINITY, f64::min));
+        assert_eq!(w.max(), xs.iter().copied().fold(f64::NEG_INFINITY, f64::max));
     }
 
     #[test]
     fn empty_statistics_are_nan() {
         let w = Welford::new();
         assert!(w.mean().is_nan());
-        assert!(w.variance().is_nan());
+        assert!(w.variance_biased().is_nan());
         assert_eq!(w.count(), 0);
     }
 
@@ -121,7 +102,7 @@ mod tests {
         for _ in 0..100 {
             w.push(7.5);
         }
-        assert!((w.variance()).abs() < 1e-12);
+        assert!(w.variance_biased().abs() < 1e-12);
         assert_eq!(w.mean(), 7.5);
     }
 }

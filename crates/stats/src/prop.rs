@@ -3,9 +3,9 @@
 use crate::describe::{
     mad, mean, median, quantile, quantile_sorted, variance_biased, variance_corrected,
 };
-use crate::dist::{ContinuousDist, LogNormal, Normal, Pareto, StudentT};
+use crate::dist::Normal;
 use crate::online::Welford;
-use crate::special::{beta_inc, erfc, gamma_p, inv_norm_cdf, ln_gamma};
+use crate::special::{erfc, ln_gamma};
 use proptest::prelude::*;
 
 fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -59,36 +59,28 @@ proptest! {
     #[test]
     fn welford_matches_batch(xs in finite_vec(2)) {
         let mut w = Welford::new();
-        w.extend(&xs);
+        for &x in &xs {
+            w.push(x);
+        }
         prop_assert!((w.mean() - mean(&xs)).abs() < 1e-6);
-        let scale = variance_corrected(&xs).max(1.0);
-        prop_assert!((w.variance() - variance_corrected(&xs)).abs() < 1e-6 * scale);
+        let scale = variance_biased(&xs).max(1.0);
+        prop_assert!((w.variance_biased() - variance_biased(&xs)).abs() < 1e-6 * scale);
     }
 
     #[test]
-    fn normal_cdf_quantile_round_trip(mean in -100.0f64..100.0, std in 0.01f64..100.0, p in 0.001f64..0.999) {
-        let d = Normal::new(mean, std);
-        prop_assert!((d.cdf(d.quantile(p)) - p).abs() < 1e-8);
-    }
-
-    #[test]
-    fn lognormal_support_is_positive(mu in -5.0f64..5.0, sigma in 0.01f64..2.0, p in 0.001f64..0.999) {
-        let d = LogNormal::new(mu, sigma);
-        prop_assert!(d.quantile(p) > 0.0);
-        prop_assert_eq!(d.cdf(-1.0), 0.0);
-    }
-
-    #[test]
-    fn student_t_cdf_is_monotone(df in 1.0f64..100.0, a in -50.0f64..50.0, b in -50.0f64..50.0) {
-        let d = StudentT::new(df);
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(d.cdf(lo) <= d.cdf(hi) + 1e-12);
-    }
-
-    #[test]
-    fn pareto_respects_xmin(xmin in 0.1f64..100.0, alpha in 0.5f64..5.0, p in 0.001f64..0.999) {
-        let d = Pareto::new(xmin, alpha);
-        prop_assert!(d.quantile(p) >= xmin);
+    fn normal_cdf_is_a_symmetric_cdf(
+        mean in -100.0f64..100.0,
+        std in 0.01f64..100.0,
+        x1 in -1e3f64..1e3,
+        x2 in -1e3f64..1e3,
+        d in 0.0f64..1e3,
+    ) {
+        let n = Normal::new(mean, std);
+        let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
+        prop_assert!((0.0..=1.0).contains(&n.cdf(lo)) && (0.0..=1.0).contains(&n.cdf(hi)));
+        prop_assert!(n.cdf(lo) <= n.cdf(hi));
+        prop_assert!((n.cdf(mean) - 0.5).abs() < 1e-12);
+        prop_assert!((n.cdf(mean - d) + n.cdf(mean + d) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -99,29 +91,8 @@ proptest! {
     }
 
     #[test]
-    fn gamma_p_is_a_cdf(a in 0.1f64..50.0, x1 in 0.0f64..100.0, x2 in 0.0f64..100.0) {
-        let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
-        let plo = gamma_p(a, lo);
-        let phi = gamma_p(a, hi);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&plo));
-        prop_assert!(plo <= phi + 1e-10);
-    }
-
-    #[test]
-    fn beta_inc_symmetry(a in 0.2f64..20.0, b in 0.2f64..20.0, x in 0.001f64..0.999) {
-        prop_assert!((beta_inc(a, b, x) - (1.0 - beta_inc(b, a, 1.0 - x))).abs() < 1e-8);
-    }
-
-    #[test]
     fn ln_gamma_recurrence(x in 0.1f64..170.0) {
         prop_assert!((ln_gamma(x + 1.0) - ln_gamma(x) - x.ln()).abs() < 1e-8 * (1.0 + ln_gamma(x).abs()));
-    }
-
-    #[test]
-    fn inv_norm_round_trip(p in 0.0001f64..0.9999) {
-        let x = inv_norm_cdf(p);
-        let back = Normal::standard().cdf(x);
-        prop_assert!((back - p).abs() < 1e-8);
     }
 
     #[test]
